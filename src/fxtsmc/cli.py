@@ -20,6 +20,7 @@ byte-for-byte.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -32,7 +33,6 @@ import numpy as np
 from .controller import ControllerParams, bound_report
 from .errors import (
     ConfigError,
-    EvaluationError,
     GainTooSmallError,
     IllConditionedDataError,
     ParameterError,
@@ -60,6 +60,7 @@ from .sim import (
     simulate,
     summarize_run,
     summary_to_dict,
+    write_summary_json,
     write_trajectory_csv,
 )
 from .sliding import SlidingParams
@@ -366,8 +367,12 @@ def build_gp_models(cfg: dict, system) -> list:
         )
     else:
         raise ConfigError("gp section needs either 'dataset' (path) or 'generate' (parameters)")
-    if len(datasets) != system.n:
-        raise ConfigError(f"gp dataset has {len(datasets)} channels, system has {system.n}")
+    dim = datasets[0].inputs.shape[1]
+    if len(datasets) != system.n or dim != system.n:
+        raise ConfigError(
+            f"gp dataset has {dim} input columns and {len(datasets)} channels, "
+            f"system has {system.n} states"
+        )
     return [gp_fit(ds, kernel) for ds in datasets]
 
 
@@ -453,9 +458,7 @@ def cmd_run(args) -> int:
     csv_path = _output_path(cfg, "trajectory_csv", f"{stem}-trajectory.csv")
     json_path = _output_path(cfg, "summary_json", f"{stem}-summary.json")
     write_trajectory_csv(traj, csv_path, config=cfg)
-    doc = summary_to_dict(summary)
-    doc["config"] = cfg
-    json_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_summary_json(summary, json_path, config=cfg)
 
     print(f"run: system={scenario.system.name} mode={scenario.mode} "
           f"h={scenario.step.step_size:g} t_end={scenario.step.t_end:g}")
@@ -589,18 +592,7 @@ def cmd_montecarlo(args) -> int:
     elif scenario.mode == "gp-based":
         # Pilot run from the box's corner to size the drift-error bound.
         chi = float(cfg.get("gp", {}).get("chi", 2.0))
-        pilot = simulate(
-            Scenario(
-                system=scenario.system,
-                reference=scenario.reference,
-                params=scenario.params,
-                x0=box[:, 1],
-                step=scenario.step,
-                mode=scenario.mode,
-                gp_models=scenario.gp_models,
-                settle_threshold=scenario.settle_threshold,
-            )
-        )
+        pilot = simulate(dataclasses.replace(scenario, x0=box[:, 1]))
         try:
             bounds = bound_report(
                 scenario.channels, delta_f_bars=_gp_delta_f_bars(models, pilot, chi)
@@ -746,7 +738,6 @@ def main(argv=None) -> int:
     except (
         SimulationDivergedError,
         SingularGainError,
-        EvaluationError,
         PerturbationBoundError,
         IllConditionedDataError,
         UnfitGPError,

@@ -1,11 +1,15 @@
-"""Control laws and settling-time bounds.
+"""Controller gains and settling-time bounds.
 
-Two laws share one structure: the control cancels the (known or estimated)
-drift and the reference velocity, adds the surface-defining term
-alpha1*exp(z^2)*|z|^(p/q)*sign(z), and drives s with a reaching term
-kappa*alpha2*exp(s^2)*sign(s). For the known-model law kappa = sqrt(pi)/2;
-the estimated-drift law omits that factor by default (selectable per channel
-via ``include_sqrt_pi_factor``).
+``ControllerParams`` holds one channel's gains for the integral fixed-time law
+
+    u = -(f_hat + alpha1*exp(z^2)*|z|^(p/q)*sign(z) - xd_dot
+          + kappa*alpha2*exp(s^2)*sign(s)) / g,
+
+which the simulation engine (``fxtsmc.sim``) evaluates; ``f_hat`` is the
+model drift f (known-model mode) or the GP posterior mean (gp-based mode).
+For the known-model law kappa = sqrt(pi)/2; the estimated-drift law omits
+that factor by default (selectable per channel via
+``include_sqrt_pi_factor``).
 
 The bound calculators cover each closed-form settling-time estimate, with the
 s-phase bound of the learned-model case available in two variants (see
@@ -15,14 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import pi, sqrt
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import GainTooSmallError, ParameterError
-from .numerics import safe_exp, signed_power
-from .sliding import SlidingParams, SlidingState
-from .system import ReferenceSignal, SystemModel, check_gain
+from .sliding import SlidingParams
 
 TWO_OVER_SQRT_PI = 2.0 / sqrt(pi)
 SQRT_PI_HALF = sqrt(pi) / 2.0
@@ -78,18 +80,17 @@ def _as_channel_list(params, n: int) -> list[ControllerParams]:
 class LawArrays:
     """Per-channel gains flattened into arrays for the simulation hot loop."""
 
-    __slots__ = ("alpha1", "exponent", "alpha2", "kappa", "eps", "d_bar", "reach_gain")
+    __slots__ = ("alpha1", "exponent", "reach_gain", "eps", "plain_sign")
 
     def __init__(self, channels: Sequence[ControllerParams]):
         self.alpha1 = np.array([c.sliding.alpha1 for c in channels])
         self.exponent = np.array([c.sliding.exponent for c in channels])
-        self.alpha2 = np.array([c.alpha2 for c in channels])
-        self.kappa = np.array(
-            [SQRT_PI_HALF if c.include_sqrt_pi_factor else 1.0 for c in channels]
+        # kappa * alpha2, with kappa = sqrt(pi)/2 where the factor is included
+        self.reach_gain = np.array(
+            [(SQRT_PI_HALF if c.include_sqrt_pi_factor else 1.0) * c.alpha2 for c in channels]
         )
         self.eps = np.array([c.sign_boundary_layer for c in channels])
-        self.d_bar = np.array([c.d_bar for c in channels])
-        self.reach_gain = self.kappa * self.alpha2
+        self.plain_sign = bool(np.all(self.eps == 0.0))
 
 
 def sign_or_layer(s, eps):
@@ -100,64 +101,6 @@ def sign_or_layer(s, eps):
     out = np.sign(s) * 1.0
     layered = eps > 0.0
     return np.where(layered, np.tanh(s / np.where(layered, eps, 1.0)), out)
-
-
-def reach_term(s, arrays: LawArrays):
-    """kappa * alpha2 * exp(s^2) * sign_or_layer(s), elementwise."""
-    return arrays.reach_gain * safe_exp(s * s) * sign_or_layer(s, arrays.eps)
-
-
-def law_from_terms(f, g, integ, xd_dot, reach, arrays: LawArrays):
-    """u = -(f + alpha1*integ - xd_dot + reach) / g, sharing ``integ`` with the
-    sliding accumulator so the discrete cancellation is exact."""
-    return -(f + arrays.alpha1 * integ - xd_dot + reach) / g
-
-
-def control_known(
-    x,
-    t: float,
-    model: SystemModel,
-    ref: ReferenceSignal,
-    params,
-    sstate: SlidingState,
-) -> np.ndarray:
-    """Known-model law: cancels f(x) exactly; reaching factor sqrt(pi)/2 applies."""
-    x = np.asarray(x, dtype=float)
-    channels = _as_channel_list(params, model.n)
-    arrays = LawArrays(channels)
-    z = x - ref.value(t)
-    integ = safe_exp(z * z) * signed_power(z, arrays.exponent)
-    s = z + arrays.alpha1 * np.asarray(sstate.integral, dtype=float)
-    g = check_gain(model.gain(x), x, model.n)
-    return law_from_terms(
-        model.drift(x), g, integ, ref.derivative(t), reach_term(s, arrays), arrays
-    )
-
-
-def control_gp(
-    x,
-    t: float,
-    gp_models,
-    gain,
-    ref: ReferenceSignal,
-    params,
-    sstate: SlidingState,
-) -> np.ndarray:
-    """Learned-model law: drift replaced by the per-channel posterior means."""
-    from .gp import estimate_drift
-
-    x = np.asarray(x, dtype=float)
-    n = len(gp_models)
-    channels = _as_channel_list(params, n)
-    arrays = LawArrays(channels)
-    z = x - ref.value(t)
-    integ = safe_exp(z * z) * signed_power(z, arrays.exponent)
-    s = z + arrays.alpha1 * np.asarray(sstate.integral, dtype=float)
-    g = check_gain(gain(x), x, n)
-    return law_from_terms(
-        estimate_drift(gp_models, x), g, integ, ref.derivative(t),
-        reach_term(s, arrays), arrays,
-    )
 
 
 # --- settling-time bounds ----------------------------------------------------
@@ -255,19 +198,16 @@ class BoundReport:
 
 
 def bound_report(
-    params,
+    params: Sequence[ControllerParams],
     delta_f_bars=None,
     s_bound_mode: str = "lemma3",
-    n: Optional[int] = None,
 ) -> BoundReport:
-    """Settling bounds for a channel set.
+    """Settling bounds for a per-channel parameter sequence.
 
     With ``delta_f_bars`` omitted the known-model composition is used (s-phase
     from lemma2_bound); passing per-channel drift-error bounds switches the
     s-phase to theorem2_s_bound in the requested mode.
     """
-    if isinstance(params, ControllerParams):
-        params = [params] * (n if n is not None else 1)
     params = list(params)
     gp_mode = delta_f_bars is not None
     if gp_mode:

@@ -25,14 +25,6 @@ class SingularGainError(RuntimeError):
         self.channel = channel
 
 
-class EvaluationError(RuntimeError):
-    """Dynamics evaluation produced a non-finite component."""
-
-    def __init__(self, message, channel=None):
-        super().__init__(message)
-        self.channel = channel
-
-
 class SimulationDivergedError(RuntimeError):
     """State or accumulator became non-finite, or stepping collapsed."""
 

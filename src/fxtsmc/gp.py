@@ -21,7 +21,7 @@ import numpy as np
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from .errors import IllConditionedDataError, ParameterError
+from .errors import ConfigError, IllConditionedDataError, ParameterError
 from .system import SystemModel
 
 KERNEL_FAMILIES = ("exponential", "squared-exponential")
@@ -209,28 +209,13 @@ def _coincides(model: GPModel, states: np.ndarray) -> np.ndarray:
     return (states[:, None, :] == model.dataset.inputs[None, :, :]).all(axis=2).any(axis=1)
 
 
-def gp_variance(model: GPModel, x) -> float:
-    """Posterior variance at one query state, floored at 0 against round-off.
+def variance_many(model: GPModel, states: np.ndarray) -> np.ndarray:
+    """Posterior variance at each row of ``states``, floored at 0 against round-off.
 
     Noise-free regression interpolates exactly, so its variance at a stored
     training input is identically zero; without the short-circuit the
     factorization jitter would leak back in at exactly that scale.
     """
-    xq = np.atleast_1d(np.asarray(x, dtype=float))
-    if model.dataset.noise_std == 0.0 and _coincides(model, xq[None, :])[0]:
-        return 0.0
-    kbar = _cross_kernel(model, xq)
-    v = solve_triangular(model.chol_lower, kbar, lower=True, check_finite=False)
-    return max(0.0, 1.0 - float(v @ v))
-
-
-def gp_error_bound(model: GPModel, x, cfg: ErrorBoundConfig) -> float:
-    """chi * posterior standard deviation at one query state."""
-    return cfg.chi * np.sqrt(gp_variance(model, x))
-
-
-def variance_many(model: GPModel, states: np.ndarray) -> np.ndarray:
-    """Posterior variance at each row of ``states`` (vectorized gp_variance)."""
     states = np.atleast_2d(np.asarray(states, dtype=float))
     kbar = _kernel_of_dist(model.kernel, cdist(model.dataset.inputs, states))
     v = solve_triangular(model.chol_lower, kbar, lower=True, check_finite=False)
@@ -240,28 +225,18 @@ def variance_many(model: GPModel, states: np.ndarray) -> np.ndarray:
     return out
 
 
-def estimate_drift(models: Sequence[GPModel], x) -> np.ndarray:
-    """Stack the per-channel posterior means into a drift estimate vector."""
-    if len(models) < 1:
-        raise ParameterError("need at least one channel model")
-    kbar = _cross_kernel(models[0], x)
-    out = np.empty(len(models))
-    for i, m in enumerate(models):
-        if m.dataset.inputs is not models[0].dataset.inputs and not np.array_equal(
-            m.dataset.inputs, models[0].dataset.inputs
-        ):
-            kbar_i = _cross_kernel(m, x)
-        else:
-            kbar_i = kbar
-        out[i] = kbar_i @ m.weights
-    return out
+def gp_error_bound(model: GPModel, x, cfg: ErrorBoundConfig) -> float:
+    """chi * posterior standard deviation at one query state."""
+    return cfg.chi * np.sqrt(variance_many(model, x)[0])
 
 
 class DriftEstimator:
-    """Shared-input fast path for per-step drift estimates inside a simulation.
+    """Per-step drift estimate inside a simulation: the per-channel posterior
+    means stacked into one vector.
 
     Stacks every channel's weights against the common training inputs so one
-    kernel evaluation per step serves all channels.
+    kernel evaluation per step serves all channels; ``gp_mean`` is the
+    one-channel reference it agrees with.
     """
 
     def __init__(self, models: Sequence[GPModel]):
@@ -360,12 +335,14 @@ def load_datasets(csv_path) -> tuple[list[GPDataset], dict]:
     csv_path = Path(csv_path)
     with csv_path.open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         rows = [[float(v) for v in row] for row in reader if row]
     dim = sum(1 for name in header if name.startswith("x"))
     n_channels = len(header) - dim
     if n_channels < 1 or dim < 1:
         raise ParameterError(f"unrecognized dataset header: {header}")
+    if not rows:
+        raise ConfigError(f"{csv_path}: dataset has a header but no data rows")
     data = np.asarray(rows, dtype=float)
     sidecar = csv_path.with_name(csv_path.name + ".meta.json")
     meta = json.loads(sidecar.read_text()) if sidecar.exists() else {}

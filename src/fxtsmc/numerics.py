@@ -1,9 +1,9 @@
-"""Scalar numeric primitives: signed powers, a clamped exponential, and
-fixed-step explicit integration steps.
+"""Scalar numeric primitives: signed powers, a clamped exponential, and the
+fixed-step grid settings.
 
-Everything here accepts either floats or numpy arrays and operates
-elementwise, so the same primitives serve both scalar unit tests and the
-vectorized simulation loop.
+The primitives accept either floats or numpy arrays and operate elementwise,
+so the same code serves both scalar unit tests and the vectorized simulation
+loop. Stepping itself lives in the simulation engine (``fxtsmc.sim``).
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SimulationDivergedError
+from .errors import ParameterError
 
 # exp(50) ~ 5.18e21: comfortably representable, so exp(z^2)-weighted terms
 # stay finite even when |z| transiently exceeds ~7.
@@ -70,43 +70,3 @@ class StepConfig:
     @property
     def n_steps(self) -> int:
         return round(self.t_end / self.step_size)
-
-
-def _check_finite(dx, t):
-    if not np.all(np.isfinite(dx)):
-        bad = int(np.argmin(np.isfinite(np.atleast_1d(dx))))
-        raise SimulationDivergedError(
-            f"non-finite derivative in channel {bad} at t={t}", t=t, channel=bad
-        )
-
-
-def euler_delta(deriv, x, t, h):
-    """State increment of one explicit-Euler step of size h."""
-    dx = deriv(x, t)
-    _check_finite(dx, t)
-    return h * dx
-
-
-def rk4_delta(deriv, x, t, h):
-    """State increment of one classical Runge-Kutta step of size h."""
-    k1 = deriv(x, t)
-    _check_finite(k1, t)
-    k2 = deriv(x + 0.5 * h * k1, t + 0.5 * h)
-    _check_finite(k2, t + 0.5 * h)
-    k3 = deriv(x + 0.5 * h * k2, t + 0.5 * h)
-    _check_finite(k3, t + 0.5 * h)
-    k4 = deriv(x + h * k3, t + h)
-    _check_finite(k4, t + h)
-    return (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def integrate_step(state, deriv, t, cfg: StepConfig):
-    """Advance ``state`` by one step of the configured method.
-
-    ``deriv(x, t)`` must return the state derivative; a non-finite component
-    raises SimulationDivergedError carrying t and the channel index.
-    """
-    x = np.asarray(state, dtype=float)
-    if cfg.method == "euler":
-        return x + euler_delta(deriv, x, t, cfg.step_size)
-    return x + rk4_delta(deriv, x, t, cfg.step_size)

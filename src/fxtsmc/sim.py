@@ -11,7 +11,7 @@ operating band the allowance exceeds the macro step and the loop collapses to
 a single plain step, bit-identical to an unguarded fixed-step loop. The guard
 is purely state-driven and deterministic.
 
-In euler mode the plant state and the sliding integral advance together with
+In euler mode the plant state and the sliding integral step together with
 the same shared integrand evaluation the control law used, which keeps the
 discrete surface dynamics an exact algebraic cancellation (s_{k+1} = s_k -
 h*reach + h*d up to one rounding) — several tests pin that property. In rk4
@@ -35,6 +35,7 @@ from .controller import (
     LawArrays,
     _as_channel_list,
     bound_report,
+    sign_or_layer,
 )
 from .errors import (
     ParameterError,
@@ -43,7 +44,8 @@ from .errors import (
     SingularGainError,
     UnfitGPError,
 )
-from .numerics import EXP_CLAMP, StepConfig, safe_exp, signed_power
+from .numerics import StepConfig, safe_exp
+from .sliding import integrand
 from .system import ReferenceSignal, SystemModel, check_gain
 
 CONTROLLER_MODES = ("known-model", "gp-based", "open-loop")
@@ -89,6 +91,12 @@ class Scenario:
             )
         if not np.all(np.isfinite(x0)):
             raise ParameterError(f"x0 must be finite, got {x0}")
+        for name in ("value", "derivative"):
+            shape = np.shape(getattr(self.reference, name)(0.0))
+            if shape != (self.system.n,):
+                raise ParameterError(
+                    f"reference {name} must have shape ({self.system.n},), got {shape}"
+                )
         if not self.settle_threshold > 0.0:
             raise ParameterError(
                 f"settle_threshold must be positive, got {self.settle_threshold}"
@@ -186,8 +194,6 @@ def simulate(scenario: Scenario) -> Trajectory:
     channels = scenario.channels
     open_loop = scenario.mode == "open-loop"
     arrays = LawArrays(channels) if channels is not None else None
-    track_sliding = arrays is not None
-    plain_sign = arrays is None or bool(np.all(arrays.eps == 0.0))
     estimator = _drift_estimator(scenario.gp_models) if scenario.mode == "gp-based" else None
 
     rows = n_steps + 1
@@ -205,28 +211,24 @@ def simulate(scenario: Scenario) -> Trajectory:
     zeros = np.zeros(n)
 
     def eval_loop(x_cur, t_cur, integral_cur):
-        """One full controller + dynamics evaluation at (x, t, I).
+        """One full controller + dynamics evaluation at (x, t, I): the only
+        place the control law is evaluated.
 
-        Returns (z, s, u, d, f_used, dx, integ) with dx = f + g*u + d.
+        Returns (z, s, u, d, f_used, dx, integ) with dx = f + g*u + d; integ
+        is None when no surface is tracked (open loop without gains).
         """
         xd = ref_value(t_cur)
         z = x_cur - xd
         d = pert(t_cur)
         f = drift(x_cur)
-        if open_loop:
-            u = zeros
-            if track_sliding:
-                integ = safe_exp(z * z) * signed_power(z, arrays.exponent)
-                s = z + arrays.alpha1 * integral_cur
-            else:
-                integ = None
-                s = z
-            dx = f + d
-            return z, s, u, d, f, dx, integ
-        g = check_gain(gain(x_cur), x_cur, n)
-        integ = safe_exp(z * z) * signed_power(z, arrays.exponent)
+        if arrays is None:
+            return z, z, zeros, d, f, f + d, None
+        integ = integrand(z, arrays.exponent)
         s = z + arrays.alpha1 * integral_cur
-        sgn = np.sign(s) if plain_sign else _layered_sign(s, arrays.eps)
+        if open_loop:
+            return z, s, zeros, d, f, f + d, integ
+        g = check_gain(gain(x_cur), x_cur, n)
+        sgn = np.sign(s) if arrays.plain_sign else sign_or_layer(s, arrays.eps)
         reach = arrays.reach_gain * safe_exp(s * s) * sgn
         f_used = f if estimator is None else estimator(x_cur)
         u = -(f_used + arrays.alpha1 * integ - ref_deriv(t_cur) + reach) / g
@@ -259,11 +261,9 @@ def simulate(scenario: Scenario) -> Trajectory:
             break
 
         if rk4:
-            x, integral = _advance_rk4(x, integral, t, h, eval_loop, track_sliding, arrays)
+            x, integral = _advance_rk4(x, integral, t, h, eval_loop)
         else:
-            x, integral = _advance_euler(
-                x, integral, t, h, z, s, dx, integ, eval_loop, track_sliding, arrays
-            )
+            x, integral = _advance_euler(x, integral, t, h, z, s, dx, integ, eval_loop, arrays)
         if not np.isfinite(x).all():
             ch = int(np.argmin(np.isfinite(x)))
             raise SimulationDivergedError(
@@ -277,12 +277,6 @@ def simulate(scenario: Scenario) -> Trajectory:
     )
 
 
-def _layered_sign(s, eps):
-    out = np.sign(s) * 1.0
-    layered = eps > 0.0
-    return np.where(layered, np.tanh(s / np.where(layered, eps, 1.0)), out)
-
-
 def _guard_rate(z, s, dz, ds) -> float:
     """Fastest normalized shrink/growth rate across channels (1/seconds).
 
@@ -291,33 +285,40 @@ def _guard_rate(z, s, dz, ds) -> float:
     from zero by GUARD_ABS, so no special-casing is needed.
     """
     rz = (np.abs(dz) / (np.abs(z) + GUARD_ABS)).max()
-    rs = (np.abs(ds) / (np.abs(s) + GUARD_ABS)).max()
+    if s is z and ds is dz:
+        return float(rz) / GUARD_REL  # no surface tracked: one ratio covers both
+    rs =(np.abs(ds) / (np.abs(s) + GUARD_ABS)).max()
     return float(max(rz, rs)) / GUARD_REL
 
 
-def _advance_euler(x, integral, t, h, z, s, dx, integ, eval_loop, track_sliding, arrays):
-    """One macro step, split into guard-sized Euler substeps when necessary."""
-    # dz/dt differs from dx/dt only by the (bounded) reference rate, which is
-    # negligible whenever the guard can trigger, so dx stands in for the z rate.
-    ds = dx + (arrays.alpha1 * integ if track_sliding and integ is not None else 0.0)
-    rate = _guard_rate(z, s, dx, ds)
-    if h * rate <= 1.0:
-        # Operating band: single plain step, identical to an unguarded loop.
-        if track_sliding and integ is not None:
-            return x + h * dx, integral + h * integ
-        return x + h * dx, integral
+def _advance_euler(x, integral, t, h, z, s, dx, integ, eval_loop, arrays):
+    """One macro step, split into guard-sized Euler substeps when necessary.
 
+    ``integ`` is None (and ``arrays`` unused) when no surface is tracked.
+    """
     remaining = h
     n_sub = 0
     while True:
+        # dz/dt differs from dx/dt only by the (bounded) reference rate, which
+        # is negligible whenever the guard can trigger, so dx stands in for
+        # the z rate.
+        ds = dx if integ is None else dx + arrays.alpha1 * integ
+        rate = _guard_rate(z, s, dx, ds)
+        if n_sub == 0 and h * rate <= 1.0:
+            # Operating band: single plain step, identical to an unguarded loop.
+            return x + h * dx, integral if integ is None else integral + h * integ
         if not np.isfinite(rate):
+            ch = int(np.argmin(np.isfinite(ds)))
             raise SimulationDivergedError(
-                f"non-finite dynamics rate during substepping at t = {t:g}", t=t
+                f"non-finite dynamics rate in channel {ch + 1} during substepping "
+                f"at t = {t:g}",
+                t=t,
+                channel=ch,
             )
         h_allow = 1.0 / rate if rate > 0.0 else remaining
         h_sub = remaining if h_allow >= remaining else h_allow
         x = x + h_sub * dx
-        if track_sliding and integ is not None:
+        if integ is not None:
             integral = integral + h_sub * integ
         remaining -= h_sub
         if remaining <= 0.0:
@@ -338,11 +339,9 @@ def _advance_euler(x, integral, t, h, z, s, dx, integ, eval_loop, track_sliding,
             )
         t_local = t + (h - remaining)
         z, s, _, _, _, dx, integ = eval_loop(x, t_local, integral)
-        ds = dx + (arrays.alpha1 * integ if track_sliding and integ is not None else 0.0)
-        rate = _guard_rate(z, s, dx, ds)
 
 
-def _advance_rk4(x, integral, t, h, eval_loop, track_sliding, arrays):
+def _advance_rk4(x, integral, t, h, eval_loop):
     """One macro step via classical rk4 with trial halving under the guard.
 
     Stage evaluations re-run the controller at the stage state and time with
@@ -384,7 +383,7 @@ def _advance_rk4(x, integral, t, h, eval_loop, track_sliding, arrays):
                 )
             continue
         x = x_new
-        if track_sliding and integ0 is not None:
+        if integ0 is not None:
             integral = integral + h_sub * integ0
         remaining -= h_sub
         h_try = 2.0 * h_sub
@@ -468,13 +467,15 @@ def summarize_run(
 ) -> RunSummary:
     """Measure both settling families and audit them against the bound report.
 
-    ``bounds`` defaults to the report computed from the scenario's controller
-    parameters (known-model composition); open-loop scenarios carry none.
+    ``bounds`` defaults to the known-model report of a known-model scenario's
+    controller parameters. Other modes carry no bound unless one is passed:
+    a gp-based bound depends on the GP error budget, which only the caller
+    knows, so an unavailable one stays unavailable.
     """
     threshold = scenario.settle_threshold
     settle_err = measure_settling(traj, "error", threshold)
     settle_s = measure_settling(traj, "sliding", threshold)
-    if bounds is None and scenario.channels is not None and scenario.mode != "open-loop":
+    if bounds is None and scenario.mode == "known-model":
         bounds = bound_report(scenario.channels)
     flags = None
     if bounds is not None:

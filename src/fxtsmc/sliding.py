@@ -1,10 +1,11 @@
-"""Integral sliding variable s = z + alpha1 * integral(exp(z^2) |z|^(p/q) sign(z)).
+"""Integral sliding surface s = z + alpha1 * integral(exp(z^2) |z|^(p/q) sign(z)).
 
-The integral starts empty, so s equals the tracking error at t=0 and the
-closed loop begins directly on the surface s=z. The accumulator is advanced
-with explicit-Euler increments using the plant integrator's step (even when
-the plant itself is stepped with rk4): the controller cancels this exact
-discrete term, and a higher-order quadrature here would inject an artificial
+This module holds the surface parameters and the integrand. The integral
+starts empty, so s equals the tracking error at t=0 and the closed loop begins
+directly on the surface s=z. The simulation engine accumulates the integral
+with explicit-Euler increments of the plant integrator's step (even when the
+plant itself is stepped with rk4): the control law cancels this exact discrete
+term, and a higher-order quadrature here would inject an artificial
 disturbance into the s-dynamics.
 """
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, SimulationDivergedError
+from .errors import ParameterError
 from .numerics import safe_exp, signed_power
 
 
@@ -46,31 +47,6 @@ class SlidingParams:
         return self.p / self.q
 
 
-@dataclass(frozen=True)
-class SlidingState:
-    """Accumulated integral (scalar, or one entry per channel) at time t."""
-
-    integral: float | np.ndarray = 0.0
-    t: float = 0.0
-
-
-def integrand(z, params: SlidingParams):
-    """exp(z^2) * |z|^(p/q) * sign(z), elementwise over z."""
-    return safe_exp(z * z) * signed_power(z, params.exponent)
-
-
-def advance(state: SlidingState, z, params: SlidingParams, h: float) -> SlidingState:
-    """One explicit-Euler accumulation step of size h > 0."""
-    if not h > 0.0:
-        raise ParameterError(f"step h must be positive, got {h}")
-    integral = state.integral + h * integrand(z, params)
-    if not np.all(np.isfinite(integral)):
-        raise SimulationDivergedError(
-            f"sliding integral became non-finite at t={state.t + h}", t=state.t + h
-        )
-    return SlidingState(integral=integral, t=state.t + h)
-
-
-def sliding_value(z, state: SlidingState, params: SlidingParams):
-    """s = z + alpha1 * integral."""
-    return z + params.alpha1 * state.integral
+def integrand(z, exponent):
+    """exp(z^2) * |z|^exponent * sign(z), elementwise over z."""
+    return safe_exp(z * z) * signed_power(z, exponent)

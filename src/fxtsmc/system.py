@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import EvaluationError, ParameterError, SingularGainError
+from .errors import ParameterError, SingularGainError
 from .numerics import safe_exp
 
 SQRT_PI_HALF = sqrt(pi) / 2.0
@@ -90,24 +90,6 @@ def check_gain(g, x, n):
             f"gain g_{ch + 1}(x) = {g[ch]} at x = {np.asarray(x)}", channel=ch
         )
     return g
-
-
-def eval_dynamics(model: SystemModel, x, u, t: float) -> np.ndarray:
-    """Evaluate f(x) + g(x)*u + d(t) with the gain checked channelwise."""
-    x = np.asarray(x, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if x.shape != (model.n,) or u.shape != (model.n,):
-        raise ParameterError(
-            f"state and input must have shape ({model.n},), got {x.shape} and {u.shape}"
-        )
-    g = check_gain(model.gain(x), x, model.n)
-    dx = model.drift(x) + g * u + model.perturbation(t)
-    if not np.all(np.isfinite(dx)):
-        ch = int(np.argmin(np.isfinite(dx)))
-        raise EvaluationError(
-            f"non-finite dynamics component in channel {ch + 1} at t={t}", channel=ch
-        )
-    return dx
 
 
 # --- benchmark: permanent magnet synchronous motor (3-state chaotic system) ---

@@ -279,3 +279,74 @@ def test_set_override_rejects_unknown_path(capsys):
 
 def test_unknown_subcommand_is_a_usage_error(capsys):
     assert run_cli(capsys, "frobnicate", str(KNOWN))[0] == 2
+
+
+# --- bad inputs end in documented exit codes ------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["run", "montecarlo"])
+@pytest.mark.parametrize(
+    "reference",
+    [
+        '{"kind":"constant","value":[1,2]}',
+        '{"kind":"constant","value":[]}',
+        '{"kind":"sinusoid","amplitude":[1,1],"frequency":[1,1]}',
+    ],
+    ids=["constant-2", "constant-empty", "sinusoid-2"],
+)
+def test_reference_length_mismatch_is_a_config_error(capsys, tmp_path, monkeypatch,
+                                                     command, reference):
+    monkeypatch.chdir(tmp_path)
+    extra = ["--runs", "1", "--ic-box", "-1,1"] if command == "montecarlo" else []
+    code, _, err = run_cli(
+        capsys, command, str(KNOWN), "--set", f"reference={reference}", *extra, *FAST
+    )
+    assert code == 2
+    assert "reference value must have shape (3,)" in err
+    assert "Traceback" not in err
+
+
+def write_dataset(path, header, rows):
+    path.write_text("\n".join([",".join(header)] + [",".join(map(str, r)) for r in rows]) + "\n")
+    return path
+
+
+def test_gp_dataset_with_wrong_input_width_is_a_config_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rows = [[0.1 * i, -0.2 * i, i, 2 * i, 3 * i] for i in range(4)]
+    data = write_dataset(tmp_path / "d.csv", ["x1", "x2", "y1", "y2", "y3"], rows)
+    code, _, err = run_cli(capsys, "run", str(GP), "--set", f"gp={{\"dataset\": \"{data}\"}}")
+    assert code == 2
+    assert "2 input columns" in err
+
+
+def test_gp_dataset_without_rows_is_a_config_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    data = write_dataset(tmp_path / "d.csv", ["x1", "x2", "x3", "y1", "y2", "y3"], [])
+    code, _, err = run_cli(capsys, "gp-train", str(GP), "--set", f"gp={{\"dataset\": \"{data}\"}}")
+    assert code == 2
+    assert "no data rows" in err
+
+
+@pytest.mark.parametrize("command", ["run", "montecarlo"])
+def test_infeasible_gp_bound_is_not_replaced(capsys, tmp_path, monkeypatch, command):
+    # alpha2 = 2 cannot cover d_bar plus the GP error budget: no bound may be
+    # reported, and the runs are not audited against the known-model one.
+    monkeypatch.chdir(tmp_path)
+    infeasible = ["--set", "controller.alpha2=2.0", *FAST]
+    if command == "run":
+        code, out, _ = run_cli(capsys, "run", str(GP), *infeasible)
+        assert code == 0
+        assert "settling bound unavailable" in out
+        doc = json.loads((tmp_path / "pmsm-gp-summary.json").read_text())
+        assert doc.get("bounds") is None
+        assert doc["bound_satisfied"] is None
+    else:
+        code, _, err = run_cli(capsys, "montecarlo", str(GP), "--runs", "2",
+                               "--ic-box", "-1,1", "--require-bound", *infeasible)
+        assert code == 5
+        assert "settling bound unavailable" in err
+        doc = json.loads((tmp_path / "pmsm-gp-mc.json").read_text())
+        assert "bounds" not in doc
+        assert doc["aggregate"]["fraction_bound_satisfied"] is None
+        assert all(run["bound_satisfied"] is None for run in doc["runs"])

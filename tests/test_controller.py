@@ -5,8 +5,6 @@ from fxtsmc.controller import (
     BoundReport,
     ControllerParams,
     bound_report,
-    control_gp,
-    control_known,
     lemma1_bound,
     lemma2_bound,
     lemma3_bound,
@@ -18,7 +16,7 @@ from fxtsmc.errors import GainTooSmallError, ParameterError
 from fxtsmc.gp import GPDataset, KernelConfig, gp_fit
 from fxtsmc.numerics import StepConfig
 from fxtsmc.sim import Scenario, simulate
-from fxtsmc.sliding import SlidingParams, SlidingState
+from fxtsmc.sliding import SlidingParams
 from fxtsmc.system import SystemModel, make_pmsm, zero_reference
 
 from conftest import make_integrator_plant, standard_channels
@@ -26,7 +24,7 @@ from conftest import make_integrator_plant, standard_channels
 SQRT_PI_HALF = np.sqrt(np.pi) / 2.0
 
 
-# --- control laws ------------------------------------------------------------
+# --- control law (evaluated by the simulation engine) --------------------------
 
 
 def scalar_params(alpha2=4.0, d_bar=0.0, **kwargs):
@@ -35,16 +33,29 @@ def scalar_params(alpha2=4.0, d_bar=0.0, **kwargs):
     )
 
 
+def one_step_run(x0, params, model=None, mode="known-model", gp_models=None, t_end=1e-3):
+    """Closed-loop run of a scalar plant (the integrator x' = u by default);
+    row 0 of the result holds the law evaluated at x0, t = 0 on the empty
+    integral."""
+    scenario = Scenario(
+        system=model or make_integrator_plant(),
+        reference=zero_reference(1),
+        params=params,
+        x0=np.array([x0]),
+        step=StepConfig(step_size=1e-3, t_end=t_end),
+        mode=mode,
+        gp_models=gp_models,
+    )
+    return simulate(scenario)
+
+
 def test_control_known_zero_at_exact_tracking():
-    model = make_integrator_plant()
-    u = control_known(np.zeros(1), 0.0, model, zero_reference(1), scalar_params(), SlidingState())
-    assert u[0] == 0.0
+    assert one_step_run(0.0, scalar_params()).u[0, 0] == 0.0
 
 
 def test_control_known_scalar_hand_value():
     # f=0, g=1, x_d=0, z=1 at t=0 (s=1): u = -(6e + (sqrt(pi)/2)*4*e) = -e(6+2*sqrt(pi))
-    model = make_integrator_plant()
-    u = control_known(np.ones(1), 0.0, model, zero_reference(1), scalar_params(), SlidingState())
+    u = one_step_run(1.0, scalar_params()).u[0]
     expected = -np.e * (6.0 + 2.0 * np.sqrt(np.pi))
     assert u[0] == pytest.approx(expected, abs=1e-12)
     assert u[0] == pytest.approx(-25.94574916015171, abs=1e-11)
@@ -59,7 +70,7 @@ def test_control_known_gain_inverse_scaling():
         perturbation=lambda t: np.zeros(1),
         name="gain2",
     )
-    u = control_known(np.ones(1), 0.0, model, zero_reference(1), scalar_params(), SlidingState())
+    u = one_step_run(1.0, scalar_params(), model=model).u[0]
     assert u[0] == pytest.approx(-np.e * (6.0 + 2.0 * np.sqrt(np.pi)) / 2.0, abs=1e-12)
 
 
@@ -72,24 +83,22 @@ def zero_trained_gp(n=1):
 
 
 def test_control_gp_matches_known_when_drift_is_zero():
-    model = make_integrator_plant()
+    # On the integrator plant (f = 0) a zero-trained GP must reproduce the
+    # known-model run bitwise, integral accumulation included.
     params = scalar_params(include_sqrt_pi_factor=True)
-    state = SlidingState(integral=np.array([0.4]))
     for xv in (-1.3, 0.0, 0.7):
-        u_known = control_known(np.array([xv]), 0.0, model, zero_reference(1), params, state)
-        u_gp = control_gp(
-            np.array([xv]), 0.0, zero_trained_gp(), model.gain, zero_reference(1), params, state
+        known = one_step_run(xv, params, t_end=0.05)
+        learned = one_step_run(
+            xv, params, mode="gp-based", gp_models=zero_trained_gp(), t_end=0.05
         )
-        np.testing.assert_array_equal(u_known, u_gp)
+        for field in ("x", "z", "s", "u"):
+            np.testing.assert_array_equal(getattr(known, field), getattr(learned, field))
 
 
 def test_control_gp_scalar_hand_value_printed_form():
     # Eq-as-printed (no sqrt(pi)/2 factor): u = -(6e + 4e) = -10e
     params = scalar_params(include_sqrt_pi_factor=False)
-    u = control_gp(
-        np.ones(1), 0.0, zero_trained_gp(), lambda x: np.ones(1),
-        zero_reference(1), params, SlidingState(),
-    )
+    u = one_step_run(1.0, params, mode="gp-based", gp_models=zero_trained_gp()).u[0]
     assert u[0] == pytest.approx(-10.0 * np.e, abs=1e-12)
 
 
@@ -99,10 +108,7 @@ def test_control_gp_pure_model_cancellation():
     inputs = np.array([[0.0]])
     ds = GPDataset(inputs=inputs, targets=np.array([c]), noise_std=0.0, seed=None)
     gp = [gp_fit(ds, KernelConfig(family="exponential", length_scale=1.0))]
-    u = control_gp(
-        np.zeros(1), 0.0, gp, lambda x: np.ones(1), zero_reference(1),
-        scalar_params(), SlidingState(),
-    )
+    u = one_step_run(0.0, scalar_params(), mode="gp-based", gp_models=gp).u[0]
     assert u[0] == pytest.approx(-c, abs=1e-8)
 
 
@@ -110,6 +116,23 @@ def test_sign_or_layer():
     assert sign_or_layer(0.0, 0.0) == 0.0
     assert sign_or_layer(-3.2, 0.0) == -1.0
     assert sign_or_layer(0.5, 0.1) == pytest.approx(np.tanh(5.0), rel=1e-15)
+
+
+def test_boundary_layer_smooths_the_reaching_sign():
+    # channel 1 keeps sign(s), channel 2 uses tanh(s/0.5): at z = s = 1,
+    # u_i = -(6e + (sqrt(pi)/2)*4*e*sign_or_layer(1, eps_i))
+    channels = [scalar_params(), scalar_params(sign_boundary_layer=0.5)]
+    scenario = Scenario(
+        system=make_integrator_plant(2),
+        reference=zero_reference(2),
+        params=channels,
+        x0=np.ones(2),
+        step=StepConfig(step_size=1e-3, t_end=1e-3),
+    )
+    u = simulate(scenario).u[0]
+    reach = SQRT_PI_HALF * 4.0 * np.e
+    assert u[0] == pytest.approx(-(6.0 * np.e + reach), abs=1e-12)
+    assert u[1] == pytest.approx(-(6.0 * np.e + reach * np.tanh(2.0)), abs=1e-12)
 
 
 def test_params_enforce_reaching_gain_condition():

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from fxtsmc.errors import ParameterError, SimulationDivergedError
-from fxtsmc.numerics import EXP_CLAMP, StepConfig, integrate_step, safe_exp, signed_power
+from fxtsmc.numerics import EXP_CLAMP, StepConfig, safe_exp, signed_power
+from fxtsmc.sim import Scenario, simulate
+from fxtsmc.system import SystemModel, zero_reference
 
 
 @pytest.mark.parametrize(
@@ -88,52 +90,66 @@ def test_step_config_accepts_rounded_grid():
     assert cfg.n_steps == 3
 
 
+# --- stepping (done by the simulation engine) ----------------------------------
+
+
+def open_loop(drift, x0, step_size, t_end, method="euler", perturbation=None):
+    """Uncontrolled run of x' = drift(x) + perturbation(t) on the engine."""
+    n = len(x0)
+    zeros = np.zeros(n)
+    model = SystemModel(
+        n=n,
+        drift=drift,
+        gain=lambda x: np.ones(n),
+        perturbation=perturbation or (lambda t: zeros),
+        name="open-loop",
+    )
+    scenario = Scenario(
+        system=model,
+        reference=zero_reference(n),
+        params=None,
+        x0=np.asarray(x0, dtype=float),
+        step=StepConfig(step_size=step_size, t_end=t_end, method=method),
+        mode="open-loop",
+    )
+    return simulate(scenario)
+
+
 def test_integrate_step_zero_derivative():
-    cfg = StepConfig(step_size=0.5, t_end=1.0)
-    out = integrate_step(np.array([3.0]), lambda x, t: np.zeros(1), 0.0, cfg)
-    assert out[0] == 3.0
+    traj = open_loop(lambda x: np.zeros(1), [3.0], 0.5, 1.0)
+    assert traj.x[1, 0] == 3.0
 
 
 def test_integrate_step_euler_constant_rate():
-    cfg = StepConfig(step_size=0.1, t_end=1.0)
-    out = integrate_step(np.array([0.0]), lambda x, t: np.ones(1), 0.0, cfg)
-    assert out[0] == pytest.approx(0.1, abs=1e-15)
+    traj = open_loop(lambda x: np.ones(1), [0.0], 0.1, 1.0)
+    assert traj.x[1, 0] == pytest.approx(0.1, abs=1e-15)
 
 
 def test_integrate_step_rk4_exponential_one_step():
-    cfg = StepConfig(step_size=0.1, t_end=0.1, method="rk4")
-    out = integrate_step(np.array([1.0]), lambda x, t: x, 0.0, cfg)
-    assert out[0] == pytest.approx(np.exp(0.1), abs=1e-7)
+    traj = open_loop(lambda x: x, [1.0], 0.1, 0.1, method="rk4")
+    assert traj.x[1, 0] == pytest.approx(np.exp(0.1), abs=1e-7)
 
 
 def test_rk4_exponential_over_unit_interval():
-    cfg = StepConfig(step_size=1e-3, t_end=1.0, method="rk4")
-    x = np.array([1.0])
-    t = 0.0
-    for _ in range(cfg.n_steps):
-        x = integrate_step(x, lambda x, t: x, t, cfg)
-        t += cfg.step_size
-    assert x[0] == pytest.approx(np.e, abs=1e-9)
+    traj = open_loop(lambda x: x, [1.0], 1e-3, 1.0, method="rk4")
+    assert traj.x[-1, 0] == pytest.approx(np.e, abs=1e-9)
 
 
 def test_integrate_step_reports_non_finite_channel():
-    cfg = StepConfig(step_size=0.1, t_end=1.0)
-
-    def deriv(x, t):
-        return np.array([0.0, np.inf, 0.0])
+    def perturbation(t):
+        return np.array([0.0, np.inf, 0.0]) if t >= 0.25 else np.zeros(3)
 
     with pytest.raises(SimulationDivergedError) as exc:
-        integrate_step(np.zeros(3), deriv, 0.25, cfg)
+        open_loop(lambda x: np.zeros(3), np.zeros(3), 0.25, 1.0, perturbation=perturbation)
     assert exc.value.channel == 1
     assert exc.value.t == 0.25
 
 
 def test_integrate_step_rk4_checks_stage_derivatives():
-    cfg = StepConfig(step_size=0.1, t_end=1.0, method="rk4")
-
-    def deriv(x, t):
+    def perturbation(t):
         # finite at the initial stage, infinite at the midpoint stages
         return np.array([np.inf]) if t > 0.0 else np.array([1.0])
 
     with pytest.raises(SimulationDivergedError):
-        integrate_step(np.zeros(1), deriv, 0.0, cfg)
+        open_loop(lambda x: np.zeros(1), [0.0], 0.1, 1.0, method="rk4",
+                  perturbation=perturbation)

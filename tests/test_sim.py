@@ -491,3 +491,14 @@ def test_summary_dict_drops_numpy_types():
         "bound_satisfied",
         "bounds",
     }
+
+
+# --- package surface -----------------------------------------------------------------
+
+
+def test_package_exports_resolve():
+    import fxtsmc
+
+    assert len(set(fxtsmc.__all__)) == len(fxtsmc.__all__)
+    missing = [name for name in fxtsmc.__all__ if not hasattr(fxtsmc, name)]
+    assert missing == []

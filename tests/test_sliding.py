@@ -5,8 +5,10 @@ from fxtsmc.controller import ControllerParams, theorem1_z_bound
 from fxtsmc.errors import ParameterError
 from fxtsmc.numerics import StepConfig, safe_exp
 from fxtsmc.sim import Scenario, simulate
-from fxtsmc.sliding import SlidingParams, SlidingState, advance, integrand, sliding_value
+from fxtsmc.sliding import SlidingParams, integrand
 from fxtsmc.system import make_pmsm, zero_reference
+
+from conftest import make_integrator_plant
 
 
 def test_params_exponent():
@@ -31,32 +33,49 @@ def test_params_rejects_bad_domains(kwargs):
 
 
 def test_integrand_values():
-    params = SlidingParams(alpha1=6.0, p=8, q=10)
-    assert integrand(0.0, params) == 0.0
-    assert integrand(1.0, params) == pytest.approx(np.e, rel=1e-15)
-    assert integrand(-1.0, params) == pytest.approx(-np.e, rel=1e-15)
+    expo = SlidingParams(alpha1=6.0, p=8, q=10).exponent
+    assert integrand(0.0, expo) == 0.0
+    assert integrand(1.0, expo) == pytest.approx(np.e, rel=1e-15)
+    assert integrand(-1.0, expo) == pytest.approx(-np.e, rel=1e-15)
 
 
 def test_integrand_odd():
-    params = SlidingParams(alpha1=1.0, p=3, q=7)
+    expo = SlidingParams(alpha1=1.0, p=3, q=7).exponent
     for z in (0.1, 0.9, 2.3, 5.0):
-        assert integrand(-z, params) == -integrand(z, params)
+        assert integrand(-z, expo) == -integrand(z, expo)
+
+
+def hold_run(z0, sliding, step_size, t_end):
+    """Open-loop run of the integrator plant with gains attached: x' = 0, so
+    z stays at z0 while the engine accumulates the surface integral."""
+    scenario = Scenario(
+        system=make_integrator_plant(),
+        reference=zero_reference(1),
+        params=ControllerParams(sliding=sliding, alpha2=4.0),
+        x0=np.array([z0]),
+        step=StepConfig(step_size=step_size, t_end=t_end),
+        mode="open-loop",
+    )
+    return simulate(scenario)
 
 
 def test_advance_accumulates_one_euler_step():
     params = SlidingParams(alpha1=6.0, p=8, q=10)
-    state = advance(SlidingState(), 1.0, params, 0.1)
-    assert state.integral == pytest.approx(0.1 * np.e, rel=1e-15)
-    assert state.t == pytest.approx(0.1)
+    traj = hold_run(1.0, params, 0.1, 0.1)
+    integral = (traj.s[1, 0] - traj.z[1, 0]) / params.alpha1
+    assert integral == pytest.approx(0.1 * np.e, rel=1e-15)
 
-    state = advance(SlidingState(), 0.0, params, 0.1)
-    assert state.integral == 0.0
+    traj = hold_run(0.0, params, 0.1, 0.1)
+    assert traj.s[1, 0] == 0.0
 
 
 def test_sliding_value_examples():
+    # s = z + alpha1 * integral, with the integral one Euler increment of the
+    # integrand at z
     params = SlidingParams(alpha1=6.0, p=8, q=10)
-    assert sliding_value(0.0, SlidingState(), params) == 0.0
-    assert sliding_value(2.0, SlidingState(integral=0.5, t=1.0), params) == 5.0
+    assert hold_run(0.0, params, 0.1, 0.1).s[0, 0] == 0.0
+    traj = hold_run(2.0, params, 1e-3, 1e-3)
+    assert traj.s[1, 0] == 2.0 + 6.0 * (1e-3 * integrand(2.0, params.exponent))
 
 
 def test_sliding_equals_error_at_time_zero():
@@ -64,19 +83,17 @@ def test_sliding_equals_error_at_time_zero():
     for alpha1, p, q in ((6.0, 8, 10), (2.0, 0, 1), (0.5, 1, 3)):
         params = SlidingParams(alpha1=alpha1, p=p, q=q)
         for z in (-4.0, -0.3, 0.0, 1.7):
-            assert sliding_value(z, SlidingState(), params) == z
+            assert hold_run(z, params, 1e-3, 1e-3).s[0, 0] == z
 
 
 def test_constant_z_closed_form():
     # z(tau) = 1 on [0, 1]: the integrand is constant e, so Euler accumulation
     # is exact and s = 1 + alpha1 * e * t.
     params = SlidingParams(alpha1=6.0, p=8, q=10)
-    h = 1e-4
-    state = SlidingState()
-    for _ in range(10000):
-        state = advance(state, 1.0, params, h)
-    assert state.integral == pytest.approx(np.e, rel=1e-12)
-    assert sliding_value(1.0, state, params) == pytest.approx(1.0 + 6.0 * np.e, rel=1e-12)
+    traj = hold_run(1.0, params, 1e-4, 1.0)
+    assert np.all(traj.z == 1.0)
+    assert (traj.s[-1, 0] - 1.0) / 6.0 == pytest.approx(np.e, rel=1e-12)
+    assert traj.s[-1, 0] == pytest.approx(1.0 + 6.0 * np.e, rel=1e-12)
 
 
 def test_accumulator_matches_trapezoid_quadrature():
@@ -96,7 +113,7 @@ def test_accumulator_matches_trapezoid_quadrature():
     )
     traj = simulate(scenario)
     params = SlidingParams(alpha1=6.0, p=8, q=10)
-    values = np.stack([integrand(traj.z[:, i], params) for i in range(3)], axis=1)
+    values = np.stack([integrand(traj.z[:, i], params.exponent) for i in range(3)], axis=1)
     quad = np.trapezoid(values, traj.t, axis=0)
     incremental = (traj.s[-1] - traj.z[-1]) / 6.0
     tol = 10.0 * h * t_end * np.max(np.abs(values))

@@ -1,35 +1,52 @@
 import numpy as np
 import pytest
 
-from fxtsmc.errors import EvaluationError, ParameterError, SingularGainError
+from fxtsmc.errors import ParameterError, SimulationDivergedError, SingularGainError
+from fxtsmc.numerics import StepConfig
+from fxtsmc.sim import Scenario, simulate
 from fxtsmc.system import (
     SQRT_PI_HALF,
     SystemModel,
     check_gain,
     constant_reference,
-    eval_dynamics,
     make_lemma2_plant,
     make_pmsm,
     sinusoid_reference,
     zero_reference,
 )
 
-from conftest import make_integrator_plant
+from conftest import make_integrator_plant, standard_channels
+
+
+def first_step(model, x0, u_mode="open-loop", h=2.0**-10):
+    """One engine step from x0 at t = 0; returns the trajectory and the
+    realized rate (x1 - x0) / h, i.e. the dynamics f + g*u + d at (x0, 0)."""
+    scenario = Scenario(
+        system=model,
+        reference=zero_reference(model.n),
+        params=standard_channels(model.n, d_bar=0.0) if u_mode != "open-loop" else None,
+        x0=np.asarray(x0, dtype=float),
+        step=StepConfig(step_size=h, t_end=h),
+        mode=u_mode,
+    )
+    traj = simulate(scenario)
+    return traj, (traj.x[1] - traj.x[0]) / h
 
 
 def test_eval_dynamics_trivial_zero():
     model = make_integrator_plant(n=3)
-    out = eval_dynamics(model, np.array([0.3, -1.0, 7.0]), np.zeros(3), 0.0)
-    np.testing.assert_array_equal(out, np.zeros(3))
+    _, rate = first_step(model, [0.3, -1.0, 7.0])
+    np.testing.assert_array_equal(rate, np.zeros(3))
 
 
 def test_eval_dynamics_pmsm_hand_value(pmsm):
     # x = (1,1,1), u = 0, t = 0: (2.5*(1-1)+0, -1-1+25+1, -1+1+0) = (0, 24, 0)
-    out = eval_dynamics(pmsm, np.ones(3), np.zeros(3), 0.0)
-    np.testing.assert_allclose(out, [0.0, 24.0, 0.0], atol=1e-14)
+    _, rate = first_step(pmsm, np.ones(3))
+    np.testing.assert_allclose(rate, [0.0, 24.0, 0.0], atol=1e-14)
 
 
 def test_eval_dynamics_linear_in_u():
+    # the engine advances by f(x) + g(x)*u + d with the logged control u
     rng = np.random.default_rng(3)
     model = SystemModel(
         n=2,
@@ -40,10 +57,9 @@ def test_eval_dynamics_linear_in_u():
     )
     for _ in range(20):
         x = rng.uniform(-2.0, 2.0, size=2)
-        u = rng.uniform(-3.0, 3.0, size=2)
-        v = rng.uniform(-3.0, 3.0, size=2)
-        lhs = eval_dynamics(model, x, u + v, 0.0) - eval_dynamics(model, x, u, 0.0)
-        np.testing.assert_allclose(lhs, (1.0 + x * x) * v, rtol=1e-12, atol=1e-12)
+        traj, rate = first_step(model, x, u_mode="known-model", h=1e-4)
+        u = traj.u[0]
+        np.testing.assert_allclose(rate, np.sin(x) + (1.0 + x * x) * u, rtol=1e-12, atol=1e-12)
 
 
 def test_eval_dynamics_singular_gain():
@@ -55,7 +71,7 @@ def test_eval_dynamics_singular_gain():
         name="singular",
     )
     with pytest.raises(SingularGainError) as exc:
-        eval_dynamics(model, np.zeros(2), np.zeros(2), 0.0)
+        first_step(model, np.zeros(2), u_mode="known-model")
     assert exc.value.channel == 1
 
 
@@ -67,8 +83,9 @@ def test_eval_dynamics_non_finite_drift():
         perturbation=lambda t: np.zeros(1),
         name="bad",
     )
-    with pytest.raises(EvaluationError):
-        eval_dynamics(model, np.zeros(1), np.zeros(1), 0.0)
+    with pytest.raises(SimulationDivergedError) as exc:
+        first_step(model, np.zeros(1))
+    assert exc.value.channel == 0
 
 
 def test_check_gain_passes_and_raises():
