@@ -34,6 +34,22 @@ class SimulationDivergedError(RuntimeError):
         self.channel = channel
 
 
+class RunErrors(Exception):
+    """Errors of single runs, found while a block of runs was stepped together.
+
+    ``errors`` maps the block row of each failed run to the exception that
+    run raises when it is simulated on its own.
+    """
+
+    def __init__(self, errors):
+        super().__init__(f"{len(errors)} run(s) failed")
+        self.errors = errors
+
+    def at(self, rows) -> "RunErrors":
+        """The same errors keyed by ``rows[r]`` instead of block row r."""
+        return RunErrors({int(rows[r]): err for r, err in self.errors.items()})
+
+
 class IllConditionedDataError(RuntimeError):
     """A Gram matrix could not be factorized even after jitter escalation.
 

@@ -254,6 +254,18 @@ class DriftEstimator:
         self.weight_matrix = np.stack([m.weights for m in models])  # (n, N)
 
     def __call__(self, x) -> np.ndarray:
+        """Estimate at one state (n,) or at each row of a block (..., n).
+
+        Each row takes its own matrix-vector product: one matrix product over
+        the block does not round like the per-row products do.
+        """
+        x = np.asarray(x)
+        if x.ndim == 1:
+            return self._estimate(x)
+        rows = x.reshape(-1, x.shape[-1])
+        return np.stack([self._estimate(row) for row in rows]).reshape(x.shape)
+
+    def _estimate(self, x) -> np.ndarray:
         diff = self.inputs - x
         r = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         return self.weight_matrix @ _kernel_of_dist(self.kernel, r)
@@ -331,12 +343,28 @@ def save_datasets(datasets: Sequence[GPDataset], csv_path, metadata: Optional[di
 
 
 def load_datasets(csv_path) -> tuple[list[GPDataset], dict]:
-    """Read back datasets written by save_datasets, with their metadata."""
+    """Read back datasets written by save_datasets, with their metadata.
+
+    A malformed CSV row or sidecar is a ConfigError naming the file (and the
+    line, for a row).
+    """
     csv_path = Path(csv_path)
+    rows = []
     with csv_path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
-        rows = [[float(v) for v in row] for row in reader if row]
+        for row in reader:
+            if not row:
+                continue
+            where = f"{csv_path}, line {reader.line_num}"
+            if len(row) != len(header):
+                raise ConfigError(
+                    f"{where}: {len(row)} cells, but the header has {len(header)}"
+                )
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as err:
+                raise ConfigError(f"{where}: {err}") from err
     dim = sum(1 for name in header if name.startswith("x"))
     n_channels = len(header) - dim
     if n_channels < 1 or dim < 1:
@@ -345,8 +373,18 @@ def load_datasets(csv_path) -> tuple[list[GPDataset], dict]:
         raise ConfigError(f"{csv_path}: dataset has a header but no data rows")
     data = np.asarray(rows, dtype=float)
     sidecar = csv_path.with_name(csv_path.name + ".meta.json")
-    meta = json.loads(sidecar.read_text()) if sidecar.exists() else {}
-    sigma_f = float(meta.get("sigma_f", 0.0))
+    meta = {}
+    if sidecar.exists():
+        try:
+            meta = json.loads(sidecar.read_text())
+        except ValueError as err:
+            raise ConfigError(f"{sidecar}: not valid JSON: {err}") from err
+        if not isinstance(meta, dict):
+            raise ConfigError(f"{sidecar}: top level must be a JSON object")
+    try:
+        sigma_f = float(meta.get("sigma_f", 0.0))
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"{sidecar}: sigma_f must be a number: {err}") from err
     seed = meta.get("seed")
     datasets = [
         GPDataset(

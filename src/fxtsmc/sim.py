@@ -19,10 +19,16 @@ mode the plant advances through the classical stages (controller re-evaluated
 at stage states, sliding integral frozen at its step-start value) and the
 integral still accumulates rectangle-rule style, while the guard falls back to
 trial halving.
+
+One step loop serves a single run and a Monte-Carlo batch alike: it steps a
+state of shape (n,) or a block (R, n) of independent runs. Every operation
+acts elementwise or per row, so each run of a block gets the numbers its own
+single run gets, bit for bit. Substepping is per run: only the runs outside
+the guard substep, together, each on its own remaining time and local time.
+A failed run of a block is recorded and dropped, and the others carry on.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,8 +46,8 @@ from .controller import (
 from .errors import (
     ParameterError,
     PerturbationBoundError,
+    RunErrors,
     SimulationDivergedError,
-    SingularGainError,
     UnfitGPError,
 )
 from .numerics import StepConfig, safe_exp
@@ -175,11 +181,53 @@ def simulate(scenario: Scenario) -> Trajectory:
     SingularGainError, PerturbationBoundError, UnfitGPError
         As detected on the macro grid.
     """
+    log = _Log(scenario)
+    _step_loop(scenario, scenario.x0.copy(), log)
+    return Trajectory(
+        t=log.t, x=log.x, x_d=log.x_d, z=log.z, s=log.s, u=log.u, d=log.d, f_hat=log.f_hat
+    )
+
+
+class _Log:
+    """Sink of ``_step_loop`` for one run: every grid row, for a Trajectory."""
+
+    def __init__(self, scenario: Scenario):
+        rows, n = scenario.step.n_steps + 1, scenario.system.n
+        self.t = np.arange(rows) * scenario.step.step_size
+        self.x, self.x_d, self.z, self.s, self.u, self.d = (np.empty((rows, n)) for _ in range(6))
+        self.f_hat = np.empty((rows, n)) if scenario.mode == "gp-based" else None
+
+    def row(self, k, x, xd, z, s, u, d, f_used):
+        self.x[k] = x
+        self.x_d[k] = xd
+        self.z[k] = z
+        self.s[k] = s
+        self.u[k] = u
+        self.d[k] = d
+        if self.f_hat is not None:
+            self.f_hat[k] = f_used
+
+    @staticmethod
+    def fail(errors):
+        raise next(iter(errors.values())) from None
+
+
+def _step_loop(scenario: Scenario, x: np.ndarray, sink) -> None:
+    """The one step loop: one state ``x`` of shape (n,), or a block (R, n) of
+    runs stepped together from their initial states.
+
+    Every grid row goes to ``sink.row``. The errors of failed runs go to
+    ``sink.fail`` as {block row: exception}: a single run's sink raises, a
+    batch's sink records them and returns the mask of runs to keep. The step
+    is then redone for the kept runs, which repeats their numbers bit for
+    bit, since no run's numbers depend on another's.
+    """
     model = scenario.system
     n = model.n
     cfg = scenario.step
     h = cfg.step_size
     n_steps = cfg.n_steps
+    t_grid = np.arange(n_steps + 1) * h
     rk4 = cfg.method == "rk4"
 
     ref_value = scenario.reference.value
@@ -196,205 +244,258 @@ def simulate(scenario: Scenario) -> Trajectory:
     arrays = LawArrays(channels) if channels is not None else None
     estimator = _drift_estimator(scenario.gp_models) if scenario.mode == "gp-based" else None
 
-    rows = n_steps + 1
-    t_log = np.arange(rows) * h
-    x_log = np.empty((rows, n))
-    xd_log = np.empty((rows, n))
-    z_log = np.empty((rows, n))
-    s_log = np.empty((rows, n))
-    u_log = np.empty((rows, n))
-    d_log = np.empty((rows, n))
-    fhat_log = np.empty((rows, n)) if estimator is not None else None
-
-    x = scenario.x0.copy()
-    integral = np.zeros(n)
+    integral = np.zeros_like(x)
     zeros = np.zeros(n)
 
     def eval_loop(x_cur, t_cur, integral_cur):
         """One full controller + dynamics evaluation at (x, t, I): the only
-        place the control law is evaluated.
+        place the control law is evaluated. ``t_cur`` is a float, or one
+        local time per row of a block ``x_cur``.
 
-        Returns (z, s, u, d, f_used, dx, integ) with dx = f + g*u + d; integ
-        is None when no surface is tracked (open loop without gains).
+        Returns (xd, z, s, u, d, f_used, dx, integ) with dx = f + g*u + d;
+        integ is None when no surface is tracked (open loop without gains).
         """
         xd = ref_value(t_cur)
         z = x_cur - xd
         d = pert(t_cur)
         f = drift(x_cur)
         if arrays is None:
-            return z, z, zeros, d, f, f + d, None
+            return xd, z, z, zeros, d, f, f + d, None
         integ = integrand(z, arrays.exponent)
         s = z + arrays.alpha1 * integral_cur
         if open_loop:
-            return z, s, zeros, d, f, f + d, integ
+            return xd, z, s, zeros, d, f, f + d, integ
         g = check_gain(gain(x_cur), x_cur, n)
         sgn = np.sign(s) if arrays.plain_sign else sign_or_layer(s, arrays.eps)
         reach = arrays.reach_gain * safe_exp(s * s) * sgn
         f_used = f if estimator is None else estimator(x_cur)
         u = -(f_used + arrays.alpha1 * integ - ref_deriv(t_cur) + reach) / g
         dx = f + g * u + d
-        return z, s, u, d, f_used, dx, integ
+        return xd, z, s, u, d, f_used, dx, integ
 
-    for k in range(rows):
-        t = float(t_log[k])
-        z, s, u, d, f_used, dx, integ = eval_loop(x, t, integral)
-
-        if bound_tol is not None and not (np.abs(d) <= bound_tol).all():
-            ch = int(np.argmax(np.abs(d) > bound_tol))
-            raise PerturbationBoundError(
-                f"|d_{ch + 1}({t:g})| = {abs(d[ch]):g} exceeds declared bound "
-                f"{model.perturbation_bounds[ch]:g}",
-                t=t,
-                channel=ch,
-            )
-
-        x_log[k] = x
-        xd_log[k] = ref_value(t)
-        z_log[k] = z
-        s_log[k] = s
-        u_log[k] = u
-        d_log[k] = d
-        if fhat_log is not None:
-            fhat_log[k] = f_used
-
-        if k == n_steps:
-            break
-
-        if rk4:
-            x, integral = _advance_rk4(x, integral, t, h, eval_loop)
-        else:
-            x, integral = _advance_euler(x, integral, t, h, z, s, dx, integ, eval_loop, arrays)
-        if not np.isfinite(x).all():
-            ch = int(np.argmin(np.isfinite(x)))
-            raise SimulationDivergedError(
-                f"state channel {ch + 1} non-finite after step at t = {t:g}",
-                t=t,
-                channel=ch,
-            )
-
-    return Trajectory(
-        t=t_log, x=x_log, x_d=xd_log, z=z_log, s=s_log, u=u_log, d=d_log, f_hat=fhat_log
-    )
+    k = 0
+    while True:
+        t = float(t_grid[k])
+        try:
+            xd, z, s, u, d, f_used, dx, integ = eval_loop(x, t, integral)
+            if bound_tol is not None and not (np.abs(d) <= bound_tol).all():
+                # d depends on t alone, so every run fails here at once
+                ch = int(np.argmax(np.abs(d) > bound_tol))
+                message = (
+                    f"|d_{ch + 1}({t:g})| = {abs(d[ch]):g} exceeds declared bound "
+                    f"{model.perturbation_bounds[ch]:g}"
+                )
+                raise RunErrors({
+                    r: PerturbationBoundError(message, t=t, channel=ch)
+                    for r in range(x.size // n)
+                })
+            sink.row(k, x, xd, z, s, u, d, f_used)
+            if k == n_steps:
+                return
+            if rk4:
+                x_next, integral_next = _advance_rk4(x, integral, t, h, eval_loop)
+            else:
+                x_next, integral_next = _advance_euler(
+                    x, integral, t, h, z, s, dx, integ, eval_loop, arrays
+                )
+            if not np.isfinite(x_next).all():
+                raise _state_errors(x_next, "after step", t)
+        except RunErrors as err:
+            keep = sink.fail(err.errors)
+            x, integral = x[keep], integral[keep]
+            if not keep.any():
+                return
+            continue
+        x, integral = x_next, integral_next
+        k += 1
 
 
-def _guard_rate(z, s, dz, ds) -> float:
-    """Fastest normalized shrink/growth rate across channels (1/seconds).
+def _row_errors(bad, make_error) -> RunErrors:
+    """RunErrors with make_error(r) for every block row r where ``bad`` holds."""
+    return RunErrors({int(r): make_error(r) for r in np.flatnonzero(bad)})
 
-    The guard is inactive over a step h exactly when h * rate <= 1; otherwise
-    1/rate is the largest admissible substep. Denominators are bounded away
-    from zero by GUARD_ABS, so no special-casing is needed.
+
+def _state_errors(x, where: str, t: float) -> RunErrors:
+    finite = np.isfinite(x.reshape(-1, x.shape[-1]))
+
+    def error(r):
+        ch = int(np.argmin(finite[r]))
+        return SimulationDivergedError(
+            f"state channel {ch + 1} non-finite {where} at t = {t:g}", t=t, channel=ch
+        )
+
+    return _row_errors(~finite.all(axis=1), error)
+
+
+def _guard_ratios(z, s, dz, ds):
+    """Per-channel normalized rates |dz|/(|z| + GUARD_ABS) and the same for s
+    (None when no surface is tracked, ``ds`` None). Denominators are bounded
+    away from zero by GUARD_ABS, so no special-casing is needed."""
+    rz = np.abs(dz) / (np.abs(z) + GUARD_ABS)
+    return rz, None if ds is None else np.abs(ds) / (np.abs(s) + GUARD_ABS)
+
+
+def _row_rates(rz, rs):
+    """Each row's fastest normalized rate (1/seconds) over its channels.
+
+    A substep of h is inside the guard exactly when h * rate <= 1; otherwise
+    1/rate is the largest admissible substep. The two ratios combine as
+    Python's max(rz, rs) would, so a NaN in rs alone does not win.
     """
-    rz = (np.abs(dz) / (np.abs(z) + GUARD_ABS)).max()
-    if s is z and ds is dz:
-        return float(rz) / GUARD_REL  # no surface tracked: one ratio covers both
-    rs =(np.abs(ds) / (np.abs(s) + GUARD_ABS)).max()
-    return float(max(rz, rs)) / GUARD_REL
+    worst = rz.max(axis=-1)
+    if rs is not None:
+        rs_worst = rs.max(axis=-1)
+        worst = np.where(rs_worst > worst, rs_worst, worst)
+    return worst / GUARD_REL
 
 
 def _advance_euler(x, integral, t, h, z, s, dx, integ, eval_loop, arrays):
-    """One macro step, split into guard-sized Euler substeps when necessary.
+    """One macro step of every run, each split into guard-sized Euler substeps
+    where its own rates call for it.
 
-    ``integ`` is None (and ``arrays`` unused) when no surface is tracked.
+    ``integ`` is None (and ``arrays`` unused) when no surface is tracked. When
+    one max over the whole block shows every run inside the guard, all take
+    the plain step, identical to an unguarded loop. Otherwise the runs outside
+    it substep together, each with its own remaining time, substep size and
+    local time, until each has covered h.
     """
-    remaining = h
+    # dz/dt differs from dx/dt only by the (bounded) reference rate, which
+    # is negligible whenever the guard can trigger, so dx stands in for
+    # the z rate.
+    ds = None if integ is None else dx + arrays.alpha1 * integ
+    rz, rs = _guard_ratios(z, s, dx, ds)
+    if h * (float(rz.max()) / GUARD_REL) <= 1.0 and (
+        rs is None or h * (float(rs.max()) / GUARD_REL) <= 1.0
+    ):
+        # Operating band: single plain step, identical to an unguarded loop.
+        return x + h * dx, integral if integ is None else integral + h * integ
+
+    shape, n = x.shape, x.shape[-1]
+    x, integral, dx = x.reshape(-1, n), integral.reshape(-1, n), dx.reshape(-1, n)
+    rate = _row_rates(rz.reshape(-1, n), None if rs is None else rs.reshape(-1, n))
+    x_out = x + h * dx
+    i_out = integral if integ is None else integral + h * integ.reshape(-1, n)
+    rows = np.flatnonzero(~(h * rate <= 1.0))
+    x, integral, dx, rate = x[rows], integral[rows], dx[rows], rate[rows]
+    if integ is not None:
+        integ, ds = integ.reshape(-1, n)[rows], ds.reshape(-1, n)[rows]
+    remaining = np.full(rows.size, h)
     n_sub = 0
     while True:
-        # dz/dt differs from dx/dt only by the (bounded) reference rate, which
-        # is negligible whenever the guard can trigger, so dx stands in for
-        # the z rate.
-        ds = dx if integ is None else dx + arrays.alpha1 * integ
-        rate = _guard_rate(z, s, dx, ds)
-        if n_sub == 0 and h * rate <= 1.0:
-            # Operating band: single plain step, identical to an unguarded loop.
-            return x + h * dx, integral if integ is None else integral + h * integ
-        if not np.isfinite(rate):
-            ch = int(np.argmin(np.isfinite(ds)))
-            raise SimulationDivergedError(
-                f"non-finite dynamics rate in channel {ch + 1} during substepping "
-                f"at t = {t:g}",
-                t=t,
-                channel=ch,
-            )
-        h_allow = 1.0 / rate if rate > 0.0 else remaining
-        h_sub = remaining if h_allow >= remaining else h_allow
-        x = x + h_sub * dx
+        finite = np.isfinite(rate)
+        if not finite.all():
+            rows_ds = dx if ds is None else ds
+
+            def rate_error(r):
+                ch = int(np.argmin(np.isfinite(rows_ds[r])))
+                return SimulationDivergedError(
+                    f"non-finite dynamics rate in channel {ch + 1} during substepping "
+                    f"at t = {t:g}",
+                    t=t,
+                    channel=ch,
+                )
+
+            raise _row_errors(~finite, rate_error).at(rows)
+        h_allow = np.divide(1.0, rate, out=remaining.copy(), where=rate > 0.0)
+        h_sub = np.where(h_allow >= remaining, remaining, h_allow)
+        x = x + h_sub[:, None] * dx
         if integ is not None:
-            integral = integral + h_sub * integ
-        remaining -= h_sub
-        if remaining <= 0.0:
-            return x, integral
+            integral = integral + h_sub[:, None] * integ
+        remaining = remaining - h_sub
+        done = remaining <= 0.0
+        if done.any():
+            x_out[rows[done]] = x[done]
+            if integ is not None:
+                i_out[rows[done]] = integral[done]
+            if done.all():
+                return x_out.reshape(shape), i_out.reshape(shape)
+            left = ~done
+            rows, x, integral, remaining = rows[left], x[left], integral[left], remaining[left]
         n_sub += 1
         if n_sub > MAX_SUBSTEPS:
-            raise SimulationDivergedError(
+            message = (
                 f"substep guard exceeded {MAX_SUBSTEPS} substeps within the macro "
-                f"step at t = {t:g}",
-                t=t,
+                f"step at t = {t:g}"
             )
+            raise RunErrors({int(r): SimulationDivergedError(message, t=t) for r in rows})
         if not np.isfinite(x).all():
-            ch = int(np.argmin(np.isfinite(x)))
-            raise SimulationDivergedError(
-                f"state channel {ch + 1} non-finite during substepping at t = {t:g}",
-                t=t,
-                channel=ch,
-            )
+            raise _state_errors(x, "during substepping", t).at(rows)
         t_local = t + (h - remaining)
-        z, s, _, _, _, dx, integ = eval_loop(x, t_local, integral)
+        try:
+            _, z, s, _, _, _, dx, integ = eval_loop(x, t_local, integral)
+        except RunErrors as err:
+            raise err.at(rows) from None
+        ds = None if integ is None else dx + arrays.alpha1 * integ
+        rate = _row_rates(*_guard_ratios(z, s, dx, ds))
 
 
 def _advance_rk4(x, integral, t, h, eval_loop):
-    """One macro step via classical rk4 with trial halving under the guard.
+    """One macro step of every run via classical rk4, each run halving its own
+    trial step under the guard.
 
     Stage evaluations re-run the controller at the stage state and time with
     the sliding integral frozen at its substep-start value; the integral then
     accumulates rectangle-rule from the substep-start integrand.
     """
-    remaining = h
-    h_try = h
+    shape, n = x.shape, x.shape[-1]
+    x, integral = x.reshape(-1, n), integral.reshape(-1, n)
+    x_out, i_out = np.empty_like(x), np.empty_like(integral)
+    rows = np.arange(len(x))
+    remaining = np.full(rows.size, h)
+    h_try = remaining.copy()
     n_sub = 0
-    while remaining > 0.0:
-        h_sub = remaining if h_try >= remaining else h_try
-        z0, s0, _, _, _, k1, integ0 = eval_loop(x, t + (h - remaining), integral)
+    while rows.size:
+        h_sub = np.where(h_try >= remaining, remaining, h_try)
+        hs = h_sub[:, None]
         t0 = t + (h - remaining)
-        with np.errstate(over="ignore", invalid="ignore"):
-            _, _, _, _, _, k2, _ = eval_loop(x + 0.5 * h_sub * k1, t0 + 0.5 * h_sub, integral)
-            _, _, _, _, _, k3, _ = eval_loop(x + 0.5 * h_sub * k2, t0 + 0.5 * h_sub, integral)
-            _, _, _, _, _, k4, _ = eval_loop(x + h_sub * k3, t0 + h_sub, integral)
-            delta = (h_sub / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        try:
+            _, z0, _, _, _, _, k1, integ0 = eval_loop(x, t0, integral)
+            with np.errstate(over="ignore", invalid="ignore"):
+                k2 = eval_loop(x + 0.5 * hs * k1, t0 + 0.5 * h_sub, integral)[6]
+                k3 = eval_loop(x + 0.5 * hs * k2, t0 + 0.5 * h_sub, integral)[6]
+                k4 = eval_loop(x + hs * k3, t0 + h_sub, integral)[6]
+                delta = (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        except RunErrors as err:
+            raise err.at(rows) from None
         x_new = x + delta
-        ok = bool(np.all(np.isfinite(x_new)))
-        if ok:
+        with np.errstate(over="ignore", invalid="ignore"):
             z_new = x_new - (x - z0)  # same reference sample: z moves with x
-            dz_move = np.abs(z_new - z0)
-            ok = bool(np.all(dz_move <= GUARD_REL * (np.abs(z0) + GUARD_ABS) + 1e-12))
-        if not ok:
-            h_try = 0.5 * h_sub
-            if h_try < h * MIN_RK4_FRACTION:
-                raise SimulationDivergedError(
+            moved = np.abs(z_new - z0) <= GUARD_REL * (np.abs(z0) + GUARD_ABS) + 1e-12
+        ok = np.isfinite(x_new).all(axis=1) & moved.all(axis=1)
+        h_try = np.where(ok, 2.0 * h_sub, 0.5 * h_sub)
+        stalled = ~ok & (h_try < h * MIN_RK4_FRACTION)
+        if stalled.any():
+            raise _row_errors(
+                stalled,
+                lambda r: SimulationDivergedError(
                     f"rk4 halving stalled below {MIN_RK4_FRACTION:g} of the step "
                     f"at t = {t:g}",
                     t=t,
-                )
-            n_sub += 1
-            if n_sub > MAX_SUBSTEPS:
-                raise SimulationDivergedError(
-                    f"rk4 guard exceeded {MAX_SUBSTEPS} attempts within the macro "
-                    f"step at t = {t:g}",
-                    t=t,
-                )
-            continue
-        x = x_new
+                ),
+            ).at(rows)
+        x = np.where(ok[:, None], x_new, x)
         if integ0 is not None:
-            integral = integral + h_sub * integ0
-        remaining -= h_sub
-        h_try = 2.0 * h_sub
+            integral = np.where(ok[:, None], integral + hs * integ0, integral)
+        remaining = np.where(ok, remaining - h_sub, remaining)
         n_sub += 1
         if n_sub > MAX_SUBSTEPS:
-            raise SimulationDivergedError(
-                f"rk4 guard exceeded {MAX_SUBSTEPS} substeps within the macro step "
-                f"at t = {t:g}",
-                t=t,
-            )
-    return x, integral
+            raise RunErrors({
+                int(r): SimulationDivergedError(
+                    f"rk4 guard exceeded {MAX_SUBSTEPS} "
+                    f"{'substeps' if advanced else 'attempts'} within the macro step "
+                    f"at t = {t:g}",
+                    t=t,
+                )
+                for r, advanced in zip(rows, ok)
+            })
+        done = remaining <= 0.0
+        if done.any():
+            x_out[rows[done]] = x[done]
+            i_out[rows[done]] = integral[done]
+            left = ~done
+            rows, x, integral = rows[left], x[left], integral[left]
+            remaining, h_try = remaining[left], h_try[left]
+    return x_out.reshape(shape), i_out.reshape(shape)
 
 
 # --- settling measurement ------------------------------------------------------
@@ -473,8 +574,21 @@ def summarize_run(
     knows, so an unavailable one stays unavailable.
     """
     threshold = scenario.settle_threshold
-    settle_err = measure_settling(traj, "error", threshold)
-    settle_s = measure_settling(traj, "sliding", threshold)
+    return _summary(
+        scenario,
+        traj.x[0],
+        measure_settling(traj, "error", threshold),
+        measure_settling(traj, "sliding", threshold),
+        np.max(np.abs(traj.u)),
+        traj.t,
+        np.abs(traj.s).max(axis=1),
+        bounds,
+    )
+
+
+def _summary(scenario, x0, settle_err, settle_s, max_abs_u, t, row_max_s, bounds):
+    """RunSummary of one run from its settling times, max |u|, and the max |s|
+    of each grid row (the chatter amplitude is their max from t* on)."""
     if bounds is None and scenario.mode == "known-model":
         bounds = bound_report(scenario.channels)
     flags = None
@@ -484,18 +598,18 @@ def summarize_run(
         )
     t_star = np.max(settle_err) if np.all(np.isfinite(settle_err)) else np.nan
     if np.isfinite(t_star):
-        tail = traj.s[traj.t >= t_star]
-        chatter = float(np.max(np.abs(tail))) if tail.size else float("nan")
+        tail = row_max_s[t >= t_star]
+        chatter = float(np.max(tail)) if tail.size else float("nan")
     else:
         chatter = float("nan")
     return RunSummary(
-        x0=tuple(float(v) for v in traj.x[0]),
-        threshold=threshold,
+        x0=tuple(float(v) for v in x0),
+        threshold=scenario.settle_threshold,
         settling_error=tuple(float(v) for v in settle_err),
         settling_sliding=tuple(float(v) for v in settle_s),
         bounds=bounds,
         bound_satisfied=flags,
-        max_abs_u=float(np.max(np.abs(traj.u))),
+        max_abs_u=float(max_abs_u),
         chatter_amplitude=chatter,
     )
 
@@ -523,10 +637,14 @@ def run_monte_carlo(
 ) -> MonteCarloResult:
     """Simulate ``runs`` seeded-uniform initial states drawn from ``ic_box``.
 
-    ``ic_box`` is a per-dimension sequence of (low, high) pairs. Per-run
-    errors become failure records; the batch always completes. The aggregate
-    reports the worst settling time, the bound-satisfaction fraction, and
-    chatter/input maxima over the successful runs.
+    ``ic_box`` is a per-dimension sequence of (low, high) pairs. All runs are
+    stepped together as one (runs, n) block through the loop ``simulate``
+    uses, and each grid row is reduced as it is made, so no trajectory is
+    kept; every summary equals ``summarize_run`` of that run's ``simulate``.
+    A run's error becomes a failure record with the type and message its own
+    ``simulate`` raises; that run is dropped and the batch carries on. The
+    aggregate reports the worst settling time, the bound-satisfaction
+    fraction, and chatter/input maxima over the successful runs.
     """
     if runs < 1:
         raise ParameterError(f"need runs >= 1, got {runs}")
@@ -538,27 +656,36 @@ def run_monte_carlo(
         )
     rng = np.random.default_rng(seed)
     x0s = rng.uniform(box[:, 0], box[:, 1], size=(runs, n))
-    summaries: list[Optional[RunSummary]] = []
-    failures: list[dict] = []
-    for i in range(runs):
-        sc = dataclasses.replace(template, x0=x0s[i])
-        try:
-            traj = simulate(sc)
-            summaries.append(summarize_run(traj, sc, bounds=bounds))
-        except (
-            SimulationDivergedError,
-            SingularGainError,
-            PerturbationBoundError,
-        ) as err:
-            summaries.append(None)
-            failures.append(
-                {
-                    "run": i,
-                    "x0": [float(v) for v in x0s[i]],
-                    "error_type": type(err).__name__,
-                    "message": str(err),
-                }
-            )
+    if not np.all(np.isfinite(x0s)):
+        bad = x0s[~np.isfinite(x0s).all(axis=1)][0]
+        raise ParameterError(f"x0 must be finite, got {bad}")
+    if bounds is None and template.mode == "known-model":
+        bounds = bound_report(template.channels)
+
+    stats = _BatchStats(template, runs)
+    _step_loop(template, x0s.copy(), stats)
+    t = np.arange(template.step.n_steps + 1) * template.step.step_size
+    summaries: list[Optional[RunSummary]] = [None] * runs
+    for j, i in enumerate(stats.runs):
+        summaries[i] = _summary(
+            template,
+            x0s[i],
+            _settled_after(stats.last_z[j], t),
+            _settled_after(stats.last_s[j], t),
+            stats.max_u[j],
+            t,
+            stats.max_s[:, j],
+            bounds,
+        )
+    failures = [
+        {
+            "run": i,
+            "x0": [float(v) for v in x0s[i]],
+            "error_type": type(err).__name__,
+            "message": str(err),
+        }
+        for i, err in sorted(stats.failures.items())
+    ]
     good = [s for s in summaries if s is not None]
     settled = [s for s in good if s.settled]
     settle_times = [s.settling_time for s in settled]
@@ -588,6 +715,53 @@ def run_monte_carlo(
     )
 
 
+class _BatchStats:
+    """Sink of ``_step_loop`` for a batch: each grid row reduced per run.
+
+    Per (run, channel) it keeps the last row where |z| (|s|) is not below the
+    threshold, which gives the settling times; per run the running max |u|;
+    and per (row, run) the max |s| over the channels, which gives the chatter
+    amplitude once t* is known. Failed runs are recorded and dropped.
+    """
+
+    def __init__(self, template: Scenario, runs: int):
+        rows, n = template.step.n_steps + 1, template.system.n
+        self.threshold = template.settle_threshold
+        self.runs = np.arange(runs)
+        self.failures = {}
+        self.last_z = np.full((runs, n), -1)
+        self.last_s = np.full((runs, n), -1)
+        self.max_u = np.full(runs, -np.inf)
+        self.max_s = np.empty((rows, runs))
+
+    def row(self, k, x, xd, z, s, u, d, f_used):
+        # "not below" rather than "at or above", so that a NaN counts as
+        # unsettled, as it does in measure_settling
+        abs_s = np.abs(s)
+        self.last_z = np.where(np.abs(z) < self.threshold, self.last_z, k)
+        self.last_s = np.where(abs_s < self.threshold, self.last_s, k)
+        self.max_u = np.maximum(self.max_u, np.abs(u).max(axis=-1))
+        self.max_s[k] = abs_s.max(axis=-1)
+
+    def fail(self, errors) -> np.ndarray:
+        keep = np.ones(self.runs.size, dtype=bool)
+        keep[list(errors)] = False
+        for r, err in errors.items():
+            self.failures[int(self.runs[r])] = err
+        self.runs, self.last_z, self.last_s = self.runs[keep], self.last_z[keep], self.last_s[keep]
+        self.max_u, self.max_s = self.max_u[keep], self.max_s[:, keep]
+        return keep
+
+
+def _settled_after(last, t) -> np.ndarray:
+    """Settling times from each channel's last unsettled row (-1 for none):
+    the next grid time, or NaN when the last row itself is unsettled."""
+    first = last + 1
+    out = t[np.minimum(first, t.size - 1)]
+    out[first == t.size] = np.nan
+    return out
+
+
 # --- export ----------------------------------------------------------------------
 
 
@@ -598,15 +772,11 @@ def write_trajectory_csv(traj: Trajectory, path, config: Optional[dict] = None) 
     leading ``# config: {...}`` comment line (keys sorted), so the file alone
     reproduces the run.
     """
-    path = Path(path)
-    matrix = traj.as_matrix()
-    lines = []
-    if config is not None:
-        lines.append("# config: " + json.dumps(config, sort_keys=True))
-    lines.append(",".join(traj.column_names()))
-    for row in matrix:
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    with Path(path).open("w") as fh:
+        if config is not None:
+            fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
+        fh.write(",".join(traj.column_names()) + "\n")
+        np.savetxt(fh, traj.as_matrix(), fmt="%.17g", delimiter=",")
 
 
 def _nan_to_none(value):

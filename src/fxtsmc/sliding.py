@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .numerics import safe_exp, signed_power
+from .numerics import safe_exp
 
 
 @dataclass(frozen=True)
@@ -48,5 +48,10 @@ class SlidingParams:
 
 
 def integrand(z, exponent):
-    """exp(z^2) * |z|^exponent * sign(z), elementwise over z."""
-    return safe_exp(z * z) * signed_power(z, exponent)
+    """exp(z^2) * |z|^exponent * sign(z), elementwise over z.
+
+    ``exponent`` comes from SlidingParams, which already holds it in [0, 1).
+    The engine calls this at every evaluation, so it computes
+    ``signed_power``'s expression without repeating that function's check.
+    """
+    return safe_exp(z * z) * (np.abs(z) ** exponent * np.sign(z))

@@ -3,6 +3,12 @@
 The gain is diagonal (each u_i enters only its own channel), so drift, gain,
 and perturbation are all plain vector-valued callables. Benchmark instances
 are code-defined through the same interface user systems use.
+
+Every callable also accepts a block of inputs, so the engine can step many
+runs at once: drift and gain map states of shape (..., n) to (..., n), and
+perturbations and references map a time, a float or an array of shape (A,),
+to (n,) or (A, n). A result that does not depend on its input (a constant
+gain, a zero perturbation) may stay (n,); it broadcasts against the block.
 """
 from __future__ import annotations
 
@@ -12,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ParameterError, SingularGainError
+from .errors import ParameterError, RunErrors, SingularGainError
 from .numerics import safe_exp
 
 SQRT_PI_HALF = sqrt(pi) / 2.0
@@ -22,8 +28,10 @@ SQRT_PI_HALF = sqrt(pi) / 2.0
 class SystemModel:
     """A perturbed system with drift f(x), diagonal gain g(x), perturbation d(t).
 
-    ``perturbation_bounds`` is optional; when declared, simulation runs assert
-    |d_i(t)| <= bound_i on every grid point they sample.
+    ``drift`` and ``gain`` map a state of shape (..., n) to (..., n);
+    ``perturbation`` maps t, a float or an array of shape (A,), to (n,) or
+    (A, n). ``perturbation_bounds`` is optional; when declared, simulation
+    runs assert |d_i(t)| <= bound_i on every grid point they sample.
     """
 
     n: int
@@ -49,7 +57,10 @@ class SystemModel:
 
 @dataclass(frozen=True)
 class ReferenceSignal:
-    """Reference trajectory x_d(t) and its time derivative."""
+    """Reference trajectory x_d(t) and its time derivative.
+
+    Both map t, a float or an array of shape (A,), to (n,) or (A, n).
+    """
 
     value: Callable[[float], np.ndarray]
     derivative: Callable[[float], np.ndarray]
@@ -75,20 +86,33 @@ def sinusoid_reference(amplitude, frequency, phase=None) -> ReferenceSignal:
     if not (a.shape == w.shape == ph.shape):
         raise ParameterError("amplitude, frequency, and phase must share one shape")
     return ReferenceSignal(
-        value=lambda t: a * np.sin(w * t + ph),
-        derivative=lambda t: a * w * np.cos(w * t + ph),
+        value=lambda t: a * np.sin(w * np.asarray(t)[..., None] + ph),
+        derivative=lambda t: a * w * np.cos(w * np.asarray(t)[..., None] + ph),
     )
 
 
 def check_gain(g, x, n):
-    """Raise SingularGainError if any channel gain is zero (or non-finite)."""
+    """Raise SingularGainError if any channel gain is zero (or non-finite).
+
+    ``x`` is one state (n,) or a block of states (A, n). A block raises
+    RunErrors holding one SingularGainError per row with a bad gain.
+    """
     g = np.asarray(g, dtype=float)
     ok = np.isfinite(g) & (g != 0.0)
     if not ok.all():
-        ch = int(np.argmin(ok))
-        raise SingularGainError(
-            f"gain g_{ch + 1}(x) = {g[ch]} at x = {np.asarray(x)}", channel=ch
-        )
+        x = np.asarray(x)
+        rows_g = np.broadcast_to(g, x.shape).reshape(-1, n)
+        rows_ok = np.broadcast_to(ok, x.shape).reshape(-1, n)
+        errors = {}
+        for r in np.flatnonzero(~rows_ok.all(axis=1)):
+            ch = int(np.argmin(rows_ok[r]))
+            errors[int(r)] = SingularGainError(
+                f"gain g_{ch + 1}(x) = {rows_g[r, ch]} at x = {x.reshape(-1, n)[r]}",
+                channel=ch,
+            )
+        if x.ndim == 1:
+            raise errors[0]
+        raise RunErrors(errors)
     return g
 
 
@@ -111,13 +135,8 @@ PMSM_QUOTED_BOUNDS = {
 
 
 def _pmsm_drift(x):
-    return np.array(
-        [
-            2.5 * (x[1] - x[0]),
-            -x[1] - x[2] * x[0] + 25.0 * x[0],
-            -x[2] + x[0] * x[1],
-        ]
-    )
+    x1, x2, x3 = x.T
+    return np.array([2.5 * (x2 - x1), -x2 - x3 * x1 + 25.0 * x1, -x3 + x1 * x2]).T
 
 
 _PMSM_ONES = np.ones(3)
@@ -130,7 +149,7 @@ def _pmsm_gain(x):
 def _pmsm_perturbation(t):
     return np.array(
         [np.sin(10.0 * t), np.cos(10.0 * t), np.cos(10.0 * t) * np.sin(4.0 * t)]
-    )
+    ).T
 
 
 def make_pmsm(perturbed: bool = True) -> SystemModel:

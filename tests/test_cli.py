@@ -328,6 +328,41 @@ def test_gp_dataset_without_rows_is_a_config_error(capsys, tmp_path, monkeypatch
     assert "no data rows" in err
 
 
+DATASET_HEADER = ["x1", "x2", "x3", "y1", "y2", "y3"]
+DATASET_ROWS = [[0.1 * i, -0.2 * i, 0.3 * i, i, 2 * i, 3 * i] for i in range(4)]
+
+
+def test_gp_dataset_with_non_numeric_cell_is_a_config_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rows = [list(r) for r in DATASET_ROWS]
+    rows[2][4] = "abc"
+    data = write_dataset(tmp_path / "d.csv", DATASET_HEADER, rows)
+    code, _, err = run_cli(capsys, "run", str(GP), "--set", f"gp={{\"dataset\": \"{data}\"}}")
+    assert code == 2
+    assert f"{data}, line 4" in err and "abc" in err
+    assert "Traceback" not in err
+
+
+def test_gp_dataset_with_short_row_is_a_config_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    rows = [list(r) for r in DATASET_ROWS]
+    rows[1] = rows[1][:3]
+    data = write_dataset(tmp_path / "d.csv", DATASET_HEADER, rows)
+    code, _, err = run_cli(capsys, "run", str(GP), "--set", f"gp={{\"dataset\": \"{data}\"}}")
+    assert code == 2
+    assert f"{data}, line 3: 3 cells, but the header has 6" in err
+
+
+def test_gp_dataset_with_unreadable_sidecar_is_a_config_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    data = write_dataset(tmp_path / "d.csv", DATASET_HEADER, DATASET_ROWS)
+    sidecar = tmp_path / "d.csv.meta.json"
+    sidecar.write_text("{not json")
+    code, _, err = run_cli(capsys, "run", str(GP), "--set", f"gp={{\"dataset\": \"{data}\"}}")
+    assert code == 2
+    assert f"{sidecar}: not valid JSON" in err
+
+
 @pytest.mark.parametrize("command", ["run", "montecarlo"])
 def test_infeasible_gp_bound_is_not_replaced(capsys, tmp_path, monkeypatch, command):
     # alpha2 = 2 cannot cover d_bar plus the GP error budget: no bound may be

@@ -12,8 +12,10 @@ from fxtsmc.errors import (
     ParameterError,
     PerturbationBoundError,
     SimulationDivergedError,
+    SingularGainError,
     UnfitGPError,
 )
+from fxtsmc import sim
 from fxtsmc.gp import KernelConfig, generate_training_data, gp_fit
 from fxtsmc.numerics import StepConfig
 from fxtsmc.sim import (
@@ -33,6 +35,7 @@ from fxtsmc.system import (
     constant_reference,
     make_lemma2_plant,
     make_pmsm,
+    sinusoid_reference,
     zero_reference,
 )
 
@@ -411,6 +414,145 @@ def test_monte_carlo_records_failures_without_aborting():
     assert result.failures[1]["run"] == 1
     assert result.aggregate["n_failed"] == 2
     assert result.aggregate["max_settling_error"] is None
+
+
+def assert_batch_equals_single_runs(template, box, runs, seed):
+    """run_monte_carlo must give, run by run, what simulate + summarize_run
+    give: equal summary dicts, and for a failed run a record with the type and
+    message of the exception its own simulate raises."""
+    result = run_monte_carlo(template, box, runs=runs, seed=seed)
+    records = {record["run"]: record for record in result.failures}
+    for i, x0 in enumerate(result.x0s):
+        scenario = dataclasses.replace(template, x0=x0)
+        try:
+            expected = summary_to_dict(summarize_run(simulate(scenario), scenario))
+        except (SimulationDivergedError, SingularGainError, PerturbationBoundError) as err:
+            assert result.summaries[i] is None
+            assert records[i]["error_type"] == type(err).__name__
+            assert records[i]["message"] == str(err)
+            continue
+        assert i not in records
+        assert summary_to_dict(result.summaries[i]) == expected
+    return result
+
+
+def counting_drift(model):
+    """The model with its drift wrapped to count the states it is evaluated at."""
+    evaluated = [0]
+
+    def drift(x):
+        evaluated[0] += np.asarray(x).reshape(-1, model.n).shape[0]
+        return model.drift(x)
+
+    return dataclasses.replace(model, drift=drift), evaluated
+
+
+def test_batch_far_box_with_sinusoid_reference_equals_single_runs():
+    # From |x0| up to 100 the guard substeps every run, each on its own
+    # local times, which the sinusoid reference and perturbation then see.
+    system, evaluated = counting_drift(make_pmsm())
+    template = Scenario(
+        system=system,
+        reference=sinusoid_reference([1.0, 0.5, 0.2], [3.0, 2.0, 1.0], [0.0, 0.3, 0.6]),
+        params=standard_channels(),
+        x0=np.ones(3),
+        step=StepConfig(step_size=1e-3, t_end=0.2),
+        settle_threshold=0.05,
+    )
+    runs = 6
+    result = run_monte_carlo(template, [(-100.0, 100.0)] * 3, runs=runs, seed=11)
+    assert evaluated[0] > runs * (template.step.n_steps + 1)  # substeps were taken
+    assert result.aggregate["n_failed"] == 0
+    assert_batch_equals_single_runs(template, [(-100.0, 100.0)] * 3, runs, 11)
+
+
+def test_batch_with_boundary_layer_sign_equals_single_runs():
+    template = dataclasses.replace(
+        pmsm_scenario(step_size=1e-3, t_end=1.5, settle_threshold=0.05),
+        params=standard_channels(sign_boundary_layer=0.05),
+    )
+    result = assert_batch_equals_single_runs(template, [(-1.0, 1.0)] * 3, 5, 2)
+    assert result.aggregate["n_settled"] == 5  # settling and chatter compared too
+
+
+def test_batch_rk4_equals_single_runs():
+    # From +-3 some rk4 trial steps fail the guard and are halved, each run
+    # keeping its own trial step.
+    system, evaluated = counting_drift(make_pmsm())
+    template = Scenario(
+        system=system,
+        reference=zero_reference(3),
+        params=standard_channels(),
+        x0=np.ones(3),
+        step=StepConfig(step_size=1e-3, t_end=1.0, method="rk4"),
+        settle_threshold=0.05,
+    )
+    runs, steps = 5, template.step.n_steps
+    result = run_monte_carlo(template, [(-3.0, 3.0)] * 3, runs=runs, seed=4)
+    assert evaluated[0] > runs * (steps + 1 + 4 * steps)  # halvings were taken
+    assert result.aggregate["n_settled"] == runs
+    assert_batch_equals_single_runs(template, [(-3.0, 3.0)] * 3, runs, 4)
+
+
+def test_batch_gp_based_equals_single_runs():
+    kernel = KernelConfig(family="exponential", length_scale=1.0)
+    datasets = generate_training_data(
+        make_pmsm(), n_samples=20, region=[(-3, 3)] * 3, sigma_f=0.01, seed=5
+    )
+    template = dataclasses.replace(
+        pmsm_scenario(
+            step_size=1e-3, t_end=1.0, settle_threshold=0.05,
+            mode="gp-based", gp_models=[gp_fit(ds, kernel) for ds in datasets],
+        ),
+        params=standard_channels(alpha2=6.0),
+    )
+    result = assert_batch_equals_single_runs(template, [(-1.0, 1.0)] * 3, 4, 8)
+    assert result.aggregate["n_settled"] == 4
+
+
+def test_batch_with_diverging_runs_records_each_and_carries_on():
+    # x' = 10 x |x| blows up in finite time 1/(10 |x0|): the runs that start
+    # far enough out diverge inside the horizon, the others survive it.
+    unstable = SystemModel(
+        n=1,
+        drift=lambda x: 10.0 * x * np.abs(x),
+        gain=lambda x: np.ones(1),
+        perturbation=lambda t: np.zeros(1),
+        perturbation_bounds=None,
+        name="blowup",
+    )
+    template = Scenario(
+        system=unstable,
+        reference=zero_reference(1),
+        params=None,
+        x0=np.array([0.1]),
+        step=StepConfig(step_size=1e-3, t_end=0.5),
+        mode="open-loop",
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = assert_batch_equals_single_runs(template, [(-1.0, 1.0)], 10, 1)
+    assert 0 < result.aggregate["n_failed"] < 10
+    assert [r["run"] for r in result.failures] == sorted(r["run"] for r in result.failures)
+
+
+@pytest.mark.parametrize("method, box, budget", [("euler", 10.0, 3), ("rk4", 3.0, 2)])
+def test_batch_records_exhausted_substep_budget_like_single_runs(
+    monkeypatch, method, box, budget
+):
+    # A tiny budget makes the runs that need more substeps fail inside a
+    # macro step; rk4 fails on a halved attempt or on a taken substep.
+    monkeypatch.setattr(sim, "MAX_SUBSTEPS", budget)
+    template = Scenario(
+        system=make_pmsm(),
+        reference=zero_reference(3),
+        params=standard_channels(),
+        x0=np.ones(3),
+        step=StepConfig(step_size=1e-3, t_end=0.1, method=method),
+        settle_threshold=0.05,
+    )
+    result = assert_batch_equals_single_runs(template, [(-box, box)] * 3, 6, 3)
+    assert 0 < result.aggregate["n_failed"] < 6
+    assert all(f"exceeded {budget}" in r["message"] for r in result.failures)
 
 
 def test_monte_carlo_validates_arguments():
