@@ -1,7 +1,9 @@
 """Exact Gaussian-process regression, one scalar GP per state channel.
 
-All channels share one input set; each carries its own targets and weight
-vector. Inference is the standard zero-mean exact form
+All channels share one input set, kernel and sigma_F, hence one Cholesky
+factorization (``gp_fit`` once, then ``gp_fit_shared``) and one posterior
+variance; each carries its own targets and weight vector. Inference is the
+standard zero-mean exact form
 
     mean(x) = kbar(x)^T (K + sigma_F^2 I)^{-1} y
     var(x)  = k(x, x) - kbar(x)^T (K + sigma_F^2 I)^{-1} kbar(x)
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -127,11 +129,11 @@ class GPModel:
     jitter: float = 0.0
 
 
-def _closest_pair(inputs: np.ndarray):
-    d = squareform(pdist(inputs))
-    np.fill_diagonal(d, np.inf)
-    j, k = np.unravel_index(np.argmin(d), d.shape)
-    return (int(j), int(k)), float(d[j, k])
+def _closest_pair(dist: np.ndarray, n: int):
+    """Closest input pair and its distance, from pdist's condensed vector."""
+    i = int(np.argmin(dist))
+    j, k = np.triu_indices(n, 1)
+    return (int(j[i]), int(k[i])), float(dist[i])
 
 
 def gp_fit(dataset: GPDataset, cfg: KernelConfig) -> GPModel:
@@ -156,31 +158,31 @@ def gp_fit(dataset: GPDataset, cfg: KernelConfig) -> GPModel:
         contains duplicate inputs with sigma_F = 0. The closest input pair is
         reported in both cases.
     """
-    x = dataset.inputs
     n = dataset.n_samples
+    # pdist evaluates each unordered pair once, so K is symmetric by
+    # construction; the kernel maps it once, and k(x, x) = 1 exactly.
+    dist = pdist(dataset.inputs)
     if dataset.noise_std == 0.0 and n > 1:
-        pair, dmin = _closest_pair(x)
+        pair, dmin = _closest_pair(dist, n)
         if dmin == 0.0:
             raise IllConditionedDataError(
                 f"inputs {pair[0]} and {pair[1]} are identical with sigma_F = 0; "
                 "the Gram matrix is singular",
                 pair=pair,
             )
-    # pdist evaluates each unordered pair once, so K is symmetric by construction.
-    gram = _kernel_of_dist(cfg, squareform(pdist(x))) if n > 1 else np.ones((1, 1))
+    gram = squareform(_kernel_of_dist(cfg, dist))
     diag = dataset.noise_std**2
     jitter = JITTER_START if dataset.noise_std == 0.0 else 0.0
     while True:
+        np.fill_diagonal(gram, 1.0 + (diag + jitter))
         try:
-            chol_lower = cholesky(
-                gram + (diag + jitter) * np.eye(n), lower=True, check_finite=False
-            )
+            chol_lower = cholesky(gram, lower=True, check_finite=False)
             break
         except np.linalg.LinAlgError:
             pass
         jitter = JITTER_START if jitter == 0.0 else jitter * 10.0
         if jitter > JITTER_MAX:
-            pair, dmin = _closest_pair(x) if n > 1 else ((0, 0), 0.0)
+            pair, dmin = _closest_pair(dist, n) if n > 1 else ((0, 0), 0.0)
             raise IllConditionedDataError(
                 f"Gram matrix not positive definite after jitter up to {JITTER_MAX:g}; "
                 f"closest input pair {pair[0]}, {pair[1]} at distance {dmin:.3g}",
@@ -190,6 +192,22 @@ def gp_fit(dataset: GPDataset, cfg: KernelConfig) -> GPModel:
     return GPModel(
         dataset=dataset, kernel=cfg, chol_lower=chol_lower, weights=weights, jitter=jitter
     )
+
+
+def gp_fit_shared(base: GPModel, dataset: GPDataset, cfg: KernelConfig) -> GPModel:
+    """Fit another channel on ``base``'s factorization: only its targets are solved.
+
+    Bitwise equal to ``gp_fit(dataset, cfg)`` when the inputs, the kernel and
+    sigma_F are those of ``base`` (the Gram matrix and its jitter are then the
+    same); a ParameterError otherwise.
+    """
+    inputs = base.dataset.inputs
+    if dataset.inputs is not inputs and not np.array_equal(dataset.inputs, inputs):
+        raise ParameterError("gp_fit_shared requires the inputs of the base model")
+    if cfg != base.kernel or dataset.noise_std != base.dataset.noise_std:
+        raise ParameterError("gp_fit_shared requires the kernel and sigma_F of the base model")
+    weights = cho_solve((base.chol_lower, True), dataset.targets, check_finite=False)
+    return replace(base, dataset=dataset, weights=weights)
 
 
 def _cross_kernel(model: GPModel, x) -> np.ndarray:
@@ -296,7 +314,7 @@ def generate_training_data(
     rng = np.random.default_rng(seed)
     inputs = rng.uniform(region[:, 0], region[:, 1], size=(n_samples, model.n))
     noise = rng.normal(0.0, sigma_f, size=(n_samples, model.n)) if sigma_f > 0.0 else None
-    drifts = np.stack([model.drift(row) for row in inputs])
+    drifts = model.drift(inputs)
     targets = drifts if noise is None else drifts + noise
     return [
         GPDataset(inputs=inputs, targets=targets[:, i], noise_std=sigma_f, seed=seed)

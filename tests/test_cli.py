@@ -5,9 +5,12 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from fxtsmc.cli import main
+from fxtsmc.cli import _gp_delta_f_bars, build_gp_models, main
+from fxtsmc.gp import KernelConfig, generate_training_data, gp_fit, variance_many
+from fxtsmc.system import make_pmsm
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 KNOWN = CONFIG_DIR / "pmsm-known.json"
@@ -146,6 +149,41 @@ def test_run_gp_mode_logs_drift_estimate(capsys, tmp_path, monkeypatch):
     header = (tmp_path / "pmsm-gp-trajectory.csv").read_text().splitlines()[1]
     assert header.endswith("fhat1,fhat2,fhat3")
     assert "mode=gp-based" in out
+
+
+def gp_section(sigma_f):
+    return {"gp": {
+        "kernel": {"family": "exponential", "length_scale": 1.0},
+        "generate": {"n_samples": 60, "region": [[-3.0, 3.0]] * 3,
+                     "sigma_f": sigma_f, "seed": 11},
+    }}
+
+
+@pytest.mark.parametrize("sigma_f", [0.01, 0.0])
+def test_gp_channels_share_one_factorization_equal_to_own_fits(sigma_f):
+    models = build_gp_models(gp_section(sigma_f), make_pmsm())
+    datasets = generate_training_data(make_pmsm(), 60, [(-3.0, 3.0)] * 3, sigma_f=sigma_f, seed=11)
+    assert len(models) == 3
+    for model, ds in zip(models, datasets):
+        own = gp_fit(ds, KernelConfig())
+        assert model.chol_lower is models[0].chol_lower
+        assert model.jitter == own.jitter == (1e-10 if sigma_f == 0.0 else 0.0)
+        np.testing.assert_array_equal(model.chol_lower, own.chol_lower)
+        np.testing.assert_array_equal(model.weights, own.weights)
+
+
+def test_gp_delta_f_bars_equals_per_channel_audit():
+    # The audit before the shared factorization: one fit and one solve per channel.
+    datasets = generate_training_data(make_pmsm(), 60, [(-3.0, 3.0)] * 3, sigma_f=0.01, seed=11)
+    own_fits = [gp_fit(ds, KernelConfig()) for ds in datasets]
+    states = np.random.default_rng(3).uniform(-4.0, 4.0, size=(2500, 3))
+    states[2498] = 6.0  # the largest sigma, on the stride-2 subsample only
+    traj = type("Trajectory", (), {"x": states})
+    expected = [
+        2.5 * float(np.max(np.sqrt(variance_many(m, states[::2])))) for m in own_fits
+    ]
+    models = build_gp_models(gp_section(0.01), make_pmsm())
+    np.testing.assert_array_equal(_gp_delta_f_bars(models, traj, 2.5), expected)
 
 
 # --- gp-train ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.linalg import cholesky
+from scipy.spatial.distance import pdist, squareform
 
 from fxtsmc.errors import IllConditionedDataError, ParameterError
 from fxtsmc.gp import (
@@ -10,13 +12,15 @@ from fxtsmc.gp import (
     generate_training_data,
     gp_error_bound,
     gp_fit,
+    gp_fit_shared,
     gp_mean,
     kernel_eval,
     load_datasets,
     save_datasets,
     variance_many,
 )
-from fxtsmc.system import make_pmsm
+from fxtsmc.gp import _kernel_of_dist  # the Gram formula before condensed distances
+from fxtsmc.system import make_lemma2_plant, make_pmsm
 
 EXP_KERNEL = KernelConfig(family="exponential", length_scale=1.0)
 
@@ -98,6 +102,29 @@ def test_fit_duplicate_inputs_raises_with_pair():
     assert exc.value.pair == (0, 2)
 
 
+def test_fit_duplicate_inputs_names_the_first_identical_pair():
+    inputs = np.random.default_rng(13).uniform(-2.0, 2.0, size=(9, 3))
+    inputs[7] = inputs[3]
+    inputs[8] = inputs[5]
+    ds = GPDataset(inputs=inputs, targets=np.zeros(9))
+    with pytest.raises(IllConditionedDataError, match="inputs 3 and 7 are identical") as exc:
+        gp_fit(ds, EXP_KERNEL)
+    assert exc.value.pair == (3, 7)
+
+
+@pytest.mark.parametrize("family", ["exponential", "squared-exponential"])
+@pytest.mark.parametrize("sigma_f", [0.0, 0.3])
+def test_fit_gram_from_condensed_distances_equals_full_gram(family, sigma_f):
+    # Reference: the kernel of the full squareform distance matrix plus
+    # (sigma_F^2 + jitter) I, factorized as the fit does.
+    cfg = KernelConfig(family=family, length_scale=0.8)
+    ds = generate_training_data(make_pmsm(), 60, [(-3.0, 3.0)] * 3, sigma_f=sigma_f, seed=4)[0]
+    model = gp_fit(ds, cfg)
+    gram = _kernel_of_dist(cfg, squareform(pdist(ds.inputs)))
+    full = gram + (sigma_f**2 + model.jitter) * np.eye(60)
+    np.testing.assert_array_equal(model.chol_lower, cholesky(full, lower=True))
+
+
 def test_dataset_validation():
     with pytest.raises(ParameterError):
         GPDataset(inputs=np.zeros((2, 1)), targets=np.zeros(3))
@@ -124,6 +151,19 @@ def test_prior_recovered_far_from_data():
     far = np.array([40.0, -40.0, 40.0])
     assert abs(gp_mean(model, far)) <= 1e-10
     assert variance_at(model, far) == pytest.approx(1.0, abs=1e-10)
+
+
+def test_fit_shared_rejects_other_inputs_kernel_or_noise():
+    ds = generate_training_data(make_pmsm(), 10, [(-3.0, 3.0)] * 3, sigma_f=0.1, seed=6)[0]
+    base = gp_fit(ds, EXP_KERNEL)
+    moved = GPDataset(inputs=ds.inputs + 1e-9, targets=ds.targets, noise_std=0.1)
+    quieter = GPDataset(inputs=ds.inputs, targets=ds.targets, noise_std=0.05)
+    with pytest.raises(ParameterError, match="inputs"):
+        gp_fit_shared(base, moved, EXP_KERNEL)
+    with pytest.raises(ParameterError, match="kernel"):
+        gp_fit_shared(base, ds, KernelConfig(family="exponential", length_scale=2.0))
+    with pytest.raises(ParameterError, match="sigma_F"):
+        gp_fit_shared(base, quieter, EXP_KERNEL)
 
 
 def test_variance_zero_at_training_inputs_noise_free():
@@ -260,6 +300,19 @@ def test_generate_noise_free_targets_are_exact_drift():
     drift = np.stack([make_pmsm().drift(x) for x in datasets[0].inputs])
     for i, ds in enumerate(datasets):
         np.testing.assert_array_equal(ds.targets, drift[:, i])
+
+
+@pytest.mark.parametrize("plant", [make_pmsm(), make_lemma2_plant(1.0)], ids=["pmsm", "lemma2"])
+def test_generate_noisy_targets_equal_per_row_drift_plus_noise(plant):
+    region = [(-2.0, 2.0)] * plant.n
+    datasets = generate_training_data(plant, 25, region, sigma_f=0.2, seed=8)
+    rng = np.random.default_rng(8)
+    inputs = rng.uniform(-2.0, 2.0, size=(25, plant.n))
+    noise = rng.normal(0.0, 0.2, size=(25, plant.n))
+    rows = np.stack([plant.drift(x) for x in inputs])
+    for i, ds in enumerate(datasets):
+        np.testing.assert_array_equal(ds.inputs, inputs)
+        np.testing.assert_array_equal(ds.targets, rows[:, i] + noise[:, i])
 
 
 def test_save_load_roundtrip(tmp_path):
