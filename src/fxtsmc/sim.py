@@ -26,6 +26,20 @@ acts elementwise or per row, so each run of a block gets the numbers its own
 single run gets, bit for bit. Substepping is per run: only the runs outside
 the guard substep, together, each on its own remaining time and local time.
 A failed run of a block is recorded and dropped, and the others carry on.
+A batch reduces each grid row per run as it is made (settling rows, max |u|,
+and the max |s| since the error last left its band, the chatter amplitude),
+so it keeps no array that grows with rows times runs.
+
+The loop evaluates per step only what depends on the state. The reference,
+its derivative and the perturbation depend on time alone: they are evaluated
+once over the whole grid, each in one call with the grid as an array of
+times, and the declared perturbation bound is audited there; guard substeps
+and rk4 stages still call them at their local times; a Scenario checks at
+construction that each accepts an array of times. A gain that answers a
+block of two states with shape (n,), equal to its value at each state
+alone, does not depend on the state, so it is checked once, at its first
+evaluation, and reused; any other gain is called and checked at every
+evaluation.
 """
 from __future__ import annotations
 
@@ -97,11 +111,27 @@ class Scenario:
             )
         if not np.all(np.isfinite(x0)):
             raise ParameterError(f"x0 must be finite, got {x0}")
+        n = self.system.n
         for name in ("value", "derivative"):
             shape = np.shape(getattr(self.reference, name)(0.0))
-            if shape != (self.system.n,):
+            if shape != (n,):
+                raise ParameterError(f"reference {name} must have shape ({n},), got {shape}")
+        # the step loop evaluates the time signals over the whole grid at once
+        times = np.array([0.0, self.step.step_size])
+        for name, fn in (
+            ("reference value", self.reference.value),
+            ("reference derivative", self.reference.derivative),
+            ("perturbation", self.system.perturbation),
+        ):
+            try:
+                shape = np.shape(fn(times))
+            except Exception as err:
                 raise ParameterError(
-                    f"reference {name} must have shape ({self.system.n},), got {shape}"
+                    f"{name} must accept an array of times, failed on {times}: {err}"
+                ) from err
+            if shape not in ((n,), (2, n)):
+                raise ParameterError(
+                    f"{name} must map times of shape (2,) to ({n},) or (2, {n}), got {shape}"
                 )
         if not self.settle_threshold > 0.0:
             raise ParameterError(
@@ -128,7 +158,9 @@ class Scenario:
 @dataclass(frozen=True)
 class Trajectory:
     """Uniformly sampled log of one run. Row k is the state at t = k*h, before
-    the k-th step; the first row has s = z by construction."""
+    the k-th step; the first row has s = z by construction. ``x_d`` and ``d``
+    are the time signals evaluated over the grid; one that does not depend
+    on t is a read-only view repeating a single row."""
 
     t: np.ndarray
     x: np.ndarray
@@ -182,28 +214,24 @@ def simulate(scenario: Scenario) -> Trajectory:
         As detected on the macro grid.
     """
     log = _Log(scenario)
-    _step_loop(scenario, scenario.x0.copy(), log)
-    return Trajectory(
-        t=log.t, x=log.x, x_d=log.x_d, z=log.z, s=log.s, u=log.u, d=log.d, f_hat=log.f_hat
-    )
+    t, x_d, d = _step_loop(scenario, scenario.x0.copy(), log)
+    return Trajectory(t=t, x=log.x, x_d=x_d, z=log.z, s=log.s, u=log.u, d=d, f_hat=log.f_hat)
 
 
 class _Log:
-    """Sink of ``_step_loop`` for one run: every grid row, for a Trajectory."""
+    """Sink of ``_step_loop`` for one run: every grid row of the state-dependent
+    columns, for a Trajectory (the time signals come from the grid)."""
 
     def __init__(self, scenario: Scenario):
         rows, n = scenario.step.n_steps + 1, scenario.system.n
-        self.t = np.arange(rows) * scenario.step.step_size
-        self.x, self.x_d, self.z, self.s, self.u, self.d = (np.empty((rows, n)) for _ in range(6))
+        self.x, self.z, self.s, self.u = (np.empty((rows, n)) for _ in range(4))
         self.f_hat = np.empty((rows, n)) if scenario.mode == "gp-based" else None
 
-    def row(self, k, x, xd, z, s, u, d, f_used):
+    def row(self, k, x, z, s, u, f_used):
         self.x[k] = x
-        self.x_d[k] = xd
         self.z[k] = z
         self.s[k] = s
         self.u[k] = u
-        self.d[k] = d
         if self.f_hat is not None:
             self.f_hat[k] = f_used
 
@@ -212,15 +240,21 @@ class _Log:
         raise next(iter(errors.values())) from None
 
 
-def _step_loop(scenario: Scenario, x: np.ndarray, sink) -> None:
+def _step_loop(scenario: Scenario, x: np.ndarray, sink):
     """The one step loop: one state ``x`` of shape (n,), or a block (R, n) of
     runs stepped together from their initial states.
 
-    Every grid row goes to ``sink.row``. The errors of failed runs go to
-    ``sink.fail`` as {block row: exception}: a single run's sink raises, a
-    batch's sink records them and returns the mask of runs to keep. The step
-    is then redone for the kept runs, which repeats their numbers bit for
-    bit, since no run's numbers depend on another's.
+    Every grid row of the state-dependent signals goes to ``sink.row``. The
+    errors of failed runs go to ``sink.fail`` as {block row: exception}: a
+    single run's sink raises, a batch's sink records them and returns the mask
+    of runs to keep. The step is then redone for the kept runs, which repeats
+    their numbers bit for bit, since no run's numbers depend on another's.
+
+    The signals that depend on time alone (reference, its derivative,
+    perturbation) are evaluated once over the whole grid before the loop, and
+    the declared perturbation bound is audited there; only the local times of
+    guard substeps and rk4 stages call them again. Returns the grid and its
+    (x_d, d) columns.
     """
     model = scenario.system
     n = model.n
@@ -235,63 +269,80 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink) -> None:
     drift = model.drift
     gain = model.gain
     pert = model.perturbation
-    bound_tol = None
-    if model.perturbation_bounds is not None:
-        bound_tol = model.perturbation_bounds * (1.0 + 1e-12)
 
     channels = scenario.channels
     open_loop = scenario.mode == "open-loop"
     arrays = LawArrays(channels) if channels is not None else None
     estimator = _drift_estimator(scenario.gp_models) if scenario.mode == "gp-based" else None
 
+    xd_grid = _on_grid(ref_value, t_grid, n, "reference value")
+    d_grid = _on_grid(pert, t_grid, n, "perturbation")
+    closed_loop = arrays is not None and not open_loop
+    xdot_grid = _on_grid(ref_deriv, t_grid, n, "reference derivative") if closed_loop else None
+    bad_k, bad_ch, bound_message = _bound_violation(model, t_grid, d_grid)
+
     integral = np.zeros_like(x)
     zeros = np.zeros(n)
+    # A gain of shape (n,) for a block of states does not depend on the state
+    # (the callable contract): once _constant_gain confirms that, it is
+    # checked once and reused.
+    fixed_gain = None
+    probe_gain = True
 
-    def eval_loop(x_cur, t_cur, integral_cur):
+    def gain_at(x_cur):
+        nonlocal fixed_gain, probe_gain
+        g = gain(x_cur)
+        if probe_gain:
+            probe_gain = False
+            if _constant_gain(gain, g, x_cur, n):
+                fixed_gain = check_gain(g, x_cur, n)
+                return fixed_gain
+        return check_gain(g, x_cur, n)
+
+    def eval_loop(x_cur, t_cur, integral_cur, k=None):
         """One full controller + dynamics evaluation at (x, t, I): the only
         place the control law is evaluated. ``t_cur`` is a float, or one
-        local time per row of a block ``x_cur``.
+        local time per row of a block ``x_cur``; at grid row ``k`` the time
+        signals are read from the grid instead of evaluated at ``t_cur``.
 
-        Returns (xd, z, s, u, d, f_used, dx, integ) with dx = f + g*u + d;
-        integ is None when no surface is tracked (open loop without gains).
+        Returns (z, s, u, f_used, dx, integ) with dx = f + g*u + d; integ is
+        None when no surface is tracked (open loop without gains).
         """
-        xd = ref_value(t_cur)
+        if k is None:
+            xd, d = ref_value(t_cur), pert(t_cur)
+        else:
+            xd, d = xd_grid[k], d_grid[k]
         z = x_cur - xd
-        d = pert(t_cur)
         f = drift(x_cur)
         if arrays is None:
-            return xd, z, z, zeros, d, f, f + d, None
+            return z, z, zeros, f, f + d, None
         integ = integrand(z, arrays.exponent)
         s = z + arrays.alpha1 * integral_cur
         if open_loop:
-            return xd, z, s, zeros, d, f, f + d, integ
-        g = check_gain(gain(x_cur), x_cur, n)
+            return z, s, zeros, f, f + d, integ
+        g = fixed_gain if fixed_gain is not None else gain_at(x_cur)
         sgn = np.sign(s) if arrays.plain_sign else sign_or_layer(s, arrays.eps)
         reach = arrays.reach_gain * safe_exp(s * s) * sgn
         f_used = f if estimator is None else estimator(x_cur)
-        u = -(f_used + arrays.alpha1 * integ - ref_deriv(t_cur) + reach) / g
+        xd_dot = ref_deriv(t_cur) if k is None else xdot_grid[k]
+        u = -(f_used + arrays.alpha1 * integ - xd_dot + reach) / g
         dx = f + g * u + d
-        return xd, z, s, u, d, f_used, dx, integ
+        return z, s, u, f_used, dx, integ
 
     k = 0
     while True:
         t = float(t_grid[k])
         try:
-            xd, z, s, u, d, f_used, dx, integ = eval_loop(x, t, integral)
-            if bound_tol is not None and not (np.abs(d) <= bound_tol).all():
+            z, s, u, f_used, dx, integ = eval_loop(x, t, integral, k)
+            if k == bad_k:
                 # d depends on t alone, so every run fails here at once
-                ch = int(np.argmax(np.abs(d) > bound_tol))
-                message = (
-                    f"|d_{ch + 1}({t:g})| = {abs(d[ch]):g} exceeds declared bound "
-                    f"{model.perturbation_bounds[ch]:g}"
-                )
                 raise RunErrors({
-                    r: PerturbationBoundError(message, t=t, channel=ch)
+                    r: PerturbationBoundError(bound_message, t=t, channel=bad_ch)
                     for r in range(x.size // n)
                 })
-            sink.row(k, x, xd, z, s, u, d, f_used)
+            sink.row(k, x, z, s, u, f_used)
             if k == n_steps:
-                return
+                return t_grid, xd_grid, d_grid
             if rk4:
                 x_next, integral_next = _advance_rk4(x, integral, t, h, eval_loop)
             else:
@@ -304,10 +355,68 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink) -> None:
             keep = sink.fail(err.errors)
             x, integral = x[keep], integral[keep]
             if not keep.any():
-                return
+                return t_grid, xd_grid, d_grid
             continue
         x, integral = x_next, integral_next
         k += 1
+
+
+def _constant_gain(gain, g, x, n) -> bool:
+    """Whether ``gain``, which gave ``g`` at ``x``, is state-independent: it
+    answers a block of two states that differ in every channel with shape
+    (n,), and that answer equals its value at each state alone. A gain
+    written for one state that reduces over the whole array (a norm, a max)
+    fails the comparison, so it is not frozen at its first value."""
+    if np.shape(g) != (n,):
+        return False
+    x_a = x.reshape(-1, n)[0]
+    x_b = x_a + 1.0 + np.abs(x_a)
+    try:
+        pair = gain(np.stack([x_a, x_b]))
+    except Exception as err:
+        raise ParameterError(
+            f"gain must accept a block of states (2, {n}), failed: {err}"
+        ) from err
+    return (
+        np.shape(pair) == (n,)
+        and np.array_equal(pair, g)
+        and np.array_equal(gain(x_a), g)
+        and np.array_equal(gain(x_b), g)
+    )
+
+
+def _on_grid(fn, t_grid, n, name):
+    """``fn`` evaluated once over the whole time grid, as a (rows, n) array.
+    A result of shape (n,) does not depend on t: it becomes a read-only view
+    repeating it on every row, which takes no memory per row."""
+    values = np.asarray(fn(t_grid), dtype=float)
+    if values.shape == (n,):
+        values = np.broadcast_to(values, (t_grid.size, n))
+    if values.shape != (t_grid.size, n):
+        raise ParameterError(
+            f"{name} must map times of shape ({t_grid.size},) to ({n},) or "
+            f"({t_grid.size}, {n}), got {values.shape}"
+        )
+    return values
+
+
+def _bound_violation(model, t_grid, d_grid):
+    """(k, channel, message) of the first grid row where the perturbation
+    exceeds its declared bound, or (-1, None, None)."""
+    if model.perturbation_bounds is None:
+        return -1, None, None
+    bound_tol = model.perturbation_bounds * (1.0 + 1e-12)
+    abs_d = np.abs(d_grid)
+    bad = ~(abs_d <= bound_tol).all(axis=1)
+    if not bad.any():
+        return -1, None, None
+    k = int(np.argmax(bad))
+    ch = int(np.argmax(abs_d[k] > bound_tol))
+    message = (
+        f"|d_{ch + 1}({float(t_grid[k]):g})| = {abs(d_grid[k, ch]):g} exceeds declared "
+        f"bound {model.perturbation_bounds[ch]:g}"
+    )
+    return k, ch, message
 
 
 def _row_errors(bad, make_error) -> RunErrors:
@@ -364,9 +473,9 @@ def _advance_euler(x, integral, t, h, z, s, dx, integ, eval_loop, arrays):
     # the z rate.
     ds = None if integ is None else dx + arrays.alpha1 * integ
     rz, rs = _guard_ratios(z, s, dx, ds)
-    if h * (float(rz.max()) / GUARD_REL) <= 1.0 and (
-        rs is None or h * (float(rs.max()) / GUARD_REL) <= 1.0
-    ):
+    # one reduction over both ratios: np.maximum propagates a NaN, so a NaN
+    # in either still fails the test
+    if h * (float((rz if rs is None else np.maximum(rz, rs)).max()) / GUARD_REL) <= 1.0:
         # Operating band: single plain step, identical to an unguarded loop.
         return x + h * dx, integral if integ is None else integral + h * integ
 
@@ -422,7 +531,7 @@ def _advance_euler(x, integral, t, h, z, s, dx, integ, eval_loop, arrays):
             raise _state_errors(x, "during substepping", t).at(rows)
         t_local = t + (h - remaining)
         try:
-            _, z, s, _, _, _, dx, integ = eval_loop(x, t_local, integral)
+            z, s, _, _, dx, integ = eval_loop(x, t_local, integral)
         except RunErrors as err:
             raise err.at(rows) from None
         ds = None if integ is None else dx + arrays.alpha1 * integ
@@ -449,11 +558,11 @@ def _advance_rk4(x, integral, t, h, eval_loop):
         hs = h_sub[:, None]
         t0 = t + (h - remaining)
         try:
-            _, z0, _, _, _, _, k1, integ0 = eval_loop(x, t0, integral)
+            z0, _, _, _, k1, integ0 = eval_loop(x, t0, integral)
             with np.errstate(over="ignore", invalid="ignore"):
-                k2 = eval_loop(x + 0.5 * hs * k1, t0 + 0.5 * h_sub, integral)[6]
-                k3 = eval_loop(x + 0.5 * hs * k2, t0 + 0.5 * h_sub, integral)[6]
-                k4 = eval_loop(x + hs * k3, t0 + h_sub, integral)[6]
+                k2 = eval_loop(x + 0.5 * hs * k1, t0 + 0.5 * h_sub, integral)[4]
+                k3 = eval_loop(x + 0.5 * hs * k2, t0 + 0.5 * h_sub, integral)[4]
+                k4 = eval_loop(x + hs * k3, t0 + h_sub, integral)[4]
                 delta = (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         except RunErrors as err:
             raise err.at(rows) from None
@@ -574,21 +683,23 @@ def summarize_run(
     knows, so an unavailable one stays unavailable.
     """
     threshold = scenario.settle_threshold
+    settle_err = measure_settling(traj, "error", threshold)
+    t_star = np.max(settle_err)  # NaN, and no row after it, when a channel never settles
     return _summary(
         scenario,
         traj.x[0],
-        measure_settling(traj, "error", threshold),
+        settle_err,
         measure_settling(traj, "sliding", threshold),
         np.max(np.abs(traj.u)),
-        traj.t,
-        np.abs(traj.s).max(axis=1),
+        np.abs(traj.s).max(axis=1)[traj.t >= t_star].max(initial=-np.inf),
         bounds,
     )
 
 
-def _summary(scenario, x0, settle_err, settle_s, max_abs_u, t, row_max_s, bounds):
+def _summary(scenario, x0, settle_err, settle_s, max_abs_u, tail_max_s, bounds):
     """RunSummary of one run from its settling times, max |u|, and the max |s|
-    of each grid row (the chatter amplitude is their max from t* on)."""
+    over the rows from t* on, which is the chatter amplitude once every error
+    channel has settled."""
     if bounds is None and scenario.mode == "known-model":
         bounds = bound_report(scenario.channels)
     flags = None
@@ -596,12 +707,8 @@ def _summary(scenario, x0, settle_err, settle_s, max_abs_u, t, row_max_s, bounds
         flags = tuple(
             bool(np.isfinite(ti) and ti <= bounds.t_max) for ti in settle_err
         )
-    t_star = np.max(settle_err) if np.all(np.isfinite(settle_err)) else np.nan
-    if np.isfinite(t_star):
-        tail = row_max_s[t >= t_star]
-        chatter = float(np.max(tail)) if tail.size else float("nan")
-    else:
-        chatter = float("nan")
+    settled = np.all(np.isfinite(settle_err))
+    chatter = float(tail_max_s) if settled else float("nan")
     return RunSummary(
         x0=tuple(float(v) for v in x0),
         threshold=scenario.settle_threshold,
@@ -663,8 +770,7 @@ def run_monte_carlo(
         bounds = bound_report(template.channels)
 
     stats = _BatchStats(template, runs)
-    _step_loop(template, x0s.copy(), stats)
-    t = np.arange(template.step.n_steps + 1) * template.step.step_size
+    t, _, _ = _step_loop(template, x0s.copy(), stats)
     summaries: list[Optional[RunSummary]] = [None] * runs
     for j, i in enumerate(stats.runs):
         summaries[i] = _summary(
@@ -673,8 +779,7 @@ def run_monte_carlo(
             _settled_after(stats.last_z[j], t),
             _settled_after(stats.last_s[j], t),
             stats.max_u[j],
-            t,
-            stats.max_s[:, j],
+            stats.tail_s[j],
             bounds,
         )
     failures = [
@@ -719,29 +824,33 @@ class _BatchStats:
     """Sink of ``_step_loop`` for a batch: each grid row reduced per run.
 
     Per (run, channel) it keeps the last row where |z| (|s|) is not below the
-    threshold, which gives the settling times; per run the running max |u|;
-    and per (row, run) the max |s| over the channels, which gives the chatter
-    amplitude once t* is known. Failed runs are recorded and dropped.
+    threshold, which gives the settling times; per run the running max |u|,
+    and the running max |s| since the last row where some |z| channel was not
+    below the threshold, which is the chatter amplitude from t* on. Failed
+    runs are recorded and dropped.
     """
 
     def __init__(self, template: Scenario, runs: int):
-        rows, n = template.step.n_steps + 1, template.system.n
+        n = template.system.n
         self.threshold = template.settle_threshold
         self.runs = np.arange(runs)
         self.failures = {}
         self.last_z = np.full((runs, n), -1)
         self.last_s = np.full((runs, n), -1)
         self.max_u = np.full(runs, -np.inf)
-        self.max_s = np.empty((rows, runs))
+        self.tail_s = np.full(runs, -np.inf)
 
-    def row(self, k, x, xd, z, s, u, d, f_used):
+    def row(self, k, x, z, s, u, f_used):
         # "not below" rather than "at or above", so that a NaN counts as
         # unsettled, as it does in measure_settling
         abs_s = np.abs(s)
-        self.last_z = np.where(np.abs(z) < self.threshold, self.last_z, k)
+        z_below = np.abs(z) < self.threshold
+        self.last_z = np.where(z_below, self.last_z, k)
         self.last_s = np.where(abs_s < self.threshold, self.last_s, k)
         self.max_u = np.maximum(self.max_u, np.abs(u).max(axis=-1))
-        self.max_s[k] = abs_s.max(axis=-1)
+        self.tail_s = np.where(
+            z_below.all(axis=-1), np.maximum(self.tail_s, abs_s.max(axis=-1)), -np.inf
+        )
 
     def fail(self, errors) -> np.ndarray:
         keep = np.ones(self.runs.size, dtype=bool)
@@ -749,7 +858,7 @@ class _BatchStats:
         for r, err in errors.items():
             self.failures[int(self.runs[r])] = err
         self.runs, self.last_z, self.last_s = self.runs[keep], self.last_z[keep], self.last_s[keep]
-        self.max_u, self.max_s = self.max_u[keep], self.max_s[:, keep]
+        self.max_u, self.tail_s = self.max_u[keep], self.tail_s[keep]
         return keep
 
 

@@ -9,6 +9,10 @@ runs at once: drift and gain map states of shape (..., n) to (..., n), and
 perturbations and references map a time, a float or an array of shape (A,),
 to (n,) or (A, n). A result that does not depend on its input (a constant
 gain, a zero perturbation) may stay (n,); it broadcasts against the block.
+The array form of t is required on every path: each run evaluates the
+perturbation and the reference once over its whole time grid, and a gain
+that gives (n,) for a block of two states, equal to its value at each of
+them, is taken as constant and checked only once.
 """
 from __future__ import annotations
 

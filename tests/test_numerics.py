@@ -137,7 +137,7 @@ def test_rk4_exponential_over_unit_interval():
 
 def test_integrate_step_reports_non_finite_channel():
     def perturbation(t):
-        return np.array([0.0, np.inf, 0.0]) if t >= 0.25 else np.zeros(3)
+        return np.where(np.asarray(t)[..., None] >= 0.25, [0.0, np.inf, 0.0], 0.0)
 
     with pytest.raises(SimulationDivergedError) as exc:
         open_loop(lambda x: np.zeros(3), np.zeros(3), 0.25, 1.0, perturbation=perturbation)
@@ -148,7 +148,7 @@ def test_integrate_step_reports_non_finite_channel():
 def test_integrate_step_rk4_checks_stage_derivatives():
     def perturbation(t):
         # finite at the initial stage, infinite at the midpoint stages
-        return np.array([np.inf]) if t > 0.0 else np.array([1.0])
+        return np.where(np.asarray(t)[..., None] > 0.0, np.inf, 1.0)
 
     with pytest.raises(SimulationDivergedError):
         open_loop(lambda x: np.zeros(1), [0.0], 0.1, 1.0, method="rk4",

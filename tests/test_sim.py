@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -196,6 +197,164 @@ def test_perturbation_exceeding_declared_bound_is_an_error():
         simulate(scenario)
     assert excinfo.value.channel == 0
     assert excinfo.value.t == 0.0
+
+
+def bound_breaking_plant():
+    """Integrator plant whose perturbation first breaks its declared bound
+    (channel 2) at the grid time 0.005 of a 1e-3 step."""
+    def perturbation(t):
+        late = np.asarray(t)[..., None] >= 0.0045
+        return np.where(late, [0.5, 2.0], [0.5, 0.25])
+
+    return dataclasses.replace(
+        make_integrator_plant(2), perturbation=perturbation, perturbation_bounds=np.ones(2)
+    )
+
+
+def test_perturbation_breaking_bound_mid_run_raises_at_that_step():
+    scenario = Scenario(
+        system=bound_breaking_plant(),
+        reference=zero_reference(2),
+        params=standard_channels(2),
+        x0=np.array([0.3, -0.2]),
+        step=StepConfig(step_size=1e-3, t_end=0.01),
+    )
+    with pytest.raises(PerturbationBoundError) as excinfo:
+        simulate(scenario)
+    assert excinfo.value.channel == 1
+    assert excinfo.value.t == 5e-3
+    assert str(excinfo.value) == "|d_2(0.005)| = 2 exceeds declared bound 1"
+
+    result = assert_batch_equals_single_runs(scenario, [(-1.0, 1.0)] * 2, 3, 0)
+    assert result.aggregate["n_failed"] == 3
+    assert len({(r["error_type"], r["message"]) for r in result.failures}) == 1
+
+
+def test_state_dependent_gain_vanishing_mid_run_raises_at_that_step():
+    # g(x) = 1 while x > 0.5 and 0 below: the gain is evaluated at every step,
+    # so the run fails at the first grid row the controller brings below 0.5.
+    plant = make_integrator_plant(1)
+    vanishing = dataclasses.replace(plant, gain=lambda x: np.where(x > 0.5, 1.0, 0.0))
+    scenario = Scenario(
+        system=vanishing,
+        reference=zero_reference(1),
+        params=standard_channels(1),
+        x0=np.array([1.0]),
+        step=StepConfig(step_size=1e-3, t_end=1.0),
+    )
+    unit_gain = simulate(dataclasses.replace(scenario, system=plant))
+    k = int(np.argmax(unit_gain.x[:, 0] <= 0.5))
+    assert k > 0
+    with pytest.raises(SingularGainError) as excinfo:
+        simulate(scenario)
+    assert str(excinfo.value) == f"gain g_1(x) = 0.0 at x = {unit_gain.x[k]}"
+
+
+def test_open_loop_never_evaluates_the_gain():
+    zero_gain = dataclasses.replace(make_integrator_plant(2), gain=lambda x: np.zeros(2))
+    for params in (None, standard_channels(2)):
+        traj = simulate(Scenario(
+            system=zero_gain,
+            reference=zero_reference(2),
+            params=params,
+            x0=np.array([0.5, -0.5]),
+            step=StepConfig(step_size=1e-3, t_end=0.01),
+            mode="open-loop",
+        ))
+        assert np.all(traj.u == 0.0)
+        assert np.all(traj.x == [0.5, -0.5])
+
+
+@pytest.mark.parametrize(
+    "n, one_state, per_row",
+    [
+        # written for one state: the norm/max/sum runs over the whole array
+        (2, lambda x: (1.0 + np.sqrt(np.sum(x * x))) * np.ones(2),
+         lambda x: (1.0 + np.sqrt(np.sum(x * x, axis=-1, keepdims=True))) * np.ones(2)),
+        (2, lambda x: (1.0 + np.max(np.abs(x))) * np.ones(2),
+         lambda x: (1.0 + np.max(np.abs(x), axis=-1, keepdims=True)) * np.ones(2)),
+        (1, lambda x: np.atleast_1d(1.0 + np.sum(x * x)),
+         lambda x: 1.0 + np.sum(x * x, axis=-1, keepdims=True)),
+    ],
+    ids=["norm", "max-abs", "sum-n1"],
+)
+def test_gain_written_for_one_state_is_not_frozen(n, one_state, per_row):
+    # Such a gain answers a block with shape (n,) although it depends on the
+    # state; it must be evaluated at every step like a per-row gain.
+    scenario = Scenario(
+        system=dataclasses.replace(make_integrator_plant(n), gain=one_state),
+        reference=zero_reference(n),
+        params=standard_channels(n),
+        x0=np.array([0.8, -0.6][:n]),
+        step=StepConfig(step_size=1e-3, t_end=0.3),
+    )
+    expected = simulate(dataclasses.replace(
+        scenario, system=dataclasses.replace(scenario.system, gain=per_row)
+    ))
+    assert not np.all(expected.u == expected.u[0])
+    traj = simulate(scenario)
+    for name in ("x", "z", "s", "u"):
+        assert np.array_equal(getattr(traj, name), getattr(expected, name)), name
+
+
+def test_gain_that_fails_on_a_block_is_a_parameter_error():
+    plant = dataclasses.replace(
+        make_integrator_plant(2), gain=lambda x: np.ones(2) if x[0] > -10.0 else np.zeros(2)
+    )
+    scenario = Scenario(
+        system=plant,
+        reference=zero_reference(2),
+        params=standard_channels(2),
+        x0=np.array([0.5, -0.5]),
+        step=StepConfig(step_size=1e-3, t_end=0.01),
+    )
+    with pytest.raises(ParameterError, match=r"^gain must accept a block of states \(2, 2\)"):
+        simulate(scenario)
+
+
+def _scalar_only(value):
+    return lambda t: value if t >= 0.0 else -value
+
+
+@pytest.mark.parametrize(
+    "field, name",
+    [
+        ("perturbation", "perturbation"),
+        ("value", "reference value"),
+        ("derivative", "reference derivative"),
+    ],
+)
+def test_scenario_rejects_time_signal_without_array_times(field, name):
+    plant = make_integrator_plant(2)
+    reference = zero_reference(2)
+    if field == "perturbation":
+        plant = dataclasses.replace(plant, perturbation=_scalar_only(np.zeros(2)))
+    else:
+        reference = dataclasses.replace(reference, **{field: _scalar_only(np.zeros(2))})
+    with pytest.raises(ParameterError, match=f"^{name} must accept an array of times"):
+        Scenario(
+            system=plant,
+            reference=reference,
+            params=standard_channels(2),
+            x0=np.array([0.5, -0.5]),
+            step=StepConfig(step_size=1e-3, t_end=0.01),
+        )
+
+
+def test_scenario_rejects_time_signal_of_wrong_shape_for_array_times():
+    # right shape at a float time, one row for all times of an array
+    plant = dataclasses.replace(
+        make_integrator_plant(2), perturbation=lambda t: np.zeros(np.shape(t) + (2,))[..., :1]
+        if np.ndim(t) else np.zeros(2)
+    )
+    with pytest.raises(ParameterError, match=r"^perturbation must map .* got \(2, 1\)"):
+        Scenario(
+            system=plant,
+            reference=zero_reference(2),
+            params=standard_channels(2),
+            x0=np.array([0.5, -0.5]),
+            step=StepConfig(step_size=1e-3, t_end=0.01),
+        )
 
 
 # --- scenario validation -----------------------------------------------------------
@@ -447,6 +606,22 @@ def counting_drift(model):
     return dataclasses.replace(model, drift=drift), evaluated
 
 
+def test_guard_substeps_on_the_surface_rate_alone():
+    # x' = 0 from x0 = 3, open loop: z stands still while s = z + alpha1 *
+    # integral moves fast, so only the surface ratio calls for substeps.
+    system, evaluated = counting_drift(make_integrator_plant(1))
+    traj = simulate(Scenario(
+        system=system,
+        reference=zero_reference(1),
+        params=standard_channels(1),
+        x0=np.array([3.0]),
+        step=StepConfig(step_size=1e-3, t_end=1e-3),
+        mode="open-loop",
+    ))
+    assert np.all(traj.x == 3.0)
+    assert evaluated[0] > 2  # one evaluation per grid row, plus substeps
+
+
 def test_batch_far_box_with_sinusoid_reference_equals_single_runs():
     # From |x0| up to 100 the guard substeps every run, each on its own
     # local times, which the sinusoid reference and perturbation then see.
@@ -553,6 +728,47 @@ def test_batch_records_exhausted_substep_budget_like_single_runs(
     result = assert_batch_equals_single_runs(template, [(-box, box)] * 3, 6, 3)
     assert 0 < result.aggregate["n_failed"] < 6
     assert all(f"exceeded {budget}" in r["message"] for r in result.failures)
+
+
+def test_batch_chatter_after_error_leaves_band_again_equals_single_runs():
+    # A perturbation pulse at t = 0.6 throws the settled error out of its
+    # band; the chatter amplitude then counts only the rows after t*, the
+    # second entry into the band, not those of the first.
+    def pulse(t):
+        t = np.asarray(t)[..., None]
+        return np.where((t >= 0.6) & (t < 0.65), [30.0, -30.0, 30.0], 0.0)
+
+    template = Scenario(
+        system=dataclasses.replace(make_pmsm(), perturbation=pulse, perturbation_bounds=None),
+        reference=zero_reference(3),
+        params=standard_channels(),
+        x0=np.ones(3),
+        step=StepConfig(step_size=1e-3, t_end=1.5),
+        settle_threshold=0.05,
+    )
+    box = [(-1.0, 1.0)] * 3
+    result = assert_batch_equals_single_runs(template, box, 4, 6)
+    assert result.aggregate["n_settled"] == 4
+    for x0, summary in zip(result.x0s, result.summaries):
+        traj = simulate(dataclasses.replace(template, x0=x0))
+        in_band = (np.abs(traj.z) < template.settle_threshold).all(axis=1)
+        last_out = np.flatnonzero(~in_band)[-1]
+        assert traj.t[last_out] >= 0.6
+        # the rows in band before t* reach a larger |s| than the tail's
+        assert np.abs(traj.s[:last_out][in_band[:last_out]]).max() > summary.chatter_amplitude
+
+
+def test_batch_memory_does_not_scale_with_rows_times_runs():
+    # Each grid row is reduced per run as it is made: a batch keeps no
+    # (rows, runs) array, which here would be 8 * 2_001 * 1_000 bytes = 16 MB.
+    template = pmsm_scenario(step_size=1e-3, t_end=2.0)
+    tracemalloc.start()
+    try:
+        run_monte_carlo(template, [(-1.0, 1.0)] * 3, runs=1_000, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def test_monte_carlo_validates_arguments():

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,8 @@ from fxtsmc.system import (
 )
 
 from conftest import make_integrator_plant, standard_channels
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def first_step(model, x0, u_mode="open-loop", h=2.0**-10):
@@ -177,3 +182,18 @@ def test_sinusoid_reference_derivative_is_analytic():
 def test_sinusoid_reference_shape_mismatch():
     with pytest.raises(ParameterError):
         sinusoid_reference([1.0, 2.0], [1.0])
+
+
+@pytest.mark.parametrize("config", ["pmsm-known", "pmsm-gp", "lemma2"])
+def test_time_signals_on_grid_equal_per_time_values(config):
+    # The engine evaluates the time signals once over the grid; on each
+    # shipped grid that must give every per-time value bit for bit.
+    sim_cfg = json.loads((CONFIG_DIR / f"{config}.json").read_text())["sim"]
+    step = StepConfig(step_size=sim_cfg["step_size"], t_end=sim_cfg["t_end"])
+    t_grid = np.arange(step.n_steps + 1) * step.step_size
+    ref = sinusoid_reference([1.0, 0.5, 0.2], [3.0, 2.0, 1.0], [0.0, 0.3, 0.6])
+    for fn in (make_pmsm().perturbation, ref.value, ref.derivative):
+        on_grid = fn(t_grid)
+        per_time = np.array([fn(t) for t in t_grid.tolist()])
+        assert on_grid.shape == per_time.shape == (t_grid.size, 3)
+        assert on_grid.tobytes() == per_time.tobytes()
