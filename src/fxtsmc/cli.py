@@ -8,7 +8,8 @@ bound table), ``gp-train`` (dataset generation + per-channel GP fit report),
 Exit codes
 ----------
 0  success
-2  configuration or argument error (schema violation, bad gains, bad CLI args)
+2  configuration or argument error (schema violation, bad gains, bad CLI args,
+   a time grid or batch too large to allocate)
 3  I/O error (missing or unreadable/unwritable files)
 4  numeric failure (diverged simulation, singular gain, ill-conditioned data)
 5  acceptance-threshold violation (montecarlo aggregate checks)
@@ -422,6 +423,22 @@ def _gp_delta_f_bars(models, traj, chi: float) -> np.ndarray:
     return np.full(len(models), ErrorBoundConfig(chi=chi).chi * float(np.max(sigma)))
 
 
+def _settling_bounds(scenario, models, cfg: dict, pilot):
+    """(bound report, note): the known-model bound, or the gp-based one sized
+    over the states of ``pilot()`` (a trajectory made in gp-based mode only),
+    or a note when the gains cannot meet it; neither in open loop."""
+    if scenario.mode == "known-model":
+        return bound_report(scenario.channels), None
+    if scenario.mode != "gp-based":
+        return None, None
+    chi = float(cfg.get("gp", {}).get("chi", 2.0))
+    delta = _gp_delta_f_bars(models, pilot(), chi)
+    try:
+        return bound_report(scenario.channels, delta_f_bars=delta), None
+    except GainTooSmallError as err:
+        return None, f"settling bound unavailable: {err}"
+
+
 def _is_standard_pmsm_gains(channels) -> bool:
     g = PMSM_STANDARD_GAINS
     return all(
@@ -441,17 +458,7 @@ def cmd_run(args) -> int:
     cfg = resolve_config(args)
     scenario, models = build_scenario(cfg)
     traj = simulate(scenario)
-    bounds = None
-    bound_note = None
-    if scenario.mode == "known-model":
-        bounds = bound_report(scenario.channels)
-    elif scenario.mode == "gp-based":
-        chi = float(cfg.get("gp", {}).get("chi", 2.0))
-        delta = _gp_delta_f_bars(models, traj, chi)
-        try:
-            bounds = bound_report(scenario.channels, delta_f_bars=delta)
-        except GainTooSmallError as err:
-            bound_note = f"settling bound unavailable: {err}"
+    bounds, bound_note = _settling_bounds(scenario, models, cfg, lambda: traj)
     summary = summarize_run(traj, scenario, bounds=bounds)
 
     stem = Path(args.config).stem
@@ -584,19 +591,12 @@ def cmd_montecarlo(args) -> int:
     scenario, models = build_scenario(cfg)
     box = _parse_ic_box(args.ic_box, scenario.system.n)
 
-    bounds = None
-    if scenario.mode == "known-model":
-        bounds = bound_report(scenario.channels)
-    elif scenario.mode == "gp-based":
-        # Pilot run from the box's corner to size the drift-error bound.
-        chi = float(cfg.get("gp", {}).get("chi", 2.0))
-        pilot = simulate(dataclasses.replace(scenario, x0=box[:, 1]))
-        try:
-            bounds = bound_report(
-                scenario.channels, delta_f_bars=_gp_delta_f_bars(models, pilot, chi)
-            )
-        except GainTooSmallError as err:
-            print(f"settling bound unavailable: {err}", file=sys.stderr)
+    # gp-based: a pilot run from the box's corner sizes the drift-error bound
+    bounds, bound_note = _settling_bounds(
+        scenario, models, cfg, lambda: simulate(dataclasses.replace(scenario, x0=box[:, 1]))
+    )
+    if bound_note:
+        print(bound_note, file=sys.stderr)
 
     result = run_monte_carlo(scenario, box, args.runs, args.seed, bounds=bounds)
 
@@ -733,6 +733,9 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as err:
+        print(f"parameter error: too large to allocate: {err}", file=sys.stderr)
+        return EXIT_CONFIG
     except (
         SimulationDivergedError,
         SingularGainError,

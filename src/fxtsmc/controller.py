@@ -96,8 +96,6 @@ class LawArrays:
 def sign_or_layer(s, eps):
     """sign(s), or the boundary-layer approximation tanh(s/eps) where eps > 0."""
     eps = np.asarray(eps, dtype=float)
-    if np.all(eps == 0.0):
-        return np.sign(s)
     out = np.sign(s) * 1.0
     layered = eps > 0.0
     return np.where(layered, np.tanh(s / np.where(layered, eps, 1.0)), out)

@@ -104,14 +104,9 @@ class GPDataset:
 
 @dataclass(frozen=True)
 class ErrorBoundConfig:
-    """Scale chi of the pointwise error bound chi * posterior_std.
-
-    ``confidence_note`` is free-form documentation of the probability level
-    the user associates with their chi; it enters no computation.
-    """
+    """Scale chi of the pointwise error bound chi * posterior_std."""
 
     chi: float = 2.0
-    confidence_note: str = ""
 
     def __post_init__(self):
         if not self.chi > 0.0:
@@ -266,7 +261,6 @@ class DriftEstimator:
                 raise ParameterError("DriftEstimator requires channels sharing one input set")
             if m.kernel != models[0].kernel:
                 raise ParameterError("DriftEstimator requires a common kernel config")
-        self.models = list(models)
         self.inputs = base
         self.kernel = models[0].kernel
         self.weight_matrix = np.stack([m.weights for m in models])  # (n, N)

@@ -35,11 +35,11 @@ its derivative and the perturbation depend on time alone: they are evaluated
 once over the whole grid, each in one call with the grid as an array of
 times, and the declared perturbation bound is audited there; guard substeps
 and rk4 stages still call them at their local times; a Scenario checks at
-construction that each accepts an array of times. A gain that answers a
-block of two states with shape (n,), equal to its value at each state
-alone, does not depend on the state, so it is checked once, at its first
-evaluation, and reused; any other gain is called and checked at every
-evaluation.
+construction that each accepts an array of times. A gain declared as a
+``ConstantGain`` was checked when built and is used as its value. Any other
+gain is called and checked at every evaluation; before the loop, one call
+on a block of two states checks that it accepts a block, and a batch also
+checks that it acts on each state of the block as on that state alone.
 """
 from __future__ import annotations
 
@@ -50,6 +50,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from . import gp
 from .controller import (
     BoundReport,
     LawArrays,
@@ -66,7 +67,7 @@ from .errors import (
 )
 from .numerics import StepConfig, safe_exp
 from .sliding import integrand
-from .system import ReferenceSignal, SystemModel, check_gain
+from .system import ConstantGain, ReferenceSignal, SystemModel, check_gain
 
 CONTROLLER_MODES = ("known-model", "gp-based", "open-loop")
 
@@ -196,12 +197,6 @@ class Trajectory:
         return np.hstack(cols)
 
 
-def _drift_estimator(models):
-    from .gp import DriftEstimator
-
-    return DriftEstimator(models)
-
-
 def simulate(scenario: Scenario) -> Trajectory:
     """Run the closed loop on the scenario's fixed grid and log every sample.
 
@@ -273,7 +268,7 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
     channels = scenario.channels
     open_loop = scenario.mode == "open-loop"
     arrays = LawArrays(channels) if channels is not None else None
-    estimator = _drift_estimator(scenario.gp_models) if scenario.mode == "gp-based" else None
+    estimator = gp.DriftEstimator(scenario.gp_models) if scenario.mode == "gp-based" else None
 
     xd_grid = _on_grid(ref_value, t_grid, n, "reference value")
     d_grid = _on_grid(pert, t_grid, n, "perturbation")
@@ -281,23 +276,12 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
     xdot_grid = _on_grid(ref_deriv, t_grid, n, "reference derivative") if closed_loop else None
     bad_k, bad_ch, bound_message = _bound_violation(model, t_grid, d_grid)
 
+    fixed_gain = gain.value if isinstance(gain, ConstantGain) else None
+    if fixed_gain is None and closed_loop:
+        _check_block_gain(gain, x, n)
+
     integral = np.zeros_like(x)
     zeros = np.zeros(n)
-    # A gain of shape (n,) for a block of states does not depend on the state
-    # (the callable contract): once _constant_gain confirms that, it is
-    # checked once and reused.
-    fixed_gain = None
-    probe_gain = True
-
-    def gain_at(x_cur):
-        nonlocal fixed_gain, probe_gain
-        g = gain(x_cur)
-        if probe_gain:
-            probe_gain = False
-            if _constant_gain(gain, g, x_cur, n):
-                fixed_gain = check_gain(g, x_cur, n)
-                return fixed_gain
-        return check_gain(g, x_cur, n)
 
     def eval_loop(x_cur, t_cur, integral_cur, k=None):
         """One full controller + dynamics evaluation at (x, t, I): the only
@@ -320,7 +304,7 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
         s = z + arrays.alpha1 * integral_cur
         if open_loop:
             return z, s, zeros, f, f + d, integ
-        g = fixed_gain if fixed_gain is not None else gain_at(x_cur)
+        g = fixed_gain if fixed_gain is not None else check_gain(gain(x_cur), x_cur, n)
         sgn = np.sign(s) if arrays.plain_sign else sign_or_layer(s, arrays.eps)
         reach = arrays.reach_gain * safe_exp(s * s) * sgn
         f_used = f if estimator is None else estimator(x_cur)
@@ -361,28 +345,29 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
         k += 1
 
 
-def _constant_gain(gain, g, x, n) -> bool:
-    """Whether ``gain``, which gave ``g`` at ``x``, is state-independent: it
-    answers a block of two states that differ in every channel with shape
-    (n,), and that answer equals its value at each state alone. A gain
+def _check_block_gain(gain, x, n):
+    """A gain callable must answer a block of two states that differ in every
+    channel with a shape that broadcasts to (2, n); for a batch ``x`` (R, n),
+    that answer must equal each state's own answer (NaN equal to NaN). A gain
     written for one state that reduces over the whole array (a norm, a max)
-    fails the comparison, so it is not frozen at its first value."""
-    if np.shape(g) != (n,):
-        return False
+    fails that: it would give all runs of a batch one shared value."""
     x_a = x.reshape(-1, n)[0]
-    x_b = x_a + 1.0 + np.abs(x_a)
+    pair = np.stack([x_a, x_a + 1.0 + np.abs(x_a)])
     try:
-        pair = gain(np.stack([x_a, x_b]))
+        g_pair = np.broadcast_to(gain(pair), (2, n))
     except Exception as err:
         raise ParameterError(
             f"gain must accept a block of states (2, {n}), failed: {err}"
         ) from err
-    return (
-        np.shape(pair) == (n,)
-        and np.array_equal(pair, g)
-        and np.array_equal(gain(x_a), g)
-        and np.array_equal(gain(x_b), g)
-    )
+    if x.ndim == 2 and not np.array_equal(
+        g_pair,
+        [np.broadcast_to(gain(row), (n,)) for row in pair],
+        equal_nan=True,
+    ):
+        raise ParameterError(
+            f"gain must act on each state of a block (R, {n}) as on that state alone; "
+            "a gain written for one state cannot step a batch"
+        )
 
 
 def _on_grid(fn, t_grid, n, name):

@@ -7,12 +7,14 @@ are code-defined through the same interface user systems use.
 Every callable also accepts a block of inputs, so the engine can step many
 runs at once: drift and gain map states of shape (..., n) to (..., n), and
 perturbations and references map a time, a float or an array of shape (A,),
-to (n,) or (A, n). A result that does not depend on its input (a constant
-gain, a zero perturbation) may stay (n,); it broadcasts against the block.
-The array form of t is required on every path: each run evaluates the
-perturbation and the reference once over its whole time grid, and a gain
-that gives (n,) for a block of two states, equal to its value at each of
-them, is taken as constant and checked only once.
+to (n,) or (A, n). A result that does not depend on its input (a zero
+perturbation) may stay (n,); it broadcasts against the block. The array form
+of t is required on every path: each run evaluates the perturbation and the
+reference once over its whole time grid.
+
+A gain that does not depend on the state is declared as a ``ConstantGain``,
+checked once when built; the engine uses its value and never calls it. Any
+other gain callable is called and checked at every evaluation.
 """
 from __future__ import annotations
 
@@ -28,14 +30,36 @@ from .numerics import safe_exp
 SQRT_PI_HALF = sqrt(pi) / 2.0
 
 
+@dataclass(frozen=True, eq=False)
+class ConstantGain:
+    """A state-independent input gain, declared by its finite, nonzero value
+    of shape (n,). Calling it returns ``value`` for any state; the engine
+    reads ``value`` instead."""
+
+    value: np.ndarray
+
+    def __post_init__(self):
+        g = np.array(self.value, dtype=float)
+        if g.ndim != 1 or g.size == 0 or not np.all(np.isfinite(g) & (g != 0.0)):
+            raise ParameterError(
+                f"constant gain must be a finite, nonzero (n,) array, got {g!r}"
+            )
+        g.flags.writeable = False
+        object.__setattr__(self, "value", g)
+
+    def __call__(self, x):
+        return self.value
+
+
 @dataclass(frozen=True)
 class SystemModel:
     """A perturbed system with drift f(x), diagonal gain g(x), perturbation d(t).
 
-    ``drift`` and ``gain`` map a state of shape (..., n) to (..., n);
-    ``perturbation`` maps t, a float or an array of shape (A,), to (n,) or
-    (A, n). ``perturbation_bounds`` is optional; when declared, simulation
-    runs assert |d_i(t)| <= bound_i on every grid point they sample.
+    ``drift`` and ``gain`` map a state of shape (..., n) to (..., n); a
+    constant gain is a ``ConstantGain`` of length n. ``perturbation`` maps
+    t, a float or an array of shape (A,), to (n,) or (A, n).
+    ``perturbation_bounds`` is optional; when declared, simulation runs
+    assert |d_i(t)| <= bound_i on every grid point they sample.
     """
 
     n: int
@@ -48,6 +72,10 @@ class SystemModel:
     def __post_init__(self):
         if self.n < 1:
             raise ParameterError(f"system dimension must be >= 1, got {self.n}")
+        if isinstance(self.gain, ConstantGain) and self.gain.value.shape != (self.n,):
+            raise ParameterError(
+                f"constant gain must have shape ({self.n},), got {self.gain.value.shape}"
+            )
         if self.perturbation_bounds is not None:
             b = np.asarray(self.perturbation_bounds, dtype=float)
             if b.shape != (self.n,):
@@ -143,13 +171,6 @@ def _pmsm_drift(x):
     return np.array([2.5 * (x2 - x1), -x2 - x3 * x1 + 25.0 * x1, -x3 + x1 * x2]).T
 
 
-_PMSM_ONES = np.ones(3)
-
-
-def _pmsm_gain(x):
-    return _PMSM_ONES
-
-
 def _pmsm_perturbation(t):
     return np.array(
         [np.sin(10.0 * t), np.cos(10.0 * t), np.cos(10.0 * t) * np.sin(4.0 * t)]
@@ -162,23 +183,14 @@ def make_pmsm(perturbed: bool = True) -> SystemModel:
     ``perturbed=False`` drops the matched disturbances (bounds become zero),
     which is the configuration used to isolate the reaching law in tests.
     """
-    if perturbed:
-        return SystemModel(
-            n=3,
-            drift=_pmsm_drift,
-            gain=_pmsm_gain,
-            perturbation=_pmsm_perturbation,
-            perturbation_bounds=np.ones(3),
-            name="pmsm",
-        )
     zeros = np.zeros(3)
     return SystemModel(
         n=3,
         drift=_pmsm_drift,
-        gain=_pmsm_gain,
-        perturbation=lambda t: zeros,
-        perturbation_bounds=np.zeros(3),
-        name="pmsm-unperturbed",
+        gain=ConstantGain(np.ones(3)),
+        perturbation=_pmsm_perturbation if perturbed else lambda t: zeros,
+        perturbation_bounds=np.full(3, 1.0 if perturbed else 0.0),
+        name="pmsm" if perturbed else "pmsm-unperturbed",
     )
 
 
@@ -199,12 +211,11 @@ def make_lemma2_plant(alpha: float) -> SystemModel:
     def drift(x):
         return -coef * safe_exp(x * x) * np.sign(x)
 
-    ones = np.ones(1)
     zeros = np.zeros(1)
     return SystemModel(
         n=1,
         drift=drift,
-        gain=lambda x: ones,
+        gain=ConstantGain(np.ones(1)),
         perturbation=lambda t: zeros,
         perturbation_bounds=np.zeros(1),
         name="lemma2",

@@ -423,3 +423,25 @@ def test_infeasible_gp_bound_is_not_replaced(capsys, tmp_path, monkeypatch, comm
         assert "bounds" not in doc
         assert doc["aggregate"]["fraction_bound_satisfied"] is None
         assert all(run["bound_satisfied"] is None for run in doc["runs"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", str(KNOWN), "--set", "sim.step_size=1e-12", "--set", "sim.t_end=1000"],
+        ["montecarlo", str(KNOWN), "--set", "sim.step_size=1e-12", "--set", "sim.t_end=1000",
+         "--runs", "2", "--ic-box", "-1,1"],
+        ["montecarlo", str(KNOWN), "--runs", "1000000000000000", "--ic-box", "-1,1"],
+    ],
+    ids=["run-grid", "montecarlo-grid", "montecarlo-runs"],
+)
+def test_grid_or_batch_too_large_to_allocate_is_a_parameter_error(
+    capsys, tmp_path, monkeypatch, argv
+):
+    # Petabytes, beyond any address space: the allocation fails at once and
+    # touches no memory.
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("parameter error: too large to allocate: ")
+    assert err.count("\n") == 1

@@ -312,6 +312,80 @@ def test_gain_that_fails_on_a_block_is_a_parameter_error():
         simulate(scenario)
 
 
+def test_gain_of_wrong_shape_is_a_parameter_error():
+    plant = dataclasses.replace(make_integrator_plant(2), gain=lambda x: np.ones(3))
+    scenario = Scenario(
+        system=plant,
+        reference=zero_reference(2),
+        params=standard_channels(2),
+        x0=np.array([0.5, -0.5]),
+        step=StepConfig(step_size=1e-3, t_end=0.01),
+    )
+    match = r"^gain must accept a block of states \(2, 2\), failed: .*broadcast"
+    with pytest.raises(ParameterError, match=match):
+        simulate(scenario)
+    with pytest.raises(ParameterError, match=match):
+        run_monte_carlo(scenario, [(-1.0, 1.0)] * 2, runs=2, seed=0)
+
+@pytest.mark.parametrize(
+    "n, one_state",
+    [
+        (2, lambda x: (1.0 + np.sqrt(np.sum(x * x))) * np.ones(2)),
+        (2, lambda x: (1.0 + np.max(np.abs(x))) * np.ones(2)),
+        (1, lambda x: np.atleast_1d(1.0 + np.sum(x * x))),
+    ],
+    ids=["norm", "max-abs", "sum-n1"],
+)
+def test_batch_rejects_gain_written_for_one_state(n, one_state):
+    # On a block such a gain gives all runs one shared value, so a batch
+    # would step each run with another run's gain.
+    template = Scenario(
+        system=dataclasses.replace(make_integrator_plant(n), gain=one_state),
+        reference=zero_reference(n),
+        params=standard_channels(n),
+        x0=np.zeros(n),
+        step=StepConfig(step_size=1e-3, t_end=0.3),
+    )
+    with pytest.raises(ParameterError, match=r"^gain must act on each state of a block"):
+        run_monte_carlo(template, [(-1.0, 1.0)] * n, runs=4, seed=0)
+
+
+@pytest.mark.parametrize(
+    "gain",
+    [
+        lambda x: (1.0 + np.sqrt(np.sum(x * x, axis=-1, keepdims=True))) * np.ones(2),
+        # NaN below -0.5: the first run (seed 3) starts there in both channels
+        lambda x: np.where(x > -0.5, 1.0 + x * x, np.nan),
+    ],
+    ids=["per-row-norm", "nan-rows"],
+)
+def test_batch_with_per_row_gain_equals_single_runs(gain):
+    template = Scenario(
+        system=dataclasses.replace(make_integrator_plant(2), gain=gain),
+        reference=zero_reference(2),
+        params=standard_channels(2),
+        x0=np.zeros(2),
+        step=StepConfig(step_size=1e-3, t_end=0.3),
+    )
+    assert_batch_equals_single_runs(template, [(-1.0, 1.0)] * 2, 4, 3)
+
+
+def test_declared_constant_gain_equals_gain_called_every_evaluation():
+    # make_pmsm declares its unit gain; the same gain as a plain callable is
+    # called and checked at every evaluation, with the same numbers.
+    declared = pmsm_scenario(x0=(3.0, -3.0, 3.0), step_size=1e-3, t_end=1.0)
+    called = dataclasses.replace(
+        declared, system=dataclasses.replace(declared.system, gain=lambda x: np.ones(3))
+    )
+    traj, expected = simulate(declared), simulate(called)
+    for name in ("x", "z", "s", "u"):
+        assert np.array_equal(getattr(traj, name), getattr(expected, name)), name
+    box = [(-3.0, 3.0)] * 3
+    batch = run_monte_carlo(declared, box, runs=4, seed=1)
+    expected_batch = run_monte_carlo(called, box, runs=4, seed=1)
+    assert mc_result_to_dict(batch) == mc_result_to_dict(expected_batch)
+
+
 def _scalar_only(value):
     return lambda t: value if t >= 0.0 else -value
 

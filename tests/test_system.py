@@ -9,6 +9,7 @@ from fxtsmc.numerics import StepConfig
 from fxtsmc.sim import Scenario, simulate
 from fxtsmc.system import (
     SQRT_PI_HALF,
+    ConstantGain,
     SystemModel,
     check_gain,
     constant_reference,
@@ -99,6 +100,43 @@ def test_check_gain_passes_and_raises():
         check_gain(np.array([1.0, 0.0]), np.zeros(2), 2)
     with pytest.raises(SingularGainError):
         check_gain(np.array([np.inf, 1.0]), np.zeros(2), 2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [[1.0, 0.0], [1.0, np.nan], [np.inf, 1.0], [[1.0, 1.0]], [], 2.0],
+    ids=["zero", "nan", "inf", "2-d", "empty", "scalar"],
+)
+def test_constant_gain_rejects_bad_values(value):
+    with pytest.raises(ParameterError, match="^constant gain must"):
+        ConstantGain(np.asarray(value))
+
+
+def test_constant_gain_length_must_match_the_system():
+    with pytest.raises(ParameterError, match=r"^constant gain must have shape \(3,\), got \(2,\)"):
+        SystemModel(
+            n=3,
+            drift=lambda x: np.zeros(3),
+            gain=ConstantGain(np.ones(2)),
+            perturbation=lambda t: np.zeros(3),
+        )
+
+
+def test_constant_gain_holds_a_read_only_copy():
+    source = np.array([2.0, -1.0])
+    gain = ConstantGain(source)
+    source[0] = 0.0
+    np.testing.assert_array_equal(gain(np.zeros((4, 2))), [2.0, -1.0])
+    assert not gain.value.flags.writeable
+
+
+def test_shipped_plants_declare_constant_gains():
+    import fxtsmc
+
+    assert "ConstantGain" in fxtsmc.__all__
+    for model in (make_pmsm(), make_pmsm(perturbed=False), make_lemma2_plant(1.0)):
+        assert isinstance(model.gain, ConstantGain)
+        np.testing.assert_array_equal(model.gain.value, np.ones(model.n))
 
 
 def test_pmsm_definition(pmsm):
