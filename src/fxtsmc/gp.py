@@ -249,7 +249,9 @@ class DriftEstimator:
 
     Stacks every channel's weights against the common training inputs so one
     kernel evaluation per step serves all channels; ``gp_mean`` is the
-    one-channel reference it agrees with.
+    one-channel reference it agrees with. The inputs are held as a contiguous
+    (dim, N) column array, so the squared distances to all N points take one
+    whole-row operation per input dimension.
     """
 
     def __init__(self, models: Sequence[GPModel]):
@@ -261,7 +263,7 @@ class DriftEstimator:
                 raise ParameterError("DriftEstimator requires channels sharing one input set")
             if m.kernel != models[0].kernel:
                 raise ParameterError("DriftEstimator requires a common kernel config")
-        self.inputs = base
+        self.columns = np.ascontiguousarray(base.T)  # (dim, N)
         self.kernel = models[0].kernel
         self.weight_matrix = np.stack([m.weights for m in models])  # (n, N)
 
@@ -278,9 +280,23 @@ class DriftEstimator:
         return np.stack([self._estimate(row) for row in rows]).reshape(x.shape)
 
     def _estimate(self, x) -> np.ndarray:
-        diff = self.inputs - x
-        r = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        return self.weight_matrix @ _kernel_of_dist(self.kernel, r)
+        """The squared distance to every training point sums its per-dimension
+        squares in one fixed order: the even-indexed dimensions in order, the
+        odd-indexed ones in order, then the two partial sums. That is the
+        order numpy's ``einsum("ij,ij->i")`` over (N, dim) rows takes for 1 to
+        7 dimensions (numpy 2.4.6; from 8 on it differs), so those agree with
+        it bit for bit, while einsum's inner loop runs once per training point."""
+        sq = self.columns - x[:, None]
+        sq *= sq
+        r2 = sq[0]
+        for row in sq[2::2]:
+            r2 += row
+        if len(sq) > 1:
+            odd = sq[1]
+            for row in sq[3::2]:
+                odd += row
+            r2 += odd
+        return self.weight_matrix @ _kernel_of_dist(self.kernel, np.sqrt(r2, out=r2))
 
 
 def generate_training_data(

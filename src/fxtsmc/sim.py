@@ -448,8 +448,9 @@ def _advance_euler(x, integral, t, h, z, s, dx, integ, eval_loop, arrays):
     where its own rates call for it.
 
     ``integ`` is None (and ``arrays`` unused) when no surface is tracked. When
-    one max over the whole block shows every run inside the guard, all take
-    the plain step, identical to an unguarded loop. Otherwise the runs outside
+    one max of the rates, or failing that one max of the guard ratios, over
+    the whole block shows every run inside the guard, all take the plain
+    step, identical to an unguarded loop. Otherwise the runs outside
     it substep together, each with its own remaining time, substep size and
     local time, until each has covered h.
     """
@@ -457,10 +458,19 @@ def _advance_euler(x, integral, t, h, z, s, dx, integ, eval_loop, arrays):
     # is negligible whenever the guard can trigger, so dx stands in for
     # the z rate.
     ds = None if integ is None else dx + arrays.alpha1 * integ
-    rz, rs = _guard_ratios(z, s, dx, ds)
-    # one reduction over both ratios: np.maximum propagates a NaN, so a NaN
-    # in either still fails the test
-    if h * (float((rz if rs is None else np.maximum(rz, rs)).max()) / GUARD_REL) <= 1.0:
+    # Each guard ratio |dz|/(|z| + GUARD_ABS) is at most |dz| in floating
+    # point, its denominator being at least 1, so rates that pass this bound
+    # pass the ratio test below. A NaN rate fails the bound. A NaN z (from a
+    # NaN reference) or integral makes s NaN, and with it a ratio, yet can
+    # leave the rates finite, so s is tested apart.
+    rates = np.abs(dx) if ds is None else np.maximum(np.abs(dx), np.abs(ds))
+    plain = h * (float(rates.max()) / GUARD_REL) <= 1.0 and not np.isnan(s).any()
+    if not plain:
+        rz, rs = _guard_ratios(z, s, dx, ds)
+        # one reduction over both ratios: np.maximum propagates a NaN, so a
+        # NaN in either still fails the test
+        plain = h * (float((rz if rs is None else np.maximum(rz, rs)).max()) / GUARD_REL) <= 1.0
+    if plain:
         # Operating band: single plain step, identical to an unguarded loop.
         return x + h * dx, integral if integ is None else integral + h * integ
 
@@ -746,11 +756,16 @@ def run_monte_carlo(
         raise ParameterError(
             f"ic_box must be {n} ordered (low, high) pairs, got {ic_box!r}"
         )
+    # uniform draws need a finite width high - low, and they then stay in the
+    # box; a bound that is not finite makes its width not finite too
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = box[:, 1] - box[:, 0]
+    if not np.isfinite(width).all():
+        raise ParameterError(
+            f"ic_box bounds and widths high - low must be finite, got {box.tolist()}"
+        )
     rng = np.random.default_rng(seed)
     x0s = rng.uniform(box[:, 0], box[:, 1], size=(runs, n))
-    if not np.all(np.isfinite(x0s)):
-        bad = x0s[~np.isfinite(x0s).all(axis=1)][0]
-        raise ParameterError(f"x0 must be finite, got {bad}")
     if bounds is None and template.mode == "known-model":
         bounds = bound_report(template.channels)
 

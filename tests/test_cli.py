@@ -242,6 +242,16 @@ def test_montecarlo_rejects_malformed_box(capsys):
     assert "lo,hi" in err
 
 
+@pytest.mark.parametrize("box", ["0,inf", "nan,nan", "-inf,0", "-1e308,1e308"])
+def test_montecarlo_rejects_non_finite_box_or_width(capsys, box):
+    # -1e308,1e308 has finite bounds, but its width overflows
+    code, _, err = run_cli(
+        capsys, "montecarlo", str(KNOWN), "--runs", "1", f"--ic-box={box}", *FAST
+    )
+    assert code == 2
+    assert "ic_box bounds and widths high - low must be finite" in err
+
+
 def test_montecarlo_artifacts(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run_cli(

@@ -5,6 +5,7 @@ from scipy.spatial.distance import pdist, squareform
 
 from fxtsmc.errors import IllConditionedDataError, ParameterError
 from fxtsmc.gp import (
+    KERNEL_FAMILIES,
     DriftEstimator,
     ErrorBoundConfig,
     GPDataset,
@@ -267,6 +268,67 @@ def test_drift_estimator_matches_estimate_drift():
         x = rng.uniform(-3.0, 3.0, size=3)
         reference = np.array([gp_mean(m, x) for m in models])
         np.testing.assert_allclose(estimator(x), reference, rtol=1e-12, atol=1e-12)
+
+
+def einsum_estimate(models, x):
+    """Reference estimate at one state: the squared distances summed by
+    einsum over (N, dim) rows. Also returns the kernel values and their
+    exponent arguments, which size the tolerance where the order differs."""
+    cfg = models[0].kernel
+    diff = models[0].dataset.inputs - x
+    r = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    k = _kernel_of_dist(cfg, r)
+    if cfg.family == "exponential":
+        arg = cfg.length_scale * r
+    else:
+        arg = r * r / (2.0 * cfg.length_scale**2)
+    return np.stack([m.weights for m in models]) @ k, k, arg
+
+
+def estimator_case(dim, family):
+    rng = np.random.default_rng(100 + dim)
+    inputs = rng.uniform(-3.0, 3.0, size=(40, dim))
+    cfg = KernelConfig(family=family, length_scale=0.7 if family == "exponential" else 1.5)
+    targets = np.sin(inputs @ rng.normal(size=(dim, dim)))  # one channel per dimension
+    base = gp_fit(GPDataset(inputs, targets[:, 0]), cfg)
+    models = [base] + [gp_fit_shared(base, GPDataset(inputs, y), cfg) for y in targets.T[1:]]
+    # inside the data, and outside it, where kernel values fall below 1e-40
+    states = np.vstack([
+        rng.uniform(-3.0, 3.0, size=(20, dim)),
+        rng.uniform(-3.0, 3.0, size=(20, dim)) + rng.choice([-1.0, 1.0], size=(20, dim)) * 4.0,
+    ])
+    return models, states
+
+
+@pytest.mark.parametrize("family", KERNEL_FAMILIES)
+@pytest.mark.parametrize("dim", range(1, 8))
+def test_drift_estimator_equals_einsum_reference_bitwise(dim, family):
+    # the column layout sums each squared distance in einsum's order for
+    # 1 to 7 dimensions, so one-state and block calls both match it exactly
+    models, states = estimator_case(dim, family)
+    estimator = DriftEstimator(models)
+    reference = np.stack([einsum_estimate(models, x)[0] for x in states])
+    np.testing.assert_array_equal(np.stack([estimator(x) for x in states]), reference)
+    np.testing.assert_array_equal(estimator(states), reference)
+    np.testing.assert_array_equal(
+        estimator(states.reshape(2, -1, dim)), reference.reshape(2, -1, dim)
+    )
+
+
+@pytest.mark.parametrize("family", KERNEL_FAMILIES)
+@pytest.mark.parametrize("dim", [8, 12])
+def test_drift_estimator_near_einsum_reference_past_seven_dims(dim, family):
+    # A sum of dim nonnegative squares taken in another order differs by at
+    # most dim * eps relative; the kernel's exp multiplies that by its
+    # argument, and the final rounding adds about one more eps per term.
+    eps = np.finfo(float).eps
+    models, states = estimator_case(dim, family)
+    estimator = DriftEstimator(models)
+    weights = np.abs(np.stack([m.weights for m in models]))
+    for x in states:
+        reference, k, arg = einsum_estimate(models, x)
+        tol = dim * eps * (weights @ (k * (1.0 + arg)))
+        assert np.all(np.abs(estimator(x) - reference) <= tol)
 
 
 # --- data generation and persistence --------------------------------------------

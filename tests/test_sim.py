@@ -696,6 +696,64 @@ def test_guard_substeps_on_the_surface_rate_alone():
     assert evaluated[0] > 2  # one evaluation per grid row, plus substeps
 
 
+def constant_rate_plant(rate):
+    """x' = rate, g = 1, d = 0, for one channel."""
+    return SystemModel(
+        n=1,
+        drift=lambda x: np.full(np.shape(x), rate),
+        gain=lambda x: np.ones(1),
+        perturbation=lambda t: np.zeros(1),
+    )
+
+
+def open_loop(system, x0, step_size, t_end, reference=None):
+    return Scenario(
+        system=system,
+        reference=zero_reference(1) if reference is None else reference,
+        params=None,
+        x0=np.array([x0]),
+        step=StepConfig(step_size=step_size, t_end=t_end),
+        mode="open-loop",
+    )
+
+
+def test_step_with_rate_over_half_inverse_step_but_ratio_in_band_is_plain():
+    # |dx| = 1e4 exceeds 0.5 / h = 5e3, but |dx| / (|z| + 1) does not: the
+    # ratio test, not the rate bound, admits each step, one evaluation a row.
+    system, evaluated = counting_drift(constant_rate_plant(1e4))
+    scenario = open_loop(system, 1e4, 1e-4, 1e-3)
+    traj = simulate(scenario)
+    np.testing.assert_array_equal(traj.x[:, 0], 1e4 + np.arange(scenario.step.n_steps + 1))
+    assert evaluated[0] == scenario.step.n_steps + 1
+
+
+def test_step_admitted_by_ratio_alone_that_overflows_still_raises():
+    # From 1.7e308 at x' = 1e308 the ratio admits a plain step of h = 0.5,
+    # which overflows; the check after the step must still catch it.
+    with np.errstate(over="ignore"), pytest.raises(SimulationDivergedError) as excinfo:
+        simulate(open_loop(constant_rate_plant(1e308), 1.7e308, 0.5, 0.5))
+    assert str(excinfo.value) == "state channel 1 non-finite after step at t = 0"
+
+
+def test_batch_records_a_plain_step_overflow_for_that_run_alone():
+    template = open_loop(constant_rate_plant(1e308), 1.0, 0.5, 0.5)
+    box = [(1e308, 1.7e308)]  # runs past 1.3e308 overflow in their first step
+    with np.errstate(over="ignore"):
+        result = assert_batch_equals_single_runs(template, box, runs=6, seed=3)
+    assert 0 < result.aggregate["n_failed"] < 6
+    for record in result.failures:
+        assert record["message"] == "state channel 1 non-finite after step at t = 0"
+
+
+def test_nan_reference_without_a_surface_still_fails_the_guard():
+    # a NaN z leaves dx finite when no surface is tracked; its NaN ratio
+    # must still send the step to the substep loop, which reports it
+    nan_reference = constant_reference([np.nan])
+    scenario = open_loop(constant_rate_plant(1.0), 1.0, 1e-3, 1e-2, reference=nan_reference)
+    with pytest.raises(SimulationDivergedError, match="non-finite dynamics rate"):
+        simulate(scenario)
+
+
 def test_batch_far_box_with_sinusoid_reference_equals_single_runs():
     # From |x0| up to 100 the guard substeps every run, each on its own
     # local times, which the sinusoid reference and perturbation then see.
