@@ -57,6 +57,7 @@ from .numerics import StepConfig
 from .sim import (
     Scenario,
     bound_report_to_dict,
+    check_ic_box,
     mc_result_to_dict,
     run_monte_carlo,
     simulate,
@@ -572,7 +573,8 @@ def cmd_gp_train(args) -> int:
 
 
 def _parse_ic_box(text: str, n: int) -> np.ndarray:
-    """'lo,hi' (shared) or 'lo,hi;lo,hi;...' (per dimension)."""
+    """'lo,hi' (shared) or 'lo,hi;lo,hi;...' (per dimension), as an (n, 2)
+    array that ``check_ic_box`` accepts."""
     try:
         pairs = [[float(v) for v in part.split(",")] for part in text.split(";")]
     except ValueError as err:
@@ -583,7 +585,7 @@ def _parse_ic_box(text: str, n: int) -> np.ndarray:
         pairs = pairs * n
     if len(pairs) != n:
         raise ConfigError(f"--ic-box needs 1 or {n} pairs, got {len(pairs)}")
-    return np.asarray(pairs, dtype=float)
+    return check_ic_box(pairs, n)
 
 
 def cmd_montecarlo(args) -> int:

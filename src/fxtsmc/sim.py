@@ -14,11 +14,12 @@ is purely state-driven and deterministic.
 In euler mode the plant state and the sliding integral step together with
 the same shared integrand evaluation the control law used, which keeps the
 discrete surface dynamics an exact algebraic cancellation (s_{k+1} = s_k -
-h*reach + h*d up to one rounding) — several tests pin that property. In rk4
-mode the plant advances through the classical stages (controller re-evaluated
-at stage states, sliding integral frozen at its step-start value) and the
-integral still accumulates rectangle-rule style, while the guard falls back to
-trial halving.
+h*reach + h*d up to one rounding) — several tests pin that property. rk4
+mode differs only in the increment of a step or substep: the plant advances
+through the classical stages (controller re-evaluated at stage states,
+sliding integral frozen at its step-start value), while the integral still
+accumulates rectangle-rule style and the same guard sizes the substeps from
+the rate at their start.
 
 One step loop serves a single run and a Monte-Carlo batch alike: it steps a
 state of shape (n,) or a block (R, n) of independent runs. Every operation
@@ -77,7 +78,6 @@ CONTROLLER_MODES = ("known-model", "gp-based", "open-loop")
 GUARD_REL = 0.5
 GUARD_ABS = 1.0
 MAX_SUBSTEPS = 100_000
-MIN_RK4_FRACTION = 1e-12
 
 DEFAULT_SETTLE_THRESHOLD = 1e-2
 
@@ -327,12 +327,9 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
             sink.row(k, x, z, s, u, f_used)
             if k == n_steps:
                 return t_grid, xd_grid, d_grid
-            if rk4:
-                x_next, integral_next = _advance_rk4(x, integral, t, h, eval_loop)
-            else:
-                x_next, integral_next = _advance_euler(
-                    x, integral, t, h, z, s, dx, integ, eval_loop, arrays
-                )
+            x_next, integral_next = _advance(
+                x, integral, t, h, z, s, dx, integ, eval_loop, arrays, rk4
+            )
             if not np.isfinite(x_next).all():
                 raise _state_errors(x_next, "after step", t)
         except RunErrors as err:
@@ -443,16 +440,17 @@ def _row_rates(rz, rs):
     return worst / GUARD_REL
 
 
-def _advance_euler(x, integral, t, h, z, s, dx, integ, eval_loop, arrays):
-    """One macro step of every run, each split into guard-sized Euler substeps
-    where its own rates call for it.
+def _advance(x, integral, t, h, z, s, dx, integ, eval_loop, arrays, rk4):
+    """One macro step of every run, each split into guard-sized substeps where
+    its own rates call for it. A step or substep adds h_sub * dx, or in rk4
+    mode the ``_rk4_increment`` from that rate.
 
     ``integ`` is None (and ``arrays`` unused) when no surface is tracked. When
     one max of the rates, or failing that one max of the guard ratios, over
     the whole block shows every run inside the guard, all take the plain
-    step, identical to an unguarded loop. Otherwise the runs outside
-    it substep together, each with its own remaining time, substep size and
-    local time, until each has covered h.
+    step, identical to an unguarded loop. Otherwise every run substeps, each
+    with its own remaining time, substep size and local time, until each has
+    covered h; a run inside the guard covers it in one substep.
     """
     # dz/dt differs from dx/dt only by the (bounded) reference rate, which
     # is negligible whenever the guard can trigger, so dx stands in for
@@ -472,17 +470,19 @@ def _advance_euler(x, integral, t, h, z, s, dx, integ, eval_loop, arrays):
         plain = h * (float((rz if rs is None else np.maximum(rz, rs)).max()) / GUARD_REL) <= 1.0
     if plain:
         # Operating band: single plain step, identical to an unguarded loop.
-        return x + h * dx, integral if integ is None else integral + h * integ
+        step = _rk4_increment(x, t, integral, h, dx, eval_loop) if rk4 else h * dx
+        return x + step, integral if integ is None else integral + h * integ
 
     shape, n = x.shape, x.shape[-1]
     x, integral, dx = x.reshape(-1, n), integral.reshape(-1, n), dx.reshape(-1, n)
-    rate = _row_rates(rz.reshape(-1, n), None if rs is None else rs.reshape(-1, n))
-    x_out = x + h * dx
-    i_out = integral if integ is None else integral + h * integ.reshape(-1, n)
-    rows = np.flatnonzero(~(h * rate <= 1.0))
-    x, integral, dx, rate = x[rows], integral[rows], dx[rows], rate[rows]
     if integ is not None:
-        integ, ds = integ.reshape(-1, n)[rows], ds.reshape(-1, n)[rows]
+        integ, ds = integ.reshape(-1, n), ds.reshape(-1, n)
+    rate = _row_rates(rz.reshape(-1, n), None if rs is None else rs.reshape(-1, n))
+    # a run inside the guard covers h in its first substep, its plain step,
+    # even where 1/rate rounds below h
+    rate = np.where(h * rate <= 1.0, 0.0, rate)
+    x_out, i_out = np.empty_like(x), np.empty_like(integral)
+    rows = np.arange(len(x))
     remaining = np.full(rows.size, h)
     n_sub = 0
     while True:
@@ -502,15 +502,20 @@ def _advance_euler(x, integral, t, h, z, s, dx, integ, eval_loop, arrays):
             raise _row_errors(~finite, rate_error).at(rows)
         h_allow = np.divide(1.0, rate, out=remaining.copy(), where=rate > 0.0)
         h_sub = np.where(h_allow >= remaining, remaining, h_allow)
-        x = x + h_sub[:, None] * dx
+        if rk4:
+            try:
+                x = x + _rk4_increment(x, t + (h - remaining), integral, h_sub, dx, eval_loop)
+            except RunErrors as err:
+                raise err.at(rows) from None
+        else:
+            x = x + h_sub[:, None] * dx
         if integ is not None:
             integral = integral + h_sub[:, None] * integ
         remaining = remaining - h_sub
         done = remaining <= 0.0
         if done.any():
             x_out[rows[done]] = x[done]
-            if integ is not None:
-                i_out[rows[done]] = integral[done]
+            i_out[rows[done]] = integral[done]
             if done.all():
                 return x_out.reshape(shape), i_out.reshape(shape)
             left = ~done
@@ -524,82 +529,26 @@ def _advance_euler(x, integral, t, h, z, s, dx, integ, eval_loop, arrays):
             raise RunErrors({int(r): SimulationDivergedError(message, t=t) for r in rows})
         if not np.isfinite(x).all():
             raise _state_errors(x, "during substepping", t).at(rows)
-        t_local = t + (h - remaining)
         try:
-            z, s, _, _, dx, integ = eval_loop(x, t_local, integral)
+            z, s, _, _, dx, integ = eval_loop(x, t + (h - remaining), integral)
         except RunErrors as err:
             raise err.at(rows) from None
         ds = None if integ is None else dx + arrays.alpha1 * integ
         rate = _row_rates(*_guard_ratios(z, s, dx, ds))
 
 
-def _advance_rk4(x, integral, t, h, eval_loop):
-    """One macro step of every run via classical rk4, each run halving its own
-    trial step under the guard.
-
-    Stage evaluations re-run the controller at the stage state and time with
-    the sliding integral frozen at its substep-start value; the integral then
-    accumulates rectangle-rule from the substep-start integrand.
-    """
-    shape, n = x.shape, x.shape[-1]
-    x, integral = x.reshape(-1, n), integral.reshape(-1, n)
-    x_out, i_out = np.empty_like(x), np.empty_like(integral)
-    rows = np.arange(len(x))
-    remaining = np.full(rows.size, h)
-    h_try = remaining.copy()
-    n_sub = 0
-    while rows.size:
-        h_sub = np.where(h_try >= remaining, remaining, h_try)
-        hs = h_sub[:, None]
-        t0 = t + (h - remaining)
-        try:
-            z0, _, _, _, k1, integ0 = eval_loop(x, t0, integral)
-            with np.errstate(over="ignore", invalid="ignore"):
-                k2 = eval_loop(x + 0.5 * hs * k1, t0 + 0.5 * h_sub, integral)[4]
-                k3 = eval_loop(x + 0.5 * hs * k2, t0 + 0.5 * h_sub, integral)[4]
-                k4 = eval_loop(x + hs * k3, t0 + h_sub, integral)[4]
-                delta = (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        except RunErrors as err:
-            raise err.at(rows) from None
-        x_new = x + delta
-        with np.errstate(over="ignore", invalid="ignore"):
-            z_new = x_new - (x - z0)  # same reference sample: z moves with x
-            moved = np.abs(z_new - z0) <= GUARD_REL * (np.abs(z0) + GUARD_ABS) + 1e-12
-        ok = np.isfinite(x_new).all(axis=1) & moved.all(axis=1)
-        h_try = np.where(ok, 2.0 * h_sub, 0.5 * h_sub)
-        stalled = ~ok & (h_try < h * MIN_RK4_FRACTION)
-        if stalled.any():
-            raise _row_errors(
-                stalled,
-                lambda r: SimulationDivergedError(
-                    f"rk4 halving stalled below {MIN_RK4_FRACTION:g} of the step "
-                    f"at t = {t:g}",
-                    t=t,
-                ),
-            ).at(rows)
-        x = np.where(ok[:, None], x_new, x)
-        if integ0 is not None:
-            integral = np.where(ok[:, None], integral + hs * integ0, integral)
-        remaining = np.where(ok, remaining - h_sub, remaining)
-        n_sub += 1
-        if n_sub > MAX_SUBSTEPS:
-            raise RunErrors({
-                int(r): SimulationDivergedError(
-                    f"rk4 guard exceeded {MAX_SUBSTEPS} "
-                    f"{'substeps' if advanced else 'attempts'} within the macro step "
-                    f"at t = {t:g}",
-                    t=t,
-                )
-                for r, advanced in zip(rows, ok)
-            })
-        done = remaining <= 0.0
-        if done.any():
-            x_out[rows[done]] = x[done]
-            i_out[rows[done]] = integral[done]
-            left = ~done
-            rows, x, integral = rows[left], x[left], integral[left]
-            remaining, h_try = remaining[left], h_try[left]
-    return x_out.reshape(shape), i_out.reshape(shape)
+def _rk4_increment(x, t, integral, h, k1, eval_loop):
+    """The classical rk4 increment over ``h`` from ``x`` at ``t``, where ``k1``
+    is the rate already evaluated there. ``h`` and ``t`` are floats, or one
+    substep size and local time per row of a block ``x``. The three stage
+    evaluations re-run the controller at the stage states and times with the
+    sliding integral frozen at its start value."""
+    hs = h if np.ndim(h) == 0 else h[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        k2 = eval_loop(x + 0.5 * hs * k1, t + 0.5 * h, integral)[4]
+        k3 = eval_loop(x + 0.5 * hs * k2, t + 0.5 * h, integral)[4]
+        k4 = eval_loop(x + hs * k3, t + h, integral)[4]
+        return (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 # --- settling measurement ------------------------------------------------------
@@ -751,19 +700,7 @@ def run_monte_carlo(
     if runs < 1:
         raise ParameterError(f"need runs >= 1, got {runs}")
     n = template.system.n
-    box = np.asarray(ic_box, dtype=float)
-    if box.shape != (n, 2) or np.any(box[:, 1] < box[:, 0]):
-        raise ParameterError(
-            f"ic_box must be {n} ordered (low, high) pairs, got {ic_box!r}"
-        )
-    # uniform draws need a finite width high - low, and they then stay in the
-    # box; a bound that is not finite makes its width not finite too
-    with np.errstate(over="ignore", invalid="ignore"):
-        width = box[:, 1] - box[:, 0]
-    if not np.isfinite(width).all():
-        raise ParameterError(
-            f"ic_box bounds and widths high - low must be finite, got {box.tolist()}"
-        )
+    box = check_ic_box(ic_box, n)
     rng = np.random.default_rng(seed)
     x0s = rng.uniform(box[:, 0], box[:, 1], size=(runs, n))
     if bounds is None and template.mode == "known-model":
@@ -818,6 +755,25 @@ def run_monte_carlo(
         seed=seed,
         aggregate=aggregate,
     )
+
+
+def check_ic_box(ic_box, n: int) -> np.ndarray:
+    """``ic_box`` as an (n, 2) array of ordered (low, high) pairs whose bounds
+    and widths high - low are finite, or a ParameterError."""
+    box = np.asarray(ic_box, dtype=float)
+    if box.shape != (n, 2) or np.any(box[:, 1] < box[:, 0]):
+        raise ParameterError(
+            f"ic_box must be {n} ordered (low, high) pairs, got {ic_box!r}"
+        )
+    # uniform draws need a finite width high - low, and they then stay in the
+    # box; a bound that is not finite makes its width not finite too
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = box[:, 1] - box[:, 0]
+    if not np.isfinite(width).all():
+        raise ParameterError(
+            f"ic_box bounds and widths high - low must be finite, got {box.tolist()}"
+        )
+    return box
 
 
 class _BatchStats:

@@ -242,11 +242,19 @@ def test_montecarlo_rejects_malformed_box(capsys):
     assert "lo,hi" in err
 
 
-@pytest.mark.parametrize("box", ["0,inf", "nan,nan", "-inf,0", "-1e308,1e308"])
-def test_montecarlo_rejects_non_finite_box_or_width(capsys, box):
-    # -1e308,1e308 has finite bounds, but its width overflows
+BAD_BOXES = ["0,inf", "nan,nan", "-inf,0", "-1e308,1e308"]
+
+
+@pytest.mark.parametrize(
+    "config, box",
+    [pytest.param(KNOWN, box, id=box) for box in BAD_BOXES]
+    + [pytest.param(GP, box, id=f"{box}-pmsm-gp") for box in BAD_BOXES],
+)
+def test_montecarlo_rejects_non_finite_box_or_width(capsys, config, box):
+    # -1e308,1e308 has finite bounds, but its width overflows; the gp-based
+    # pilot run from the box corner must not run before the box is checked
     code, _, err = run_cli(
-        capsys, "montecarlo", str(KNOWN), "--runs", "1", f"--ic-box={box}", *FAST
+        capsys, "montecarlo", str(config), "--runs", "1", f"--ic-box={box}", *FAST
     )
     assert code == 2
     assert "ic_box bounds and widths high - low must be finite" in err

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from scipy.special import erf, erfinv
 
 from fxtsmc.errors import ParameterError, SimulationDivergedError
 from fxtsmc.numerics import EXP_CLAMP, StepConfig, safe_exp, signed_power
 from fxtsmc.sim import Scenario, simulate
-from fxtsmc.system import SystemModel, zero_reference
+from fxtsmc.system import SystemModel, make_lemma2_plant, zero_reference
 
 
 @pytest.mark.parametrize(
@@ -133,6 +134,22 @@ def test_integrate_step_rk4_exponential_one_step():
 def test_rk4_exponential_over_unit_interval():
     traj = open_loop(lambda x: x, [1.0], 1e-3, 1.0, method="rk4")
     assert traj.x[-1, 0] == pytest.approx(np.e, abs=1e-9)
+
+
+@pytest.mark.parametrize("method, low, high", [("euler", 0.95, 1.05), ("rk4", 3.9, 4.1)])
+def test_convergence_order_on_the_lemma2_oracle(method, low, high):
+    # Open loop from x0 = 1 the lemma2 plant has erf(x(t)) = erf(1) - t; up to
+    # t = 0.4 x stays away from the sign switch at 0, so each halving of h
+    # must cut the error at t = 0.4 by 2**order, order 1 for euler and 4 for
+    # rk4.
+    drift = make_lemma2_plant(1.0).drift
+    exact = erfinv(erf(1.0) - 0.4)
+    errors = [
+        abs(open_loop(drift, [1.0], h, 0.4, method=method).x[-1, 0] - exact)
+        for h in 0.02 / 2.0 ** np.arange(5)
+    ]
+    observed = np.log2(np.divide(errors[:-1], errors[1:]))
+    assert np.all((low <= observed) & (observed <= high)), observed
 
 
 def test_integrate_step_reports_non_finite_channel():

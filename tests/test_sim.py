@@ -783,8 +783,8 @@ def test_batch_with_boundary_layer_sign_equals_single_runs():
 
 
 def test_batch_rk4_equals_single_runs():
-    # From +-3 some rk4 trial steps fail the guard and are halved, each run
-    # keeping its own trial step.
+    # From +-3 some runs leave the guard and take rk4 substeps, each run on
+    # its own substep sizes and local times.
     system, evaluated = counting_drift(make_pmsm())
     template = Scenario(
         system=system,
@@ -796,9 +796,38 @@ def test_batch_rk4_equals_single_runs():
     )
     runs, steps = 5, template.step.n_steps
     result = run_monte_carlo(template, [(-3.0, 3.0)] * 3, runs=runs, seed=4)
-    assert evaluated[0] > runs * (steps + 1 + 4 * steps)  # halvings were taken
+    assert evaluated[0] > runs * (4 * steps + 1)  # substeps were taken
     assert result.aggregate["n_settled"] == runs
     assert_batch_equals_single_runs(template, [(-3.0, 3.0)] * 3, runs, 4)
+
+
+def rk4_pmsm(x0, system=None, reference=None, t_end=1.0):
+    return Scenario(
+        system=system or make_pmsm(),
+        reference=reference or zero_reference(3),
+        params=standard_channels(),
+        x0=np.asarray(x0, dtype=float),
+        step=StepConfig(step_size=1e-3, t_end=t_end, method="rk4"),
+        settle_threshold=0.02,
+    )
+
+
+def test_rk4_settles_from_a_start_outside_the_guard():
+    # From [5, -5, 5] the first steps substep; rk4 settles as euler does.
+    scenario = rk4_pmsm([5.0, -5.0, 5.0])
+    summary = summarize_run(simulate(scenario), scenario)
+    assert summary.settled
+    assert summary.all_bounds_satisfied
+
+
+def test_rk4_in_band_evaluates_the_rate_once_per_stage():
+    # In band every step is one plain rk4 step: the rate at the grid row is
+    # the first stage, and three more stages follow.
+    system, evaluated = counting_drift(make_pmsm())
+    reference = sinusoid_reference([1.0, 0.5, 0.2], [3.0, 2.0, 1.0], [0.0, 0.3, 0.6])
+    scenario = rk4_pmsm([1.0, -1.0, 1.0], system, reference, t_end=0.5)
+    simulate(scenario)
+    assert evaluated[0] == 4 * scenario.step.n_steps + 1
 
 
 def test_batch_gp_based_equals_single_runs():
@@ -847,7 +876,7 @@ def test_batch_records_exhausted_substep_budget_like_single_runs(
     monkeypatch, method, box, budget
 ):
     # A tiny budget makes the runs that need more substeps fail inside a
-    # macro step; rk4 fails on a halved attempt or on a taken substep.
+    # macro step; euler and rk4 share the one substep loop and its budget.
     monkeypatch.setattr(sim, "MAX_SUBSTEPS", budget)
     template = Scenario(
         system=make_pmsm(),
