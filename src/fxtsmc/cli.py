@@ -182,7 +182,7 @@ CONFIG_SCHEMA = {
                             "minItems": 1,
                         },
                         "sigma_f": {"type": "number", "minimum": 0},
-                        "seed": {"type": "integer"},
+                        "seed": {"type": "integer", "minimum": 0},
                     },
                 },
                 "chi": {"type": "number", "exclusiveMinimum": 0},
@@ -661,9 +661,17 @@ def cmd_validate(args) -> int:
 
 
 def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
+
+
+def _int_at_least(text: str, low: int) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
 
 
@@ -693,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_gp)
     p_gp.add_argument("-n", "--n-samples", type=_positive_int, default=None,
                       help="training points per channel (overrides gp.generate)")
-    p_gp.add_argument("--seed", type=int, default=None, help="dataset RNG seed")
+    p_gp.add_argument("--seed", type=_non_negative_int, default=None, help="dataset RNG seed")
     p_gp.set_defaults(func=cmd_gp_train)
 
     p_mc = sub.add_parser("montecarlo", help="batch of runs over an IC box")
@@ -704,7 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--runs", type=_positive_int, required=True)
     p_mc.add_argument("--ic-box", required=True,
                       help="'lo,hi' shared or 'lo,hi;lo,hi;...' per dimension")
-    p_mc.add_argument("--seed", type=int, default=0)
+    p_mc.add_argument("--seed", type=_non_negative_int, default=0)
     p_mc.add_argument("--require-settled", action="store_true",
                       help="exit 5 unless every run settles")
     p_mc.add_argument("--require-bound", action="store_true",

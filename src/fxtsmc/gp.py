@@ -414,6 +414,10 @@ def load_datasets(csv_path) -> tuple[list[GPDataset], dict]:
     except (TypeError, ValueError) as err:
         raise ConfigError(f"{sidecar}: sigma_f must be a number: {err}") from err
     seed = meta.get("seed")
+    if seed is not None and not (
+        isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0
+    ):
+        raise ConfigError(f"{sidecar}: seed must be a non-negative integer, got {seed!r}")
     datasets = [
         GPDataset(
             inputs=data[:, :dim], targets=data[:, dim + i], noise_std=sigma_f, seed=seed

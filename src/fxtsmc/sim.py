@@ -27,16 +27,19 @@ acts elementwise or per row, so each run of a block gets the numbers its own
 single run gets, bit for bit. Substepping is per run: only the runs outside
 the guard substep, together, each on its own remaining time and local time.
 A failed run of a block is recorded and dropped, and the others carry on.
-A batch reduces each grid row per run as it is made (settling rows, max |u|,
-and the max |s| since the error last left its band, the chatter amplitude),
-so it keeps no array that grows with rows times runs.
+A batch buffers a chunk of grid rows and reduces it per run in one pass
+(settling rows, max |u|, and the max |s| since the error last left its band,
+the chatter amplitude), so it keeps no array that grows with rows times runs.
+The law's per-channel constants take the shape of the block they act on.
 
 The loop evaluates per step only what depends on the state. The reference,
 its derivative and the perturbation depend on time alone: they are evaluated
 once over the whole grid, each in one call with the grid as an array of
 times, and the declared perturbation bound is audited there; guard substeps
-and rk4 stages still call them at their local times; a Scenario checks at
-construction that each accepts an array of times. A gain declared as a
+and rk4 stages still call them at their local times, except a substep whose
+local times have not moved since the substep before, which reuses that
+substep's values; a Scenario checks at construction that each accepts an
+array of times. A gain declared as a
 ``ConstantGain`` was checked when built and is used as its value. Any other
 gain is called and checked at every evaluation; before the loop, one call
 on a block of two states checks that it accepts a block, and a batch also
@@ -80,6 +83,11 @@ GUARD_ABS = 1.0
 MAX_SUBSTEPS = 100_000
 
 DEFAULT_SETTLE_THRESHOLD = 1e-2
+
+# A batch reduces its grid rows a chunk at a time: the z, s and u buffers of
+# one chunk take about CHUNK_BYTES, and hold at most CHUNK_ROWS rows.
+CHUNK_BYTES = 2**20
+CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -283,41 +291,62 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
     integral = np.zeros_like(x)
     zeros = np.zeros(n)
 
-    def eval_loop(x_cur, t_cur, integral_cur, k=None):
-        """One full controller + dynamics evaluation at (x, t, I): the only
-        place the control law is evaluated. ``t_cur`` is a float, or one
-        local time per row of a block ``x_cur``; at grid row ``k`` the time
-        signals are read from the grid instead of evaluated at ``t_cur``.
+    def signals_at(t_cur):
+        """(x_d, d, x_d') at ``t_cur``, a float or one local time per row."""
+        return ref_value(t_cur), pert(t_cur), ref_deriv(t_cur) if closed_loop else None
 
-        Returns (z, s, u, f_used, dx, integ) with dx = f + g*u + d; integ is
-        None when no surface is tracked (open loop without gains).
+    # The law's constants in the shape of the states they act on: (n,) for
+    # one state; for a block, leading rows of (R, n) copies, which serve every
+    # smaller block too. An op between two arrays of one block shape costs
+    # about half of one that broadcasts an (n,) operand over the block.
+    law = None if arrays is None else (
+        arrays.alpha1, arrays.exponent, arrays.reach_gain, arrays.eps, fixed_gain
+    )
+    law_rows = None if law is None else [
+        None if c is None else np.tile(c, (x.size // n, 1)) for c in law
+    ]
+    law_shape = None  # the state shape the constants below are taken for
+    alpha1 = exponent = reach_gain = eps = g_fixed = None
+
+    def eval_loop(x_cur, signals, integral_cur):
+        """One full controller + dynamics evaluation at (x, t, I): the only
+        place the control law is evaluated. ``signals`` holds (x_d, d, x_d')
+        at t, from ``signals_at`` or read from the grid.
+
+        Returns (z, s, u, f_used, dx, integ, alpha1 * integ) with dx = f + g*u
+        + d; integ and alpha1 * integ are None when no surface is tracked
+        (open loop without gains).
         """
-        if k is None:
-            xd, d = ref_value(t_cur), pert(t_cur)
-        else:
-            xd, d = xd_grid[k], d_grid[k]
+        nonlocal law_shape, alpha1, exponent, reach_gain, eps, g_fixed
+        xd, d, xd_dot = signals
         z = x_cur - xd
         f = drift(x_cur)
-        if arrays is None:
-            return z, z, zeros, f, f + d, None
-        integ = integrand(z, arrays.exponent)
-        s = z + arrays.alpha1 * integral_cur
+        if law is None:
+            return z, z, zeros, f, f + d, None, None
+        if x_cur.shape != law_shape:
+            law_shape = x_cur.shape
+            alpha1, exponent, reach_gain, eps, g_fixed = law if x_cur.ndim == 1 else (
+                None if c is None else c[: len(x_cur)] for c in law_rows
+            )
+        integ = integrand(z, exponent)
+        s = z + alpha1 * integral_cur
+        alpha1_integ = alpha1 * integ
         if open_loop:
-            return z, s, zeros, f, f + d, integ
-        g = fixed_gain if fixed_gain is not None else check_gain(gain(x_cur), x_cur, n)
-        sgn = np.sign(s) if arrays.plain_sign else sign_or_layer(s, arrays.eps)
-        reach = arrays.reach_gain * safe_exp(s * s) * sgn
+            return z, s, zeros, f, f + d, integ, alpha1_integ
+        g = g_fixed if g_fixed is not None else check_gain(gain(x_cur), x_cur, n)
+        sgn = np.sign(s) if arrays.plain_sign else sign_or_layer(s, eps)
+        reach = reach_gain * safe_exp(s * s) * sgn
         f_used = f if estimator is None else estimator(x_cur)
-        xd_dot = ref_deriv(t_cur) if k is None else xdot_grid[k]
-        u = -(f_used + arrays.alpha1 * integ - xd_dot + reach) / g
+        u = -(f_used + alpha1_integ - xd_dot + reach) / g
         dx = f + g * u + d
-        return z, s, u, f_used, dx, integ
+        return z, s, u, f_used, dx, integ, alpha1_integ
 
     k = 0
     while True:
         t = float(t_grid[k])
         try:
-            z, s, u, f_used, dx, integ = eval_loop(x, t, integral, k)
+            signals = (xd_grid[k], d_grid[k], None if xdot_grid is None else xdot_grid[k])
+            z, s, u, f_used, dx, integ, alpha1_integ = eval_loop(x, signals, integral)
             if k == bad_k:
                 # d depends on t alone, so every run fails here at once
                 raise RunErrors({
@@ -328,7 +357,7 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
             if k == n_steps:
                 return t_grid, xd_grid, d_grid
             x_next, integral_next = _advance(
-                x, integral, t, h, z, s, dx, integ, eval_loop, arrays, rk4
+                x, integral, t, h, z, s, dx, integ, alpha1_integ, eval_loop, signals_at, rk4
             )
             if not np.isfinite(x_next).all():
                 raise _state_errors(x_next, "after step", t)
@@ -440,22 +469,24 @@ def _row_rates(rz, rs):
     return worst / GUARD_REL
 
 
-def _advance(x, integral, t, h, z, s, dx, integ, eval_loop, arrays, rk4):
+def _advance(x, integral, t, h, z, s, dx, integ, alpha1_integ, eval_loop, signals_at, rk4):
     """One macro step of every run, each split into guard-sized substeps where
     its own rates call for it. A step or substep adds h_sub * dx, or in rk4
     mode the ``_rk4_increment`` from that rate.
 
-    ``integ`` is None (and ``arrays`` unused) when no surface is tracked. When
+    ``integ`` and ``alpha1_integ`` are None when no surface is tracked. When
     one max of the rates, or failing that one max of the guard ratios, over
     the whole block shows every run inside the guard, all take the plain
     step, identical to an unguarded loop. Otherwise every run substeps, each
     with its own remaining time, substep size and local time, until each has
-    covered h; a run inside the guard covers it in one substep.
+    covered h; a run inside the guard covers it in one substep. The time
+    signals of a substep are those of the one before when no run's local time
+    has moved, since they depend on time alone.
     """
     # dz/dt differs from dx/dt only by the (bounded) reference rate, which
     # is negligible whenever the guard can trigger, so dx stands in for
     # the z rate.
-    ds = None if integ is None else dx + arrays.alpha1 * integ
+    ds = None if integ is None else dx + alpha1_integ
     # Each guard ratio |dz|/(|z| + GUARD_ABS) is at most |dz| in floating
     # point, its denominator being at least 1, so rates that pass this bound
     # pass the ratio test below. A NaN rate fails the bound. A NaN z (from a
@@ -470,7 +501,7 @@ def _advance(x, integral, t, h, z, s, dx, integ, eval_loop, arrays, rk4):
         plain = h * (float((rz if rs is None else np.maximum(rz, rs)).max()) / GUARD_REL) <= 1.0
     if plain:
         # Operating band: single plain step, identical to an unguarded loop.
-        step = _rk4_increment(x, t, integral, h, dx, eval_loop) if rk4 else h * dx
+        step = _rk4_increment(x, t, integral, h, dx, eval_loop, signals_at) if rk4 else h * dx
         return x + step, integral if integ is None else integral + h * integ
 
     shape, n = x.shape, x.shape[-1]
@@ -484,6 +515,7 @@ def _advance(x, integral, t, h, z, s, dx, integ, eval_loop, arrays, rk4):
     x_out, i_out = np.empty_like(x), np.empty_like(integral)
     rows = np.arange(len(x))
     remaining = np.full(rows.size, h)
+    t_signals = signals = None
     n_sub = 0
     while True:
         finite = np.isfinite(rate)
@@ -501,10 +533,12 @@ def _advance(x, integral, t, h, z, s, dx, integ, eval_loop, arrays, rk4):
 
             raise _row_errors(~finite, rate_error).at(rows)
         h_allow = np.divide(1.0, rate, out=remaining.copy(), where=rate > 0.0)
-        h_sub = np.where(h_allow >= remaining, remaining, h_allow)
+        h_sub = np.minimum(h_allow, remaining)
         if rk4:
             try:
-                x = x + _rk4_increment(x, t + (h - remaining), integral, h_sub, dx, eval_loop)
+                x = x + _rk4_increment(
+                    x, t + (h - remaining), integral, h_sub, dx, eval_loop, signals_at
+                )
             except RunErrors as err:
                 raise err.at(rows) from None
         else:
@@ -529,15 +563,20 @@ def _advance(x, integral, t, h, z, s, dx, integ, eval_loop, arrays, rk4):
             raise RunErrors({int(r): SimulationDivergedError(message, t=t) for r in rows})
         if not np.isfinite(x).all():
             raise _state_errors(x, "during substepping", t).at(rows)
+        t_local = t + (h - remaining)
+        # a substep shorter than half the float spacing of the remaining
+        # time leaves the local time where it was
+        if t_signals is None or t_local.shape != t_signals.shape or (t_local != t_signals).any():
+            t_signals, signals = t_local, signals_at(t_local)
         try:
-            z, s, _, _, dx, integ = eval_loop(x, t + (h - remaining), integral)
+            z, s, _, _, dx, integ, alpha1_integ = eval_loop(x, signals, integral)
         except RunErrors as err:
             raise err.at(rows) from None
-        ds = None if integ is None else dx + arrays.alpha1 * integ
+        ds = None if integ is None else dx + alpha1_integ
         rate = _row_rates(*_guard_ratios(z, s, dx, ds))
 
 
-def _rk4_increment(x, t, integral, h, k1, eval_loop):
+def _rk4_increment(x, t, integral, h, k1, eval_loop, signals_at):
     """The classical rk4 increment over ``h`` from ``x`` at ``t``, where ``k1``
     is the rate already evaluated there. ``h`` and ``t`` are floats, or one
     substep size and local time per row of a block ``x``. The three stage
@@ -545,9 +584,10 @@ def _rk4_increment(x, t, integral, h, k1, eval_loop):
     sliding integral frozen at its start value."""
     hs = h if np.ndim(h) == 0 else h[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        k2 = eval_loop(x + 0.5 * hs * k1, t + 0.5 * h, integral)[4]
-        k3 = eval_loop(x + 0.5 * hs * k2, t + 0.5 * h, integral)[4]
-        k4 = eval_loop(x + hs * k3, t + h, integral)[4]
+        mid = signals_at(t + 0.5 * h)
+        k2 = eval_loop(x + 0.5 * hs * k1, mid, integral)[4]
+        k3 = eval_loop(x + 0.5 * hs * k2, mid, integral)[4]
+        k4 = eval_loop(x + hs * k3, signals_at(t + h), integral)[4]
         return (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -690,8 +730,8 @@ def run_monte_carlo(
 
     ``ic_box`` is a per-dimension sequence of (low, high) pairs. All runs are
     stepped together as one (runs, n) block through the loop ``simulate``
-    uses, and each grid row is reduced as it is made, so no trajectory is
-    kept; every summary equals ``summarize_run`` of that run's ``simulate``.
+    uses, and the grid rows are reduced a chunk at a time, so no trajectory
+    is kept; every summary equals ``summarize_run`` of that run's ``simulate``.
     A run's error becomes a failure record with the type and message its own
     ``simulate`` raises; that run is dropped and the batch carries on. The
     aggregate reports the worst settling time, the bound-satisfaction
@@ -708,6 +748,7 @@ def run_monte_carlo(
 
     stats = _BatchStats(template, runs)
     t, _, _ = _step_loop(template, x0s.copy(), stats)
+    stats.flush()
     summaries: list[Optional[RunSummary]] = [None] * runs
     for j, i in enumerate(stats.runs):
         summaries[i] = _summary(
@@ -777,45 +818,77 @@ def check_ic_box(ic_box, n: int) -> np.ndarray:
 
 
 class _BatchStats:
-    """Sink of ``_step_loop`` for a batch: each grid row reduced per run.
+    """Sink of ``_step_loop`` for a batch: the grid rows reduced per run, a
+    chunk of rows at a time.
 
-    Per (run, channel) it keeps the last row where |z| (|s|) is not below the
-    threshold, which gives the settling times; per run the running max |u|,
-    and the running max |s| since the last row where some |z| channel was not
-    below the threshold, which is the chatter amplitude from t* on. Failed
-    runs are recorded and dropped.
+    Each row's z, s and u are copied into a buffer of ``chunk`` rows, and a
+    full buffer is reduced in one vectorized pass. Per (run, channel) the
+    reduction keeps the last row where |z| (|s|) is not below the threshold,
+    which gives the settling times; per run the max |u|, and the max |s|
+    since the last row where some |z| channel was not below the threshold,
+    which is the chatter amplitude from t* on. ``fail`` reduces the buffered
+    rows before it records and drops failed runs; ``flush`` reduces them at
+    the end. The loop sends rows in order, and a row it redoes after a
+    failure comes after a flush, so a buffer holds consecutive rows.
     """
 
     def __init__(self, template: Scenario, runs: int):
         n = template.system.n
         self.threshold = template.settle_threshold
+        self.chunk = min(CHUNK_ROWS, max(1, CHUNK_BYTES // (24 * runs * n)))
         self.runs = np.arange(runs)
         self.failures = {}
         self.last_z = np.full((runs, n), -1)
         self.last_s = np.full((runs, n), -1)
         self.max_u = np.full(runs, -np.inf)
         self.tail_s = np.full(runs, -np.inf)
+        self._buffer(runs, n)
+
+    def _buffer(self, runs, n):
+        self.z, self.s, self.u = np.empty((3, self.chunk, runs, n))
+        self.k0 = self.m = 0
 
     def row(self, k, x, z, s, u, f_used):
+        m = self.m
+        if m == 0:
+            self.k0 = k
+        self.z[m], self.s[m], self.u[m] = z, s, u
+        self.m = m + 1
+        if self.m == self.chunk:
+            self.flush()
+
+    def flush(self):
+        m, self.m = self.m, 0
+        if m == 0:
+            return
+        abs_s = np.abs(self.s[:m], out=self.s[:m])
         # "not below" rather than "at or above", so that a NaN counts as
         # unsettled, as it does in measure_settling
-        abs_s = np.abs(s)
-        z_below = np.abs(z) < self.threshold
-        self.last_z = np.where(z_below, self.last_z, k)
-        self.last_s = np.where(abs_s < self.threshold, self.last_s, k)
-        self.max_u = np.maximum(self.max_u, np.abs(u).max(axis=-1))
-        self.tail_s = np.where(
-            z_below.all(axis=-1), np.maximum(self.tail_s, abs_s.max(axis=-1)), -np.inf
-        )
+        z_out = ~(np.abs(self.z[:m]) < self.threshold)
+        self.last_z = _last_true(z_out, self.k0, self.last_z)
+        self.last_s = _last_true(~(abs_s < self.threshold), self.k0, self.last_s)
+        self.max_u = np.maximum(self.max_u, np.abs(self.u[:m]).max(axis=(0, 2)))
+        out_row = _last_true(z_out.any(axis=2), 0, -1)
+        tail = np.where(np.arange(m)[:, None] > out_row, abs_s.max(axis=2), -np.inf).max(axis=0)
+        self.tail_s = np.where(out_row >= 0, tail, np.maximum(self.tail_s, tail))
 
     def fail(self, errors) -> np.ndarray:
+        self.flush()
         keep = np.ones(self.runs.size, dtype=bool)
         keep[list(errors)] = False
         for r, err in errors.items():
             self.failures[int(self.runs[r])] = err
         self.runs, self.last_z, self.last_s = self.runs[keep], self.last_z[keep], self.last_s[keep]
         self.max_u, self.tail_s = self.max_u[keep], self.tail_s[keep]
+        self._buffer(self.runs.size, self.last_z.shape[1])
         return keep
+
+
+def _last_true(mask, first, none) -> np.ndarray:
+    """Per column of ``mask``, a stack of rows numbered from ``first``, the
+    number of its last True row, or ``none`` where it has none."""
+    last = first + len(mask) - 1 - np.argmax(mask[::-1], axis=0)
+    return np.where(mask.any(axis=0), last, none)
 
 
 def _settled_after(last, t) -> np.ndarray:

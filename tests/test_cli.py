@@ -419,6 +419,36 @@ def test_gp_dataset_with_unreadable_sidecar_is_a_config_error(capsys, tmp_path, 
     assert f"{sidecar}: not valid JSON" in err
 
 
+@pytest.mark.parametrize("seed", [-5, "abc", 1.5])
+def test_gp_dataset_sidecar_with_bad_seed_is_a_config_error(capsys, tmp_path, monkeypatch, seed):
+    monkeypatch.chdir(tmp_path)
+    data = write_dataset(tmp_path / "d.csv", DATASET_HEADER, DATASET_ROWS)
+    sidecar = tmp_path / "d.csv.meta.json"
+    sidecar.write_text(json.dumps({"seed": seed}))
+    code, _, err = run_cli(capsys, "gp-train", str(GP), "--set", f"gp={{\"dataset\": \"{data}\"}}")
+    assert code == 2
+    assert f"{sidecar}: seed must be a non-negative integer, got {seed!r}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["montecarlo", str(KNOWN), "--runs", "1", "--ic-box", "-1,1", "--seed", "-1"],
+         "argument --seed: must be >= 0, got -1"),
+        (["gp-train", str(GP), "--seed", "-1"], "argument --seed: must be >= 0, got -1"),
+        (["run", str(GP), "--set", "gp.generate.seed=-1"],
+         "gp/generate/seed: -1 is less than the minimum of 0"),
+    ],
+    ids=["montecarlo", "gp-train", "run-config"],
+)
+def test_negative_seed_is_an_argument_error(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert message in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["run", "montecarlo"])
 def test_infeasible_gp_bound_is_not_replaced(capsys, tmp_path, monkeypatch, command):
     # alpha2 = 2 cannot cover d_bar plus the GP error budget: no bound may be

@@ -754,18 +754,22 @@ def test_nan_reference_without_a_surface_still_fails_the_guard():
         simulate(scenario)
 
 
+def far_sinusoid_template(system=None, t_end=0.2):
+    return Scenario(
+        system=system or make_pmsm(),
+        reference=sinusoid_reference([1.0, 0.5, 0.2], [3.0, 2.0, 1.0], [0.0, 0.3, 0.6]),
+        params=standard_channels(),
+        x0=np.ones(3),
+        step=StepConfig(step_size=1e-3, t_end=t_end),
+        settle_threshold=0.05,
+    )
+
+
 def test_batch_far_box_with_sinusoid_reference_equals_single_runs():
     # From |x0| up to 100 the guard substeps every run, each on its own
     # local times, which the sinusoid reference and perturbation then see.
     system, evaluated = counting_drift(make_pmsm())
-    template = Scenario(
-        system=system,
-        reference=sinusoid_reference([1.0, 0.5, 0.2], [3.0, 2.0, 1.0], [0.0, 0.3, 0.6]),
-        params=standard_channels(),
-        x0=np.ones(3),
-        step=StepConfig(step_size=1e-3, t_end=0.2),
-        settle_threshold=0.05,
-    )
+    template = far_sinusoid_template(system)
     runs = 6
     result = run_monte_carlo(template, [(-100.0, 100.0)] * 3, runs=runs, seed=11)
     assert evaluated[0] > runs * (template.step.n_steps + 1)  # substeps were taken
@@ -846,9 +850,8 @@ def test_batch_gp_based_equals_single_runs():
     assert result.aggregate["n_settled"] == 4
 
 
-def test_batch_with_diverging_runs_records_each_and_carries_on():
-    # x' = 10 x |x| blows up in finite time 1/(10 |x0|): the runs that start
-    # far enough out diverge inside the horizon, the others survive it.
+def blowup_template(t_end=0.5):
+    """x' = 10 x |x|, open loop: it blows up in finite time 1/(10 |x0|)."""
     unstable = SystemModel(
         n=1,
         drift=lambda x: 10.0 * x * np.abs(x),
@@ -857,14 +860,20 @@ def test_batch_with_diverging_runs_records_each_and_carries_on():
         perturbation_bounds=None,
         name="blowup",
     )
-    template = Scenario(
+    return Scenario(
         system=unstable,
         reference=zero_reference(1),
         params=None,
         x0=np.array([0.1]),
-        step=StepConfig(step_size=1e-3, t_end=0.5),
+        step=StepConfig(step_size=1e-3, t_end=t_end),
         mode="open-loop",
     )
+
+
+def test_batch_with_diverging_runs_records_each_and_carries_on():
+    # The runs that start far enough out diverge inside the horizon, the
+    # others survive it.
+    template = blowup_template()
     with np.errstate(over="ignore", invalid="ignore"):
         result = assert_batch_equals_single_runs(template, [(-1.0, 1.0)], 10, 1)
     assert 0 < result.aggregate["n_failed"] < 10
@@ -891,15 +900,13 @@ def test_batch_records_exhausted_substep_budget_like_single_runs(
     assert all(f"exceeded {budget}" in r["message"] for r in result.failures)
 
 
-def test_batch_chatter_after_error_leaves_band_again_equals_single_runs():
-    # A perturbation pulse at t = 0.6 throws the settled error out of its
-    # band; the chatter amplitude then counts only the rows after t*, the
-    # second entry into the band, not those of the first.
+def chatter_pulse_template():
+    """A perturbation pulse at t = 0.6 throws the settled error out of its band."""
     def pulse(t):
         t = np.asarray(t)[..., None]
         return np.where((t >= 0.6) & (t < 0.65), [30.0, -30.0, 30.0], 0.0)
 
-    template = Scenario(
+    return Scenario(
         system=dataclasses.replace(make_pmsm(), perturbation=pulse, perturbation_bounds=None),
         reference=zero_reference(3),
         params=standard_channels(),
@@ -907,6 +914,12 @@ def test_batch_chatter_after_error_leaves_band_again_equals_single_runs():
         step=StepConfig(step_size=1e-3, t_end=1.5),
         settle_threshold=0.05,
     )
+
+
+def test_batch_chatter_after_error_leaves_band_again_equals_single_runs():
+    # After the pulse, the chatter amplitude counts only the rows after t*,
+    # the second entry into the band, not those of the first.
+    template = chatter_pulse_template()
     box = [(-1.0, 1.0)] * 3
     result = assert_batch_equals_single_runs(template, box, 4, 6)
     assert result.aggregate["n_settled"] == 4
@@ -919,9 +932,103 @@ def test_batch_chatter_after_error_leaves_band_again_equals_single_runs():
         assert np.abs(traj.s[:last_out][in_band[:last_out]]).max() > summary.chatter_amplitude
 
 
+def gain_gap_template():
+    """Integrator plant, closed loop at h = 1e-2, whose gain is 0 for x in
+    (0.2, 0.5]: a run fails at one of the first grid rows, as it enters the
+    gap, while the others settle."""
+    plant = make_integrator_plant(1)
+    return Scenario(
+        system=dataclasses.replace(
+            plant, gain=lambda x: np.where((x > 0.2) & (x <= 0.5), 0.0, 1.0)
+        ),
+        reference=zero_reference(1),
+        params=standard_channels(1),
+        x0=np.array([-1.0]),
+        step=StepConfig(step_size=1e-2, t_end=1.0),
+        settle_threshold=0.1,
+    )
+
+
+# (template, box, runs, seed). Grid rows 203, 503, 101 and 1_501: neither 2
+# nor 3 divides them, so the last chunk of rows is a partial one at every
+# chunk size tried below.
+CHUNK_CASES = {
+    "far-sinusoid": (lambda: far_sinusoid_template(t_end=0.202), [(-100.0, 100.0)] * 3, 6, 11),
+    # runs diverge at different rows, some inside a chunk
+    "diverging": (lambda: blowup_template(t_end=0.502), [(-1.0, 1.0)], 10, 1),
+    # runs fail in the first rows, some after rows of their chunk that hold
+    # the survivors' largest |u|
+    "gain-gap": (gain_gap_template, [(-1.0, 1.0)], 10, 2),
+    "chatter-pulse": (chatter_pulse_template, [(-1.0, 1.0)] * 3, 4, 6),
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+@pytest.mark.parametrize("case", list(CHUNK_CASES))
+def test_batch_equals_single_runs_at_any_chunk_size(monkeypatch, case, chunk_rows):
+    # A batch reduces its rows a chunk at a time; the chunk boundaries, a
+    # partial last chunk and runs failing mid-chunk must not change a summary.
+    monkeypatch.setattr(sim, "CHUNK_ROWS", chunk_rows)
+    make_template, box, runs, seed = CHUNK_CASES[case]
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = assert_batch_equals_single_runs(make_template(), box, runs, seed)
+    n_failed = result.aggregate["n_failed"]
+    assert 0 < n_failed < runs if case in ("diverging", "gain-gap") else n_failed == 0
+    if case in ("gain-gap", "chatter-pulse"):
+        # settling times and chatter amplitudes compared too
+        assert result.aggregate["n_settled"] == runs - n_failed
+
+
+class _RowRecorder:
+    """A ``_step_loop`` sink that keeps every row of x, z, s and u."""
+
+    def __init__(self):
+        self.rows = []
+
+    def row(self, k, x, z, s, u, f_used):
+        self.rows.append(np.array([x, z, s, u]))
+
+    @staticmethod
+    def fail(errors):
+        raise next(iter(errors.values()))
+
+
+def test_substeps_that_leave_the_local_time_unmoved_reuse_the_time_signals():
+    # From far out most guard substeps are shorter than half the float
+    # spacing of the remaining time, so the local time does not move and the
+    # perturbation, which depends on time alone, is not evaluated again.
+    calls = [0]
+    pmsm = make_pmsm()
+
+    def perturbation(t):
+        calls[0] += 1
+        return pmsm.perturbation(t)
+
+    system, evaluated = counting_drift(dataclasses.replace(pmsm, perturbation=perturbation))
+    template = dataclasses.replace(pmsm_scenario(step_size=1e-4, t_end=1e-3), system=system)
+    x0s = np.array([[1e3, -1e3, 1e3], [-900.0, 950.0, 1e3], [600.0, 800.0, -700.0]])
+    rows = template.step.n_steps + 1
+    trajectories = []
+    for x0 in x0s:
+        scenario = dataclasses.replace(template, x0=x0)
+        calls[0] = evaluated[0] = 0
+        trajectories.append(simulate(scenario))
+        substeps = evaluated[0] - rows
+        assert calls[0] < substeps
+    # the same starts stepped together as one block: every run's rows equal
+    # its own run's, though the block's local times stall at other substeps
+    recorder = _RowRecorder()
+    sim._step_loop(template, x0s.copy(), recorder)
+    block = np.array(recorder.rows)
+    for r, traj in enumerate(trajectories):
+        for i, column in enumerate((traj.x, traj.z, traj.s, traj.u)):
+            np.testing.assert_array_equal(block[:, i, r], column)
+
+
 def test_batch_memory_does_not_scale_with_rows_times_runs():
-    # Each grid row is reduced per run as it is made: a batch keeps no
-    # (rows, runs) array, which here would be 8 * 2_001 * 1_000 bytes = 16 MB.
+    # A batch reduces its grid rows a chunk at a time, with the chunk sized
+    # from a byte budget: it keeps no (rows, runs) array, which here would
+    # be 8 * 2_001 * 1_000 bytes = 16 MB.
     template = pmsm_scenario(step_size=1e-3, t_end=2.0)
     tracemalloc.start()
     try:
