@@ -669,7 +669,10 @@ def _non_negative_int(text: str) -> int:
 
 
 def _int_at_least(text: str, low: int) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
     if value < low:
         raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value

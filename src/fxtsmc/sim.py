@@ -36,14 +36,24 @@ The loop evaluates per step only what depends on the state. The reference,
 its derivative and the perturbation depend on time alone: they are evaluated
 once over the whole grid, each in one call with the grid as an array of
 times, and the declared perturbation bound is audited there; guard substeps
-and rk4 stages still call them at their local times, except a substep whose
-local times have not moved since the substep before, which reuses that
-substep's values; a Scenario checks at construction that each accepts an
-array of times. A gain declared as a
+and rk4 stages still call them at their local times, except a substep that
+left every run's remaining time, and so its local time, where it was, which
+reuses the values of the substep before; a Scenario checks at construction
+that each accepts an array of times. A gain declared as a
 ``ConstantGain`` was checked when built and is used as its value. Any other
 gain is called and checked at every evaluation; before the loop, one call
 on a block of two states checks that it accepts a block, and a batch also
 checks that it acts on each state of the block as on that state alone.
+
+The loop also skips every operation whose result it knows bit for bit. A
+unit ``ConstantGain`` and a reference that is constant (shape (n,) on the
+grid) and all +0.0 are exact identities, so ``/ g``, ``g *``, ``x - x_d``
+and ``- x_d'`` are not applied. The perturbation is always added. Two
+checks that an earlier test implies are dropped: the NaN test of s before a
+plain step runs in open loop only, since in closed loop a NaN s makes dx NaN
+and fails the rates bound; and a plain euler step admitted by that bound,
+which moves no state by more than GUARD_REL, is not checked for a finite
+result. rk4 steps, steps admitted by the guard ratios and substeps are.
 """
 from __future__ import annotations
 
@@ -278,22 +288,31 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
     arrays = LawArrays(channels) if channels is not None else None
     estimator = gp.DriftEstimator(scenario.gp_models) if scenario.mode == "gp-based" else None
 
-    xd_grid = _on_grid(ref_value, t_grid, n, "reference value")
-    d_grid = _on_grid(pert, t_grid, n, "perturbation")
+    # An operand that is an exact identity is held as None, and the operation
+    # that would apply it is skipped: a reference signal that is constant and
+    # all +0.0 (x - 0.0 is exact, also for -0.0 and NaN), and a unit
+    # ConstantGain (x / 1.0 and 1.0 * x are exact).
+    xd_grid, xd_rows = _on_grid(ref_value, t_grid, n, "reference value")
+    d_grid = _on_grid(pert, t_grid, n, "perturbation")[0]
     closed_loop = arrays is not None and not open_loop
-    xdot_grid = _on_grid(ref_deriv, t_grid, n, "reference derivative") if closed_loop else None
+    xdot_rows = _on_grid(ref_deriv, t_grid, n, "reference derivative")[1] if closed_loop else None
     bad_k, bad_ch, bound_message = _bound_violation(model, t_grid, d_grid)
-
-    fixed_gain = gain.value if isinstance(gain, ConstantGain) else None
-    if fixed_gain is None and closed_loop:
+    gain_fn = None if isinstance(gain, ConstantGain) else gain
+    fixed_gain = None if gain_fn is not None or (gain.value == 1.0).all() else gain.value
+    if gain_fn is not None and closed_loop:
         _check_block_gain(gain, x, n)
 
     integral = np.zeros_like(x)
     zeros = np.zeros(n)
 
     def signals_at(t_cur):
-        """(x_d, d, x_d') at ``t_cur``, a float or one local time per row."""
-        return ref_value(t_cur), pert(t_cur), ref_deriv(t_cur) if closed_loop else None
+        """(x_d, d, x_d') at ``t_cur``, a float or one local time per row; None
+        for an identity."""
+        return (
+            None if xd_rows is None else ref_value(t_cur),
+            pert(t_cur),
+            None if xdot_rows is None else ref_deriv(t_cur),
+        )
 
     # The law's constants in the shape of the states they act on: (n,) for
     # one state; for a block, leading rows of (R, n) copies, which serve every
@@ -311,7 +330,7 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
     def eval_loop(x_cur, signals, integral_cur):
         """One full controller + dynamics evaluation at (x, t, I): the only
         place the control law is evaluated. ``signals`` holds (x_d, d, x_d')
-        at t, from ``signals_at`` or read from the grid.
+        at t, from ``signals_at`` or read from the grid, None for an identity.
 
         Returns (z, s, u, f_used, dx, integ, alpha1 * integ) with dx = f + g*u
         + d; integ and alpha1 * integ are None when no surface is tracked
@@ -319,7 +338,7 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
         """
         nonlocal law_shape, alpha1, exponent, reach_gain, eps, g_fixed
         xd, d, xd_dot = signals
-        z = x_cur - xd
+        z = x_cur if xd is None else x_cur - xd
         f = drift(x_cur)
         if law is None:
             return z, z, zeros, f, f + d, None, None
@@ -333,19 +352,26 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
         alpha1_integ = alpha1 * integ
         if open_loop:
             return z, s, zeros, f, f + d, integ, alpha1_integ
-        g = g_fixed if g_fixed is not None else check_gain(gain(x_cur), x_cur, n)
+        g = g_fixed if gain_fn is None else check_gain(gain_fn(x_cur), x_cur, n)
         sgn = np.sign(s) if arrays.plain_sign else sign_or_layer(s, eps)
         reach = reach_gain * safe_exp(s * s) * sgn
         f_used = f if estimator is None else estimator(x_cur)
-        u = -(f_used + alpha1_integ - xd_dot + reach) / g
-        dx = f + g * u + d
+        v = f_used + alpha1_integ
+        u = -(v + reach if xd_dot is None else v - xd_dot + reach)
+        if g is not None:
+            u = u / g
+        dx = f + (u if g is None else g * u) + d
         return z, s, u, f_used, dx, integ, alpha1_integ
 
     k = 0
     while True:
         t = float(t_grid[k])
         try:
-            signals = (xd_grid[k], d_grid[k], None if xdot_grid is None else xdot_grid[k])
+            signals = (
+                None if xd_rows is None else xd_rows[k],
+                d_grid[k],
+                None if xdot_rows is None else xdot_rows[k],
+            )
             z, s, u, f_used, dx, integ, alpha1_integ = eval_loop(x, signals, integral)
             if k == bad_k:
                 # d depends on t alone, so every run fails here at once
@@ -357,10 +383,9 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
             if k == n_steps:
                 return t_grid, xd_grid, d_grid
             x_next, integral_next = _advance(
-                x, integral, t, h, z, s, dx, integ, alpha1_integ, eval_loop, signals_at, rk4
+                x, integral, t, h, z, s, dx, integ, alpha1_integ, eval_loop, signals_at, rk4,
+                open_loop,
             )
-            if not np.isfinite(x_next).all():
-                raise _state_errors(x_next, "after step", t)
         except RunErrors as err:
             keep = sink.fail(err.errors)
             x, integral = x[keep], integral[keep]
@@ -397,18 +422,22 @@ def _check_block_gain(gain, x, n):
 
 
 def _on_grid(fn, t_grid, n, name):
-    """``fn`` evaluated once over the whole time grid, as a (rows, n) array.
-    A result of shape (n,) does not depend on t: it becomes a read-only view
-    repeating it on every row, which takes no memory per row."""
+    """``fn`` evaluated once over the whole time grid, as a (rows, n) array,
+    twice: for the log, and for the loop to read per row, or None there when
+    it is all +0.0 and does not depend on t. A result of shape (n,) does not
+    depend on t: it becomes a read-only view repeating it on every row, which
+    takes no memory per row."""
     values = np.asarray(fn(t_grid), dtype=float)
+    zero = False
     if values.shape == (n,):
+        zero = not (values.any() or np.signbit(values).any())
         values = np.broadcast_to(values, (t_grid.size, n))
     if values.shape != (t_grid.size, n):
         raise ParameterError(
             f"{name} must map times of shape ({t_grid.size},) to ({n},) or "
             f"({t_grid.size}, {n}), got {values.shape}"
         )
-    return values
+    return values, None if zero else values
 
 
 def _bound_violation(model, t_grid, d_grid):
@@ -469,7 +498,9 @@ def _row_rates(rz, rs):
     return worst / GUARD_REL
 
 
-def _advance(x, integral, t, h, z, s, dx, integ, alpha1_integ, eval_loop, signals_at, rk4):
+def _advance(
+    x, integral, t, h, z, s, dx, integ, alpha1_integ, eval_loop, signals_at, rk4, open_loop
+):
     """One macro step of every run, each split into guard-sized substeps where
     its own rates call for it. A step or substep adds h_sub * dx, or in rk4
     mode the ``_rk4_increment`` from that rate.
@@ -480,8 +511,10 @@ def _advance(x, integral, t, h, z, s, dx, integ, alpha1_integ, eval_loop, signal
     step, identical to an unguarded loop. Otherwise every run substeps, each
     with its own remaining time, substep size and local time, until each has
     covered h; a run inside the guard covers it in one substep. The time
-    signals of a substep are those of the one before when no run's local time
-    has moved, since they depend on time alone.
+    signals of a substep are those of the one before when no run's remaining
+    time has moved, since they depend on time alone. A state that is not
+    finite after the step raises, except after a plain euler step admitted
+    by the rates bound, which cannot leave a finite state.
     """
     # dz/dt differs from dx/dt only by the (bounded) reference rate, which
     # is negligible whenever the guard can trigger, so dx stands in for
@@ -489,11 +522,15 @@ def _advance(x, integral, t, h, z, s, dx, integ, alpha1_integ, eval_loop, signal
     ds = None if integ is None else dx + alpha1_integ
     # Each guard ratio |dz|/(|z| + GUARD_ABS) is at most |dz| in floating
     # point, its denominator being at least 1, so rates that pass this bound
-    # pass the ratio test below. A NaN rate fails the bound. A NaN z (from a
-    # NaN reference) or integral makes s NaN, and with it a ratio, yet can
-    # leave the rates finite, so s is tested apart.
+    # pass the ratio test below. A NaN rate fails the bound. In closed loop a
+    # NaN s makes the reaching term, u and so dx NaN; in open loop u is zero,
+    # and a NaN z (from a NaN reference) or integral makes s NaN, and with it
+    # a ratio, yet can leave the rates finite, so s is tested apart there.
     rates = np.abs(dx) if ds is None else np.maximum(np.abs(dx), np.abs(ds))
-    plain = h * (float(rates.max()) / GUARD_REL) <= 1.0 and not np.isnan(s).any()
+    by_rates = h * (float(rates.max()) / GUARD_REL) <= 1.0 and not (
+        open_loop and np.isnan(s).any()
+    )
+    plain = by_rates
     if not plain:
         rz, rs = _guard_ratios(z, s, dx, ds)
         # one reduction over both ratios: np.maximum propagates a NaN, so a
@@ -502,7 +539,10 @@ def _advance(x, integral, t, h, z, s, dx, integ, alpha1_integ, eval_loop, signal
     if plain:
         # Operating band: single plain step, identical to an unguarded loop.
         step = _rk4_increment(x, t, integral, h, dx, eval_loop, signals_at) if rk4 else h * dx
-        return x + step, integral if integ is None else integral + h * integ
+        # |h * dx| <= GUARD_REL after the rates bound, so an euler step it
+        # admitted leaves a finite state finite
+        x_next = x + step if by_rates and not rk4 else _finite(x + step, t)
+        return x_next, integral if integ is None else integral + h * integ
 
     shape, n = x.shape, x.shape[-1]
     x, integral, dx = x.reshape(-1, n), integral.reshape(-1, n), dx.reshape(-1, n)
@@ -515,7 +555,8 @@ def _advance(x, integral, t, h, z, s, dx, integ, alpha1_integ, eval_loop, signal
     x_out, i_out = np.empty_like(x), np.empty_like(integral)
     rows = np.arange(len(x))
     remaining = np.full(rows.size, h)
-    t_signals = signals = None
+    t_local = t + (h - remaining)
+    signals = None
     n_sub = 0
     while True:
         finite = np.isfinite(rate)
@@ -534,26 +575,30 @@ def _advance(x, integral, t, h, z, s, dx, integ, alpha1_integ, eval_loop, signal
             raise _row_errors(~finite, rate_error).at(rows)
         h_allow = np.divide(1.0, rate, out=remaining.copy(), where=rate > 0.0)
         h_sub = np.minimum(h_allow, remaining)
+        hs = h_sub[:, None]
         if rk4:
             try:
-                x = x + _rk4_increment(
-                    x, t + (h - remaining), integral, h_sub, dx, eval_loop, signals_at
-                )
+                x = x + _rk4_increment(x, t_local, integral, h_sub, dx, eval_loop, signals_at)
             except RunErrors as err:
                 raise err.at(rows) from None
         else:
-            x = x + h_sub[:, None] * dx
+            x = x + hs * dx
         if integ is not None:
-            integral = integral + h_sub[:, None] * integ
-        remaining = remaining - h_sub
-        done = remaining <= 0.0
-        if done.any():
-            x_out[rows[done]] = x[done]
-            i_out[rows[done]] = integral[done]
-            if done.all():
-                return x_out.reshape(shape), i_out.reshape(shape)
-            left = ~done
-            rows, x, integral, remaining = rows[left], x[left], integral[left], remaining[left]
+            integral = integral + hs * integ
+        # a substep shorter than half the float spacing of the remaining time
+        # leaves it, and with it the local time, where it was
+        after = remaining - h_sub
+        moved = signals is None or (after != remaining).any()
+        if moved:
+            remaining = after
+            done = remaining <= 0.0
+            if done.any():
+                x_out[rows[done]] = x[done]
+                i_out[rows[done]] = integral[done]
+                if done.all():
+                    return _finite(x_out.reshape(shape), t), i_out.reshape(shape)
+                left = ~done
+                rows, x, integral, remaining = rows[left], x[left], integral[left], remaining[left]
         n_sub += 1
         if n_sub > MAX_SUBSTEPS:
             message = (
@@ -563,17 +608,24 @@ def _advance(x, integral, t, h, z, s, dx, integ, alpha1_integ, eval_loop, signal
             raise RunErrors({int(r): SimulationDivergedError(message, t=t) for r in rows})
         if not np.isfinite(x).all():
             raise _state_errors(x, "during substepping", t).at(rows)
-        t_local = t + (h - remaining)
-        # a substep shorter than half the float spacing of the remaining
-        # time leaves the local time where it was
-        if t_signals is None or t_local.shape != t_signals.shape or (t_local != t_signals).any():
-            t_signals, signals = t_local, signals_at(t_local)
+        if moved:
+            t_prev, t_local = t_local, t + (h - remaining)
+            if signals is None or t_local.shape != t_prev.shape or (t_local != t_prev).any():
+                signals = signals_at(t_local)
         try:
             z, s, _, _, dx, integ, alpha1_integ = eval_loop(x, signals, integral)
         except RunErrors as err:
             raise err.at(rows) from None
         ds = None if integ is None else dx + alpha1_integ
         rate = _row_rates(*_guard_ratios(z, s, dx, ds))
+
+
+def _finite(x, t):
+    """``x``, or RunErrors for each row of it that is not finite after the
+    step at ``t``."""
+    if not np.isfinite(x).all():
+        raise _state_errors(x, "after step", t)
+    return x
 
 
 def _rk4_increment(x, t, integral, h, k1, eval_loop, signals_at):

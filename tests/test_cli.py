@@ -449,6 +449,20 @@ def test_negative_seed_is_an_argument_error(capsys, tmp_path, monkeypatch, argv,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag", ["--runs", "--seed"])
+def test_non_integer_count_is_an_argument_error(capsys, tmp_path, monkeypatch, flag):
+    monkeypatch.chdir(tmp_path)
+    argv = {"--runs": "1", "--seed": "0", flag: "abc"}
+    code, _, err = run_cli(
+        capsys, "montecarlo", str(KNOWN), "--ic-box=-1,1",
+        "--runs", argv["--runs"], "--seed", argv["--seed"],
+    )
+    assert code == 2
+    assert f"argument {flag}: must be an integer, got 'abc'" in err
+    assert "_positive_int" not in err and "_non_negative_int" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["run", "montecarlo"])
 def test_infeasible_gp_bound_is_not_replaced(capsys, tmp_path, monkeypatch, command):
     # alpha2 = 2 cannot cover d_bar plus the GP error budget: no bound may be

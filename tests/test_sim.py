@@ -371,19 +371,19 @@ def test_batch_with_per_row_gain_equals_single_runs(gain):
 
 
 def test_declared_constant_gain_equals_gain_called_every_evaluation():
-    # make_pmsm declares its unit gain; the same gain as a plain callable is
-    # called and checked at every evaluation, with the same numbers.
-    declared = pmsm_scenario(x0=(3.0, -3.0, 3.0), step_size=1e-3, t_end=1.0)
-    called = dataclasses.replace(
-        declared, system=dataclasses.replace(declared.system, gain=lambda x: np.ones(3))
-    )
-    traj, expected = simulate(declared), simulate(called)
-    for name in ("x", "z", "s", "u"):
-        assert np.array_equal(getattr(traj, name), getattr(expected, name)), name
-    box = [(-3.0, 3.0)] * 3
-    batch = run_monte_carlo(declared, box, runs=4, seed=1)
-    expected_batch = run_monte_carlo(called, box, runs=4, seed=1)
-    assert mc_result_to_dict(batch) == mc_result_to_dict(expected_batch)
+    # make_pmsm declares its unit gain, so the loop skips / g and g *; the
+    # same gain as a plain callable is called, checked and applied at every
+    # evaluation, with the same numbers, in euler and in rk4.
+    for method in ("euler", "rk4"):
+        declared = identity_template(method)
+        called = dataclasses.replace(
+            declared, system=dataclasses.replace(declared.system, gain=lambda x: np.ones(3))
+        )
+        assert_same_bits(declared, called, IDENTITY_STARTS)
+        box = [(-3.0, 3.0)] * 3
+        batch = run_monte_carlo(declared, box, runs=4, seed=1)
+        expected_batch = run_monte_carlo(called, box, runs=4, seed=1)
+        assert mc_result_to_dict(batch) == mc_result_to_dict(expected_batch)
 
 
 def _scalar_only(value):
@@ -986,7 +986,8 @@ class _RowRecorder:
         self.rows = []
 
     def row(self, k, x, z, s, u, f_used):
-        self.rows.append(np.array([x, z, s, u]))
+        # an open loop logs u as one row of zeros for the whole block
+        self.rows.append(np.array([x, z, s, np.broadcast_to(u, x.shape)]))
 
     @staticmethod
     def fail(errors):
@@ -1023,6 +1024,72 @@ def test_substeps_that_leave_the_local_time_unmoved_reuse_the_time_signals():
     for r, traj in enumerate(trajectories):
         for i, column in enumerate((traj.x, traj.z, traj.s, traj.u)):
             np.testing.assert_array_equal(block[:, i, r], column)
+
+
+# --- operands that are exact identities -------------------------------------------
+
+
+def assert_same_bits(fast, general, x0s):
+    """``fast`` and ``general`` log the same numbers bit for bit: one run from
+    each template's x0, and the block ``x0s`` stepped together."""
+    traj, expected = simulate(fast), simulate(general)
+    for name in ("x", "z", "s", "u"):
+        assert getattr(traj, name).tobytes() == getattr(expected, name).tobytes(), name
+    blocks = []
+    for template in (fast, general):
+        recorder = _RowRecorder()
+        sim._step_loop(template, np.array(x0s, dtype=float), recorder)
+        blocks.append(np.array(recorder.rows).tobytes())
+    assert blocks[0] == blocks[1]
+
+
+def identity_template(method, system=None, reference=None):
+    """pmsm-known gains from [3, -3, 3], where the first steps substep."""
+    return Scenario(
+        system=system or make_pmsm(),
+        reference=reference or zero_reference(3),
+        params=standard_channels(),
+        x0=np.array([3.0, -3.0, 3.0]),
+        step=StepConfig(step_size=1e-3, t_end=1.0, method=method),
+    )
+
+
+IDENTITY_STARTS = [[3.0, -3.0, 3.0], [-4.5, 2.0, 0.5], [0.5, -0.25, 1.5], [1.0, 4.0, -4.0]]
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_zero_reference_equals_a_time_dependent_zero_reference(method):
+    # zero_reference skips x - x_d and - x_d'; a sinusoid of amplitude 0
+    # depends on t, so it is subtracted every time.
+    fast = identity_template(method)
+    general = dataclasses.replace(
+        fast, reference=sinusoid_reference(np.zeros(3), [3.0, 2.0, 1.0], [0.0, 0.3, 0.6])
+    )
+    assert_same_bits(fast, general, IDENTITY_STARTS)
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_unperturbed_pmsm_equals_a_time_dependent_zero_perturbation(method):
+    # The constant zero perturbation is read from the grid per step; one that
+    # depends on t is read there as a (rows, n) array.
+    pmsm = make_pmsm(perturbed=False)
+    fast = identity_template(method, pmsm)
+    general = dataclasses.replace(fast, system=dataclasses.replace(
+        pmsm, perturbation=lambda t: np.zeros(np.shape(t) + (3,))
+    ))
+    assert_same_bits(fast, general, IDENTITY_STARTS)
+
+
+@pytest.mark.parametrize("method", ["euler", "rk4"])
+def test_nan_reference_in_closed_loop_still_fails_the_guard(method):
+    # In closed loop a NaN z makes s, the reaching term, u and dx NaN, so the
+    # rate bound alone sends the step to the substep loop, which reports it.
+    scenario = identity_template(method, reference=constant_reference([np.nan] * 3))
+    with pytest.raises(SimulationDivergedError) as excinfo:
+        simulate(scenario)
+    assert str(excinfo.value) == (
+        "non-finite dynamics rate in channel 1 during substepping at t = 0"
+    )
 
 
 def test_batch_memory_does_not_scale_with_rows_times_runs():
