@@ -40,11 +40,12 @@ CASES = {
     # a batch of plain steps only
     "mc-known-near": ["montecarlo", KNOWN, "--runs", "20", "--ic-box=-1,1", "--seed", "3",
                       "--set", "sim.t_end=1.0"],
-    # the benchmark's far box: tens of thousands of substeps per run at t = 0
+    # the benchmark's far box: about 35 backward-Euler substeps per run at
+    # t = 0, where explicit substeps alone took tens of thousands
     "mc-known-far": ["montecarlo", KNOWN, "--runs", "4", "--seed", "7",
                      "--ic-box=-1e5,1e5;-1e5,1e5;9.9e4,1e5", "--set", "sim.t_end=1.0"],
-    # one block mixing runs inside the guard with runs that substep: at
-    # t = 0.001, 10 of the 12 runs cover the step in one substep
+    # one block mixing runs that cover a step in one substep with runs that
+    # take two: at t = 0, 2 of the 12 runs cover it in one
     "mc-known-10": ["montecarlo", KNOWN, "--runs", "12", "--ic-box=-10,10", "--seed", "2",
                     *COARSE],
     # one gain set per channel, a boundary layer on one of them: a law

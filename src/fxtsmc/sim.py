@@ -5,21 +5,37 @@ each macro step, advances through as many scale-limited substeps as the state
 requires. The exp(z^2)/exp(s^2) factors in the law make the far field
 violently stiff: a step size that is stable inside the operating band
 overflows double precision a few steps after starting from a large initial
-condition. Each substep is therefore sized so that no channel's z or s moves
-by more than ``GUARD_REL`` of its own magnitude (plus ``GUARD_ABS``); in the
-operating band the allowance exceeds the macro step and the loop collapses to
-a single plain step, bit-identical to an unguarded fixed-step loop. The guard
-is purely state-driven and deterministic.
+condition. An explicit substep is therefore sized so that no channel's z or
+s moves by more than ``GUARD_REL`` of its own magnitude (plus ``GUARD_ABS``);
+in the operating band the allowance exceeds the macro step and the loop
+collapses to a single plain step, bit-identical to an unguarded fixed-step
+loop. The guard is purely state-driven and deterministic.
+
+Far out, explicit substeps cannot make progress: with |s| >> 1 the reaching
+term is clamped at kappa * alpha2 * e^50, z sits at a balance near |z| = 6.9
+with a stiffness of about 1e23 per second, and explicit substeps last about
+1e-22 s. So in closed-loop euler mode a run whose explicit step cannot cover
+the rest of its macro step inside the guard takes a backward-Euler substep of
+the law's terms instead (Hairer & Wanner, Solving Ordinary Differential
+Equations II, on stiff problems): the integrand and the reaching term are
+taken at the end of the substep, while d, x_d', gp-mode's f - f_hat and the
+gain's rounding stay explicit. Its length is chosen, without trial steps, so
+that the implicit move of every channel's s stays inside the guard; while
+the reaching term is clamped, each such substep halves |s|, and a start at
+1e5 drains in about 14 substeps where explicit ones took tens of thousands.
+Implicit discretization of sliding-mode laws is studied by Acary & Brogliato
+(Systems & Control Letters, 2010); their implicit sign is not used here, the
+sign stays explicit. Open-loop runs and rk4 take explicit substeps only.
 
 In euler mode the plant state and the sliding integral step together with
 the same shared integrand evaluation the control law used, which keeps the
 discrete surface dynamics an exact algebraic cancellation (s_{k+1} = s_k -
-h*reach + h*d up to one rounding) — several tests pin that property. rk4
-mode differs only in the increment of a step or substep: the plant advances
-through the classical stages (controller re-evaluated at stage states,
-sliding integral frozen at its step-start value), while the integral still
-accumulates rectangle-rule style and the same guard sizes the substeps from
-the rate at their start.
+h*reach + h*d up to one rounding) on plain steps and explicit substeps —
+several tests pin that property. rk4 mode differs only in the increment of a
+step or substep: the plant advances through the classical stages
+(controller re-evaluated at stage states, sliding integral frozen at its
+step-start value), while the integral still accumulates rectangle-rule style
+and the same guard sizes the substeps from the rate at their start.
 
 One step loop serves a single run and a Monte-Carlo batch alike: it steps a
 state of shape (n,) or a block (R, n) of independent runs. Every operation
@@ -79,18 +95,21 @@ from .errors import (
     SimulationDivergedError,
     UnfitGPError,
 )
-from .numerics import StepConfig, safe_exp
+from .numerics import EXP_CLAMP, StepConfig, safe_exp
 from .sliding import integrand
 from .system import ConstantGain, ReferenceSignal, SystemModel, check_gain
 
 CONTROLLER_MODES = ("known-model", "gp-based", "open-loop")
 
-# Substep guard: per substep, |delta z_i| and |delta s_i| are each held below
-# GUARD_REL * (|.| + GUARD_ABS). Inactive whenever the dynamics allow the full
-# macro step (the entire operating band).
+# Substep guard: per explicit substep, |delta z_i| and |delta s_i| are each
+# held below GUARD_REL * (|.| + GUARD_ABS), and per backward-Euler substep
+# |delta s_i| alone. Inactive whenever the dynamics allow the full macro step
+# (the entire operating band).
 GUARD_REL = 0.5
 GUARD_ABS = 1.0
 MAX_SUBSTEPS = 100_000
+# Newton-bisection steps at most per root of a backward-Euler substep.
+SOLVE_ITERATIONS = 100
 
 DEFAULT_SETTLE_THRESHOLD = 1e-2
 
@@ -353,8 +372,7 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
         if open_loop:
             return z, s, zeros, f, f + d, integ, alpha1_integ
         g = g_fixed if gain_fn is None else check_gain(gain_fn(x_cur), x_cur, n)
-        sgn = np.sign(s) if arrays.plain_sign else sign_or_layer(s, eps)
-        reach = reach_gain * safe_exp(s * s) * sgn
+        reach = reach_of(s)
         f_used = f if estimator is None else estimator(x_cur)
         v = f_used + alpha1_integ
         u = -(v + reach if xd_dot is None else v - xd_dot + reach)
@@ -363,6 +381,58 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
         dx = f + (u if g is None else g * u) + d
         return z, s, u, f_used, dx, integ, alpha1_integ
 
+    # The law's reaching term and its backward-Euler substep act on the block
+    # eval_loop evaluated last, whose shape the constants above were taken for.
+    def reach_of(s):
+        """kappa * alpha2 * exp(s^2) * sign(s), with tanh(s / eps) for sign(s)
+        in a channel with a boundary layer eps > 0."""
+        sgn = np.sign(s) if arrays.plain_sign else sign_or_layer(s, eps)
+        return reach_gain * safe_exp(s * s) * sgn
+
+    def reach_and_slope(s):
+        """``reach_of(s)`` and its derivative in s."""
+        reach = reach_of(s)
+        slope = np.abs(reach) * _exp_sq_growth(s)
+        if arrays.plain_sign:
+            return reach, slope
+        # where eps > 0, tanh(s / eps) grows too, at (1 - tanh^2) / eps
+        layered = eps > 0.0
+        eps_or_1 = np.where(layered, eps, 1.0)
+        tanh = np.tanh(s / eps_or_1)
+        growth = reach_gain * safe_exp(s * s) * (1.0 - tanh * tanh) / eps_or_1
+        return reach, slope + np.where(layered, growth, 0.0)
+
+    def implicit_substep(x, z, s, dx, alpha1_integ, integral, remaining):
+        """One backward-Euler substep per row of the law's terms, sized from
+        the implicit move of s; returns (substep sizes, x, integral) after it.
+
+        The rate c = dx + alpha1 * integ(z) + reach(s) stays explicit: d,
+        x_d', gp-mode's f - f_hat and the gain's rounding. The substep of
+        length H solves y = z + H * (c - alpha1 * integ(y) - reach(s')) with
+        I' = I + H * integ(y) and s' = y + alpha1 * I', which splits into
+        s' = s + H * (c - reach(s')) in s' alone, then y + alpha1 * H *
+        integ(y) = s' - alpha1 * I; both sides increase in the unknown.
+        H, at most ``remaining``, keeps the root s' of every channel within
+        g = GUARD_REL * (|s| + GUARD_ABS) of s, since reach increases: s' >
+        s + g would need c - reach(s + g) > g / H, and s' < s - g would need
+        reach(s - g) - c > g / H.
+        """
+        with np.errstate(all="ignore"):
+            c = dx + alpha1_integ + reach_of(s)
+            g = GUARD_REL * (np.abs(s) + GUARD_ABS)
+            rate = (np.maximum(c - reach_of(s + g), reach_of(s - g) - c) / g).max(axis=-1)
+            h_sub = np.minimum(
+                np.divide(1.0, rate, out=remaining.copy(), where=rate > 0.0), remaining
+            )
+            hs = h_sub[:, None]
+            s_next = _solve_increasing(s + hs * c, hs, reach_and_slope, s)
+            y = _solve_increasing(
+                s_next - alpha1 * integral, hs * alpha1,
+                lambda v: _integrand_and_slope(v, exponent), z,
+            )
+            return h_sub, x + (y - z), integral + hs * integrand(y, exponent)
+
+    implicit = implicit_substep if closed_loop and not rk4 else None
     k = 0
     while True:
         t = float(t_grid[k])
@@ -384,7 +454,7 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
                 return t_grid, xd_grid, d_grid
             x_next, integral_next = _advance(
                 x, integral, t, h, z, s, dx, integ, alpha1_integ, eval_loop, signals_at, rk4,
-                open_loop,
+                open_loop, implicit,
             )
         except RunErrors as err:
             keep = sink.fail(err.errors)
@@ -499,22 +569,28 @@ def _row_rates(rz, rs):
 
 
 def _advance(
-    x, integral, t, h, z, s, dx, integ, alpha1_integ, eval_loop, signals_at, rk4, open_loop
+    x, integral, t, h, z, s, dx, integ, alpha1_integ, eval_loop, signals_at, rk4, open_loop,
+    implicit,
 ):
     """One macro step of every run, each split into guard-sized substeps where
-    its own rates call for it. A step or substep adds h_sub * dx, or in rk4
-    mode the ``_rk4_increment`` from that rate.
+    its own rates call for it. A step or explicit substep adds h_sub * dx,
+    or in rk4 mode the ``_rk4_increment`` from that rate.
 
     ``integ`` and ``alpha1_integ`` are None when no surface is tracked. When
     one max of the rates, or failing that one max of the guard ratios, over
     the whole block shows every run inside the guard, all take the plain
     step, identical to an unguarded loop. Otherwise every run substeps, each
     with its own remaining time, substep size and local time, until each has
-    covered h; a run inside the guard covers it in one substep. The time
-    signals of a substep are those of the one before when no run's remaining
-    time has moved, since they depend on time alone. A state that is not
-    finite after the step raises, except after a plain euler step admitted
-    by the rates bound, which cannot leave a finite state.
+    covered h; a run inside the guard covers it in one substep. ``implicit``
+    is the backward-Euler substep of closed-loop euler mode, None otherwise:
+    there, a run whose explicit step cannot cover its remaining time inside
+    the guard takes that substep, and a run whose explicit step can takes it
+    as its last substep. The time signals of a substep are those of the one
+    before when no run's remaining time has moved, since they depend on time
+    alone; far out, the substeps that drain the last of a clamped |s| are
+    that short. A state that is not finite after the step raises, except
+    after a plain euler step admitted by the rates bound, which cannot leave
+    a finite state.
     """
     # dz/dt differs from dx/dt only by the (bounded) reference rate, which
     # is negligible whenever the guard can trigger, so dx stands in for
@@ -546,8 +622,10 @@ def _advance(
 
     shape, n = x.shape, x.shape[-1]
     x, integral, dx = x.reshape(-1, n), integral.reshape(-1, n), dx.reshape(-1, n)
+    z, s = z.reshape(-1, n), s.reshape(-1, n)
     if integ is not None:
         integ, ds = integ.reshape(-1, n), ds.reshape(-1, n)
+        alpha1_integ = alpha1_integ.reshape(-1, n)
     rate = _row_rates(rz.reshape(-1, n), None if rs is None else rs.reshape(-1, n))
     # a run inside the guard covers h in its first substep, its plain step,
     # even where 1/rate rounds below h
@@ -575,6 +653,14 @@ def _advance(
             raise _row_errors(~finite, rate_error).at(rows)
         h_allow = np.divide(1.0, rate, out=remaining.copy(), where=rate > 0.0)
         h_sub = np.minimum(h_allow, remaining)
+        stiff = None
+        if implicit is not None and (h_allow < remaining).any():
+            # a row whose explicit step cannot cover its remaining time takes
+            # a backward-Euler substep; the others take their last substep
+            stiff = h_allow < remaining
+            h_imp, x_imp, i_imp = implicit(x, z, s, dx, alpha1_integ, integral, remaining)
+            h_sub = np.where(stiff, h_imp, h_sub)
+            stiff = stiff[:, None]
         hs = h_sub[:, None]
         if rk4:
             try:
@@ -585,6 +671,8 @@ def _advance(
             x = x + hs * dx
         if integ is not None:
             integral = integral + hs * integ
+        if stiff is not None:
+            x, integral = np.where(stiff, x_imp, x), np.where(stiff, i_imp, integral)
         # a substep shorter than half the float spacing of the remaining time
         # leaves it, and with it the local time, where it was
         after = remaining - h_sub
@@ -618,6 +706,55 @@ def _advance(
             raise err.at(rows) from None
         ds = None if integ is None else dx + alpha1_integ
         rate = _row_rates(*_guard_ratios(z, s, dx, ds))
+
+
+def _exp_sq_growth(v):
+    """2|v| below the exp clamp and 0 where it holds safe_exp(v^2) constant,
+    so that a term safe_exp(v^2) * a(v), with a(v) of the sign of v, has the
+    derivative |term| * _exp_sq_growth(v) + safe_exp(v^2) * a'(v)."""
+    return np.where(v * v < EXP_CLAMP, 2.0 * np.abs(v), 0.0)
+
+
+def _integrand_and_slope(v, exponent):
+    """``integrand(v, exponent)`` and its derivative in v (not finite at 0)."""
+    value = integrand(v, exponent)
+    return value, np.abs(value) * (_exp_sq_growth(v) + exponent / np.abs(v))
+
+
+def _solve_increasing(b, scale, phi, start):
+    """Per element, the root v of v + scale * phi(v) = b, where ``phi``
+    returns the value and derivative of an increasing function with the sign
+    of v and ``scale`` >= 0, so that the root lies between 0 and b; where phi
+    jumps at 0 and leaves no root, a v next to 0 on the side of b.
+
+    Safeguarded Newton from ``start`` (Press et al., Numerical Recipes,
+    rtsafe): a Newton step that leaves the bracket, or shrinks more slowly
+    than halving every second step, is replaced by bisection. An element is
+    done when its bracket or residual is within 4 eps |b|, and is then left
+    as it is, so its root does not depend on the other elements; at most
+    SOLVE_ITERATIONS steps are taken. Call inside np.errstate(all="ignore").
+    """
+    lo, hi = np.minimum(b, 0.0), np.maximum(b, 0.0)
+    tol = 4.0 * np.finfo(float).eps * np.abs(b)
+    v = np.clip(start, lo, hi)
+    step = step_before = hi - lo
+    done = ~(hi - lo > tol)  # b = 0, and b not finite
+    for _ in range(SOLVE_ITERATIONS):
+        if done.all():
+            break
+        value, slope = phi(v)
+        residual = v + scale * value - b
+        lo = np.where(residual < 0.0, v, lo)
+        hi = np.where(residual > 0.0, v, hi)
+        done_now = ~(np.abs(residual) > tol) | ~(hi - lo > tol)
+        newton = residual / (1.0 + scale * slope)
+        v_newton = v - newton
+        take = (v_newton > lo) & (v_newton < hi) & (2.0 * np.abs(newton) <= np.abs(step_before))
+        step_before, step = step, np.where(take, newton, 0.5 * (hi - lo))
+        v_next = np.where(take, v_newton, 0.5 * (lo + hi))
+        v = np.where(done | done_now, v, v_next)
+        done = done | done_now
+    return v
 
 
 def _finite(x, t):

@@ -114,6 +114,20 @@ def test_run_lemma2_writes_artifacts_and_matches_oracle(capsys, tmp_path, monkey
     assert doc["settled"] is True
 
 
+def test_run_from_1e8_settles_within_printed_t_max(capsys, tmp_path, monkeypatch):
+    # Fixed-time stability bounds the settling time whatever the start. From
+    # 1e8 explicit substeps used up their budget at t = 0; backward-Euler
+    # substeps drain the clamped reaching phase in a few dozen.
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(
+        capsys, "run", str(KNOWN), "--x0=1e8,-1e8,1e8", "--set", "sim.t_end=1.0"
+    )
+    assert code == 0
+    t_max = float(re.search(r"T_max = ([0-9.]+)", out).group(1))
+    worst = float(re.search(r"settling\(error\):.*worst=([0-9.]+)", out).group(1))
+    assert worst <= t_max
+
+
 def test_run_x0_override(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, _, _ = run_cli(capsys, "run", str(LEMMA2), "--x0", "0.5")

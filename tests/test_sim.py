@@ -32,6 +32,7 @@ from fxtsmc.sim import (
     write_trajectory_csv,
 )
 from fxtsmc.system import (
+    ConstantGain,
     SystemModel,
     constant_reference,
     make_lemma2_plant,
@@ -834,18 +835,23 @@ def test_rk4_in_band_evaluates_the_rate_once_per_stage():
     assert evaluated[0] == 4 * scenario.step.n_steps + 1
 
 
-def test_batch_gp_based_equals_single_runs():
+def gp_template(t_end):
+    """gp-based mode on a 20-point GP of the PMSM drift over [-3, 3]^3."""
     kernel = KernelConfig(family="exponential", length_scale=1.0)
     datasets = generate_training_data(
         make_pmsm(), n_samples=20, region=[(-3, 3)] * 3, sigma_f=0.01, seed=5
     )
-    template = dataclasses.replace(
+    return dataclasses.replace(
         pmsm_scenario(
-            step_size=1e-3, t_end=1.0, settle_threshold=0.05,
+            step_size=1e-3, t_end=t_end, settle_threshold=0.05,
             mode="gp-based", gp_models=[gp_fit(ds, kernel) for ds in datasets],
         ),
         params=standard_channels(alpha2=6.0),
     )
+
+
+def test_batch_gp_based_equals_single_runs():
+    template = gp_template(t_end=1.0)
     result = assert_batch_equals_single_runs(template, [(-1.0, 1.0)] * 3, 4, 8)
     assert result.aggregate["n_settled"] == 4
 
@@ -880,12 +886,15 @@ def test_batch_with_diverging_runs_records_each_and_carries_on():
     assert [r["run"] for r in result.failures] == sorted(r["run"] for r in result.failures)
 
 
-@pytest.mark.parametrize("method, box, budget", [("euler", 10.0, 3), ("rk4", 3.0, 2)])
+@pytest.mark.parametrize("method, box, budget", [("euler", 1e5, 32), ("rk4", 3.0, 2)])
 def test_batch_records_exhausted_substep_budget_like_single_runs(
     monkeypatch, method, box, budget
 ):
-    # A tiny budget makes the runs that need more substeps fail inside a
+    # A small budget makes the runs that need more substeps fail inside a
     # macro step; euler and rk4 share the one substep loop and its budget.
+    # Euler's backward-Euler substeps cover a step from the +-10 box in at
+    # most two substeps, so its runs start from +-1e5, where they take 32 to
+    # 35 substeps at t = 0.
     monkeypatch.setattr(sim, "MAX_SUBSTEPS", budget)
     template = Scenario(
         system=make_pmsm(),
@@ -995,9 +1004,10 @@ class _RowRecorder:
 
 
 def test_substeps_that_leave_the_local_time_unmoved_reuse_the_time_signals():
-    # From far out most guard substeps are shorter than half the float
-    # spacing of the remaining time, so the local time does not move and the
-    # perturbation, which depends on time alone, is not evaluated again.
+    # From far out the substeps that drain the last of a clamped |s| are
+    # shorter than half the float spacing of the remaining time, so the local
+    # time does not move and the perturbation, which depends on time alone,
+    # is not evaluated again.
     calls = [0]
     pmsm = make_pmsm()
 
@@ -1009,21 +1019,79 @@ def test_substeps_that_leave_the_local_time_unmoved_reuse_the_time_signals():
     template = dataclasses.replace(pmsm_scenario(step_size=1e-4, t_end=1e-3), system=system)
     x0s = np.array([[1e3, -1e3, 1e3], [-900.0, 950.0, 1e3], [600.0, 800.0, -700.0]])
     rows = template.step.n_steps + 1
-    trajectories = []
     for x0 in x0s:
         scenario = dataclasses.replace(template, x0=x0)
         calls[0] = evaluated[0] = 0
-        trajectories.append(simulate(scenario))
+        simulate(scenario)
         substeps = evaluated[0] - rows
         assert calls[0] < substeps
     # the same starts stepped together as one block: every run's rows equal
     # its own run's, though the block's local times stall at other substeps
+    assert_block_rows_equal_single_runs(template, x0s)
+
+
+def assert_block_rows_equal_single_runs(template, x0s):
+    """Every grid row of x, z, s and u that the block ``x0s`` logs, stepped
+    through ``_step_loop``, equals bit for bit the row of its own run."""
     recorder = _RowRecorder()
-    sim._step_loop(template, x0s.copy(), recorder)
+    sim._step_loop(template, np.array(x0s, dtype=float), recorder)
     block = np.array(recorder.rows)
-    for r, traj in enumerate(trajectories):
+    for r, x0 in enumerate(x0s):
+        traj = simulate(dataclasses.replace(template, x0=np.asarray(x0, dtype=float)))
         for i, column in enumerate((traj.x, traj.z, traj.s, traj.u)):
-            np.testing.assert_array_equal(block[:, i, r], column)
+            assert block[:, i, r].tobytes() == column.tobytes()
+
+
+# --- backward-Euler substeps in the far field -------------------------------------
+
+
+def test_far_start_drains_in_few_backward_euler_substeps():
+    # From 1e5 the reaching term is clamped at kappa * alpha2 * e^50, so each
+    # substep, which holds the implicit move of s to GUARD_REL * (|s| + 1),
+    # halves |s|: ceil(log2(1e5 / sqrt(50))) = 14 substeps bring s inside
+    # the clamp, and a few more cross the unclamped band. Explicit substeps
+    # took 38,615 evaluations here.
+    system, evaluated = counting_drift(make_pmsm())
+    scenario = dataclasses.replace(
+        pmsm_scenario(x0=[1e5, -1e5, 1e5], step_size=1e-4, t_end=1e-4), system=system
+    )
+    simulate(scenario)
+    assert evaluated[0] - (scenario.step.n_steps + 1) <= 64
+
+
+FAR_TEMPLATES = {
+    # tanh(s / eps) for sign(s) in channel 2 only: its reaching term and
+    # slope in the implicit solve, and the other channels' plain sign
+    "boundary-layer": lambda: dataclasses.replace(
+        pmsm_scenario(step_size=1e-3, t_end=0.05),
+        params=[standard_channels(1)[0], standard_channels(1, sign_boundary_layer=0.01)[0],
+                standard_channels(1)[0]],
+    ),
+    # f - f_hat, large where the GP reverts to its prior, held explicit
+    "gp-based": lambda: gp_template(t_end=0.05),
+    # the gain's rounding of g * (u / g), held explicit
+    "constant-gain": lambda: dataclasses.replace(
+        pmsm_scenario(step_size=1e-3, t_end=0.05),
+        system=dataclasses.replace(make_pmsm(), gain=ConstantGain([2.0, 0.5, 1.5])),
+    ),
+    # the reference and its derivative at each run's local times
+    "sinusoid": lambda: far_sinusoid_template(t_end=0.05),
+}
+
+
+@pytest.mark.parametrize("case", list(FAR_TEMPLATES))
+def test_batch_backward_euler_substeps_equal_single_runs(case):
+    # From the +-1e4 box every run leaves the guard at t = 0 and takes
+    # backward-Euler substeps, each row on its own substep sizes and roots.
+    template = FAR_TEMPLATES[case]()
+    system, evaluated = counting_drift(template.system)
+    template = dataclasses.replace(template, system=system)
+    box, runs, seed = [(-1e4, 1e4)] * 3, 4, 5
+    result = assert_batch_equals_single_runs(template, box, runs, seed)
+    assert result.aggregate["n_failed"] == 0
+    evaluated[0] = 0
+    assert_block_rows_equal_single_runs(template, result.x0s)
+    assert evaluated[0] > 2 * runs * (template.step.n_steps + 1)  # substeps were taken
 
 
 # --- operands that are exact identities -------------------------------------------
