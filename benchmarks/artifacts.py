@@ -34,9 +34,6 @@ CASES = {
     "run-lemma2": ["run", LEMMA2],
     # euler substeps at t = 0, each on local times the sinusoid sees
     "run-euler-far-sinusoid": ["run", KNOWN, "--x0=40,-40,40", *COARSE, *SINUSOID],
-    # rk4 in band: plain steps whose stages see the sinusoid at t + h/2, t + h
-    "run-rk4-near-sinusoid": ["run", KNOWN, "--set", "sim.method=rk4",
-                              "--set", "sim.t_end=1.0", *SINUSOID],
     # a batch of plain steps only
     "mc-known-near": ["montecarlo", KNOWN, "--runs", "20", "--ic-box=-1,1", "--seed", "3",
                       "--set", "sim.t_end=1.0"],

@@ -195,7 +195,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "step_size": {"type": "number", "exclusiveMinimum": 0},
                 "t_end": {"type": "number", "exclusiveMinimum": 0},
-                "method": {"enum": ["euler", "explicit-euler", "rk4"]},
+                "method": {"enum": ["euler", "explicit-euler"]},
                 "settle_threshold": {"type": "number", "exclusiveMinimum": 0},
                 "x0": {"type": "array", "items": {"type": "number"}, "minItems": 1},
             },
@@ -231,6 +231,9 @@ def load_config(path) -> dict:
 
 
 def validate_config(cfg: dict) -> None:
+    if isinstance(cfg.get("sim"), dict) and cfg["sim"].get("method") == "rk4":
+        raise ConfigError("config invalid at sim/method: 'rk4' was removed, as under the "
+                          "switching law the closed loop is first order whatever the plant stepper")
     try:
         jsonschema.validate(cfg, CONFIG_SCHEMA)
     except jsonschema.ValidationError as err:

@@ -17,7 +17,7 @@ from .errors import ParameterError
 # stay finite even when |z| transiently exceeds ~7.
 EXP_CLAMP = 50.0
 
-_METHODS = ("euler", "rk4")
+_METHODS = ("euler",)
 
 # Relative slack when checking that t_end sits on the step grid.
 _GRID_RTOL = 1e-9

@@ -14,9 +14,9 @@ loop. The guard is purely state-driven and deterministic.
 Far out, explicit substeps cannot make progress: with |s| >> 1 the reaching
 term is clamped at kappa * alpha2 * e^50, z sits at a balance near |z| = 6.9
 with a stiffness of about 1e23 per second, and explicit substeps last about
-1e-22 s. So in closed-loop euler mode a run whose explicit step cannot cover
-the rest of its macro step inside the guard takes a backward-Euler substep of
-the law's terms instead (Hairer & Wanner, Solving Ordinary Differential
+1e-22 s. So in closed loop a run whose explicit step cannot cover the rest
+of its macro step inside the guard takes a backward-Euler substep of the
+law's terms instead (Hairer & Wanner, Solving Ordinary Differential
 Equations II, on stiff problems): the integrand and the reaching term are
 taken at the end of the substep, while d, x_d', gp-mode's f - f_hat and the
 gain's rounding stay explicit. Its length is chosen, without trial steps, so
@@ -25,17 +25,16 @@ the reaching term is clamped, each such substep halves |s|, and a start at
 1e5 drains in about 14 substeps where explicit ones took tens of thousands.
 Implicit discretization of sliding-mode laws is studied by Acary & Brogliato
 (Systems & Control Letters, 2010); their implicit sign is not used here, the
-sign stays explicit. Open-loop runs and rk4 take explicit substeps only.
+sign stays explicit. Open-loop runs take explicit substeps only.
 
-In euler mode the plant state and the sliding integral step together with
-the same shared integrand evaluation the control law used, which keeps the
-discrete surface dynamics an exact algebraic cancellation (s_{k+1} = s_k -
-h*reach + h*d up to one rounding) on plain steps and explicit substeps —
-several tests pin that property. rk4 mode differs only in the increment of a
-step or substep: the plant advances through the classical stages
-(controller re-evaluated at stage states, sliding integral frozen at its
-step-start value), while the integral still accumulates rectangle-rule style
-and the same guard sizes the substeps from the rate at their start.
+The plant state and the sliding integral step together, by h * dx and
+h * integ, with the same shared integrand evaluation the control law used,
+which keeps the discrete surface dynamics an exact algebraic cancellation
+(s_{k+1} = s_k - h*reach + h*d up to one rounding) on plain steps and
+explicit substeps — several tests pin that property. Since the law cancels
+that rectangle-rule term exactly, the closed loop is first order in h
+whatever the plant stepper, and a higher-order one buys no accuracy (the
+README's closed-loop order table, ``benchmarks/closed_loop_order.py``).
 
 One step loop serves a single run and a Monte-Carlo batch alike: it steps a
 state of shape (n,) or a block (R, n) of independent runs. Every operation
@@ -52,10 +51,10 @@ The loop evaluates per step only what depends on the state. The reference,
 its derivative and the perturbation depend on time alone: they are evaluated
 once over the whole grid, each in one call with the grid as an array of
 times, and the declared perturbation bound is audited there; guard substeps
-and rk4 stages still call them at their local times, except a substep that
-left every run's remaining time, and so its local time, where it was, which
-reuses the values of the substep before; a Scenario checks at construction
-that each accepts an array of times. A gain declared as a
+still call them at their local times, except a substep that left every
+run's remaining time, and so its local time, where it was, which reuses the
+values of the substep before; a Scenario checks at construction that each
+accepts an array of times. A gain declared as a
 ``ConstantGain`` was checked when built and is used as its value. Any other
 gain is called and checked at every evaluation; before the loop, one call
 on a block of two states checks that it accepts a block, and a batch also
@@ -67,9 +66,9 @@ grid) and all +0.0 are exact identities, so ``/ g``, ``g *``, ``x - x_d``
 and ``- x_d'`` are not applied. The perturbation is always added. Two
 checks that an earlier test implies are dropped: the NaN test of s before a
 plain step runs in open loop only, since in closed loop a NaN s makes dx NaN
-and fails the rates bound; and a plain euler step admitted by that bound,
-which moves no state by more than GUARD_REL, is not checked for a finite
-result. rk4 steps, steps admitted by the guard ratios and substeps are.
+and fails the rates bound; and a plain step admitted by that bound, which
+moves no state by more than GUARD_REL, is not checked for a finite result.
+Steps admitted by the guard ratios and substeps are.
 """
 from __future__ import annotations
 
@@ -285,8 +284,7 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
     The signals that depend on time alone (reference, its derivative,
     perturbation) are evaluated once over the whole grid before the loop, and
     the declared perturbation bound is audited there; only the local times of
-    guard substeps and rk4 stages call them again. Returns the grid and its
-    (x_d, d) columns.
+    guard substeps call them again. Returns the grid and its (x_d, d) columns.
     """
     model = scenario.system
     n = model.n
@@ -294,7 +292,6 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
     h = cfg.step_size
     n_steps = cfg.n_steps
     t_grid = np.arange(n_steps + 1) * h
-    rk4 = cfg.method == "rk4"
 
     ref_value = scenario.reference.value
     ref_deriv = scenario.reference.derivative
@@ -432,7 +429,7 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
             )
             return h_sub, x + (y - z), integral + hs * integrand(y, exponent)
 
-    implicit = implicit_substep if closed_loop and not rk4 else None
+    implicit = implicit_substep if closed_loop else None
     k = 0
     while True:
         t = float(t_grid[k])
@@ -453,7 +450,7 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
             if k == n_steps:
                 return t_grid, xd_grid, d_grid
             x_next, integral_next = _advance(
-                x, integral, t, h, z, s, dx, integ, alpha1_integ, eval_loop, signals_at, rk4,
+                x, integral, t, h, z, s, dx, integ, alpha1_integ, eval_loop, signals_at,
                 open_loop, implicit,
             )
         except RunErrors as err:
@@ -546,51 +543,40 @@ def _state_errors(x, where: str, t: float) -> RunErrors:
     return _row_errors(~finite.all(axis=1), error)
 
 
-def _guard_ratios(z, s, dz, ds):
-    """Per-channel normalized rates |dz|/(|z| + GUARD_ABS) and the same for s
-    (None when no surface is tracked, ``ds`` None). Denominators are bounded
-    away from zero by GUARD_ABS, so no special-casing is needed."""
-    rz = np.abs(dz) / (np.abs(z) + GUARD_ABS)
-    return rz, None if ds is None else np.abs(ds) / (np.abs(s) + GUARD_ABS)
-
-
-def _row_rates(rz, rs):
-    """Each row's fastest normalized rate (1/seconds) over its channels.
-
-    A substep of h is inside the guard exactly when h * rate <= 1; otherwise
-    1/rate is the largest admissible substep. The two ratios combine as
-    Python's max(rz, rs) would, so a NaN in rs alone does not win.
-    """
-    worst = rz.max(axis=-1)
-    if rs is not None:
-        rs_worst = rs.max(axis=-1)
-        worst = np.where(rs_worst > worst, rs_worst, worst)
-    return worst / GUARD_REL
+def _row_rates(z, s, dz, ds):
+    """Each row's fastest normalized rate (1/seconds): the max over its
+    channels of |dz|/(|z| + GUARD_ABS) and, unless ``ds`` is None (no
+    surface), |ds|/(|s| + GUARD_ABS), over GUARD_REL. A NaN in either ratio
+    makes it NaN. A substep of h is inside the guard exactly when
+    h * rate <= 1; otherwise 1/rate is the largest admissible substep."""
+    ratio = np.abs(dz) / (np.abs(z) + GUARD_ABS)
+    if ds is not None:
+        ratio = np.maximum(ratio, np.abs(ds) / (np.abs(s) + GUARD_ABS))
+    return ratio.max(axis=-1) / GUARD_REL
 
 
 def _advance(
-    x, integral, t, h, z, s, dx, integ, alpha1_integ, eval_loop, signals_at, rk4, open_loop,
+    x, integral, t, h, z, s, dx, integ, alpha1_integ, eval_loop, signals_at, open_loop,
     implicit,
 ):
     """One macro step of every run, each split into guard-sized substeps where
-    its own rates call for it. A step or explicit substep adds h_sub * dx,
-    or in rk4 mode the ``_rk4_increment`` from that rate.
+    its own rates call for it. A step or explicit substep adds h_sub * dx.
 
     ``integ`` and ``alpha1_integ`` are None when no surface is tracked. When
-    one max of the rates, or failing that one max of the guard ratios, over
-    the whole block shows every run inside the guard, all take the plain
-    step, identical to an unguarded loop. Otherwise every run substeps, each
-    with its own remaining time, substep size and local time, until each has
-    covered h; a run inside the guard covers it in one substep. ``implicit``
-    is the backward-Euler substep of closed-loop euler mode, None otherwise:
-    there, a run whose explicit step cannot cover its remaining time inside
-    the guard takes that substep, and a run whose explicit step can takes it
-    as its last substep. The time signals of a substep are those of the one
-    before when no run's remaining time has moved, since they depend on time
-    alone; far out, the substeps that drain the last of a clamped |s| are
-    that short. A state that is not finite after the step raises, except
-    after a plain euler step admitted by the rates bound, which cannot leave
-    a finite state.
+    one max of the rates, or failing that one max of the rows' guard rates,
+    over the whole block shows every run inside the guard, all take the
+    plain step, identical to an unguarded loop. Otherwise every run
+    substeps, each with its own remaining time, substep size and local time,
+    until each has covered h; a run inside the guard covers it in one
+    substep. ``implicit`` is the backward-Euler substep of closed loop, None
+    in open loop: there, a run whose explicit step cannot cover its
+    remaining time inside the guard takes that substep, and a run whose
+    explicit step can takes it as its last substep. The time signals of a
+    substep are those of the one before when no run's remaining time has
+    moved, since they depend on time alone; far out, the substeps that drain
+    the last of a clamped |s| are that short. A state that is not finite
+    after the step raises, except after a plain step admitted by the rates
+    bound, which cannot leave a finite state.
     """
     # dz/dt differs from dx/dt only by the (bounded) reference rate, which
     # is negligible whenever the guard can trigger, so dx stands in for
@@ -598,26 +584,21 @@ def _advance(
     ds = None if integ is None else dx + alpha1_integ
     # Each guard ratio |dz|/(|z| + GUARD_ABS) is at most |dz| in floating
     # point, its denominator being at least 1, so rates that pass this bound
-    # pass the ratio test below. A NaN rate fails the bound. In closed loop a
-    # NaN s makes the reaching term, u and so dx NaN; in open loop u is zero,
-    # and a NaN z (from a NaN reference) or integral makes s NaN, and with it
-    # a ratio, yet can leave the rates finite, so s is tested apart there.
+    # pass the row-rate test below. A NaN rate fails the bound. In closed
+    # loop a NaN s makes the reaching term, u and so dx NaN; in open loop u
+    # is zero, and a NaN z (from a NaN reference) or integral makes s NaN,
+    # and with it a ratio, yet can leave the rates finite, so s is tested
+    # apart there.
     rates = np.abs(dx) if ds is None else np.maximum(np.abs(dx), np.abs(ds))
     by_rates = h * (float(rates.max()) / GUARD_REL) <= 1.0 and not (
         open_loop and np.isnan(s).any()
     )
-    plain = by_rates
-    if not plain:
-        rz, rs = _guard_ratios(z, s, dx, ds)
-        # one reduction over both ratios: np.maximum propagates a NaN, so a
-        # NaN in either still fails the test
-        plain = h * (float((rz if rs is None else np.maximum(rz, rs)).max()) / GUARD_REL) <= 1.0
-    if plain:
+    rate = None if by_rates else _row_rates(z, s, dx, ds)
+    if by_rates or h * float(rate.max()) <= 1.0:
         # Operating band: single plain step, identical to an unguarded loop.
-        step = _rk4_increment(x, t, integral, h, dx, eval_loop, signals_at) if rk4 else h * dx
-        # |h * dx| <= GUARD_REL after the rates bound, so an euler step it
-        # admitted leaves a finite state finite
-        x_next = x + step if by_rates and not rk4 else _finite(x + step, t)
+        # |h * dx| <= GUARD_REL after the rates bound, so a step it admitted
+        # leaves a finite state finite
+        x_next = x + h * dx if by_rates else _finite(x + h * dx, t)
         return x_next, integral if integ is None else integral + h * integ
 
     shape, n = x.shape, x.shape[-1]
@@ -626,7 +607,7 @@ def _advance(
     if integ is not None:
         integ, ds = integ.reshape(-1, n), ds.reshape(-1, n)
         alpha1_integ = alpha1_integ.reshape(-1, n)
-    rate = _row_rates(rz.reshape(-1, n), None if rs is None else rs.reshape(-1, n))
+    rate = rate.reshape(-1)
     # a run inside the guard covers h in its first substep, its plain step,
     # even where 1/rate rounds below h
     rate = np.where(h * rate <= 1.0, 0.0, rate)
@@ -662,13 +643,7 @@ def _advance(
             h_sub = np.where(stiff, h_imp, h_sub)
             stiff = stiff[:, None]
         hs = h_sub[:, None]
-        if rk4:
-            try:
-                x = x + _rk4_increment(x, t_local, integral, h_sub, dx, eval_loop, signals_at)
-            except RunErrors as err:
-                raise err.at(rows) from None
-        else:
-            x = x + hs * dx
+        x = x + hs * dx
         if integ is not None:
             integral = integral + hs * integ
         if stiff is not None:
@@ -705,7 +680,7 @@ def _advance(
         except RunErrors as err:
             raise err.at(rows) from None
         ds = None if integ is None else dx + alpha1_integ
-        rate = _row_rates(*_guard_ratios(z, s, dx, ds))
+        rate = _row_rates(z, s, dx, ds)
 
 
 def _exp_sq_growth(v):
@@ -763,21 +738,6 @@ def _finite(x, t):
     if not np.isfinite(x).all():
         raise _state_errors(x, "after step", t)
     return x
-
-
-def _rk4_increment(x, t, integral, h, k1, eval_loop, signals_at):
-    """The classical rk4 increment over ``h`` from ``x`` at ``t``, where ``k1``
-    is the rate already evaluated there. ``h`` and ``t`` are floats, or one
-    substep size and local time per row of a block ``x``. The three stage
-    evaluations re-run the controller at the stage states and times with the
-    sliding integral frozen at its start value."""
-    hs = h if np.ndim(h) == 0 else h[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        mid = signals_at(t + 0.5 * h)
-        k2 = eval_loop(x + 0.5 * hs * k1, mid, integral)[4]
-        k3 = eval_loop(x + 0.5 * hs * k2, mid, integral)[4]
-        k4 = eval_loop(x + hs * k3, signals_at(t + h), integral)[4]
-        return (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 # --- settling measurement ------------------------------------------------------

@@ -3,10 +3,10 @@
 This module holds the surface parameters and the integrand. The integral
 starts empty, so s equals the tracking error at t=0 and the closed loop begins
 directly on the surface s=z. The simulation engine accumulates the integral
-with explicit-Euler increments of the plant integrator's step (even when the
-plant itself is stepped with rk4): the control law cancels this exact discrete
-term, and a higher-order quadrature here would inject an artificial
-disturbance into the s-dynamics.
+with rectangle-rule increments of the plant's step: the control law cancels
+this exact discrete term, and a higher-order quadrature here would inject an
+artificial disturbance into the s-dynamics. The closed loop is therefore first
+order in the step whatever the plant stepper, which is euler alone.
 """
 from __future__ import annotations
 

@@ -46,6 +46,25 @@ def test_validate_rejects_unknown_keys(capsys, tmp_path):
     assert "extras" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "run", "montecarlo"])
+def test_removed_rk4_method_is_a_config_error_that_says_why(
+    capsys, tmp_path, monkeypatch, command
+):
+    # Under the switching law the closed loop is first order whatever the
+    # plant stepper, so rk4 was removed; a config that asks for it is refused
+    # with that reason, by validate too.
+    monkeypatch.chdir(tmp_path)
+    cfg = json.loads(KNOWN.read_text())
+    cfg["sim"]["method"] = "rk4"
+    path = tmp_path / "rk4.json"
+    path.write_text(json.dumps(cfg))
+    extra = {"validate": [], "run": FAST, "montecarlo": [*FAST, "--runs", "2", "--ic-box=-1,1"]}
+    code, _, err = run_cli(capsys, command, str(path), *extra[command])
+    assert code == 2
+    assert "'rk4' was removed" in err and "first order" in err
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_malformed_json_is_a_config_error(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{ this is not json")

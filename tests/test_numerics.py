@@ -78,6 +78,7 @@ def test_step_config_normalizes_explicit_euler():
         {"step_size": 1e-4, "t_end": float("nan")},
         {"step_size": 0.1, "t_end": 0.35},  # off the step grid
         {"step_size": 0.1, "t_end": 1.0, "method": "rk45"},
+        {"step_size": 0.1, "t_end": 1.0, "method": "rk4"},  # removed
     ],
 )
 def test_step_config_rejects_bad_inputs(kwargs):
@@ -126,22 +127,11 @@ def test_integrate_step_euler_constant_rate():
     assert traj.x[1, 0] == pytest.approx(0.1, abs=1e-15)
 
 
-def test_integrate_step_rk4_exponential_one_step():
-    traj = open_loop(lambda x: x, [1.0], 0.1, 0.1, method="rk4")
-    assert traj.x[1, 0] == pytest.approx(np.exp(0.1), abs=1e-7)
-
-
-def test_rk4_exponential_over_unit_interval():
-    traj = open_loop(lambda x: x, [1.0], 1e-3, 1.0, method="rk4")
-    assert traj.x[-1, 0] == pytest.approx(np.e, abs=1e-9)
-
-
-@pytest.mark.parametrize("method, low, high", [("euler", 0.95, 1.05), ("rk4", 3.9, 4.1)])
+@pytest.mark.parametrize("method, low, high", [("euler", 0.95, 1.05)])
 def test_convergence_order_on_the_lemma2_oracle(method, low, high):
     # Open loop from x0 = 1 the lemma2 plant has erf(x(t)) = erf(1) - t; up to
     # t = 0.4 x stays away from the sign switch at 0, so each halving of h
-    # must cut the error at t = 0.4 by 2**order, order 1 for euler and 4 for
-    # rk4.
+    # must cut the error at t = 0.4 by 2**order, order 1 for euler.
     drift = make_lemma2_plant(1.0).drift
     exact = erfinv(erf(1.0) - 0.4)
     errors = [
@@ -160,13 +150,3 @@ def test_integrate_step_reports_non_finite_channel():
         open_loop(lambda x: np.zeros(3), np.zeros(3), 0.25, 1.0, perturbation=perturbation)
     assert exc.value.channel == 1
     assert exc.value.t == 0.25
-
-
-def test_integrate_step_rk4_checks_stage_derivatives():
-    def perturbation(t):
-        # finite at the initial stage, infinite at the midpoint stages
-        return np.where(np.asarray(t)[..., None] > 0.0, np.inf, 1.0)
-
-    with pytest.raises(SimulationDivergedError):
-        open_loop(lambda x: np.zeros(1), [0.0], 0.1, 1.0, method="rk4",
-                  perturbation=perturbation)

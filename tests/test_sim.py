@@ -374,17 +374,16 @@ def test_batch_with_per_row_gain_equals_single_runs(gain):
 def test_declared_constant_gain_equals_gain_called_every_evaluation():
     # make_pmsm declares its unit gain, so the loop skips / g and g *; the
     # same gain as a plain callable is called, checked and applied at every
-    # evaluation, with the same numbers, in euler and in rk4.
-    for method in ("euler", "rk4"):
-        declared = identity_template(method)
-        called = dataclasses.replace(
-            declared, system=dataclasses.replace(declared.system, gain=lambda x: np.ones(3))
-        )
-        assert_same_bits(declared, called, IDENTITY_STARTS)
-        box = [(-3.0, 3.0)] * 3
-        batch = run_monte_carlo(declared, box, runs=4, seed=1)
-        expected_batch = run_monte_carlo(called, box, runs=4, seed=1)
-        assert mc_result_to_dict(batch) == mc_result_to_dict(expected_batch)
+    # evaluation, with the same numbers.
+    declared = identity_template("euler")
+    called = dataclasses.replace(
+        declared, system=dataclasses.replace(declared.system, gain=lambda x: np.ones(3))
+    )
+    assert_same_bits(declared, called, IDENTITY_STARTS)
+    box = [(-3.0, 3.0)] * 3
+    batch = run_monte_carlo(declared, box, runs=4, seed=1)
+    expected_batch = run_monte_carlo(called, box, runs=4, seed=1)
+    assert mc_result_to_dict(batch) == mc_result_to_dict(expected_batch)
 
 
 def _scalar_only(value):
@@ -787,54 +786,6 @@ def test_batch_with_boundary_layer_sign_equals_single_runs():
     assert result.aggregate["n_settled"] == 5  # settling and chatter compared too
 
 
-def test_batch_rk4_equals_single_runs():
-    # From +-3 some runs leave the guard and take rk4 substeps, each run on
-    # its own substep sizes and local times.
-    system, evaluated = counting_drift(make_pmsm())
-    template = Scenario(
-        system=system,
-        reference=zero_reference(3),
-        params=standard_channels(),
-        x0=np.ones(3),
-        step=StepConfig(step_size=1e-3, t_end=1.0, method="rk4"),
-        settle_threshold=0.05,
-    )
-    runs, steps = 5, template.step.n_steps
-    result = run_monte_carlo(template, [(-3.0, 3.0)] * 3, runs=runs, seed=4)
-    assert evaluated[0] > runs * (4 * steps + 1)  # substeps were taken
-    assert result.aggregate["n_settled"] == runs
-    assert_batch_equals_single_runs(template, [(-3.0, 3.0)] * 3, runs, 4)
-
-
-def rk4_pmsm(x0, system=None, reference=None, t_end=1.0):
-    return Scenario(
-        system=system or make_pmsm(),
-        reference=reference or zero_reference(3),
-        params=standard_channels(),
-        x0=np.asarray(x0, dtype=float),
-        step=StepConfig(step_size=1e-3, t_end=t_end, method="rk4"),
-        settle_threshold=0.02,
-    )
-
-
-def test_rk4_settles_from_a_start_outside_the_guard():
-    # From [5, -5, 5] the first steps substep; rk4 settles as euler does.
-    scenario = rk4_pmsm([5.0, -5.0, 5.0])
-    summary = summarize_run(simulate(scenario), scenario)
-    assert summary.settled
-    assert summary.all_bounds_satisfied
-
-
-def test_rk4_in_band_evaluates_the_rate_once_per_stage():
-    # In band every step is one plain rk4 step: the rate at the grid row is
-    # the first stage, and three more stages follow.
-    system, evaluated = counting_drift(make_pmsm())
-    reference = sinusoid_reference([1.0, 0.5, 0.2], [3.0, 2.0, 1.0], [0.0, 0.3, 0.6])
-    scenario = rk4_pmsm([1.0, -1.0, 1.0], system, reference, t_end=0.5)
-    simulate(scenario)
-    assert evaluated[0] == 4 * scenario.step.n_steps + 1
-
-
 def gp_template(t_end):
     """gp-based mode on a 20-point GP of the PMSM drift over [-3, 3]^3."""
     kernel = KernelConfig(family="exponential", length_scale=1.0)
@@ -886,12 +837,12 @@ def test_batch_with_diverging_runs_records_each_and_carries_on():
     assert [r["run"] for r in result.failures] == sorted(r["run"] for r in result.failures)
 
 
-@pytest.mark.parametrize("method, box, budget", [("euler", 1e5, 32), ("rk4", 3.0, 2)])
+@pytest.mark.parametrize("method, box, budget", [("euler", 1e5, 32)])
 def test_batch_records_exhausted_substep_budget_like_single_runs(
     monkeypatch, method, box, budget
 ):
     # A small budget makes the runs that need more substeps fail inside a
-    # macro step; euler and rk4 share the one substep loop and its budget.
+    # macro step.
     # Euler's backward-Euler substeps cover a step from the +-10 box in at
     # most two substeps, so its runs start from +-1e5, where they take 32 to
     # 35 substeps at t = 0.
@@ -1125,7 +1076,7 @@ def identity_template(method, system=None, reference=None):
 IDENTITY_STARTS = [[3.0, -3.0, 3.0], [-4.5, 2.0, 0.5], [0.5, -0.25, 1.5], [1.0, 4.0, -4.0]]
 
 
-@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("method", ["euler"])
 def test_zero_reference_equals_a_time_dependent_zero_reference(method):
     # zero_reference skips x - x_d and - x_d'; a sinusoid of amplitude 0
     # depends on t, so it is subtracted every time.
@@ -1136,7 +1087,7 @@ def test_zero_reference_equals_a_time_dependent_zero_reference(method):
     assert_same_bits(fast, general, IDENTITY_STARTS)
 
 
-@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("method", ["euler"])
 def test_unperturbed_pmsm_equals_a_time_dependent_zero_perturbation(method):
     # The constant zero perturbation is read from the grid per step; one that
     # depends on t is read there as a (rows, n) array.
@@ -1148,7 +1099,7 @@ def test_unperturbed_pmsm_equals_a_time_dependent_zero_perturbation(method):
     assert_same_bits(fast, general, IDENTITY_STARTS)
 
 
-@pytest.mark.parametrize("method", ["euler", "rk4"])
+@pytest.mark.parametrize("method", ["euler"])
 def test_nan_reference_in_closed_loop_still_fails_the_guard(method):
     # In closed loop a NaN z makes s, the reaching term, u and dx NaN, so the
     # rate bound alone sends the step to the substep loop, which reports it.
