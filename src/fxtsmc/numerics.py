@@ -61,7 +61,10 @@ class StepConfig:
             object.__setattr__(self, "method", "euler")
         if self.method not in _METHODS:
             raise ParameterError(f"method must be one of {_METHODS}, got {self.method!r}")
-        n = round(self.t_end / self.step_size)
+        steps = self.t_end / self.step_size
+        if not np.isfinite(steps):
+            raise ParameterError(f"t_end / step_size is not finite: {self.t_end} / {self.step_size}")
+        n = round(steps)
         if abs(n * self.step_size - self.t_end) > _GRID_RTOL * max(1.0, self.t_end):
             raise ParameterError(
                 f"t_end={self.t_end} is not an integer multiple of step_size={self.step_size}"

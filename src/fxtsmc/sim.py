@@ -45,6 +45,8 @@ A failed run of a block is recorded and dropped, and the others carry on.
 A batch buffers a chunk of grid rows and reduces it per run in one pass
 (settling rows, max |u|, and the max |s| since the error last left its band,
 the chatter amplitude), so it keeps no array that grows with rows times runs.
+``summarize_run`` reduces a trajectory as one chunk of a one-run block, so a
+batch's summaries and the single run's agree by construction.
 The law's per-channel constants take the shape of the block they act on.
 
 The loop evaluates per step only what depends on the state. The reference,
@@ -254,7 +256,8 @@ class _Log:
     columns, for a Trajectory (the time signals come from the grid)."""
 
     def __init__(self, scenario: Scenario):
-        rows, n = scenario.step.n_steps + 1, scenario.system.n
+        n = scenario.system.n
+        rows = _grid_rows(scenario.step, n)
         self.x, self.z, self.s, self.u = (np.empty((rows, n)) for _ in range(4))
         self.f_hat = np.empty((rows, n)) if scenario.mode == "gp-based" else None
 
@@ -291,7 +294,7 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
     cfg = scenario.step
     h = cfg.step_size
     n_steps = cfg.n_steps
-    t_grid = np.arange(n_steps + 1) * h
+    t_grid = np.arange(_grid_rows(cfg, n)) * h
 
     ref_value = scenario.reference.value
     ref_deriv = scenario.reference.derivative
@@ -461,6 +464,15 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
             continue
         x, integral = x_next, integral_next
         k += 1
+
+
+def _grid_rows(step: StepConfig, n: int) -> int:
+    """The grid's row count; a MemoryError, not numpy's ValueError, when
+    (rows, n) floats exceed numpy's index range."""
+    rows = step.n_steps + 1
+    if rows * n * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(f"a grid of {rows:.3g} rows by {n} channels exceeds numpy's array size")
+    return rows
 
 
 def _check_block_gain(gain, x, n):
@@ -747,24 +759,15 @@ def measure_settling(traj: Trajectory, which: str, threshold: float) -> np.ndarr
     """Earliest grid time per channel after which the signal stays < threshold.
 
     ``which`` selects the tracking error ("error") or the sliding variable
-    ("sliding"). A channel that never stays below gets NaN. The "stays below
-    for the remainder of the run" semantics are computed with a reversed
-    running maximum, so the cost is one pass.
+    ("sliding"). A NaN sample counts as unsettled, and a channel that never
+    stays below gets NaN. The batch reduction's own row helpers compute it.
     """
-    if which == "error":
-        sig = np.abs(traj.z)
-    elif which == "sliding":
-        sig = np.abs(traj.s)
-    else:
+    if which not in ("error", "sliding"):
         raise ParameterError(f"which must be 'error' or 'sliding', got {which!r}")
     if not threshold > 0.0:
         raise ParameterError(f"threshold must be positive, got {threshold}")
-    suffix_max = np.maximum.accumulate(sig[::-1], axis=0)[::-1]
-    below = suffix_max < threshold
-    first = np.argmax(below, axis=0)
-    out = traj.t[first].astype(float)
-    out[~below[-1]] = np.nan
-    return out
+    sig = np.abs(traj.z if which == "error" else traj.s)
+    return _settled_after(_last_true(~(sig < threshold), 0, -1), traj.t)
 
 
 @dataclass(frozen=True)
@@ -810,48 +813,16 @@ def summarize_run(
 ) -> RunSummary:
     """Measure both settling families and audit them against the bound report.
 
+    The trajectory goes through the batch reduction, as one chunk of a
+    one-run block, so a batch's summaries and this one agree by construction.
     ``bounds`` defaults to the known-model report of a known-model scenario's
     controller parameters. Other modes carry no bound unless one is passed:
     a gp-based bound depends on the GP error budget, which only the caller
     knows, so an unavailable one stays unavailable.
     """
-    threshold = scenario.settle_threshold
-    settle_err = measure_settling(traj, "error", threshold)
-    t_star = np.max(settle_err)  # NaN, and no row after it, when a channel never settles
-    return _summary(
-        scenario,
-        traj.x[0],
-        settle_err,
-        measure_settling(traj, "sliding", threshold),
-        np.max(np.abs(traj.u)),
-        np.abs(traj.s).max(axis=1)[traj.t >= t_star].max(initial=-np.inf),
-        bounds,
-    )
-
-
-def _summary(scenario, x0, settle_err, settle_s, max_abs_u, tail_max_s, bounds):
-    """RunSummary of one run from its settling times, max |u|, and the max |s|
-    over the rows from t* on, which is the chatter amplitude once every error
-    channel has settled."""
-    if bounds is None and scenario.mode == "known-model":
-        bounds = bound_report(scenario.channels)
-    flags = None
-    if bounds is not None:
-        flags = tuple(
-            bool(np.isfinite(ti) and ti <= bounds.t_max) for ti in settle_err
-        )
-    settled = np.all(np.isfinite(settle_err))
-    chatter = float(tail_max_s) if settled else float("nan")
-    return RunSummary(
-        x0=tuple(float(v) for v in x0),
-        threshold=scenario.settle_threshold,
-        settling_error=tuple(float(v) for v in settle_err),
-        settling_sliding=tuple(float(v) for v in settle_s),
-        bounds=bounds,
-        bound_satisfied=flags,
-        max_abs_u=float(max_abs_u),
-        chatter_amplitude=chatter,
-    )
+    stats = _BatchStats(scenario, 1)
+    stats.reduce(0, traj.z[:, None], np.abs(traj.s)[:, None], traj.u[:, None])
+    return stats.summary(0, traj.t, traj.x[0], bounds)
 
 
 # --- Monte-Carlo batches ---------------------------------------------------------
@@ -880,7 +851,8 @@ def run_monte_carlo(
     ``ic_box`` is a per-dimension sequence of (low, high) pairs. All runs are
     stepped together as one (runs, n) block through the loop ``simulate``
     uses, and the grid rows are reduced a chunk at a time, so no trajectory
-    is kept; every summary equals ``summarize_run`` of that run's ``simulate``.
+    is kept; ``summarize_run`` goes through the same reduction and summary
+    builder, so every summary equals it on that run's ``simulate``.
     A run's error becomes a failure record with the type and message its own
     ``simulate`` raises; that run is dropped and the batch carries on. The
     aggregate reports the worst settling time, the bound-satisfaction
@@ -900,15 +872,7 @@ def run_monte_carlo(
     stats.flush()
     summaries: list[Optional[RunSummary]] = [None] * runs
     for j, i in enumerate(stats.runs):
-        summaries[i] = _summary(
-            template,
-            x0s[i],
-            _settled_after(stats.last_z[j], t),
-            _settled_after(stats.last_s[j], t),
-            stats.max_u[j],
-            stats.tail_s[j],
-            bounds,
-        )
+        summaries[i] = stats.summary(j, t, x0s[i], bounds)
     failures = [
         {
             "run": i,
@@ -968,7 +932,7 @@ def check_ic_box(ic_box, n: int) -> np.ndarray:
 
 class _BatchStats:
     """Sink of ``_step_loop`` for a batch: the grid rows reduced per run, a
-    chunk of rows at a time.
+    chunk of rows at a time. ``summarize_run`` reduces a trajectory here too.
 
     Each row's z, s and u are copied into a buffer of ``chunk`` rows, and a
     full buffer is reduced in one vectorized pass. Per (run, channel) the
@@ -983,6 +947,7 @@ class _BatchStats:
 
     def __init__(self, template: Scenario, runs: int):
         n = template.system.n
+        self.scenario = template
         self.threshold = template.settle_threshold
         self.chunk = min(CHUNK_ROWS, max(1, CHUNK_BYTES // (24 * runs * n)))
         self.runs = np.arange(runs)
@@ -1008,18 +973,44 @@ class _BatchStats:
 
     def flush(self):
         m, self.m = self.m, 0
-        if m == 0:
-            return
-        abs_s = np.abs(self.s[:m], out=self.s[:m])
+        if m:
+            self.reduce(self.k0, self.z[:m], np.abs(self.s[:m], out=self.s[:m]), self.u[:m])
+
+    def reduce(self, k0, z, abs_s, u):
+        """Fold consecutive rows, numbered from ``k0``, into the per-run
+        results: stacks (rows, runs, n) of z, |s| and u."""
         # "not below" rather than "at or above", so that a NaN counts as
-        # unsettled, as it does in measure_settling
-        z_out = ~(np.abs(self.z[:m]) < self.threshold)
-        self.last_z = _last_true(z_out, self.k0, self.last_z)
-        self.last_s = _last_true(~(abs_s < self.threshold), self.k0, self.last_s)
-        self.max_u = np.maximum(self.max_u, np.abs(self.u[:m]).max(axis=(0, 2)))
+        # unsettled
+        z_out = ~(np.abs(z) < self.threshold)
+        self.last_z = _last_true(z_out, k0, self.last_z)
+        self.last_s = _last_true(~(abs_s < self.threshold), k0, self.last_s)
+        self.max_u = np.maximum(self.max_u, np.abs(u).max(axis=(0, 2)))
         out_row = _last_true(z_out.any(axis=2), 0, -1)
-        tail = np.where(np.arange(m)[:, None] > out_row, abs_s.max(axis=2), -np.inf).max(axis=0)
+        tail = np.where(np.arange(len(z))[:, None] > out_row, abs_s.max(axis=2), -np.inf).max(axis=0)
         self.tail_s = np.where(out_row >= 0, tail, np.maximum(self.tail_s, tail))
+
+    def summary(self, j, t, x0, bounds) -> RunSummary:
+        """RunSummary of the run in row ``j`` of the results, on the grid
+        ``t``, from ``x0``; ``bounds`` defaults as in ``summarize_run``."""
+        scenario = self.scenario
+        if bounds is None and scenario.mode == "known-model":
+            bounds = bound_report(scenario.channels)
+        settle_err = _settled_after(self.last_z[j], t)
+        # the max |s| since the error last left its band is the chatter
+        # amplitude once every error channel has settled
+        settled = np.all(np.isfinite(settle_err))
+        return RunSummary(
+            x0=tuple(float(v) for v in x0),
+            threshold=scenario.settle_threshold,
+            settling_error=tuple(float(v) for v in settle_err),
+            settling_sliding=tuple(float(v) for v in _settled_after(self.last_s[j], t)),
+            bounds=bounds,
+            bound_satisfied=None if bounds is None else tuple(
+                bool(np.isfinite(ti) and ti <= bounds.t_max) for ti in settle_err
+            ),
+            max_abs_u=float(self.max_u[j]),
+            chatter_amplitude=float(self.tail_s[j]) if settled else float("nan"),
+        )
 
     def fail(self, errors) -> np.ndarray:
         self.flush()

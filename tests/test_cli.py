@@ -527,8 +527,14 @@ def test_infeasible_gp_bound_is_not_replaced(capsys, tmp_path, monkeypatch, comm
         ["montecarlo", str(KNOWN), "--set", "sim.step_size=1e-12", "--set", "sim.t_end=1000",
          "--runs", "2", "--ic-box", "-1,1"],
         ["montecarlo", str(KNOWN), "--runs", "1000000000000000", "--ic-box", "-1,1"],
+        # beyond numpy's index range, which numpy reports as a ValueError
+        ["run", str(KNOWN), "--set", "sim.step_size=1e-300", "--set", "sim.t_end=1"],
+        ["run", str(KNOWN), "--set", "sim.step_size=1e-18", "--set", "sim.t_end=0.5"],
+        ["montecarlo", str(KNOWN), "--set", "sim.step_size=1e-18", "--set", "sim.t_end=5",
+         "--runs", "2", "--ic-box", "-1,1"],
     ],
-    ids=["run-grid", "montecarlo-grid", "montecarlo-runs"],
+    ids=["run-grid", "montecarlo-grid", "montecarlo-runs", "run-grid-dimension",
+         "run-grid-size", "montecarlo-grid-size"],
 )
 def test_grid_or_batch_too_large_to_allocate_is_a_parameter_error(
     capsys, tmp_path, monkeypatch, argv
@@ -540,3 +546,12 @@ def test_grid_or_batch_too_large_to_allocate_is_a_parameter_error(
     assert code == 2
     assert err.startswith("parameter error: too large to allocate: ")
     assert err.count("\n") == 1
+
+
+def test_step_count_that_overflows_is_a_parameter_error(capsys, tmp_path, monkeypatch):
+    # t_end / step_size = 1 / 5e-324 overflows to inf
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, "run", str(KNOWN), "--set", "sim.step_size=5e-324",
+                           "--set", "sim.t_end=1")
+    assert code == 2
+    assert err == "parameter error: t_end / step_size is not finite: 1.0 / 5e-324\n"

@@ -17,6 +17,7 @@ from fxtsmc.errors import (
     UnfitGPError,
 )
 from fxtsmc import sim
+from fxtsmc.controller import BoundReport
 from fxtsmc.gp import KernelConfig, generate_training_data, gp_fit
 from fxtsmc.numerics import StepConfig
 from fxtsmc.sim import (
@@ -585,6 +586,73 @@ def test_summary_round_trips_through_json(tmp_path):
     assert doc["settled"] is False
     assert doc["settling_time"] is None
     assert doc["bounds"]["t_max"] == pytest.approx(1.2741613156896068)
+
+
+def oracle_settling(t, sig, threshold):
+    """Per channel, t[k] for the least k with every |sig[k:]| < threshold (a
+    NaN sample is not below it), or NaN when there is no such k."""
+    out = []
+    for column in sig.T:
+        ks = [k for k in range(len(t)) if all(abs(v) < threshold for v in column[k:])]
+        out.append(t[ks[0]] if ks else math.nan)
+    return np.array(out)
+
+
+def random_signal(rng, rows, n, threshold):
+    """Values near the threshold: above it before a random row per channel and
+    below it after, with some samples exactly at it and some NaN."""
+    k_in = rng.integers(0, rows + 1, size=n)
+    size = np.where(np.arange(rows)[:, None] < k_in, rng.uniform(0.5, 1.5, (rows, n)),
+                    rng.uniform(0.5, 1.0, (rows, n)))
+    values = threshold * size * rng.choice([-1.0, 1.0], (rows, n))
+    values[rng.random((rows, n)) < 0.05] = threshold
+    values[rng.random((rows, n)) < 0.03] = math.nan
+    return values
+
+
+def test_summary_matches_a_direct_oracle_on_random_trajectories():
+    rng = np.random.default_rng(13)
+    for _ in range(300):
+        n, rows = int(rng.integers(1, 4)), int(rng.integers(1, 41))
+        threshold = float(rng.choice([1e-2, 0.5, 3.0]))
+        t = np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 0.1, rows - 1))])
+        z, s = random_signal(rng, rows, n, threshold), random_signal(rng, rows, n, threshold)
+        u = rng.normal(size=(rows, n))
+        u[rng.random((rows, n)) < 0.02] = math.nan
+        traj = Trajectory(t=t, x=z + 1.0, x_d=np.zeros((rows, n)), z=z, s=s, u=u,
+                          d=np.zeros((rows, n)))
+        scenario = Scenario(
+            system=make_integrator_plant(n),
+            reference=zero_reference(n),
+            params=standard_channels(n),
+            x0=np.zeros(n),
+            step=StepConfig(step_size=0.1, t_end=1.0),
+            settle_threshold=threshold,
+        )
+        bounds = BoundReport(t_z_channels=(0.5 * t[-1] + 0.01,) * n,
+                             t_s_channels=(0.01,) * n, mode="known-model")
+
+        settle_z = oracle_settling(t, z, threshold)
+        settle_s = oracle_settling(t, s, threshold)
+        np.testing.assert_array_equal(measure_settling(traj, "error", threshold), settle_z)
+        np.testing.assert_array_equal(measure_settling(traj, "sliding", threshold), settle_s)
+
+        summary = summarize_run(traj, scenario, bounds=bounds)
+        np.testing.assert_array_equal(summary.x0, z[0] + 1.0)
+        assert summary.threshold == threshold
+        np.testing.assert_array_equal(summary.settling_error, settle_z)
+        np.testing.assert_array_equal(summary.settling_sliding, settle_s)
+        assert summary.bound_satisfied == tuple(
+            bool(ts <= bounds.t_max) for ts in settle_z  # NaN <= t_max is False
+        )
+        np.testing.assert_array_equal(summary.max_abs_u, np.max(np.abs(u)))
+        if np.isnan(settle_z).any():
+            assert math.isnan(summary.chatter_amplitude)
+        else:
+            k_star = int(np.flatnonzero(t == settle_z.max())[0])
+            np.testing.assert_array_equal(
+                summary.chatter_amplitude, np.max(np.abs(s[k_star:]))
+            )
 
 
 # --- monte carlo -------------------------------------------------------------------
