@@ -53,11 +53,10 @@ from .gp import (
     save_datasets,
     variance_many,
 )
-from .numerics import StepConfig
+from .numerics import StepConfig, check_ic_box
 from .sim import (
     Scenario,
     bound_report_to_dict,
-    check_ic_box,
     mc_result_to_dict,
     run_monte_carlo,
     simulate,
@@ -550,6 +549,11 @@ def cmd_gp_train(args) -> int:
     system = build_system(cfg)
     models = build_gp_models(cfg, system)
     datasets = [m.dataset for m in models]
+    # the held-out states are drawn from the training region, or the data's span
+    inputs = datasets[0].inputs
+    span = np.stack([inputs.min(axis=0), inputs.max(axis=0)], axis=1)
+    region = gp_cfg.get("generate", {}).get("region", span)
+    region = check_ic_box(region, system.n, "held-out region")
 
     stem = Path(args.config).stem
     csv_path = _output_path(cfg, "dataset_csv", f"{stem}-dataset.csv")
@@ -565,10 +569,6 @@ def cmd_gp_train(args) -> int:
               f"(jitter {m.jitter:g})")
 
     rng = np.random.default_rng((datasets[0].seed or 0) + 1)
-    region = np.asarray(gp_cfg["generate"]["region"], dtype=float) if "generate" in gp_cfg else None
-    if region is None:
-        lo, hi = datasets[0].inputs.min(axis=0), datasets[0].inputs.max(axis=0)
-        region = np.stack([lo, hi], axis=1)
     held = rng.uniform(region[:, 0], region[:, 1], size=(256, system.n))
     rms = float(np.sqrt(np.mean((system.drift(held) - estimate(held)) ** 2)))
     print(f"held-out drift RMS over {held.shape[0]} fresh states: {rms:.6g}")

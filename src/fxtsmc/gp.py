@@ -24,6 +24,7 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import ConfigError, IllConditionedDataError, ParameterError
+from .numerics import check_ic_box
 from .system import SystemModel
 
 KERNEL_FAMILIES = ("exponential", "squared-exponential")
@@ -55,6 +56,14 @@ class KernelConfig:
             )
         if not (np.isfinite(self.length_scale) and self.length_scale > 0.0):
             raise ParameterError(f"length_scale must be positive, got {self.length_scale}")
+        # the squared-exponential kernel divides by 2 l^2: no overflow, no 0
+        with np.errstate(over="ignore", under="ignore"):
+            two_l2 = 2.0 * np.float64(self.length_scale) ** 2
+        if self.family == "squared-exponential" and not 0.0 < two_l2 < np.inf:
+            raise ParameterError(
+                f"squared-exponential 2 * length_scale**2 must be positive and finite, "
+                f"got length_scale = {self.length_scale}"
+            )
 
 
 def _kernel_of_dist(cfg: KernelConfig, r):
@@ -312,10 +321,10 @@ def generate_training_data(
     y_i = f_i(x) + w with w ~ Normal(0, sigma_f^2), drawn from a generator
     seeded with ``seed`` so repeat calls are byte-identical.
     """
-    region = np.asarray(region, dtype=float)
-    if region.shape != (model.n, 2) or np.any(region[:, 1] <= region[:, 0]):
+    region = check_ic_box(region, model.n, "region")
+    if np.any(region[:, 1] == region[:, 0]):
         raise ParameterError(
-            f"region must be {model.n} non-degenerate (low, high) pairs, got {region!r}"
+            f"region must be {model.n} non-degenerate (low, high) pairs, got {region.tolist()}"
         )
     if n_samples < 1:
         raise ParameterError(f"need n_samples >= 1, got {n_samples}")
@@ -373,14 +382,19 @@ def save_datasets(datasets: Sequence[GPDataset], csv_path, metadata: Optional[di
 def load_datasets(csv_path) -> tuple[list[GPDataset], dict]:
     """Read back datasets written by save_datasets, with their metadata.
 
-    A malformed CSV row or sidecar is a ConfigError naming the file (and the
-    line, for a row).
+    A header other than x1..xd, y1..yc, a malformed row or a malformed
+    sidecar is a ConfigError naming the file (and the line, for a row).
     """
     csv_path = Path(csv_path)
     rows = []
     with csv_path.open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
+        dim = sum(1 for name in header if name.startswith("x"))
+        n_channels = len(header) - dim
+        names = [f"x{i + 1}" for i in range(dim)] + [f"y{i + 1}" for i in range(n_channels)]
+        if header != names or not (dim and n_channels):
+            raise ConfigError(f"{csv_path}: the header must be x1..xd, y1..yc, got {header}")
         for row in reader:
             if not row:
                 continue
@@ -393,10 +407,6 @@ def load_datasets(csv_path) -> tuple[list[GPDataset], dict]:
                 rows.append([float(v) for v in row])
             except ValueError as err:
                 raise ConfigError(f"{where}: {err}") from err
-    dim = sum(1 for name in header if name.startswith("x"))
-    n_channels = len(header) - dim
-    if n_channels < 1 or dim < 1:
-        raise ParameterError(f"unrecognized dataset header: {header}")
     if not rows:
         raise ConfigError(f"{csv_path}: dataset has a header but no data rows")
     data = np.asarray(rows, dtype=float)

@@ -1,5 +1,5 @@
-"""Scalar numeric primitives: signed powers, a clamped exponential, and the
-fixed-step grid settings.
+"""Scalar numeric primitives: signed powers, a clamped exponential, the
+fixed-step grid settings, and the check of a box that states are drawn from.
 
 The primitives accept either floats or numpy arrays and operate elementwise,
 so the same code serves both scalar unit tests and the vectorized simulation
@@ -73,3 +73,22 @@ class StepConfig:
     @property
     def n_steps(self) -> int:
         return round(self.t_end / self.step_size)
+
+
+def check_ic_box(box, n: int, name: str = "ic_box") -> np.ndarray:
+    """``box`` as an (n, 2) array of ordered (low, high) pairs whose bounds
+    and widths high - low are finite, or a ParameterError that calls it
+    ``name``. Uniform draws need a finite width, and then stay in the box; a
+    bound that is not finite makes its width not finite too."""
+    box = np.asarray(box, dtype=float)
+    if box.shape != (n, 2) or np.any(box[:, 1] < box[:, 0]):
+        raise ParameterError(
+            f"{name} must be {n} ordered (low, high) pairs, got {box.tolist()}"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        width = box[:, 1] - box[:, 0]
+    if not np.isfinite(width).all():
+        raise ParameterError(
+            f"{name} bounds and widths high - low must be finite, got {box.tolist()}"
+        )
+    return box

@@ -52,15 +52,14 @@ The law's per-channel constants take the shape of the block they act on.
 The loop evaluates per step only what depends on the state. The reference,
 its derivative and the perturbation depend on time alone: they are evaluated
 once over the whole grid, each in one call with the grid as an array of
-times, and the declared perturbation bound is audited there; guard substeps
-still call them at their local times, except a substep that left every
-run's remaining time, and so its local time, where it was, which reuses the
-values of the substep before; a Scenario checks at construction that each
-accepts an array of times. A gain declared as a
-``ConstantGain`` was checked when built and is used as its value. Any other
-gain is called and checked at every evaluation; before the loop, one call
-on a block of two states checks that it accepts a block, and a batch also
-checks that it acts on each state of the block as on that state alone.
+times, and the declared perturbation bound is audited there; every guard
+substep calls them again, at its runs' local times (none of the 36 block
+substeps of a 30-run mc-far batch leaves them all unmoved); a Scenario
+checks at construction that each accepts an array of times. A gain declared
+as a ``ConstantGain`` was checked when built and is used as its value. Any
+other gain is called and checked at every evaluation; before the loop, one
+call on a block of two states checks that it accepts a block, and a batch
+also checks that it acts on each state of the block as on that state alone.
 
 The loop also skips every operation whose result it knows bit for bit. A
 unit ``ConstantGain`` and a reference that is constant (shape (n,) on the
@@ -96,7 +95,7 @@ from .errors import (
     SimulationDivergedError,
     UnfitGPError,
 )
-from .numerics import EXP_CLAMP, StepConfig, safe_exp
+from .numerics import EXP_CLAMP, StepConfig, check_ic_box, safe_exp
 from .sliding import integrand
 from .system import ConstantGain, ReferenceSignal, SystemModel, check_gain
 
@@ -325,8 +324,8 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
     zeros = np.zeros(n)
 
     def signals_at(t_cur):
-        """(x_d, d, x_d') at ``t_cur``, a float or one local time per row; None
-        for an identity."""
+        """(x_d, d, x_d') at ``t_cur``, one local time per row; None for an
+        identity."""
         return (
             None if xd_rows is None else ref_value(t_cur),
             pert(t_cur),
@@ -583,10 +582,8 @@ def _advance(
     substep. ``implicit`` is the backward-Euler substep of closed loop, None
     in open loop: there, a run whose explicit step cannot cover its
     remaining time inside the guard takes that substep, and a run whose
-    explicit step can takes it as its last substep. The time signals of a
-    substep are those of the one before when no run's remaining time has
-    moved, since they depend on time alone; far out, the substeps that drain
-    the last of a clamped |s| are that short. A state that is not finite
+    explicit step can takes it as its last substep. Every substep evaluates
+    the time signals at its runs' local times. A state that is not finite
     after the step raises, except after a plain step admitted by the rates
     bound, which cannot leave a finite state.
     """
@@ -626,8 +623,6 @@ def _advance(
     x_out, i_out = np.empty_like(x), np.empty_like(integral)
     rows = np.arange(len(x))
     remaining = np.full(rows.size, h)
-    t_local = t + (h - remaining)
-    signals = None
     n_sub = 0
     while True:
         finite = np.isfinite(rate)
@@ -660,20 +655,15 @@ def _advance(
             integral = integral + hs * integ
         if stiff is not None:
             x, integral = np.where(stiff, x_imp, x), np.where(stiff, i_imp, integral)
-        # a substep shorter than half the float spacing of the remaining time
-        # leaves it, and with it the local time, where it was
-        after = remaining - h_sub
-        moved = signals is None or (after != remaining).any()
-        if moved:
-            remaining = after
-            done = remaining <= 0.0
-            if done.any():
-                x_out[rows[done]] = x[done]
-                i_out[rows[done]] = integral[done]
-                if done.all():
-                    return _finite(x_out.reshape(shape), t), i_out.reshape(shape)
-                left = ~done
-                rows, x, integral, remaining = rows[left], x[left], integral[left], remaining[left]
+        remaining = remaining - h_sub
+        done = remaining <= 0.0
+        if done.any():
+            x_out[rows[done]] = x[done]
+            i_out[rows[done]] = integral[done]
+            if done.all():
+                return _finite(x_out.reshape(shape), t), i_out.reshape(shape)
+            left = ~done
+            rows, x, integral, remaining = rows[left], x[left], integral[left], remaining[left]
         n_sub += 1
         if n_sub > MAX_SUBSTEPS:
             message = (
@@ -683,12 +673,10 @@ def _advance(
             raise RunErrors({int(r): SimulationDivergedError(message, t=t) for r in rows})
         if not np.isfinite(x).all():
             raise _state_errors(x, "during substepping", t).at(rows)
-        if moved:
-            t_prev, t_local = t_local, t + (h - remaining)
-            if signals is None or t_local.shape != t_prev.shape or (t_local != t_prev).any():
-                signals = signals_at(t_local)
         try:
-            z, s, _, _, dx, integ, alpha1_integ = eval_loop(x, signals, integral)
+            z, s, _, _, dx, integ, alpha1_integ = eval_loop(
+                x, signals_at(t + (h - remaining)), integral
+            )
         except RunErrors as err:
             raise err.at(rows) from None
         ds = None if integ is None else dx + alpha1_integ
@@ -909,25 +897,6 @@ def run_monte_carlo(
         seed=seed,
         aggregate=aggregate,
     )
-
-
-def check_ic_box(ic_box, n: int) -> np.ndarray:
-    """``ic_box`` as an (n, 2) array of ordered (low, high) pairs whose bounds
-    and widths high - low are finite, or a ParameterError."""
-    box = np.asarray(ic_box, dtype=float)
-    if box.shape != (n, 2) or np.any(box[:, 1] < box[:, 0]):
-        raise ParameterError(
-            f"ic_box must be {n} ordered (low, high) pairs, got {ic_box!r}"
-        )
-    # uniform draws need a finite width high - low, and they then stay in the
-    # box; a bound that is not finite makes its width not finite too
-    with np.errstate(over="ignore", invalid="ignore"):
-        width = box[:, 1] - box[:, 0]
-    if not np.isfinite(width).all():
-        raise ParameterError(
-            f"ic_box bounds and widths high - low must be finite, got {box.tolist()}"
-        )
-    return box
 
 
 class _BatchStats:

@@ -452,6 +452,63 @@ def test_gp_dataset_with_unreadable_sidecar_is_a_config_error(capsys, tmp_path, 
     assert f"{sidecar}: not valid JSON" in err
 
 
+def test_gp_dataset_with_columns_out_of_order_is_a_config_error(capsys, tmp_path, monkeypatch):
+    # columns taken by position would read the inputs from y1, x1 and x2
+    monkeypatch.chdir(tmp_path)
+    header = ["y1", "x1", "x2", "x3", "y2", "y3"]
+    data = write_dataset(tmp_path / "d.csv", header, DATASET_ROWS)
+    code, _, err = run_cli(
+        capsys, "run", str(GP), "--set", f"gp={{\"dataset\": \"{data}\"}}", *FAST
+    )
+    assert code == 2
+    assert f"{data}: the header must be x1..xd, y1..yc, got {header}" in err
+
+
+def test_gp_train_rejects_a_data_span_of_non_finite_width(capsys, tmp_path, monkeypatch):
+    # the held-out states are drawn from the data's span, here -1e308..1e308
+    # in x1, a width that overflows; no artifact is written before the check
+    monkeypatch.chdir(tmp_path)
+    rows = [list(r) for r in DATASET_ROWS]
+    rows[0][0], rows[1][0] = -1e308, 1e308
+    data = write_dataset(tmp_path / "d.csv", DATASET_HEADER, rows)
+    code, _, err = run_cli(capsys, "gp-train", str(GP), "--set", f"gp={{\"dataset\": \"{data}\"}}")
+    assert code == 2
+    assert "held-out region bounds and widths high - low must be finite, got [[-1e+308" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "pmsm-gp-dataset.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "gp-train"])
+def test_gp_region_of_non_finite_width_is_a_parameter_error(
+    capsys, tmp_path, monkeypatch, command
+):
+    # finite bounds whose width overflows; the region prints as one short list
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(
+        capsys, command, str(GP), "--set", "gp.generate.region=[[-1e308,1e308],[0,1],[0,1]]"
+    )
+    assert code == 2
+    assert (
+        "region bounds and widths high - low must be finite, "
+        "got [[-1e+308, 1e+308], [0.0, 1.0], [0.0, 1.0]]\n"
+    ) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("length_scale", ["1e300", "1e-200"])
+def test_squared_exponential_length_scale_out_of_range_is_a_parameter_error(
+    capsys, tmp_path, monkeypatch, length_scale
+):
+    # 2 l^2 overflows at 1e300 and rounds to 0.0 at 1e-200
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(
+        capsys, "run", str(GP), "--set", "gp.kernel.family=squared-exponential",
+        "--set", f"gp.kernel.length_scale={length_scale}", *FAST,
+    )
+    assert code == 2
+    assert "squared-exponential 2 * length_scale**2 must be positive and finite" in err
+
+
 @pytest.mark.parametrize("seed", [-5, "abc", 1.5])
 def test_gp_dataset_sidecar_with_bad_seed_is_a_config_error(capsys, tmp_path, monkeypatch, seed):
     monkeypatch.chdir(tmp_path)

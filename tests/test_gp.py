@@ -75,6 +75,16 @@ def test_kernel_config_validation():
         KernelConfig(family="exponential", length_scale=0.0)
 
 
+@pytest.mark.parametrize("length_scale", [1e300, 1e-200], ids=["overflows", "rounds-to-0"])
+def test_squared_exponential_length_scale_needs_a_positive_finite_divisor(length_scale):
+    # the kernel divides by 2 l^2: 1e300 overflows it, and 1e-200 rounds it
+    # to 0.0, which makes the kernel NaN at distance 0
+    with pytest.raises(ParameterError, match=r"2 \* length_scale\*\*2"):
+        KernelConfig(family="squared-exponential", length_scale=length_scale)
+    # the exponential family multiplies the distance by l, and keeps both
+    KernelConfig(family="exponential", length_scale=length_scale)
+
+
 # --- fitting and closed forms ----------------------------------------------------
 
 

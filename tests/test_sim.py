@@ -1022,31 +1022,36 @@ class _RowRecorder:
         raise next(iter(errors.values()))
 
 
-def test_substeps_that_leave_the_local_time_unmoved_reuse_the_time_signals():
-    # From far out the substeps that drain the last of a clamped |s| are
-    # shorter than half the float spacing of the remaining time, so the local
-    # time does not move and the perturbation, which depends on time alone,
-    # is not evaluated again.
-    calls = [0]
+FAR_STARTS = [[1e3, -1e3, 1e3], [-900.0, 950.0, 1e3], [600.0, 800.0, -700.0]]
+
+
+def test_every_substep_evaluates_the_time_signals_at_its_local_times():
+    # One macro step from far starts, as single runs and as one block: every
+    # state a substep evaluates gets the perturbation at its own local time,
+    # inside the step, even where a substep left the local time unmoved.
     pmsm = make_pmsm()
+    times = []
 
     def perturbation(t):
-        calls[0] += 1
+        times.append(np.asarray(t, dtype=float))
         return pmsm.perturbation(t)
 
     system, evaluated = counting_drift(dataclasses.replace(pmsm, perturbation=perturbation))
-    template = dataclasses.replace(pmsm_scenario(step_size=1e-4, t_end=1e-3), system=system)
-    x0s = np.array([[1e3, -1e3, 1e3], [-900.0, 950.0, 1e3], [600.0, 800.0, -700.0]])
-    rows = template.step.n_steps + 1
-    for x0 in x0s:
-        scenario = dataclasses.replace(template, x0=x0)
-        calls[0] = evaluated[0] = 0
-        simulate(scenario)
-        substeps = evaluated[0] - rows
-        assert calls[0] < substeps
-    # the same starts stepped together as one block: every run's rows equal
-    # its own run's, though the block's local times stall at other substeps
-    assert_block_rows_equal_single_runs(template, x0s)
+    template = dataclasses.replace(pmsm_scenario(step_size=1e-4, t_end=1e-4), system=system)
+    h = template.step.step_size
+    for x0s in [np.array(x0) for x0 in FAR_STARTS] + [np.array(FAR_STARTS)]:
+        times.clear()
+        evaluated[0] = 0
+        sim._step_loop(template, x0s, _RowRecorder())
+        # the first call is the grid's, before the grid rows t = 0 and t = h
+        substep_times = times[1:]
+        substeps = evaluated[0] - 2 * (x0s.size // 3)
+        assert substeps > 0
+        assert sum(t.size for t in substep_times) == substeps
+        assert all(((0.0 <= t) & (t <= h)).all() for t in substep_times)
+    # the same starts stepped together as one block over ten steps: every
+    # run's rows equal its own run's
+    assert_block_rows_equal_single_runs(pmsm_scenario(step_size=1e-4, t_end=1e-3), FAR_STARTS)
 
 
 def assert_block_rows_equal_single_runs(template, x0s):
