@@ -55,6 +55,7 @@ from .gp import (
 )
 from .numerics import StepConfig, check_ic_box
 from .sim import (
+    DEFAULT_SETTLE_THRESHOLD,
     Scenario,
     bound_report_to_dict,
     mc_result_to_dict,
@@ -213,16 +214,21 @@ CONFIG_SCHEMA = {
     },
 }
 
+# Built once: jsonschema.validate would check the constant schema against the
+# metaschema on every call.
+_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+
 
 # --- config handling ---------------------------------------------------------
 
 
 def load_config(path) -> dict:
-    """Read and parse a JSON config. OSError passes through (I/O exit code)."""
+    """Read and parse a JSON config. OSError passes through (I/O exit code).
+    Invalid JSON and an integer literal too long to convert are ConfigErrors."""
     text = Path(path).read_text()
     try:
         cfg = json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:
         raise ConfigError(f"{path}: not valid JSON: {err}") from err
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
@@ -233,22 +239,22 @@ def validate_config(cfg: dict) -> None:
     if isinstance(cfg.get("sim"), dict) and cfg["sim"].get("method") == "rk4":
         raise ConfigError("config invalid at sim/method: 'rk4' was removed, as under the "
                           "switching law the closed loop is first order whatever the plant stepper")
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as err:
+    # the error jsonschema.validate raises
+    err = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
+    if err is not None:
         where = "/".join(str(p) for p in err.absolute_path) or "(top level)"
         raise ConfigError(f"config invalid at {where}: {err.message}") from err
 
 
 def apply_override(cfg: dict, assignment: str) -> None:
     """Apply one ``--set section.key=value`` override (value parsed as JSON,
-    falling back to a bare string)."""
+    falling back to a bare string, also for an integer too long to convert)."""
     path, sep, raw = assignment.partition("=")
     if not sep or not path.strip():
         raise ConfigError(f"override must look like section.key=value, got {assignment!r}")
     try:
         value = json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:
         value = raw
     node = cfg
     keys = path.strip().split(".")
@@ -343,11 +349,7 @@ def build_controller_params(cfg: dict, n: int) -> Optional[list[ControllerParams
 
 def build_step(cfg: dict) -> StepConfig:
     sim_cfg = cfg["sim"]
-    return StepConfig(
-        step_size=float(sim_cfg["step_size"]),
-        t_end=float(sim_cfg["t_end"]),
-        method=sim_cfg.get("method", "euler"),
-    )
+    return StepConfig(step_size=float(sim_cfg["step_size"]), t_end=float(sim_cfg["t_end"]))
 
 
 def build_gp_models(cfg: dict, system) -> list:
@@ -383,8 +385,8 @@ def build_gp_models(cfg: dict, system) -> list:
     return [base] + [gp_fit_shared(base, ds, kernel) for ds in datasets[1:]]
 
 
-def build_scenario(cfg: dict):
-    """Config dict -> (Scenario, gp models or None)."""
+def build_scenario(cfg: dict) -> Scenario:
+    """Config dict -> Scenario; gp-based mode fits its models here."""
     system = build_system(cfg)
     n = system.n
     reference = build_reference(cfg, n)
@@ -393,7 +395,7 @@ def build_scenario(cfg: dict):
     models = build_gp_models(cfg, system) if mode == "gp-based" else None
     sim_cfg = cfg["sim"]
     x0 = sim_cfg.get("x0", [0.0] * n)
-    scenario = Scenario(
+    return Scenario(
         system=system,
         reference=reference,
         params=params,
@@ -401,9 +403,8 @@ def build_scenario(cfg: dict):
         step=build_step(cfg),
         mode=mode,
         gp_models=models,
-        settle_threshold=float(sim_cfg.get("settle_threshold", 1e-2)),
+        settle_threshold=float(sim_cfg.get("settle_threshold", DEFAULT_SETTLE_THRESHOLD)),
     )
-    return scenario, models
 
 
 def _output_path(cfg: dict, key: str, default: str) -> Path:
@@ -426,7 +427,7 @@ def _gp_delta_f_bars(models, traj, chi: float) -> np.ndarray:
     return np.full(len(models), ErrorBoundConfig(chi=chi).chi * float(np.max(sigma)))
 
 
-def _settling_bounds(scenario, models, cfg: dict, pilot):
+def _settling_bounds(scenario, cfg: dict, pilot):
     """(bound report, note): the known-model bound, or the gp-based one sized
     over the states of ``pilot()`` (a trajectory made in gp-based mode only),
     or a note when the gains cannot meet it; neither in open loop."""
@@ -435,7 +436,7 @@ def _settling_bounds(scenario, models, cfg: dict, pilot):
     if scenario.mode != "gp-based":
         return None, None
     chi = float(cfg.get("gp", {}).get("chi", 2.0))
-    delta = _gp_delta_f_bars(models, pilot(), chi)
+    delta = _gp_delta_f_bars(scenario.gp_models, pilot(), chi)
     try:
         return bound_report(scenario.channels, delta_f_bars=delta), None
     except GainTooSmallError as err:
@@ -459,9 +460,9 @@ def _is_standard_pmsm_gains(channels) -> bool:
 
 def cmd_run(args) -> int:
     cfg = resolve_config(args)
-    scenario, models = build_scenario(cfg)
+    scenario = build_scenario(cfg)
     traj = simulate(scenario)
-    bounds, bound_note = _settling_bounds(scenario, models, cfg, lambda: traj)
+    bounds, bound_note = _settling_bounds(scenario, cfg, lambda: traj)
     summary = summarize_run(traj, scenario, bounds=bounds)
 
     stem = Path(args.config).stem
@@ -593,12 +594,12 @@ def _parse_ic_box(text: str, n: int) -> np.ndarray:
 
 def cmd_montecarlo(args) -> int:
     cfg = resolve_config(args)
-    scenario, models = build_scenario(cfg)
+    scenario = build_scenario(cfg)
     box = _parse_ic_box(args.ic_box, scenario.system.n)
 
     # gp-based: a pilot run from the box's corner sizes the drift-error bound
     bounds, bound_note = _settling_bounds(
-        scenario, models, cfg, lambda: simulate(dataclasses.replace(scenario, x0=box[:, 1]))
+        scenario, cfg, lambda: simulate(dataclasses.replace(scenario, x0=box[:, 1]))
     )
     if bound_note:
         print(bound_note, file=sys.stderr)

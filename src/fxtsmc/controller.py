@@ -129,7 +129,7 @@ def theorem1_z_bound(alpha1: float, p: int, q: int) -> float:
     """(2/alpha1) / (1 - (p/q)^2): on-surface error settling bound."""
     if not alpha1 > 0.0:
         raise ParameterError(f"alpha1 must be positive, got {alpha1}")
-    if q < 1 or p < 0 or not p / q < 1.0:
+    if q < 1 or p < 0 or p >= q or not p / q < 1.0:
         raise ParameterError(f"exponent p/q must lie in [0, 1), got {p}/{q}")
     r = p / q
     return (2.0 / alpha1) / (1.0 - r * r)

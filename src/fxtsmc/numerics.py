@@ -17,8 +17,6 @@ from .errors import ParameterError
 # stay finite even when |z| transiently exceeds ~7.
 EXP_CLAMP = 50.0
 
-_METHODS = ("euler",)
-
 # Relative slack when checking that t_end sits on the step grid.
 _GRID_RTOL = 1e-9
 
@@ -50,17 +48,12 @@ class StepConfig:
 
     step_size: float
     t_end: float
-    method: str = "euler"
 
     def __post_init__(self):
         if not (self.step_size > 0.0 and np.isfinite(self.step_size)):
             raise ParameterError(f"step_size must be positive, got {self.step_size}")
         if not (self.t_end >= 0.0 and np.isfinite(self.t_end)):
             raise ParameterError(f"t_end must be >= 0, got {self.t_end}")
-        if self.method == "explicit-euler":
-            object.__setattr__(self, "method", "euler")
-        if self.method not in _METHODS:
-            raise ParameterError(f"method must be one of {_METHODS}, got {self.method!r}")
         steps = self.t_end / self.step_size
         if not np.isfinite(steps):
             raise ParameterError(f"t_end / step_size is not finite: {self.t_end} / {self.step_size}")

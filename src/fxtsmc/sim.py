@@ -34,7 +34,8 @@ which keeps the discrete surface dynamics an exact algebraic cancellation
 explicit substeps — several tests pin that property. Since the law cancels
 that rectangle-rule term exactly, the closed loop is first order in h
 whatever the plant stepper, and a higher-order one buys no accuracy (the
-README's closed-loop order table, ``benchmarks/closed_loop_order.py``).
+README's closed-loop order table, ``benchmarks/closed_loop_order.py``): euler
+is the one stepper, and a config's ``sim.method`` may only name it.
 
 One step loop serves a single run and a Monte-Carlo batch alike: it steps a
 state of shape (n,) or a block (R, n) of independent runs. Every operation
@@ -162,15 +163,12 @@ class Scenario:
             ("perturbation", self.system.perturbation),
         ):
             try:
-                shape = np.shape(fn(times))
+                values = fn(times)
             except Exception as err:
                 raise ParameterError(
                     f"{name} must accept an array of times, failed on {times}: {err}"
                 ) from err
-            if shape not in ((n,), (2, n)):
-                raise ParameterError(
-                    f"{name} must map times of shape (2,) to ({n},) or (2, {n}), got {shape}"
-                )
+            _time_signal(values, times, n, name)
         if not self.settle_threshold > 0.0:
             raise ParameterError(
                 f"settle_threshold must be positive, got {self.settle_threshold}"
@@ -312,12 +310,11 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
     # ConstantGain (x / 1.0 and 1.0 * x are exact).
     xd_grid, xd_rows = _on_grid(ref_value, t_grid, n, "reference value")
     d_grid = _on_grid(pert, t_grid, n, "perturbation")[0]
-    closed_loop = arrays is not None and not open_loop
-    xdot_rows = _on_grid(ref_deriv, t_grid, n, "reference derivative")[1] if closed_loop else None
+    xdot_rows = None if open_loop else _on_grid(ref_deriv, t_grid, n, "reference derivative")[1]
     bad_k, bad_ch, bound_message = _bound_violation(model, t_grid, d_grid)
     gain_fn = None if isinstance(gain, ConstantGain) else gain
     fixed_gain = None if gain_fn is not None or (gain.value == 1.0).all() else gain.value
-    if gain_fn is not None and closed_loop:
+    if gain_fn is not None and not open_loop:
         _check_block_gain(gain, x, n)
 
     integral = np.zeros_like(x)
@@ -350,9 +347,9 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
         place the control law is evaluated. ``signals`` holds (x_d, d, x_d')
         at t, from ``signals_at`` or read from the grid, None for an identity.
 
-        Returns (z, s, u, f_used, dx, integ, alpha1 * integ) with dx = f + g*u
-        + d; integ and alpha1 * integ are None when no surface is tracked
-        (open loop without gains).
+        Returns (z, s, u, f_used, dx, integ, ds) with dx = f + g*u + d and
+        ds = dx + alpha1 * integ, the rate of s; integ and ds are None when no
+        surface is tracked (open loop without gains).
         """
         nonlocal law_shape, alpha1, exponent, reach_gain, eps, g_fixed
         xd, d, xd_dot = signals
@@ -369,7 +366,8 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
         s = z + alpha1 * integral_cur
         alpha1_integ = alpha1 * integ
         if open_loop:
-            return z, s, zeros, f, f + d, integ, alpha1_integ
+            dx = f + d
+            return z, s, zeros, f, dx, integ, dx + alpha1_integ
         g = g_fixed if gain_fn is None else check_gain(gain_fn(x_cur), x_cur, n)
         reach = reach_of(s)
         f_used = f if estimator is None else estimator(x_cur)
@@ -378,7 +376,7 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
         if g is not None:
             u = u / g
         dx = f + (u if g is None else g * u) + d
-        return z, s, u, f_used, dx, integ, alpha1_integ
+        return z, s, u, f_used, dx, integ, dx + alpha1_integ
 
     # The law's reaching term and its backward-Euler substep act on the block
     # eval_loop evaluated last, whose shape the constants above were taken for.
@@ -401,23 +399,23 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
         growth = reach_gain * safe_exp(s * s) * (1.0 - tanh * tanh) / eps_or_1
         return reach, slope + np.where(layered, growth, 0.0)
 
-    def implicit_substep(x, z, s, dx, alpha1_integ, integral, remaining):
+    def implicit_substep(x, z, s, ds, integral, remaining):
         """One backward-Euler substep per row of the law's terms, sized from
         the implicit move of s; returns (substep sizes, x, integral) after it.
 
-        The rate c = dx + alpha1 * integ(z) + reach(s) stays explicit: d,
-        x_d', gp-mode's f - f_hat and the gain's rounding. The substep of
-        length H solves y = z + H * (c - alpha1 * integ(y) - reach(s')) with
-        I' = I + H * integ(y) and s' = y + alpha1 * I', which splits into
-        s' = s + H * (c - reach(s')) in s' alone, then y + alpha1 * H *
-        integ(y) = s' - alpha1 * I; both sides increase in the unknown.
+        The rate c = ds + reach(s) = dx + alpha1 * integ(z) + reach(s) stays
+        explicit: d, x_d', gp-mode's f - f_hat and the gain's rounding. The
+        substep of length H solves y = z + H * (c - alpha1 * integ(y) -
+        reach(s')) with I' = I + H * integ(y) and s' = y + alpha1 * I', which
+        splits into s' = s + H * (c - reach(s')) in s' alone, then y + alpha1
+        * H * integ(y) = s' - alpha1 * I; both sides increase in the unknown.
         H, at most ``remaining``, keeps the root s' of every channel within
         g = GUARD_REL * (|s| + GUARD_ABS) of s, since reach increases: s' >
         s + g would need c - reach(s + g) > g / H, and s' < s - g would need
         reach(s - g) - c > g / H.
         """
         with np.errstate(all="ignore"):
-            c = dx + alpha1_integ + reach_of(s)
+            c = ds + reach_of(s)
             g = GUARD_REL * (np.abs(s) + GUARD_ABS)
             rate = (np.maximum(c - reach_of(s + g), reach_of(s - g) - c) / g).max(axis=-1)
             h_sub = np.minimum(
@@ -431,7 +429,7 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
             )
             return h_sub, x + (y - z), integral + hs * integrand(y, exponent)
 
-    implicit = implicit_substep if closed_loop else None
+    implicit = None if open_loop else implicit_substep
     k = 0
     while True:
         t = float(t_grid[k])
@@ -441,7 +439,7 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
                 d_grid[k],
                 None if xdot_rows is None else xdot_rows[k],
             )
-            z, s, u, f_used, dx, integ, alpha1_integ = eval_loop(x, signals, integral)
+            z, s, u, f_used, dx, integ, ds = eval_loop(x, signals, integral)
             if k == bad_k:
                 # d depends on t alone, so every run fails here at once
                 raise RunErrors({
@@ -452,8 +450,7 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
             if k == n_steps:
                 return t_grid, xd_grid, d_grid
             x_next, integral_next = _advance(
-                x, integral, t, h, z, s, dx, integ, alpha1_integ, eval_loop, signals_at,
-                open_loop, implicit,
+                x, integral, t, h, z, s, dx, integ, ds, eval_loop, signals_at, implicit
             )
         except RunErrors as err:
             keep = sink.fail(err.errors)
@@ -505,17 +502,25 @@ def _on_grid(fn, t_grid, n, name):
     it is all +0.0 and does not depend on t. A result of shape (n,) does not
     depend on t: it becomes a read-only view repeating it on every row, which
     takes no memory per row."""
-    values = np.asarray(fn(t_grid), dtype=float)
+    values = _time_signal(fn(t_grid), t_grid, n, name)
     zero = False
     if values.shape == (n,):
         zero = not (values.any() or np.signbit(values).any())
         values = np.broadcast_to(values, (t_grid.size, n))
-    if values.shape != (t_grid.size, n):
-        raise ParameterError(
-            f"{name} must map times of shape ({t_grid.size},) to ({n},) or "
-            f"({t_grid.size}, {n}), got {values.shape}"
-        )
     return values, None if zero else values
+
+
+def _time_signal(values, times, n, name):
+    """``values``, the time signal ``name`` at ``times``, as a float array of
+    shape (n,), which does not depend on t, or (len(times), n); otherwise a
+    ParameterError."""
+    values = np.asarray(values, dtype=float)
+    if values.shape not in ((n,), (times.size, n)):
+        raise ParameterError(
+            f"{name} must map times of shape ({times.size},) to ({n},) or "
+            f"({times.size}, {n}), got {values.shape}"
+        )
+    return values
 
 
 def _bound_violation(model, t_grid, d_grid):
@@ -566,22 +571,19 @@ def _row_rates(z, s, dz, ds):
     return ratio.max(axis=-1) / GUARD_REL
 
 
-def _advance(
-    x, integral, t, h, z, s, dx, integ, alpha1_integ, eval_loop, signals_at, open_loop,
-    implicit,
-):
+def _advance(x, integral, t, h, z, s, dx, integ, ds, eval_loop, signals_at, implicit):
     """One macro step of every run, each split into guard-sized substeps where
     its own rates call for it. A step or explicit substep adds h_sub * dx.
 
-    ``integ`` and ``alpha1_integ`` are None when no surface is tracked. When
+    ``integ`` and ``ds`` are None when no surface is tracked. When
     one max of the rates, or failing that one max of the rows' guard rates,
     over the whole block shows every run inside the guard, all take the
     plain step, identical to an unguarded loop. Otherwise every run
     substeps, each with its own remaining time, substep size and local time,
     until each has covered h; a run inside the guard covers it in one
-    substep. ``implicit`` is the backward-Euler substep of closed loop, None
-    in open loop: there, a run whose explicit step cannot cover its
-    remaining time inside the guard takes that substep, and a run whose
+    substep. ``implicit`` is the backward-Euler substep of closed loop, and
+    None in open loop. In closed loop, a run whose explicit step cannot cover
+    its remaining time inside the guard takes that substep, and a run whose
     explicit step can takes it as its last substep. Every substep evaluates
     the time signals at its runs' local times. A state that is not finite
     after the step raises, except after a plain step admitted by the rates
@@ -590,7 +592,6 @@ def _advance(
     # dz/dt differs from dx/dt only by the (bounded) reference rate, which
     # is negligible whenever the guard can trigger, so dx stands in for
     # the z rate.
-    ds = None if integ is None else dx + alpha1_integ
     # Each guard ratio |dz|/(|z| + GUARD_ABS) is at most |dz| in floating
     # point, its denominator being at least 1, so rates that pass this bound
     # pass the row-rate test below. A NaN rate fails the bound. In closed
@@ -600,7 +601,7 @@ def _advance(
     # apart there.
     rates = np.abs(dx) if ds is None else np.maximum(np.abs(dx), np.abs(ds))
     by_rates = h * (float(rates.max()) / GUARD_REL) <= 1.0 and not (
-        open_loop and np.isnan(s).any()
+        implicit is None and np.isnan(s).any()
     )
     rate = None if by_rates else _row_rates(z, s, dx, ds)
     if by_rates or h * float(rate.max()) <= 1.0:
@@ -615,7 +616,6 @@ def _advance(
     z, s = z.reshape(-1, n), s.reshape(-1, n)
     if integ is not None:
         integ, ds = integ.reshape(-1, n), ds.reshape(-1, n)
-        alpha1_integ = alpha1_integ.reshape(-1, n)
     rate = rate.reshape(-1)
     # a run inside the guard covers h in its first substep, its plain step,
     # even where 1/rate rounds below h
@@ -627,7 +627,8 @@ def _advance(
     while True:
         finite = np.isfinite(rate)
         if not finite.all():
-            rows_ds = dx if ds is None else ds
+            # dx from a drift and perturbation that ignore the block is (1, n)
+            rows_ds = np.broadcast_to(dx if ds is None else ds, x.shape)
 
             def rate_error(r):
                 ch = int(np.argmin(np.isfinite(rows_ds[r])))
@@ -646,7 +647,7 @@ def _advance(
             # a row whose explicit step cannot cover its remaining time takes
             # a backward-Euler substep; the others take their last substep
             stiff = h_allow < remaining
-            h_imp, x_imp, i_imp = implicit(x, z, s, dx, alpha1_integ, integral, remaining)
+            h_imp, x_imp, i_imp = implicit(x, z, s, ds, integral, remaining)
             h_sub = np.where(stiff, h_imp, h_sub)
             stiff = stiff[:, None]
         hs = h_sub[:, None]
@@ -674,12 +675,9 @@ def _advance(
         if not np.isfinite(x).all():
             raise _state_errors(x, "during substepping", t).at(rows)
         try:
-            z, s, _, _, dx, integ, alpha1_integ = eval_loop(
-                x, signals_at(t + (h - remaining)), integral
-            )
+            z, s, _, _, dx, integ, ds = eval_loop(x, signals_at(t + (h - remaining)), integral)
         except RunErrors as err:
             raise err.at(rows) from None
-        ds = None if integ is None else dx + alpha1_integ
         rate = _row_rates(z, s, dx, ds)
 
 
@@ -808,9 +806,9 @@ def summarize_run(
     a gp-based bound depends on the GP error budget, which only the caller
     knows, so an unavailable one stays unavailable.
     """
-    stats = _BatchStats(scenario, 1)
+    stats = _BatchStats(scenario, 1, bounds)
     stats.reduce(0, traj.z[:, None], np.abs(traj.s)[:, None], traj.u[:, None])
-    return stats.summary(0, traj.t, traj.x[0], bounds)
+    return stats.summary(0, traj.t, traj.x[0])
 
 
 # --- Monte-Carlo batches ---------------------------------------------------------
@@ -852,15 +850,13 @@ def run_monte_carlo(
     box = check_ic_box(ic_box, n)
     rng = np.random.default_rng(seed)
     x0s = rng.uniform(box[:, 0], box[:, 1], size=(runs, n))
-    if bounds is None and template.mode == "known-model":
-        bounds = bound_report(template.channels)
 
-    stats = _BatchStats(template, runs)
+    stats = _BatchStats(template, runs, bounds)
     t, _, _ = _step_loop(template, x0s.copy(), stats)
     stats.flush()
     summaries: list[Optional[RunSummary]] = [None] * runs
     for j, i in enumerate(stats.runs):
-        summaries[i] = stats.summary(j, t, x0s[i], bounds)
+        summaries[i] = stats.summary(j, t, x0s[i])
     failures = [
         {
             "run": i,
@@ -914,10 +910,12 @@ class _BatchStats:
     failure comes after a flush, so a buffer holds consecutive rows.
     """
 
-    def __init__(self, template: Scenario, runs: int):
+    def __init__(self, template: Scenario, runs: int, bounds: Optional[BoundReport]):
         n = template.system.n
-        self.scenario = template
         self.threshold = template.settle_threshold
+        if bounds is None and template.mode == "known-model":
+            bounds = bound_report(template.channels)
+        self.bounds = bounds
         self.chunk = min(CHUNK_ROWS, max(1, CHUNK_BYTES // (24 * runs * n)))
         self.runs = np.arange(runs)
         self.failures = {}
@@ -958,19 +956,17 @@ class _BatchStats:
         tail = np.where(np.arange(len(z))[:, None] > out_row, abs_s.max(axis=2), -np.inf).max(axis=0)
         self.tail_s = np.where(out_row >= 0, tail, np.maximum(self.tail_s, tail))
 
-    def summary(self, j, t, x0, bounds) -> RunSummary:
+    def summary(self, j, t, x0) -> RunSummary:
         """RunSummary of the run in row ``j`` of the results, on the grid
-        ``t``, from ``x0``; ``bounds`` defaults as in ``summarize_run``."""
-        scenario = self.scenario
-        if bounds is None and scenario.mode == "known-model":
-            bounds = bound_report(scenario.channels)
+        ``t``, from ``x0``."""
+        bounds = self.bounds
         settle_err = _settled_after(self.last_z[j], t)
         # the max |s| since the error last left its band is the chatter
         # amplitude once every error channel has settled
         settled = np.all(np.isfinite(settle_err))
         return RunSummary(
             x0=tuple(float(v) for v in x0),
-            threshold=scenario.settle_threshold,
+            threshold=self.threshold,
             settling_error=tuple(float(v) for v in settle_err),
             settling_sliding=tuple(float(v) for v in _settled_after(self.last_s[j], t)),
             bounds=bounds,

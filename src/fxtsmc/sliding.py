@@ -37,7 +37,8 @@ class SlidingParams:
             raise ParameterError("p and q must be integers")
         if self.p < 0 or self.q < 1:
             raise ParameterError(f"need p >= 0 and q >= 1, got p={self.p}, q={self.q}")
-        if not self.p / self.q < 1.0:
+        # p < q first, in integers: p / q overflows for p beyond the float range
+        if not (self.p < self.q and self.p / self.q < 1.0):
             raise ParameterError(
                 f"exponent p/q must satisfy 0 <= p/q < 1, got {self.p}/{self.q}"
             )

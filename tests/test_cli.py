@@ -5,10 +5,11 @@ import math
 import re
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
-from fxtsmc.cli import _gp_delta_f_bars, build_gp_models, main
+from fxtsmc.cli import CONFIG_SCHEMA, _gp_delta_f_bars, build_gp_models, main
 from fxtsmc.gp import KernelConfig, generate_training_data, gp_fit, variance_many
 from fxtsmc.system import make_pmsm
 
@@ -63,6 +64,68 @@ def test_removed_rk4_method_is_a_config_error_that_says_why(
     assert code == 2
     assert "'rk4' was removed" in err and "first order" in err
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_config_schema_is_a_valid_schema():
+    # validate_config builds its validator once, without checking the schema
+    jsonschema.validators.validator_for(CONFIG_SCHEMA).check_schema(CONFIG_SCHEMA)
+
+
+@pytest.mark.parametrize("method", ["euler", "explicit-euler"])
+def test_sim_method_names_the_one_stepper(capsys, tmp_path, monkeypatch, method):
+    # sim.method may name euler, the one stepper, and then changes nothing
+    # but the embedded config
+    monkeypatch.chdir(tmp_path)
+    rows = []
+    for extra in ([], ["--set", f"sim.method={method}"]):
+        code, _, _ = run_cli(capsys, "run", str(KNOWN), *FAST, *extra)
+        assert code == 0
+        lines = (tmp_path / "pmsm-known-trajectory.csv").read_text().splitlines()
+        assert lines[0].startswith("# config: ")
+        assert ('"method": ' in lines[0]) == bool(extra)
+        rows.append(lines[1:])
+    assert rows[0] == rows[1]
+
+
+def test_sim_method_other_than_euler_is_a_config_error(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, "run", str(KNOWN), *FAST, "--set", "sim.method=rk45")
+    assert code == 2
+    assert "config invalid at sim/method" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("how", ["validate", "set"])
+def test_integer_literal_too_long_to_convert_is_a_config_error(
+    capsys, tmp_path, monkeypatch, how
+):
+    # Python refuses to convert an integer literal of more than 4300 digits
+    monkeypatch.chdir(tmp_path)
+    digits = "1" * 4301
+    if how == "validate":
+        cfg = json.loads(KNOWN.read_text())
+        cfg["sim"]["t_end"] = "DIGITS"
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(cfg).replace('"DIGITS"', digits))
+        code, _, err = run_cli(capsys, "validate", str(path))
+        assert "not valid JSON" in err
+    else:
+        code, _, err = run_cli(capsys, "run", str(KNOWN), "--set", f"sim.t_end={digits}")
+        assert "config invalid at sim/t_end" in err
+    assert code == 2
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["run", "bounds"])
+def test_exponent_numerator_beyond_the_float_range_is_a_parameter_error(
+    capsys, tmp_path, monkeypatch, command
+):
+    # p / q overflows a float for p = 10**400: p < q is checked in integers
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, command, str(KNOWN), *FAST, "--set", f"controller.p={10**400}")
+    assert code == 2
+    assert "parameter error" in err and "p/q" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_malformed_json_is_a_config_error(capsys, tmp_path):

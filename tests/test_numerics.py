@@ -60,13 +60,7 @@ def test_safe_exp_always_finite():
 
 def test_step_config_basics():
     cfg = StepConfig(step_size=1e-4, t_end=1.0)
-    assert cfg.method == "euler"
     assert cfg.n_steps == 10000
-
-
-def test_step_config_normalizes_explicit_euler():
-    cfg = StepConfig(step_size=0.1, t_end=1.0, method="explicit-euler")
-    assert cfg.method == "euler"
 
 
 @pytest.mark.parametrize(
@@ -77,8 +71,6 @@ def test_step_config_normalizes_explicit_euler():
         {"step_size": 1e-4, "t_end": -0.5},
         {"step_size": 1e-4, "t_end": float("nan")},
         {"step_size": 0.1, "t_end": 0.35},  # off the step grid
-        {"step_size": 0.1, "t_end": 1.0, "method": "rk45"},
-        {"step_size": 0.1, "t_end": 1.0, "method": "rk4"},  # removed
     ],
 )
 def test_step_config_rejects_bad_inputs(kwargs):
@@ -95,7 +87,7 @@ def test_step_config_accepts_rounded_grid():
 # --- stepping (done by the simulation engine) ----------------------------------
 
 
-def open_loop(drift, x0, step_size, t_end, method="euler", perturbation=None):
+def open_loop(drift, x0, step_size, t_end, perturbation=None):
     """Uncontrolled run of x' = drift(x) + perturbation(t) on the engine."""
     n = len(x0)
     zeros = np.zeros(n)
@@ -111,7 +103,7 @@ def open_loop(drift, x0, step_size, t_end, method="euler", perturbation=None):
         reference=zero_reference(n),
         params=None,
         x0=np.asarray(x0, dtype=float),
-        step=StepConfig(step_size=step_size, t_end=t_end, method=method),
+        step=StepConfig(step_size=step_size, t_end=t_end),
         mode="open-loop",
     )
     return simulate(scenario)
@@ -127,19 +119,18 @@ def test_integrate_step_euler_constant_rate():
     assert traj.x[1, 0] == pytest.approx(0.1, abs=1e-15)
 
 
-@pytest.mark.parametrize("method, low, high", [("euler", 0.95, 1.05)])
-def test_convergence_order_on_the_lemma2_oracle(method, low, high):
+def test_convergence_order_on_the_lemma2_oracle():
     # Open loop from x0 = 1 the lemma2 plant has erf(x(t)) = erf(1) - t; up to
     # t = 0.4 x stays away from the sign switch at 0, so each halving of h
     # must cut the error at t = 0.4 by 2**order, order 1 for euler.
     drift = make_lemma2_plant(1.0).drift
     exact = erfinv(erf(1.0) - 0.4)
     errors = [
-        abs(open_loop(drift, [1.0], h, 0.4, method=method).x[-1, 0] - exact)
+        abs(open_loop(drift, [1.0], h, 0.4).x[-1, 0] - exact)
         for h in 0.02 / 2.0 ** np.arange(5)
     ]
     observed = np.log2(np.divide(errors[:-1], errors[1:]))
-    assert np.all((low <= observed) & (observed <= high)), observed
+    assert np.all((0.95 <= observed) & (observed <= 1.05)), observed
 
 
 def test_integrate_step_reports_non_finite_channel():

@@ -376,7 +376,7 @@ def test_declared_constant_gain_equals_gain_called_every_evaluation():
     # make_pmsm declares its unit gain, so the loop skips / g and g *; the
     # same gain as a plain callable is called, checked and applied at every
     # evaluation, with the same numbers.
-    declared = identity_template("euler")
+    declared = identity_template()
     called = dataclasses.replace(
         declared, system=dataclasses.replace(declared.system, gain=lambda x: np.ones(3))
     )
@@ -822,6 +822,32 @@ def test_nan_reference_without_a_surface_still_fails_the_guard():
         simulate(scenario)
 
 
+def test_batch_records_a_non_finite_rate_of_a_block_blind_model_like_single_runs():
+    # Drift and perturbation give one (n,) row for a whole block of states,
+    # so at t = 0.25 the block's dx is one row whose channel 3 is infinite;
+    # every run must still get the failure its own simulate raises.
+    def perturbation(t):
+        return np.where(np.asarray(t)[..., None] >= 0.25, [0.0, 0.0, np.inf], 0.0)
+
+    template = Scenario(
+        system=SystemModel(
+            n=3, drift=lambda x: np.zeros(3), gain=lambda x: np.ones(3),
+            perturbation=perturbation,
+        ),
+        reference=zero_reference(3),
+        params=None,
+        x0=np.zeros(3),
+        step=StepConfig(step_size=0.25, t_end=0.5),
+        mode="open-loop",
+    )
+    result = assert_batch_equals_single_runs(template, [(-1.0, 1.0)] * 3, runs=4, seed=1)
+    assert result.aggregate["n_failed"] == 4
+    for record in result.failures:
+        assert record["message"] == (
+            "non-finite dynamics rate in channel 3 during substepping at t = 0.25"
+        )
+
+
 def far_sinusoid_template(system=None, t_end=0.2):
     return Scenario(
         system=system or make_pmsm(),
@@ -905,22 +931,20 @@ def test_batch_with_diverging_runs_records_each_and_carries_on():
     assert [r["run"] for r in result.failures] == sorted(r["run"] for r in result.failures)
 
 
-@pytest.mark.parametrize("method, box, budget", [("euler", 1e5, 32)])
-def test_batch_records_exhausted_substep_budget_like_single_runs(
-    monkeypatch, method, box, budget
-):
+def test_batch_records_exhausted_substep_budget_like_single_runs(monkeypatch):
     # A small budget makes the runs that need more substeps fail inside a
     # macro step.
-    # Euler's backward-Euler substeps cover a step from the +-10 box in at
-    # most two substeps, so its runs start from +-1e5, where they take 32 to
-    # 35 substeps at t = 0.
+    # Backward-Euler substeps cover a step from the +-10 box in at most two
+    # substeps, so the runs start from +-1e5, where they take 32 to 35
+    # substeps at t = 0.
+    box, budget = 1e5, 32
     monkeypatch.setattr(sim, "MAX_SUBSTEPS", budget)
     template = Scenario(
         system=make_pmsm(),
         reference=zero_reference(3),
         params=standard_channels(),
         x0=np.ones(3),
-        step=StepConfig(step_size=1e-3, t_end=0.1, method=method),
+        step=StepConfig(step_size=1e-3, t_end=0.1),
         settle_threshold=0.05,
     )
     result = assert_batch_equals_single_runs(template, [(-box, box)] * 3, 6, 3)
@@ -1135,48 +1159,45 @@ def assert_same_bits(fast, general, x0s):
     assert blocks[0] == blocks[1]
 
 
-def identity_template(method, system=None, reference=None):
+def identity_template(system=None, reference=None):
     """pmsm-known gains from [3, -3, 3], where the first steps substep."""
     return Scenario(
         system=system or make_pmsm(),
         reference=reference or zero_reference(3),
         params=standard_channels(),
         x0=np.array([3.0, -3.0, 3.0]),
-        step=StepConfig(step_size=1e-3, t_end=1.0, method=method),
+        step=StepConfig(step_size=1e-3, t_end=1.0),
     )
 
 
 IDENTITY_STARTS = [[3.0, -3.0, 3.0], [-4.5, 2.0, 0.5], [0.5, -0.25, 1.5], [1.0, 4.0, -4.0]]
 
 
-@pytest.mark.parametrize("method", ["euler"])
-def test_zero_reference_equals_a_time_dependent_zero_reference(method):
+def test_zero_reference_equals_a_time_dependent_zero_reference():
     # zero_reference skips x - x_d and - x_d'; a sinusoid of amplitude 0
     # depends on t, so it is subtracted every time.
-    fast = identity_template(method)
+    fast = identity_template()
     general = dataclasses.replace(
         fast, reference=sinusoid_reference(np.zeros(3), [3.0, 2.0, 1.0], [0.0, 0.3, 0.6])
     )
     assert_same_bits(fast, general, IDENTITY_STARTS)
 
 
-@pytest.mark.parametrize("method", ["euler"])
-def test_unperturbed_pmsm_equals_a_time_dependent_zero_perturbation(method):
+def test_unperturbed_pmsm_equals_a_time_dependent_zero_perturbation():
     # The constant zero perturbation is read from the grid per step; one that
     # depends on t is read there as a (rows, n) array.
     pmsm = make_pmsm(perturbed=False)
-    fast = identity_template(method, pmsm)
+    fast = identity_template(pmsm)
     general = dataclasses.replace(fast, system=dataclasses.replace(
         pmsm, perturbation=lambda t: np.zeros(np.shape(t) + (3,))
     ))
     assert_same_bits(fast, general, IDENTITY_STARTS)
 
 
-@pytest.mark.parametrize("method", ["euler"])
-def test_nan_reference_in_closed_loop_still_fails_the_guard(method):
+def test_nan_reference_in_closed_loop_still_fails_the_guard():
     # In closed loop a NaN z makes s, the reaching term, u and dx NaN, so the
     # rate bound alone sends the step to the substep loop, which reports it.
-    scenario = identity_template(method, reference=constant_reference([np.nan] * 3))
+    scenario = identity_template(reference=constant_reference([np.nan] * 3))
     with pytest.raises(SimulationDivergedError) as excinfo:
         simulate(scenario)
     assert str(excinfo.value) == (
