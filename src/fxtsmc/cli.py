@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import re
 import sys
@@ -244,6 +245,27 @@ def validate_config(cfg: dict) -> None:
     if err is not None:
         where = "/".join(str(p) for p in err.absolute_path) or "(top level)"
         raise ConfigError(f"config invalid at {where}: {err.message}") from err
+    _check_float_range(cfg, CONFIG_SCHEMA)
+
+
+def _check_float_range(value, schema, where=()) -> None:
+    """ConfigError for an integer beyond the float range in a "number" field,
+    which is built with float(); "integer" fields such as p and q keep any size."""
+    options = schema.get("oneOf", [schema])
+    if isinstance(value, dict):
+        props = {key: sub for o in options for key, sub in o.get("properties", {}).items()}
+        for key, item in value.items():
+            _check_float_range(item, props.get(key, {}), where + (key,))
+    elif isinstance(value, list):
+        items = next((o["items"] for o in options if "items" in o), {})
+        for i, item in enumerate(value):
+            _check_float_range(item, items, where + (str(i),))
+    elif isinstance(value, int) and any(o.get("type") == "number" for o in options):
+        try:
+            float(value)
+        except OverflowError:
+            raise ConfigError(f"config invalid at {'/'.join(where)}: "
+                              "integer beyond the float range") from None
 
 
 def apply_override(cfg: dict, assignment: str) -> None:
@@ -517,12 +539,9 @@ def cmd_bounds(args) -> int:
             f"  {i + 1}     {known.t_z_channels[i]:8.5f}  {known.t_s_channels[i]:9.5f}"
             f"  {gp_l3.t_s_channels[i]:13.5f}  {gp_t8.t_s_channels[i]:17.5f}"
         )
-    print(f"aggregate known-model:    T_z = {known.t_z:.5f}  T_s = {known.t_s:.5f}  "
-          f"T_max = {known.t_max:.5f}")
-    print(f"aggregate gp-lemma3:      T_z = {gp_l3.t_z:.5f}  T_s = {gp_l3.t_s:.5f}  "
-          f"T_max = {gp_l3.t_max:.5f}")
-    print(f"aggregate gp-printed-t8:  T_z = {gp_t8.t_z:.5f}  T_s = {gp_t8.t_s:.5f}  "
-          f"T_max = {gp_t8.t_max:.5f}")
+    for label, rep in (("known-model", known), ("gp-lemma3", gp_l3), ("gp-printed-t8", gp_t8)):
+        print(f"aggregate {label + ':':<16}T_z = {rep.t_z:.5f}  T_s = {rep.t_s:.5f}  "
+              f"T_max = {rep.t_max:.5f}")
     if _is_standard_pmsm_gains(channels):
         q = PMSM_QUOTED_BOUNDS
         print(
@@ -664,14 +683,6 @@ def cmd_validate(args) -> int:
 # --- parser / dispatch -------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    return _int_at_least(text, 1)
-
-
-def _non_negative_int(text: str) -> int:
-    return _int_at_least(text, 0)
-
-
 def _int_at_least(text: str, low: int) -> int:
     try:
         value = int(text)
@@ -680,6 +691,10 @@ def _int_at_least(text: str, low: int) -> int:
     if value < low:
         raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+_positive_int = functools.partial(_int_at_least, low=1)
+_non_negative_int = functools.partial(_int_at_least, low=0)
 
 
 def build_parser() -> argparse.ArgumentParser:

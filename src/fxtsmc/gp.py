@@ -24,7 +24,7 @@ from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import ConfigError, IllConditionedDataError, ParameterError
-from .numerics import check_ic_box
+from .numerics import check_ic_box, write_csv_rows
 from .system import SystemModel
 
 KERNEL_FAMILIES = ("exponential", "squared-exponential")
@@ -358,14 +358,11 @@ def save_datasets(datasets: Sequence[GPDataset], csv_path, metadata: Optional[di
     for ds in datasets[1:]:
         if not np.array_equal(ds.inputs, inputs):
             raise ParameterError("save_datasets requires channels sharing one input set")
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [f"x{i + 1}" for i in range(dim)] + [f"y{i + 1}" for i in range(n_channels)]
-        )
-        for row in range(inputs.shape[0]):
-            values = list(inputs[row]) + [ds.targets[row] for ds in datasets]
-            writer.writerow([f"{v:.17g}" for v in values])
+    # rows end in CRLF, the line terminator of the csv module that reads them back
+    with csv_path.open("w", newline="\r\n") as fh:
+        names = [f"x{i + 1}" for i in range(dim)] + [f"y{i + 1}" for i in range(n_channels)]
+        fh.write(",".join(names) + "\n")
+        write_csv_rows(fh, [inputs] + [ds.targets for ds in datasets])
     meta = {
         "n_samples": int(inputs.shape[0]),
         "dim": int(dim),

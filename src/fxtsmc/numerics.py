@@ -1,5 +1,6 @@
 """Scalar numeric primitives: signed powers, a clamped exponential, the
-fixed-step grid settings, and the check of a box that states are drawn from.
+fixed-step grid settings, the check of a box that states are drawn from, and
+the one CSV number writer of the trajectory and dataset exports.
 
 The primitives accept either floats or numpy arrays and operate elementwise,
 so the same code serves both scalar unit tests and the vectorized simulation
@@ -19,6 +20,10 @@ EXP_CLAMP = 50.0
 
 # Relative slack when checking that t_end sits on the step grid.
 _GRID_RTOL = 1e-9
+
+# Rows per block of a CSV export: one format call and one write each, so an
+# export holds the data plus one block.
+CSV_BLOCK_ROWS = 256
 
 
 def signed_power(x, alpha):
@@ -85,3 +90,13 @@ def check_ic_box(box, n: int, name: str = "ic_box") -> np.ndarray:
             f"{name} bounds and widths high - low must be finite, got {box.tolist()}"
         )
     return box
+
+
+def write_csv_rows(fh, columns) -> None:
+    """Write ``columns`` (arrays of one length; a 2-D one is several columns)
+    to ``fh``, a line of comma-separated ``%.17g`` values per row, in blocks of
+    CSV_BLOCK_ROWS rows. 17 significant digits round-trip every float64."""
+    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
+        block = np.column_stack([c[start:start + CSV_BLOCK_ROWS] for c in columns])
+        row = ",".join(["%.17g"] * block.shape[1]) + "\n"
+        fh.write((row * len(block)) % tuple(block.ravel().tolist()))

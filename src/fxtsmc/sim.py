@@ -75,7 +75,7 @@ Steps admitted by the guard ratios and substeps are.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -96,7 +96,7 @@ from .errors import (
     SimulationDivergedError,
     UnfitGPError,
 )
-from .numerics import EXP_CLAMP, StepConfig, check_ic_box, safe_exp
+from .numerics import EXP_CLAMP, StepConfig, check_ic_box, safe_exp, write_csv_rows
 from .sliding import integrand
 from .system import ConstantGain, ReferenceSignal, SystemModel, check_gain
 
@@ -225,11 +225,12 @@ class Trajectory:
             names += [f"fhat{i + 1}" for i in range(n)]
         return names
 
-    def as_matrix(self) -> np.ndarray:
-        cols = [self.t[:, None], self.x, self.x_d, self.z, self.s, self.u, self.d]
+    def columns(self) -> list[np.ndarray]:
+        """The arrays of the CSV columns, in ``column_names`` order."""
+        cols = [self.t, self.x, self.x_d, self.z, self.s, self.u, self.d]
         if self.f_hat is not None:
             cols.append(self.f_hat)
-        return np.hstack(cols)
+        return cols
 
 
 def simulate(scenario: Scenario) -> Trajectory:
@@ -1009,7 +1010,8 @@ def _settled_after(last, t) -> np.ndarray:
 
 
 def write_trajectory_csv(traj: Trajectory, path, config: Optional[dict] = None) -> None:
-    """CSV with one row per sample, 17 significant digits, reproducible bytes.
+    """CSV with one row per sample, 17 significant digits, reproducible bytes,
+    written in blocks of rows (``numerics.write_csv_rows``).
 
     When ``config`` is given the full resolved configuration is embedded as a
     leading ``# config: {...}`` comment line (keys sorted), so the file alone
@@ -1019,15 +1021,11 @@ def write_trajectory_csv(traj: Trajectory, path, config: Optional[dict] = None) 
         if config is not None:
             fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
         fh.write(",".join(traj.column_names()) + "\n")
-        np.savetxt(fh, traj.as_matrix(), fmt="%.17g", delimiter=",")
+        write_csv_rows(fh, traj.columns())
 
 
 def _nan_to_none(value):
-    if value is None:
-        return None
-    if isinstance(value, float) and not np.isfinite(value):
-        return None
-    return value
+    return None if isinstance(value, float) and not np.isfinite(value) else value
 
 
 def summary_to_dict(summary: RunSummary) -> dict:
@@ -1050,15 +1048,7 @@ def summary_to_dict(summary: RunSummary) -> dict:
 
 
 def bound_report_to_dict(report: BoundReport) -> dict:
-    return {
-        "t_z_channels": list(report.t_z_channels),
-        "t_s_channels": list(report.t_s_channels),
-        "t_z": report.t_z,
-        "t_s": report.t_s,
-        "t_max": report.t_max,
-        "mode": report.mode,
-        "s_bound_mode": report.s_bound_mode,
-    }
+    return {**asdict(report), "t_z": report.t_z, "t_s": report.t_s, "t_max": report.t_max}
 
 
 def write_summary_json(summary: RunSummary, path, config: Optional[dict] = None) -> None:

@@ -9,7 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from fxtsmc.cli import CONFIG_SCHEMA, _gp_delta_f_bars, build_gp_models, main
+from fxtsmc.cli import CONFIG_SCHEMA, _gp_delta_f_bars, apply_override, build_gp_models, main
 from fxtsmc.gp import KernelConfig, generate_training_data, gp_fit, variance_many
 from fxtsmc.system import make_pmsm
 
@@ -114,6 +114,37 @@ def test_integer_literal_too_long_to_convert_is_a_config_error(
         assert "config invalid at sim/t_end" in err
     assert code == 2
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "assignment, where",
+    [
+        (f"sim.t_end={10**400}", "sim/t_end"),
+        (f"controller.alpha1={10**400}", "controller/alpha1"),
+        (f"sim.x0=[1, {-10**400}, 1]", "sim/x0/1"),
+    ],
+    ids=["t_end", "alpha1", "x0-element"],
+)
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_integer_beyond_the_float_range_in_a_number_field_is_a_config_error(
+    capsys, tmp_path, monkeypatch, command, assignment, where
+):
+    # the schema's "number" admits integers of any size; float() would overflow
+    monkeypatch.chdir(tmp_path)
+    if command == "validate":
+        cfg = json.loads(KNOWN.read_text())
+        apply_override(cfg, assignment)
+        config = tmp_path / "big.json"
+        config.write_text(json.dumps(cfg))
+        code, _, err = run_cli(capsys, "validate", str(config))
+        written = [config]
+    else:
+        code, _, err = run_cli(capsys, "run", str(KNOWN), "--set", assignment)
+        written = []
+    assert code == 2
+    assert f"config invalid at {where}: integer beyond the float range" in err
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == written
 
 
 @pytest.mark.parametrize("command", ["run", "bounds"])

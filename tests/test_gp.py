@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from scipy.linalg import cholesky
@@ -21,6 +24,7 @@ from fxtsmc.gp import (
     variance_many,
 )
 from fxtsmc.gp import _kernel_of_dist  # the Gram formula before condensed distances
+from fxtsmc.numerics import CSV_BLOCK_ROWS
 from fxtsmc.system import make_lemma2_plant, make_pmsm
 
 EXP_KERNEL = KernelConfig(family="exponential", length_scale=1.0)
@@ -385,6 +389,27 @@ def test_generate_noisy_targets_equal_per_row_drift_plus_noise(plant):
     for i, ds in enumerate(datasets):
         np.testing.assert_array_equal(ds.inputs, inputs)
         np.testing.assert_array_equal(ds.targets, rows[:, i] + noise[:, i])
+
+
+def test_save_datasets_bytes_equal_a_csv_writer_reference(tmp_path):
+    # finite values whose %.17g text is easy to get wrong, CRLF line ends
+    awkward = [-0.0, 5e-324, 0.1, 1e-5, 1e16, 1e17, 1.0000000000000002, -1e300, 2.5]
+    rng = np.random.default_rng(4)
+    rows = 2 * CSV_BLOCK_ROWS + 1
+    inputs = rng.normal(size=(rows, 3))
+    inputs[:3] = np.reshape(awkward, (3, 3))
+    targets = rng.normal(size=(rows, 2)) * 10.0 ** rng.integers(-300, 300, size=(rows, 2))
+    targets[0] = [-0.0, 5e-324]
+    datasets = [GPDataset(inputs=inputs, targets=targets[:, i], seed=1) for i in range(2)]
+    path = tmp_path / "train.csv"
+    save_datasets(datasets, path)
+    ref = io.StringIO(newline="")
+    writer = csv.writer(ref)
+    writer.writerow(["x1", "x2", "x3", "y1", "y2"])
+    for row in range(rows):
+        writer.writerow([f"{v:.17g}" for v in list(inputs[row]) + list(targets[row])])
+    assert path.read_bytes() == ref.getvalue().encode()
+    assert path.read_bytes().count(b"\r\n") == rows + 1
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -1,6 +1,7 @@
 """Closed-loop simulation engine: fixed points, oracles, batches, export."""
 
 import dataclasses
+import io
 import json
 import math
 import tracemalloc
@@ -19,7 +20,7 @@ from fxtsmc.errors import (
 from fxtsmc import sim
 from fxtsmc.controller import BoundReport
 from fxtsmc.gp import KernelConfig, generate_training_data, gp_fit
-from fxtsmc.numerics import StepConfig
+from fxtsmc.numerics import CSV_BLOCK_ROWS, StepConfig
 from fxtsmc.sim import (
     Scenario,
     Trajectory,
@@ -126,7 +127,7 @@ def test_initial_sample_invariants():
     assert np.array_equal(traj.x[0], [1.0, 1.0, 1.0])
     assert np.array_equal(traj.s[0], traj.z[0])
     assert np.all(np.diff(traj.t) > 0)
-    assert np.isfinite(traj.as_matrix()).all()
+    assert all(np.isfinite(col).all() for col in traj.columns())
 
 
 def test_trajectory_shapes_and_vs():
@@ -1254,7 +1255,7 @@ def test_trajectory_csv_format(tmp_path):
     assert len(lines) == 1 + scenario.step.n_steps + 1
     # 17 significant digits round-trip float64 exactly.
     parsed = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    assert np.array_equal(parsed, traj.as_matrix())
+    assert np.array_equal(parsed, np.column_stack(traj.columns()))
 
 
 def test_trajectory_csv_embeds_config(tmp_path):
@@ -1278,6 +1279,43 @@ def test_trajectory_csv_gp_columns(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,x1,x2,xd1,xd2,z1,z2,s1,s2,u1,u2,d1,d2,fhat1,fhat2"
     assert lines[1].split(",")[-2:] == ["0.5", "0.5"]
+
+
+# Values whose %.17g text is easy to get wrong: NaN, infinities, a signed
+# zero, the smallest subnormal, and numbers at the edges of the e-notation
+# switch and of the 17th digit.
+AWKWARD_VALUES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1e-5, 1e16, 1e17,
+                  1.0000000000000002]
+
+
+def awkward_trajectory(rows, n, f_hat):
+    """A trajectory of ``rows`` rows whose first cells hold AWKWARD_VALUES and
+    the others random numbers of random magnitudes."""
+    rng = np.random.default_rng(rows)
+    mixed = rng.normal(size=rows * n * 7) * 10.0 ** rng.integers(-300, 300, size=rows * n * 7)
+    cells = np.resize(np.concatenate([AWKWARD_VALUES, mixed]), (7, rows, n))
+    return Trajectory(t=cells[0, :, 0], x=cells[0], x_d=cells[1], z=cells[2], s=cells[3],
+                      u=cells[4], d=cells[5], f_hat=cells[6] if f_hat else None)
+
+
+@pytest.mark.parametrize("config", [None, {"sim": {"t_end": 8}}], ids=["bare", "config"])
+@pytest.mark.parametrize("f_hat", [False, True], ids=["known", "f_hat"])
+@pytest.mark.parametrize(
+    "rows",
+    [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 1],
+    ids=["1", "B-1", "B", "B+1", "2B+1"],
+)
+def test_trajectory_csv_bytes_equal_a_savetxt_reference(tmp_path, config, f_hat, rows):
+    # B is the writer's block size
+    traj = awkward_trajectory(rows, 3, f_hat)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(traj, path, config=config)
+    ref = io.StringIO()
+    if config is not None:
+        ref.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
+    ref.write(",".join(traj.column_names()) + "\n")
+    np.savetxt(ref, np.column_stack(traj.columns()), fmt="%.17g", delimiter=",")
+    assert path.read_bytes() == ref.getvalue().encode()
 
 
 def test_summary_dict_drops_numpy_types():
