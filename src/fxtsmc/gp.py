@@ -9,6 +9,9 @@ standard zero-mean exact form
     var(x)  = k(x, x) - kbar(x)^T (K + sigma_F^2 I)^{-1} kbar(x)
 
 computed through a Cholesky factorization of the (jittered) Gram matrix.
+The factor is computed in the Gram matrix's own buffer, and the variance
+audit of M states solves in one N x M block of kernel values. Only the
+functions that call scipy import it, so a known-model run never loads it.
 Models are immutable once fit; data changes mean a refit from scratch.
 """
 from __future__ import annotations
@@ -20,8 +23,6 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
-from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import ConfigError, IllConditionedDataError, ParameterError
 from .numerics import check_ic_box, write_csv_rows
@@ -66,17 +67,22 @@ class KernelConfig:
             )
 
 
-def _kernel_of_dist(cfg: KernelConfig, r):
+def _kernel_of_dist(cfg: KernelConfig, r: np.ndarray) -> np.ndarray:
+    """The kernel of the distances ``r``, written into ``r`` and returned."""
     if cfg.family == "exponential":
-        return np.exp(-cfg.length_scale * r)
-    return np.exp(-(r * r) / (2.0 * cfg.length_scale**2))
+        r *= -cfg.length_scale
+    else:
+        r *= r
+        np.negative(r, out=r)
+        r /= 2.0 * cfg.length_scale**2
+    return np.exp(r, out=r)
 
 
 def kernel_eval(cfg: KernelConfig, x, x2) -> float:
     """Kernel value for a single pair of states (Euclidean distance based)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-    return float(_kernel_of_dist(cfg, np.linalg.norm(x - x2)))
+    return float(_kernel_of_dist(cfg, np.array([np.linalg.norm(x - x2)]))[0])
 
 
 @dataclass(frozen=True)
@@ -162,6 +168,9 @@ def gp_fit(dataset: GPDataset, cfg: KernelConfig) -> GPModel:
         contains duplicate inputs with sigma_F = 0. The closest input pair is
         reported in both cases.
     """
+    from scipy.linalg import cho_solve, cholesky
+    from scipy.spatial.distance import pdist, squareform
+
     n = dataset.n_samples
     # pdist evaluates each unordered pair once, so K is symmetric by
     # construction; the kernel maps it once, and k(x, x) = 1 exactly.
@@ -174,19 +183,22 @@ def gp_fit(dataset: GPDataset, cfg: KernelConfig) -> GPModel:
                 "the Gram matrix is singular",
                 pair=pair,
             )
-    gram = squareform(_kernel_of_dist(cfg, dist))
+    kern = _kernel_of_dist(cfg, dist)  # dist now holds the kernel values
     diag = dataset.noise_std**2
     jitter = JITTER_START if dataset.noise_std == 0.0 else 0.0
     while True:
+        # K is exactly symmetric: LAPACK factors its Fortran-ordered transpose in
+        # place. A failed attempt leaves it half overwritten; each builds K anew.
+        gram = squareform(kern)
         np.fill_diagonal(gram, 1.0 + (diag + jitter))
         try:
-            chol_lower = cholesky(gram, lower=True, check_finite=False)
+            chol_lower = cholesky(gram.T, lower=True, overwrite_a=True, check_finite=False)
             break
         except np.linalg.LinAlgError:
             pass
         jitter = JITTER_START if jitter == 0.0 else jitter * 10.0
         if jitter > JITTER_MAX:
-            pair, dmin = _closest_pair(dist, n) if n > 1 else ((0, 0), 0.0)
+            pair, dmin = _closest_pair(pdist(dataset.inputs), n) if n > 1 else ((0, 0), 0.0)
             raise IllConditionedDataError(
                 f"Gram matrix not positive definite after jitter up to {JITTER_MAX:g}; "
                 f"closest input pair {pair[0]}, {pair[1]} at distance {dmin:.3g}",
@@ -205,6 +217,8 @@ def gp_fit_shared(base: GPModel, dataset: GPDataset, cfg: KernelConfig) -> GPMod
     sigma_F are those of ``base`` (the Gram matrix and its jitter are then the
     same); a ParameterError otherwise.
     """
+    from scipy.linalg import cho_solve
+
     inputs = base.dataset.inputs
     if dataset.inputs is not inputs and not np.array_equal(dataset.inputs, inputs):
         raise ParameterError("gp_fit_shared requires the inputs of the base model")
@@ -216,6 +230,8 @@ def gp_fit_shared(base: GPModel, dataset: GPDataset, cfg: KernelConfig) -> GPMod
 
 def _cross_kernel(model: GPModel, x) -> np.ndarray:
     """kbar(x): kernel between the query and every training input, shape (N,)."""
+    from scipy.spatial.distance import cdist
+
     x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
     r = cdist(model.dataset.inputs, x).ravel()
     return _kernel_of_dist(model.kernel, r)
@@ -238,9 +254,13 @@ def variance_many(model: GPModel, states: np.ndarray) -> np.ndarray:
     training input is identically zero; without the short-circuit the
     factorization jitter would leak back in at exactly that scale.
     """
+    from scipy.linalg import solve_triangular
+    from scipy.spatial.distance import cdist
+
     states = np.atleast_2d(np.asarray(states, dtype=float))
-    kbar = _kernel_of_dist(model.kernel, cdist(model.dataset.inputs, states))
-    v = solve_triangular(model.chol_lower, kbar, lower=True, check_finite=False)
+    # an (N, M) Fortran-ordered block with the bits of cdist(inputs, states)
+    kbar = _kernel_of_dist(model.kernel, cdist(states, model.dataset.inputs).T)
+    v = solve_triangular(model.chol_lower, kbar, lower=True, overwrite_b=True, check_finite=False)
     out = np.maximum(0.0, 1.0 - np.einsum("ij,ij->j", v, v))
     if model.dataset.noise_std == 0.0:
         out[_coincides(model, states)] = 0.0

@@ -3,11 +3,14 @@ import io
 
 import numpy as np
 import pytest
-from scipy.linalg import cholesky
-from scipy.spatial.distance import pdist, squareform
+import scipy.linalg
+from scipy.linalg import cholesky, solve_triangular
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from fxtsmc.errors import IllConditionedDataError, ParameterError
 from fxtsmc.gp import (
+    JITTER_MAX,
+    JITTER_START,
     KERNEL_FAMILIES,
     DriftEstimator,
     ErrorBoundConfig,
@@ -138,6 +141,107 @@ def test_fit_gram_from_condensed_distances_equals_full_gram(family, sigma_f):
     gram = _kernel_of_dist(cfg, squareform(pdist(ds.inputs)))
     full = gram + (sigma_f**2 + model.jitter) * np.eye(60)
     np.testing.assert_array_equal(model.chol_lower, cholesky(full, lower=True))
+
+
+def copy_kernel(cfg, r):
+    """The kernel as it was computed before it wrote into its argument."""
+    if cfg.family == "exponential":
+        return np.exp(-cfg.length_scale * r)
+    return np.exp(-(r * r) / (2.0 * cfg.length_scale**2))
+
+
+def fresh_factor(ds, cfg, jitter):
+    """Cholesky factor of a Gram matrix built anew for ``jitter``."""
+    gram = squareform(copy_kernel(cfg, pdist(ds.inputs)))
+    np.fill_diagonal(gram, 1.0 + (ds.noise_std**2 + jitter))
+    return cholesky(gram, lower=True, check_finite=False)
+
+
+def test_fit_retry_after_a_failed_factorization_factors_a_fresh_gram():
+    # Ten trailing inputs repeat earlier ones and sigma_F^2 = 1e-24 vanishes
+    # next to 1, so the jitter-free attempt meets a zero pivot after LAPACK
+    # has overwritten the leading columns of its buffer.
+    cfg = KernelConfig(family="squared-exponential", length_scale=0.7)
+    rng = np.random.default_rng(5)
+    inputs = rng.uniform(-2.0, 2.0, size=(100, 3))
+    inputs[90:] = inputs[40:50]
+    ds = GPDataset(inputs=inputs, targets=rng.normal(size=100), noise_std=1e-12)
+    model = gp_fit(ds, cfg)
+    assert model.jitter == JITTER_START  # the ladder starts at 0 when sigma_F > 0
+    np.testing.assert_array_equal(model.chol_lower, fresh_factor(ds, cfg, model.jitter))
+
+
+def test_fit_retries_factor_a_fresh_gram_after_each_failure(monkeypatch):
+    # Each failed attempt leaves its buffer ruined; the third factors anew.
+    # gp_fit imports cholesky when it is called, so the patch reaches it.
+    real, attempts = scipy.linalg.cholesky, []
+
+    def fail_twice(a, **kwargs):
+        attempts.append(a.diagonal().copy())
+        if len(attempts) <= 2:
+            a[...] = np.nan
+            raise np.linalg.LinAlgError("forced failure")
+        return real(a, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cholesky", fail_twice)
+    ds = generate_training_data(make_pmsm(), 40, [(-3.0, 3.0)] * 3, seed=4)[0]
+    model = gp_fit(ds, EXP_KERNEL)
+    assert model.jitter == 100.0 * JITTER_START
+    assert [d[0] for d in attempts] == [1.0 + j for j in (1e-10, 1e-9, 1e-8)]
+    np.testing.assert_array_equal(model.chol_lower, fresh_factor(ds, EXP_KERNEL, 1e-8))
+
+
+def test_fit_jitter_exhausted_names_the_closest_pair(monkeypatch):
+    def always_fail(a, **kwargs):
+        a[...] = np.nan
+        raise np.linalg.LinAlgError("forced failure")
+
+    monkeypatch.setattr(scipy.linalg, "cholesky", always_fail)
+    inputs = np.random.default_rng(13).uniform(-2.0, 2.0, size=(9, 3))
+    inputs[6] = inputs[2] + 1e-3
+    ds = GPDataset(inputs=inputs, targets=np.zeros(9))
+    match = f"after jitter up to {JITTER_MAX:g}; closest input pair 2, 6 at distance 0.00173"
+    with pytest.raises(IllConditionedDataError, match=match) as exc:
+        gp_fit(ds, EXP_KERNEL)
+    assert exc.value.pair == (2, 6)
+
+
+def copy_variance(model, states):
+    """The variance audit as it was computed on copies of its blocks."""
+    kbar = copy_kernel(model.kernel, cdist(model.dataset.inputs, states))
+    v = solve_triangular(model.chol_lower, kbar, lower=True, check_finite=False)
+    out = np.maximum(0.0, 1.0 - np.einsum("ij,ij->j", v, v))
+    if model.dataset.noise_std == 0.0:
+        stored = (states[:, None, :] == model.dataset.inputs[None, :, :]).all(axis=2).any(axis=1)
+        out[stored] = 0.0
+    return out
+
+
+@pytest.mark.parametrize("family", KERNEL_FAMILIES)
+@pytest.mark.parametrize("sigma_f", [0.0, 0.05])
+def test_variance_many_equals_the_copy_based_audit(family, sigma_f):
+    cfg = KernelConfig(family=family, length_scale=0.8)
+    ds = generate_training_data(make_pmsm(), 200, [(-3.0, 3.0)] * 3, sigma_f=sigma_f, seed=9)[0]
+    model = gp_fit(ds, cfg)
+    rng = np.random.default_rng(21)
+    for m in (1, 2, 3, 257, 1001):
+        states = rng.uniform(-4.0, 4.0, size=(m, 3))
+        states[::7] = ds.inputs[: len(states[::7])]  # some stored inputs among them
+        before = states.copy()
+        got = variance_many(model, states)
+        np.testing.assert_array_equal(got, copy_variance(model, before))
+        np.testing.assert_array_equal(states, before)
+
+
+def test_kernel_eval_equals_the_copy_based_kernel():
+    rng = np.random.default_rng(8)
+    configs = (EXP_KERNEL, KernelConfig("squared-exponential", 0.3), KernelConfig(length_scale=2.5))
+    for cfg in configs:
+        for a, b in [(0.0, 1.0), (-2.0, 3.5), (1e-9, 0.0)] + [
+            tuple(rng.uniform(-3.0, 3.0, size=(2, 3))) for _ in range(20)
+        ]:
+            r = np.linalg.norm(np.atleast_1d(np.subtract(a, b, dtype=float)))
+            assert kernel_eval(cfg, a, b) == float(copy_kernel(cfg, r))
 
 
 def test_dataset_validation():
@@ -291,7 +395,7 @@ def einsum_estimate(models, x):
     cfg = models[0].kernel
     diff = models[0].dataset.inputs - x
     r = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    k = _kernel_of_dist(cfg, r)
+    k = _kernel_of_dist(cfg, r.copy())
     if cfg.family == "exponential":
         arg = cfg.length_scale * r
     else:
