@@ -41,6 +41,10 @@ CASES = {
     # t = 0, where explicit substeps alone took tens of thousands
     "mc-known-far": ["montecarlo", KNOWN, "--runs", "4", "--seed", "7",
                      "--ic-box=-1e5,1e5;-1e5,1e5;9.9e4,1e5", "--set", "sim.t_end=1.0"],
+    # the scale where the backward-Euler root solves take the largest share
+    # of a batch: 137 block substeps of two solves each, far from each root
+    "mc-known-1e15": ["montecarlo", KNOWN, "--runs", "4", "--seed", "7",
+                      "--ic-box=-1e15,1e15", "--set", "sim.t_end=1.5"],
     # one block mixing runs that cover a step in one substep with runs that
     # take two: at t = 0, 2 of the 12 runs cover it in one
     "mc-known-10": ["montecarlo", KNOWN, "--runs", "12", "--ic-box=-10,10", "--seed", "2",

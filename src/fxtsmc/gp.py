@@ -140,10 +140,14 @@ class GPModel:
 
 
 def _closest_pair(dist: np.ndarray, n: int):
-    """Closest input pair and its distance, from pdist's condensed vector."""
+    """Closest input pair and its distance, from pdist's condensed vector,
+    whose row j holds the pairs (j, j + 1), (j, j + 2), ... from offset
+    j (2n - j - 1) / 2."""
     i = int(np.argmin(dist))
-    j, k = np.triu_indices(n, 1)
-    return (int(j[i]), int(k[i])), float(dist[i])
+    rows = np.arange(n - 1)
+    starts = rows * (2 * n - rows - 1) // 2
+    j = int(np.searchsorted(starts, i, side="right")) - 1
+    return (j, j + 1 + i - int(starts[j])), float(dist[i])
 
 
 def gp_fit(dataset: GPDataset, cfg: KernelConfig) -> GPModel:

@@ -413,6 +413,26 @@ def test_montecarlo_artifacts(capsys, tmp_path, monkeypatch):
     assert doc["bounds"]["t_max"] == pytest.approx(1.2741613156896068)
 
 
+def test_montecarlo_settling_bound_holds_from_1_to_1e15(capsys, tmp_path, monkeypatch):
+    # The fixed-time claim across scale: from the boxes +-10^k every run
+    # settles within the printed T_max, and once the reaching term saturates
+    # (k = 6 and 15) the worst settling time no longer depends on the start.
+    monkeypatch.chdir(tmp_path)
+    worst = {}
+    for k in (0, 6, 15):
+        code, out, _ = run_cli(
+            capsys, "montecarlo", str(KNOWN), "--runs", "4", "--seed", "7",
+            f"--ic-box=-1e{k},1e{k}", "--set", "sim.t_end=1.5",
+        )
+        assert code == 0
+        t_max = float(re.search(r"bound T_max = (\S+);", out).group(1))
+        doc = json.loads((tmp_path / "pmsm-known-mc.json").read_text())
+        assert doc["aggregate"]["n_failed"] == 0
+        assert all(run["settled"] and run["settling_time"] <= t_max for run in doc["runs"]), k
+        worst[k] = doc["aggregate"]["max_settling_error"]
+    assert worst[15] == pytest.approx(worst[6], rel=0.01)
+
+
 def test_montecarlo_require_settled_gate(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     # 0.05 s is far too short for anything to settle: the gate must trip.

@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from fxtsmc.gp import (
     save_datasets,
     variance_many,
 )
+from fxtsmc.gp import _closest_pair
 from fxtsmc.gp import _kernel_of_dist  # the Gram formula before condensed distances
 from fxtsmc.numerics import CSV_BLOCK_ROWS
 from fxtsmc.system import make_lemma2_plant, make_pmsm
@@ -204,6 +206,37 @@ def test_fit_jitter_exhausted_names_the_closest_pair(monkeypatch):
     with pytest.raises(IllConditionedDataError, match=match) as exc:
         gp_fit(ds, EXP_KERNEL)
     assert exc.value.pair == (2, 6)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 2000])
+def test_closest_pair_is_the_triu_indices_pair(n):
+    # Every condensed index for small n; for n = 2,000, both ends, the first
+    # three row starts and the index before each, and the last three.
+    rows, cols = np.triu_indices(n, 1)
+    size = rows.size
+    if n < 2000:
+        picks = range(size)
+    else:
+        starts = np.flatnonzero(np.diff(rows)) + 1
+        picks = {0, 1, size - 2, size - 1, *starts[:3], *(starts[:3] - 1), *starts[-3:]}
+    dist = np.ones(size)
+    for i in picks:
+        dist[i] = 0.5
+        assert _closest_pair(dist, n) == ((int(rows[i]), int(cols[i])), 0.5)
+        dist[i] = 1.0
+
+
+def test_closest_pair_allocates_no_index_table():
+    # np.triu_indices(2000, 1) takes 32 MB; the row offsets take 16 kB.
+    dist = np.ones(2000 * 1999 // 2)
+    dist[-1] = 0.0
+    tracemalloc.start()
+    try:
+        assert _closest_pair(dist, 2000) == ((1998, 1999), 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def copy_variance(model, states):

@@ -1,6 +1,7 @@
 """Closed-loop simulation engine: fixed points, oracles, batches, export."""
 
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -8,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_integrator_plant, standard_channels
 from fxtsmc.errors import (
@@ -1141,6 +1144,108 @@ def test_batch_backward_euler_substeps_equal_single_runs(case):
     evaluated[0] = 0
     assert_block_rows_equal_single_runs(template, result.x0s)
     assert evaluated[0] > 2 * runs * (template.step.n_steps + 1)  # substeps were taken
+
+
+# --- the backward-Euler root solve ------------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def _order_key(v):
+    """An int64 per float that orders like the float and steps by 1 per ulp."""
+    bits = np.abs(v).view(np.int64)
+    return np.where(v < 0.0, -bits, bits)
+
+
+def _from_order_key(k):
+    """The float of an order key."""
+    value = np.abs(k).view(np.float64)
+    return np.where(k < 0, -value, value)
+
+
+def bisection_root(b, scale, phi):
+    """Per element, the order keys (klo, khi) of the two adjacent floats
+    between which v + scale * phi(v) - b changes sign (both the same float
+    where it is 0 there), found by bisecting the floats of [0, b] by order."""
+    klo, khi = _order_key(np.minimum(b, 0.0)), _order_key(np.maximum(b, 0.0))
+    with np.errstate(all="ignore"):
+        for _ in range(64):
+            mid = klo + (khi - klo) // 2
+            v = _from_order_key(mid)
+            residual = v + scale * phi(v)[0] - b
+            open_ = khi - klo > 1
+            klo = np.where(open_ & ~(residual > 0.0), mid, klo)
+            khi = np.where(open_ & ~(residual < 0.0), mid, khi)
+    return klo, khi
+
+
+@functools.cache
+def solve_phi(name):
+    """The ``phi`` of a z-solve, the integrand of exponent 0 or 0.8, or of
+    the s-solve: the benchmark gains' reaching term and its slope, as the
+    step loop hands it to ``_solve_increasing``."""
+    if name != "reach":
+        exponent = {"integrand-0": 0.0, "integrand-0.8": 0.8}[name]
+        return lambda v: sim._integrand_and_slope(v, exponent)
+    handed = []
+    solve = sim._solve_increasing
+
+    def spy(b, scale, phi, start):
+        handed.append(phi)
+        return solve(b, scale, phi, start)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_solve_increasing", spy)
+        simulate(pmsm_scenario(x0=[1e5, -1e5, 1e5], t_end=1e-4))
+    return handed[0]
+
+
+_magnitude = st.floats(-6.0, 18.0).map(lambda e: 10.0**e)
+SOLVE_CASE = st.tuples(
+    st.one_of(st.just(0.0), st.tuples(st.sampled_from([-1.0, 1.0]), _magnitude).map(math.prod)),
+    st.one_of(st.just(0.0), st.floats(-20.0, 40.0).map(lambda e: 10.0**e)),
+    st.sampled_from(["0", "b", "beyond b", "beyond 0"]),
+)
+SOLVE_STARTS = {
+    "0": lambda b: 0.0,
+    "b": lambda b: b,
+    "beyond b": lambda b: math.copysign(1e300, b),
+    "beyond 0": lambda b: -math.copysign(1e300, b),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    name=st.sampled_from(["integrand-0", "integrand-0.8", "reach"]),
+    cases=st.lists(SOLVE_CASE, min_size=3, max_size=3),
+)
+def test_solve_increasing_ends_within_a_few_ulps_of_the_float_root(name, cases):
+    # A root away from 0 is found within 8 ulps. "Away from 0" means two things:
+    # - the residual's rounding, about eps |b|, moves it by at most 2 eps |v|
+    #   (|b| <= 2 |v| (1 + scale phi'(v))); a jump of phi at 0 makes roots
+    #   next to 0 cancel b against scale * phi;
+    # - bisection from [0, b] reaches its magnitude within SOLVE_ITERATIONS
+    #   with 20 steps to spare (|v| >= 2^-80 |b|).
+    # Where phi jumps at 0 and leaves no root, the answer is next to 0 on b's
+    # side. Every answer is within 8 eps |b| of the float root.
+    phi = solve_phi(name)
+    b, scale, kinds = zip(*cases)
+    b, scale = np.array(b), np.array(scale)
+    start = np.array([SOLVE_STARTS[kind](b_i) for b_i, kind in zip(b, kinds)])
+    with np.errstate(all="ignore"):
+        v = sim._solve_increasing(b, scale, phi, start)
+        klo, khi = bisection_root(b, scale, phi)
+        root = _from_order_key(klo)
+        conditioned = np.abs(b) <= 2.0 * np.abs(root) * (1.0 + scale * phi(root)[1])
+    kv = _order_key(v)
+    ulps = np.maximum(0, np.maximum(klo - kv, kv - khi))
+    no_root = (b != 0.0) & ((klo == 0) | (khi == 0))
+    away = ~no_root & conditioned & (np.abs(root) >= 2.0**-80 * np.abs(b))
+    assert (v[b == 0.0] == 0.0).all()
+    assert (ulps[away] <= 8).all(), (ulps, v, root)
+    assert (v[no_root] * b[no_root] >= 0.0).all()
+    assert (np.abs(v[no_root]) <= 4.0 * EPS * np.abs(b[no_root])).all()
+    assert (np.abs(v - root) <= 8.0 * EPS * np.abs(b)).all(), (v, root)
 
 
 # --- operands that are exact identities -------------------------------------------
