@@ -49,14 +49,13 @@ CASES = {
     # take two: at t = 0, 2 of the 12 runs cover it in one
     "mc-known-10": ["montecarlo", KNOWN, "--runs", "12", "--ic-box=-10,10", "--seed", "2",
                     *COARSE],
-    # one gain set per channel, a boundary layer on one of them: a law
-    # constant applied to the wrong channel shows here, and nowhere else
+    # one gain set per channel: a law constant applied to the wrong channel
+    # shows here, and nowhere else
     "mc-known-per-channel": ["montecarlo", KNOWN, "--runs", "8", "--ic-box=-3,3", "--seed", "5",
                              "--set", "sim.step_size=1e-3",
                              "--set", "controller.alpha1=[5, 6, 7]",
                              "--set", "controller.alpha2=[3.5, 4, 4.5]",
-                             "--set", "controller.p=[6, 8, 8]",
-                             "--set", "controller.sign_boundary_layer=[0, 0.01, 0]"],
+                             "--set", "controller.p=[6, 8, 8]"],
     # the gp-based pilot run, then a batch through the GP drift estimate
     "mc-gp-near": ["montecarlo", GP, "--runs", "4", "--ic-box=-1,1", "--seed", "3",
                    "--set", "sim.t_end=1.0"],

@@ -150,7 +150,6 @@ CONFIG_SCHEMA = {
                 "q": _INT_OR_LIST,
                 "d_bar": _NUMBER_OR_LIST,
                 "include_sqrt_pi_factor": _BOOL_OR_LIST,
-                "sign_boundary_layer": _NUMBER_OR_LIST,
             },
         },
         "gp": {
@@ -219,6 +218,16 @@ CONFIG_SCHEMA = {
 # metaschema on every call.
 _CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
 
+# Removed options, refused with the reason: (section, key, the value refused,
+# or None for any value the key is given, reason).
+_RETIRED = (
+    ("sim", "method", "rk4", "'rk4' was removed, as under the switching law the closed "
+     "loop is first order whatever the plant stepper"),
+    ("controller", "sign_boundary_layer", None, "the boundary layer was removed, as the "
+     "settling theorems assume the true sign(s) and tanh(s/eps) only holds s in an "
+     "eps-sized band, so a printed bound need not be met"),
+)
+
 
 # --- config handling ---------------------------------------------------------
 
@@ -237,9 +246,10 @@ def load_config(path) -> dict:
 
 
 def validate_config(cfg: dict) -> None:
-    if isinstance(cfg.get("sim"), dict) and cfg["sim"].get("method") == "rk4":
-        raise ConfigError("config invalid at sim/method: 'rk4' was removed, as under the "
-                          "switching law the closed loop is first order whatever the plant stepper")
+    for section, key, value, reason in _RETIRED:
+        given = cfg.get(section)
+        if isinstance(given, dict) and key in given and (value is None or given[key] == value):
+            raise ConfigError(f"config invalid at {section}/{key}: {reason}")
     # the error jsonschema.validate raises
     err = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
     if err is not None:
@@ -353,7 +363,6 @@ def build_controller_params(cfg: dict, n: int) -> Optional[list[ControllerParams
     include = _per_channel(
         ctl.get("include_sqrt_pi_factor", mode != "gp-based"), n, "include_sqrt_pi_factor"
     )
-    layer = _per_channel(ctl.get("sign_boundary_layer", 0.0), n, "sign_boundary_layer")
     out = []
     for i in range(n):
         sliding = SlidingParams(alpha1=float(alpha1[i]), p=int(p[i]), q=int(q[i]))
@@ -363,7 +372,6 @@ def build_controller_params(cfg: dict, n: int) -> Optional[list[ControllerParams
                 alpha2=float(alpha2[i]),
                 d_bar=float(d_bar[i]),
                 include_sqrt_pi_factor=bool(include[i]),
-                sign_boundary_layer=float(layer[i]),
             )
         )
     return out

@@ -38,18 +38,17 @@ class ControllerParams:
 
     ``alpha2`` must exceed (2/sqrt(pi)) * d_bar — the margin that dominates
     the bounded perturbation in the reaching dynamics. The learned-model gain
-    condition alpha2 > d_bar + delta_f_bar involves the model error and is
+    condition reach_gain > d_bar + delta_f_bar involves the model error and is
     checked where that bound is computed, not here.
 
-    ``sign_boundary_layer`` epsilon >= 0 smooths sign(s) into tanh(s/epsilon)
-    to trade exactness for less chattering; 0 keeps the true sign.
+    The law's reaching term is ``reach_gain * exp(s^2) * sign(s)`` with the
+    true sign, which both settling theorems assume.
     """
 
     sliding: SlidingParams
     alpha2: float
     d_bar: float = 0.0
     include_sqrt_pi_factor: bool = True
-    sign_boundary_layer: float = 0.0
 
     def __post_init__(self):
         if not (np.isfinite(self.alpha2) and self.alpha2 > 0.0):
@@ -61,10 +60,11 @@ class ControllerParams:
                 f"need alpha2 > (2/sqrt(pi))*d_bar = {TWO_OVER_SQRT_PI * self.d_bar:.6g}, "
                 f"got alpha2 = {self.alpha2}"
             )
-        if not self.sign_boundary_layer >= 0.0:
-            raise ParameterError(
-                f"sign_boundary_layer must be >= 0, got {self.sign_boundary_layer}"
-            )
+
+    @property
+    def reach_gain(self) -> float:
+        """kappa * alpha2, with kappa = sqrt(pi)/2 where the factor is included."""
+        return (SQRT_PI_HALF if self.include_sqrt_pi_factor else 1.0) * self.alpha2
 
 
 def _as_channel_list(params, n: int) -> list[ControllerParams]:
@@ -75,30 +75,6 @@ def _as_channel_list(params, n: int) -> list[ControllerParams]:
     if len(params) != n:
         raise ParameterError(f"expected {n} channel parameter sets, got {len(params)}")
     return params
-
-
-class LawArrays:
-    """Per-channel gains flattened into arrays for the simulation hot loop."""
-
-    __slots__ = ("alpha1", "exponent", "reach_gain", "eps", "plain_sign")
-
-    def __init__(self, channels: Sequence[ControllerParams]):
-        self.alpha1 = np.array([c.sliding.alpha1 for c in channels])
-        self.exponent = np.array([c.sliding.exponent for c in channels])
-        # kappa * alpha2, with kappa = sqrt(pi)/2 where the factor is included
-        self.reach_gain = np.array(
-            [(SQRT_PI_HALF if c.include_sqrt_pi_factor else 1.0) * c.alpha2 for c in channels]
-        )
-        self.eps = np.array([c.sign_boundary_layer for c in channels])
-        self.plain_sign = bool(np.all(self.eps == 0.0))
-
-
-def sign_or_layer(s, eps):
-    """sign(s), or the boundary-layer approximation tanh(s/eps) where eps > 0."""
-    eps = np.asarray(eps, dtype=float)
-    out = np.sign(s) * 1.0
-    layered = eps > 0.0
-    return np.where(layered, np.tanh(s / np.where(layered, eps, 1.0)), out)
 
 
 # --- settling-time bounds ----------------------------------------------------
@@ -143,12 +119,13 @@ def lemma3_bound(a: float) -> float:
 
 
 def theorem2_s_bound(
-    alpha2: float, d_bar: float, delta_f_bar: float, mode: str = "lemma3"
+    reach_gain: float, d_bar: float, delta_f_bar: float, mode: str = "lemma3"
 ) -> float:
-    """s-phase settling bound under drift-estimate error |f - fhat| <= delta_f_bar.
+    """s-phase settling bound under drift-estimate error |f - fhat| <= delta_f_bar
+    for the reaching gain kappa * alpha2 the law applies.
 
-    mode "lemma3" (default) applies lemma3_bound to A = -(alpha2 - d_bar -
-    delta_f_bar), giving (2*sqrt(2)+1)/(2(alpha2-d_bar-delta_f_bar)). mode
+    mode "lemma3" (default) applies lemma3_bound to A = -(reach_gain - d_bar -
+    delta_f_bar), giving (2*sqrt(2)+1)/(2(reach_gain-d_bar-delta_f_bar)). mode
     "printed-t8" uses the commonly quoted constant 2*sqrt(2) in the numerator
     instead; both are exposed because the two disagree by a constant factor.
     """
@@ -156,11 +133,11 @@ def theorem2_s_bound(
         raise ParameterError(f"mode must be one of {S_BOUND_MODES}, got {mode!r}")
     if not delta_f_bar >= 0.0:
         raise ParameterError(f"delta_f_bar must be >= 0, got {delta_f_bar}")
-    margin = alpha2 - d_bar - delta_f_bar
+    margin = reach_gain - d_bar - delta_f_bar
     if not margin > 0.0:
         raise GainTooSmallError(
-            f"need alpha2 > d_bar + delta_f_bar = {d_bar + delta_f_bar:.6g}, "
-            f"got alpha2 = {alpha2}"
+            f"need reaching gain kappa*alpha2 > d_bar + delta_f_bar = "
+            f"{d_bar + delta_f_bar:.6g}, got kappa*alpha2 = {reach_gain:.6g}"
         )
     if mode == "lemma3":
         return lemma3_bound(-margin)
@@ -218,7 +195,9 @@ def bound_report(
             t_z.append(theorem1_z_bound(cp.sliding.alpha1, cp.sliding.p, cp.sliding.q))
             if gp_mode:
                 t_s.append(
-                    theorem2_s_bound(cp.alpha2, cp.d_bar, float(delta_f_bars[i]), s_bound_mode)
+                    theorem2_s_bound(
+                        cp.reach_gain, cp.d_bar, float(delta_f_bars[i]), s_bound_mode
+                    )
                 )
             else:
                 t_s.append(lemma2_bound(cp.alpha2, cp.d_bar))

@@ -82,13 +82,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import gp
-from .controller import (
-    BoundReport,
-    LawArrays,
-    _as_channel_list,
-    bound_report,
-    sign_or_layer,
-)
+from .controller import BoundReport, _as_channel_list, bound_report
 from .errors import (
     ParameterError,
     PerturbationBoundError,
@@ -302,7 +296,6 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
 
     channels = scenario.channels
     open_loop = scenario.mode == "open-loop"
-    arrays = LawArrays(channels) if channels is not None else None
     estimator = gp.DriftEstimator(scenario.gp_models) if scenario.mode == "gp-based" else None
 
     # An operand that is an exact identity is held as None, and the operation
@@ -334,14 +327,17 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
     # one state; for a block, leading rows of (R, n) copies, which serve every
     # smaller block too. An op between two arrays of one block shape costs
     # about half of one that broadcasts an (n,) operand over the block.
-    law = None if arrays is None else (
-        arrays.alpha1, arrays.exponent, arrays.reach_gain, arrays.eps, fixed_gain
+    law = None if channels is None else (
+        np.array([c.sliding.alpha1 for c in channels]),
+        np.array([c.sliding.exponent for c in channels]),
+        np.array([c.reach_gain for c in channels]),
+        fixed_gain,
     )
     law_rows = None if law is None else [
         None if c is None else np.tile(c, (x.size // n, 1)) for c in law
     ]
     law_shape = None  # the state shape the constants below are taken for
-    alpha1 = exponent = reach_gain = eps = g_fixed = None
+    alpha1 = exponent = reach_gain = g_fixed = None
 
     def eval_loop(x_cur, signals, integral_cur):
         """One full controller + dynamics evaluation at (x, t, I): the only
@@ -352,7 +348,7 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
         ds = dx + alpha1 * integ, the rate of s; integ and ds are None when no
         surface is tracked (open loop without gains).
         """
-        nonlocal law_shape, alpha1, exponent, reach_gain, eps, g_fixed
+        nonlocal law_shape, alpha1, exponent, reach_gain, g_fixed
         xd, d, xd_dot = signals
         z = x_cur if xd is None else x_cur - xd
         f = drift(x_cur)
@@ -360,7 +356,7 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
             return z, z, zeros, f, f + d, None, None
         if x_cur.shape != law_shape:
             law_shape = x_cur.shape
-            alpha1, exponent, reach_gain, eps, g_fixed = law if x_cur.ndim == 1 else (
+            alpha1, exponent, reach_gain, g_fixed = law if x_cur.ndim == 1 else (
                 None if c is None else c[: len(x_cur)] for c in law_rows
             )
         integ = integrand(z, exponent)
@@ -382,23 +378,14 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
     # The law's reaching term and its backward-Euler substep act on the block
     # eval_loop evaluated last, whose shape the constants above were taken for.
     def reach_of(s):
-        """kappa * alpha2 * exp(s^2) * sign(s), with tanh(s / eps) for sign(s)
-        in a channel with a boundary layer eps > 0."""
-        sgn = np.sign(s) if arrays.plain_sign else sign_or_layer(s, eps)
-        return reach_gain * safe_exp(s * s) * sgn
+        """kappa * alpha2 * exp(s^2) * sign(s), with the true sign the
+        settling theorems assume."""
+        return reach_gain * safe_exp(s * s) * np.sign(s)
 
     def reach_and_slope(s):
         """``reach_of(s)`` and its derivative in s."""
         reach = reach_of(s)
-        slope = np.abs(reach) * _exp_sq_growth(s)
-        if arrays.plain_sign:
-            return reach, slope
-        # where eps > 0, tanh(s / eps) grows too, at (1 - tanh^2) / eps
-        layered = eps > 0.0
-        eps_or_1 = np.where(layered, eps, 1.0)
-        tanh = np.tanh(s / eps_or_1)
-        growth = reach_gain * safe_exp(s * s) * (1.0 - tanh * tanh) / eps_or_1
-        return reach, slope + np.where(layered, growth, 0.0)
+        return reach, np.abs(reach) * _exp_sq_growth(s)
 
     def implicit_substep(x, z, s, ds, integral, remaining):
         """One backward-Euler substep per row of the law's terms, sized from

@@ -47,22 +47,37 @@ def test_validate_rejects_unknown_keys(capsys, tmp_path):
     assert "extras" in err
 
 
-@pytest.mark.parametrize("command", ["validate", "run", "montecarlo"])
+RK4 = ("sim", "method", "rk4", ["'rk4' was removed", "first order"])
+LAYER_WHY = ["boundary layer was removed", "true sign(s)"]
+
+
+@pytest.mark.parametrize(
+    "command, retired",
+    [("validate", RK4), ("run", RK4), ("montecarlo", RK4),
+     # any value is refused, 0 too, which kept the true sign
+     ("validate", ("controller", "sign_boundary_layer", 0, LAYER_WHY)),
+     ("run", ("controller", "sign_boundary_layer", [0, 0.01, 0], LAYER_WHY))],
+    ids=["validate", "run", "montecarlo", "sign_boundary_layer-validate",
+         "sign_boundary_layer-run"],
+)
 def test_removed_rk4_method_is_a_config_error_that_says_why(
-    capsys, tmp_path, monkeypatch, command
+    capsys, tmp_path, monkeypatch, command, retired
 ):
     # Under the switching law the closed loop is first order whatever the
-    # plant stepper, so rk4 was removed; a config that asks for it is refused
-    # with that reason, by validate too.
+    # plant stepper, so rk4 was removed; the settling theorems assume the
+    # true sign(s), so the tanh(s/eps) boundary layer was removed. A config
+    # that asks for either is refused with that reason, by validate too.
+    section, key, value, reason = retired
     monkeypatch.chdir(tmp_path)
     cfg = json.loads(KNOWN.read_text())
-    cfg["sim"]["method"] = "rk4"
-    path = tmp_path / "rk4.json"
+    cfg[section][key] = value
+    path = tmp_path / "retired.json"
     path.write_text(json.dumps(cfg))
     extra = {"validate": [], "run": FAST, "montecarlo": [*FAST, "--runs", "2", "--ic-box=-1,1"]}
     code, _, err = run_cli(capsys, command, str(path), *extra[command])
     assert code == 2
-    assert "'rk4' was removed" in err and "first order" in err
+    assert f"config invalid at {section}/{key}: " in err
+    assert all(words in err for words in reason)
     assert list(tmp_path.iterdir()) == [path]
 
 
@@ -689,6 +704,19 @@ def test_infeasible_gp_bound_is_not_replaced(capsys, tmp_path, monkeypatch, comm
         assert "bounds" not in doc
         assert doc["aggregate"]["fraction_bound_satisfied"] is None
         assert all(run["bound_satisfied"] is None for run in doc["runs"])
+
+
+def test_gp_bound_takes_the_reaching_gain_the_law_applies(capsys, tmp_path, monkeypatch):
+    # With the sqrt(pi)/2 factor the law applies (sqrt(pi)/2) * 3 = 2.659,
+    # short of d_bar plus the GP error budget, 2.82: theorem 2's gain
+    # condition fails for that law, though alpha2 = 3 alone would meet it.
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(capsys, "run", str(GP), "--set", "controller.alpha2=3.0",
+                           "--set", "controller.include_sqrt_pi_factor=true", *FAST)
+    assert code == 0
+    note = next(line for line in out.splitlines() if line.startswith("settling bound"))
+    assert note.startswith("settling bound unavailable") and "reaching gain" in note
+    assert "T_max" not in out
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,6 @@ from fxtsmc.controller import (
     lemma1_bound,
     lemma2_bound,
     lemma3_bound,
-    sign_or_layer,
     theorem1_z_bound,
     theorem2_s_bound,
 )
@@ -112,29 +111,6 @@ def test_control_gp_pure_model_cancellation():
     assert u[0] == pytest.approx(-c, abs=1e-8)
 
 
-def test_sign_or_layer():
-    assert sign_or_layer(0.0, 0.0) == 0.0
-    assert sign_or_layer(-3.2, 0.0) == -1.0
-    assert sign_or_layer(0.5, 0.1) == pytest.approx(np.tanh(5.0), rel=1e-15)
-
-
-def test_boundary_layer_smooths_the_reaching_sign():
-    # channel 1 keeps sign(s), channel 2 uses tanh(s/0.5): at z = s = 1,
-    # u_i = -(6e + (sqrt(pi)/2)*4*e*sign_or_layer(1, eps_i))
-    channels = [scalar_params(), scalar_params(sign_boundary_layer=0.5)]
-    scenario = Scenario(
-        system=make_integrator_plant(2),
-        reference=zero_reference(2),
-        params=channels,
-        x0=np.ones(2),
-        step=StepConfig(step_size=1e-3, t_end=1e-3),
-    )
-    u = simulate(scenario).u[0]
-    reach = SQRT_PI_HALF * 4.0 * np.e
-    assert u[0] == pytest.approx(-(6.0 * np.e + reach), abs=1e-12)
-    assert u[1] == pytest.approx(-(6.0 * np.e + reach * np.tanh(2.0)), abs=1e-12)
-
-
 def test_params_enforce_reaching_gain_condition():
     with pytest.raises(GainTooSmallError) as exc:
         ControllerParams(sliding=SlidingParams(alpha1=6.0, p=8, q=10), alpha2=1.0, d_bar=1.0)
@@ -223,13 +199,19 @@ def test_bound_report_trivial_composition():
 
 
 def test_bound_report_gp_mode():
+    # theorem 2 takes the reaching gain the law applies, (sqrt(pi)/2) * 4
+    # on these channels, which keep the factor
     report = bound_report(standard_channels(), delta_f_bars=np.zeros(3))
     assert report.mode == "gp-based"
-    assert report.t_s == pytest.approx(0.6380711874576984, abs=1e-12)
+    assert report.t_s == pytest.approx(0.75217406156258, abs=1e-12)
     printed = bound_report(
         standard_channels(), delta_f_bars=np.zeros(3), s_bound_mode="printed-t8"
     )
-    assert printed.t_s == pytest.approx(0.47140452079103173, abs=1e-12)
+    assert printed.t_s == pytest.approx(0.5557032820352183, abs=1e-12)
+    plain = bound_report(
+        standard_channels(include_sqrt_pi_factor=False), delta_f_bars=np.zeros(3)
+    )
+    assert plain.t_s == pytest.approx(0.6380711874576984, abs=1e-12)
 
 
 def test_bound_report_reports_offending_channel():

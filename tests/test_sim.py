@@ -875,15 +875,6 @@ def test_batch_far_box_with_sinusoid_reference_equals_single_runs():
     assert_batch_equals_single_runs(template, [(-100.0, 100.0)] * 3, runs, 11)
 
 
-def test_batch_with_boundary_layer_sign_equals_single_runs():
-    template = dataclasses.replace(
-        pmsm_scenario(step_size=1e-3, t_end=1.5, settle_threshold=0.05),
-        params=standard_channels(sign_boundary_layer=0.05),
-    )
-    result = assert_batch_equals_single_runs(template, [(-1.0, 1.0)] * 3, 5, 2)
-    assert result.aggregate["n_settled"] == 5  # settling and chatter compared too
-
-
 def gp_template(t_end):
     """gp-based mode on a 20-point GP of the PMSM drift over [-3, 3]^3."""
     kernel = KernelConfig(family="exponential", length_scale=1.0)
@@ -1112,13 +1103,6 @@ def test_far_start_drains_in_few_backward_euler_substeps():
 
 
 FAR_TEMPLATES = {
-    # tanh(s / eps) for sign(s) in channel 2 only: its reaching term and
-    # slope in the implicit solve, and the other channels' plain sign
-    "boundary-layer": lambda: dataclasses.replace(
-        pmsm_scenario(step_size=1e-3, t_end=0.05),
-        params=[standard_channels(1)[0], standard_channels(1, sign_boundary_layer=0.01)[0],
-                standard_channels(1)[0]],
-    ),
     # f - f_hat, large where the GP reverts to its prior, held explicit
     "gp-based": lambda: gp_template(t_end=0.05),
     # the gain's rounding of g * (u / g), held explicit
