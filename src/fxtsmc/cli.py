@@ -11,7 +11,9 @@ Exit codes
 2  configuration or argument error (schema violation, bad gains, bad CLI args,
    a time grid or batch too large to allocate)
 3  I/O error (missing or unreadable/unwritable files)
-4  numeric failure (diverged simulation, singular gain, ill-conditioned data)
+4  numeric failure: any ``errors.NumericError`` (SimulationDivergedError,
+   SingularGainError, PerturbationBoundError, IllConditionedDataError,
+   UnfitGPError)
 5  acceptance-threshold violation (montecarlo aggregate checks)
 
 Every artifact embeds the fully resolved configuration (after ``--x0`` /
@@ -33,16 +35,7 @@ import jsonschema
 import numpy as np
 
 from .controller import ControllerParams, bound_report
-from .errors import (
-    ConfigError,
-    GainTooSmallError,
-    IllConditionedDataError,
-    ParameterError,
-    PerturbationBoundError,
-    SimulationDivergedError,
-    SingularGainError,
-    UnfitGPError,
-)
+from .errors import ConfigError, GainTooSmallError, NumericError, ParameterError
 from .gp import (
     DriftEstimator,
     ErrorBoundConfig,
@@ -84,24 +77,11 @@ EXIT_IO = 3
 EXIT_NUMERIC = 4
 EXIT_ACCEPTANCE = 5
 
-_NUMBER_OR_LIST = {
-    "oneOf": [
-        {"type": "number"},
-        {"type": "array", "items": {"type": "number"}, "minItems": 1},
-    ]
-}
-_INT_OR_LIST = {
-    "oneOf": [
-        {"type": "integer"},
-        {"type": "array", "items": {"type": "integer"}, "minItems": 1},
-    ]
-}
-_BOOL_OR_LIST = {
-    "oneOf": [
-        {"type": "boolean"},
-        {"type": "array", "items": {"type": "boolean"}, "minItems": 1},
-    ]
-}
+
+def _one_or_list(kind: str) -> dict:
+    """One value of JSON type ``kind``, or a non-empty list of them."""
+    return {"oneOf": [{"type": kind}, {"type": "array", "items": {"type": kind}, "minItems": 1}]}
+
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -144,12 +124,12 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "mode": {"enum": ["known-model", "gp-based", "open-loop"]},
-                "alpha1": _NUMBER_OR_LIST,
-                "alpha2": _NUMBER_OR_LIST,
-                "p": _INT_OR_LIST,
-                "q": _INT_OR_LIST,
-                "d_bar": _NUMBER_OR_LIST,
-                "include_sqrt_pi_factor": _BOOL_OR_LIST,
+                "alpha1": _one_or_list("number"),
+                "alpha2": _one_or_list("number"),
+                "p": _one_or_list("integer"),
+                "q": _one_or_list("integer"),
+                "d_bar": _one_or_list("number"),
+                "include_sqrt_pi_factor": _one_or_list("boolean"),
             },
         },
         "gp": {
@@ -562,25 +542,20 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_gp_train(args) -> int:
+    # -n and --seed are overrides, applied after --set and checked with them
+    args.set = (args.set or []) + [
+        f"gp.generate.{key}={value}"
+        for key, value in (("n_samples", args.n_samples), ("seed", args.seed))
+        if value is not None
+    ]
     cfg = resolve_config(args)
-    gp_cfg = cfg.setdefault("gp", {})
-    if args.n_samples is not None or args.seed is not None:
-        gen = gp_cfg.setdefault("generate", {})
-        if args.n_samples is not None:
-            gen["n_samples"] = args.n_samples
-        if args.seed is not None:
-            gen["seed"] = args.seed
-        if "n_samples" not in gen or "region" not in gen:
-            raise ConfigError("gp.generate needs n_samples and region")
-        validate_config(cfg)
-
     system = build_system(cfg)
     models = build_gp_models(cfg, system)
     datasets = [m.dataset for m in models]
     # the held-out states are drawn from the training region, or the data's span
     inputs = datasets[0].inputs
     span = np.stack([inputs.min(axis=0), inputs.max(axis=0)], axis=1)
-    region = gp_cfg.get("generate", {}).get("region", span)
+    region = cfg["gp"].get("generate", {}).get("region", span)
     region = check_ic_box(region, system.n, "held-out region")
 
     stem = Path(args.config).stem
@@ -767,7 +742,7 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (GainTooSmallError, ParameterError) as err:
+    except ParameterError as err:
         print(f"parameter error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as err:
@@ -776,13 +751,7 @@ def main(argv=None) -> int:
     except MemoryError as err:
         print(f"parameter error: too large to allocate: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    except (
-        SimulationDivergedError,
-        SingularGainError,
-        PerturbationBoundError,
-        IllConditionedDataError,
-        UnfitGPError,
-    ) as err:
+    except NumericError as err:
         print(f"numeric error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_NUMERIC
 

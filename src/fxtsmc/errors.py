@@ -1,4 +1,12 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The command line maps each base to one exit code: ``ConfigError`` and
+``ParameterError`` (both ValueErrors) to 2, ``NumericError`` to 4. Other
+runtime errors, such as ``RecursionError`` or ``NotImplementedError``, are
+bugs and are left to surface as tracebacks.
+"""
+
+import numpy as np
 
 
 class ParameterError(ValueError):
@@ -17,21 +25,25 @@ class GainTooSmallError(ParameterError):
         self.channel = channel
 
 
-class SingularGainError(RuntimeError):
-    """An input gain g_i(x) evaluated to zero."""
+class NumericError(RuntimeError):
+    """A numeric failure of a run or a fit on valid input.
 
-    def __init__(self, message, channel=None):
-        super().__init__(message)
-        self.channel = channel
-
-
-class SimulationDivergedError(RuntimeError):
-    """State or accumulator became non-finite, or stepping collapsed."""
+    ``t`` is the time and ``channel`` the channel where it happened, None
+    where unknown.
+    """
 
     def __init__(self, message, t=None, channel=None):
         super().__init__(message)
         self.t = t
         self.channel = channel
+
+
+class SingularGainError(NumericError):
+    """An input gain g_i(x) evaluated to zero."""
+
+
+class SimulationDivergedError(NumericError):
+    """State or accumulator became non-finite, or stepping collapsed."""
 
 
 class RunErrors(Exception):
@@ -45,12 +57,17 @@ class RunErrors(Exception):
         super().__init__(f"{len(errors)} run(s) failed")
         self.errors = errors
 
+    @classmethod
+    def where(cls, bad, make_error) -> "RunErrors":
+        """make_error(r) for every block row r where ``bad`` holds."""
+        return cls({int(r): make_error(r) for r in np.flatnonzero(bad)})
+
     def at(self, rows) -> "RunErrors":
         """The same errors keyed by ``rows[r]`` instead of block row r."""
         return RunErrors({int(rows[r]): err for r, err in self.errors.items()})
 
 
-class IllConditionedDataError(RuntimeError):
+class IllConditionedDataError(NumericError):
     """A Gram matrix could not be factorized even after jitter escalation.
 
     ``pair`` holds the indices of the closest (duplicate or near-duplicate)
@@ -62,17 +79,12 @@ class IllConditionedDataError(RuntimeError):
         self.pair = pair
 
 
-class UnfitGPError(RuntimeError):
+class UnfitGPError(NumericError):
     """A gp-based run was requested without fitted models for every channel."""
 
 
-class PerturbationBoundError(RuntimeError):
+class PerturbationBoundError(NumericError):
     """A declared perturbation bound was exceeded on the simulation grid."""
-
-    def __init__(self, message, t=None, channel=None):
-        super().__init__(message)
-        self.t = t
-        self.channel = channel
 
 
 class ConfigError(ValueError):

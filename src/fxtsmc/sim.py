@@ -397,6 +397,9 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
         reach(s')) with I' = I + H * integ(y) and s' = y + alpha1 * I', which
         splits into s' = s + H * (c - reach(s')) in s' alone, then y + alpha1
         * H * integ(y) = s' - alpha1 * I; both sides increase in the unknown.
+        The right side is formed as z + H * (c - reach(s')), equal in exact
+        arithmetic: s' - alpha1 * I cancels two terms of about |s|, and far
+        out that leaves nothing of z.
         H, at most ``remaining``, keeps the root s' of every channel within
         g = GUARD_REL * (|s| + GUARD_ABS) of s, since reach increases: s' >
         s + g would need c - reach(s + g) > g / H, and s' < s - g would need
@@ -412,7 +415,7 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
             hs = h_sub[:, None]
             s_next = _solve_increasing(s + hs * c, hs, reach_and_slope, s)
             y = _solve_increasing(
-                s_next - alpha1 * integral, hs * alpha1,
+                z + hs * (c - reach_of(s_next)), hs * alpha1,
                 lambda v: _integrand_and_slope(v, exponent), z,
             )
             return h_sub, x + (y - z), integral + hs * integrand(y, exponent)
@@ -530,21 +533,17 @@ def _bound_violation(model, t_grid, d_grid):
     return k, ch, message
 
 
-def _row_errors(bad, make_error) -> RunErrors:
-    """RunErrors with make_error(r) for every block row r where ``bad`` holds."""
-    return RunErrors({int(r): make_error(r) for r in np.flatnonzero(bad)})
-
-
-def _state_errors(x, where: str, t: float) -> RunErrors:
-    finite = np.isfinite(x.reshape(-1, x.shape[-1]))
+def _diverged(what: str, values, t: float, bad=None) -> RunErrors:
+    """RunErrors with a SimulationDivergedError for each block row of
+    ``values`` where ``bad`` holds (by default, where the row is not finite),
+    naming the row's first non-finite channel, numbered from 1, in ``what``."""
+    finite = np.isfinite(values.reshape(-1, values.shape[-1]))
 
     def error(r):
         ch = int(np.argmin(finite[r]))
-        return SimulationDivergedError(
-            f"state channel {ch + 1} non-finite {where} at t = {t:g}", t=t, channel=ch
-        )
+        return SimulationDivergedError(f"{what.format(ch + 1)} at t = {t:g}", t=t, channel=ch)
 
-    return _row_errors(~finite.all(axis=1), error)
+    return RunErrors.where(~finite.all(axis=1) if bad is None else bad, error)
 
 
 def _row_rates(z, s, dz, ds):
@@ -616,18 +615,10 @@ def _advance(x, integral, t, h, z, s, dx, integ, ds, eval_loop, signals_at, impl
         finite = np.isfinite(rate)
         if not finite.all():
             # dx from a drift and perturbation that ignore the block is (1, n)
-            rows_ds = np.broadcast_to(dx if ds is None else ds, x.shape)
-
-            def rate_error(r):
-                ch = int(np.argmin(np.isfinite(rows_ds[r])))
-                return SimulationDivergedError(
-                    f"non-finite dynamics rate in channel {ch + 1} during substepping "
-                    f"at t = {t:g}",
-                    t=t,
-                    channel=ch,
-                )
-
-            raise _row_errors(~finite, rate_error).at(rows)
+            raise _diverged(
+                "non-finite dynamics rate in channel {} during substepping",
+                np.broadcast_to(dx if ds is None else ds, x.shape), t, ~finite,
+            ).at(rows)
         h_allow = np.divide(1.0, rate, out=remaining.copy(), where=rate > 0.0)
         h_sub = np.minimum(h_allow, remaining)
         stiff = None
@@ -661,7 +652,7 @@ def _advance(x, integral, t, h, z, s, dx, integ, ds, eval_loop, signals_at, impl
             )
             raise RunErrors({int(r): SimulationDivergedError(message, t=t) for r in rows})
         if not np.isfinite(x).all():
-            raise _state_errors(x, "during substepping", t).at(rows)
+            raise _diverged("state channel {} non-finite during substepping", x, t).at(rows)
         try:
             z, s, _, _, dx, integ, ds = eval_loop(x, signals_at(t + (h - remaining)), integral)
         except RunErrors as err:
@@ -735,7 +726,7 @@ def _finite(x, t):
     """``x``, or RunErrors for each row of it that is not finite after the
     step at ``t``."""
     if not np.isfinite(x).all():
-        raise _state_errors(x, "after step", t)
+        raise _diverged("state channel {} non-finite after step", x, t)
     return x
 
 

@@ -135,16 +135,17 @@ def check_gain(g, x, n):
         x = np.asarray(x)
         rows_g = np.broadcast_to(g, x.shape).reshape(-1, n)
         rows_ok = np.broadcast_to(ok, x.shape).reshape(-1, n)
-        errors = {}
-        for r in np.flatnonzero(~rows_ok.all(axis=1)):
+
+        def error(r):
             ch = int(np.argmin(rows_ok[r]))
-            errors[int(r)] = SingularGainError(
+            return SingularGainError(
                 f"gain g_{ch + 1}(x) = {rows_g[r, ch]} at x = {x.reshape(-1, n)[r]}",
                 channel=ch,
             )
+
         if x.ndim == 1:
-            raise errors[0]
-        raise RunErrors(errors)
+            raise error(0)
+        raise RunErrors.where(~rows_ok.all(axis=1), error)
     return g
 
 

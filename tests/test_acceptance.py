@@ -334,17 +334,18 @@ def test_criterion_6_gp_closed_loop(request):
         settling[i] = measure_settling(traj, "error", 0.05).max()
         budgets = np.maximum(budgets, max_chi_sigma(traj))
 
-    bounds = bound_report(
-        standard_channels(alpha2=alpha2, d_bar=d_bar), delta_f_bars=budgets
-    )
+    channels = standard_channels(alpha2=alpha2, d_bar=d_bar)
+    bounds = bound_report(channels, delta_f_bars=budgets)
     elapsed = time.perf_counter() - start
 
-    gain_ok = alpha2 > d_bar + budgets.max()
+    # theorem 2's gain condition on the reaching gain the law applies
+    reach_gain = min(c.reach_gain for c in channels)
+    gain_ok = reach_gain > d_bar + budgets.max()
     settle_ok = np.all(np.isfinite(settling)) and settling.max() <= bounds.t_max
     ok = gain_ok and settle_ok and elapsed < 120.0
     report(
         request, 6, "learned-model loop", ok,
-        f"alpha2 = {alpha2:.3f} > {d_bar + budgets.max():.3f}; "
+        f"kappa*alpha2 = {reach_gain:.3f} > {d_bar + budgets.max():.3f}; "
         f"max settling {settling.max():.4f} <= T_max {bounds.t_max:.4f} "
         f"over 20 starts; {elapsed:.0f} s",
     )

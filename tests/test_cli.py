@@ -9,7 +9,16 @@ import jsonschema
 import numpy as np
 import pytest
 
+from fxtsmc import cli
 from fxtsmc.cli import CONFIG_SCHEMA, _gp_delta_f_bars, apply_override, build_gp_models, main
+from fxtsmc.errors import (
+    IllConditionedDataError,
+    NumericError,
+    PerturbationBoundError,
+    SimulationDivergedError,
+    SingularGainError,
+    UnfitGPError,
+)
 from fxtsmc.gp import KernelConfig, generate_training_data, gp_fit, variance_many
 from fxtsmc.system import make_pmsm
 
@@ -162,6 +171,29 @@ def test_integer_beyond_the_float_range_in_a_number_field_is_a_config_error(
     assert list(tmp_path.iterdir()) == written
 
 
+@pytest.mark.parametrize(
+    "assignment, message",
+    [
+        ("gp.chi=NaN", "chi must be positive, got nan"),
+        ("sim.settle_threshold=NaN", "settle_threshold must be positive, got nan"),
+        ("sim.step_size=NaN", "step_size must be positive, got nan"),
+        ("gp.kernel.length_scale=NaN", "length_scale must be positive, got nan"),
+        ("gp.generate.sigma_f=NaN", "noise_std must be >= 0, got nan"),
+    ],
+    ids=["chi", "settle_threshold", "step_size", "length_scale", "sigma_f"],
+)
+def test_nan_in_a_bounded_number_field_is_a_parameter_error(
+    capsys, tmp_path, monkeypatch, assignment, message
+):
+    # the schema's minimum and exclusiveMinimum admit NaN (NaN <= 0 is false),
+    # so the dataclass that takes the value is what refuses it
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, "run", str(GP), *FAST, "--set", assignment)
+    assert code == 2
+    assert err == f"parameter error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["run", "bounds"])
 def test_exponent_numerator_beyond_the_float_range_is_a_parameter_error(
     capsys, tmp_path, monkeypatch, command
@@ -254,6 +286,19 @@ def test_run_from_1e8_settles_within_printed_t_max(capsys, tmp_path, monkeypatch
     t_max = float(re.search(r"T_max = ([0-9.]+)", out).group(1))
     worst = float(re.search(r"settling\(error\):.*worst=([0-9.]+)", out).group(1))
     assert worst <= t_max
+
+
+def test_run_from_1e100_reports_the_error_not_settled(capsys, tmp_path, monkeypatch):
+    # From 1e100 the z-solve's right side must not be formed as s' - alpha1 * I:
+    # both terms are about 1e100, their difference rounds to 0, and z would
+    # read as settled while s stays near 1e100.
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run_cli(
+        capsys, "run", str(KNOWN), "--x0=1e100,-1e100,1e100", "--set", "sim.t_end=0.1"
+    )
+    assert code == 0
+    assert "settling(error): ch1=not-settled ch2=not-settled ch3=not-settled" in out
+    assert json.loads((tmp_path / "pmsm-known-summary.json").read_text())["settled"] is False
 
 
 def test_run_x0_override(capsys, tmp_path, monkeypatch):
@@ -363,6 +408,23 @@ def test_gp_train_dataset_roundtrip_matches_config(capsys, tmp_path, monkeypatch
     assert "50 samples, 3 channels" in out
     sidecar = json.loads((tmp_path / "pmsm-gp-dataset.csv.meta.json").read_text())
     assert sidecar["config"]["gp"]["generate"]["seed"] == 11
+
+    # -n and --seed are overrides of gp.generate, validated with the config:
+    # beside a dataset they make a gp.generate without its region
+    dataset = '--set=gp={"dataset": "pmsm-gp-dataset.csv"}'
+    code, _, err = run_cli(capsys, "gp-train", str(GP), dataset, "-n", "20")
+    assert code == 2
+    assert err == "config error: config invalid at gp/generate: 'region' is a required property\n"
+    # and they complete a gp.generate that lacks them
+    cfg = json.loads(GP.read_text())
+    del cfg["gp"]["generate"]["n_samples"], cfg["gp"]["generate"]["seed"]
+    config = tmp_path / "no-count.json"
+    config.write_text(json.dumps(cfg))
+    code, out, _ = run_cli(capsys, "gp-train", str(config), "-n", "20", "--seed", "11")
+    assert code == 0
+    assert "20 samples, 3 channels" in out
+    sidecar = json.loads((tmp_path / "no-count-dataset.csv.meta.json").read_text())
+    assert sidecar["config"]["gp"]["generate"]["n_samples"] == 20
 
 
 # --- montecarlo --------------------------------------------------------------------
@@ -754,3 +816,43 @@ def test_step_count_that_overflows_is_a_parameter_error(capsys, tmp_path, monkey
                            "--set", "sim.t_end=1")
     assert code == 2
     assert err == "parameter error: t_end / step_size is not finite: 1.0 / 5e-324\n"
+
+
+# --- the failure contract --------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "error",
+    [SimulationDivergedError, SingularGainError, PerturbationBoundError, UnfitGPError,
+     IllConditionedDataError],
+)
+def test_numeric_failures_share_one_base(error):
+    assert issubclass(error, NumericError)
+    assert not issubclass(error, ValueError)
+
+
+def test_any_numeric_error_exits_4(capsys, tmp_path, monkeypatch):
+    # exit 4 covers the base class, so a numeric error added later is covered too
+    class FreshNumericError(NumericError):
+        pass
+
+    def fail(cfg):
+        raise FreshNumericError("made up at t = 0.5", t=0.5, channel=1)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "build_scenario", fail)
+    code, _, err = run_cli(capsys, "run", str(KNOWN))
+    assert code == 4
+    assert err == "numeric error: FreshNumericError: made up at t = 0.5\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_other_runtime_errors_are_not_numeric_failures(tmp_path, monkeypatch):
+    # a RuntimeError outside the contract is a bug, and surfaces as one
+    def fail(cfg):
+        raise NotImplementedError("not a numeric failure")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "build_scenario", fail)
+    with pytest.raises(NotImplementedError):
+        main(["run", str(KNOWN)])
