@@ -1,113 +1,8 @@
-"""Fixed-time integral sliding mode control with optional GP drift learning."""
+"""Fixed-time integral sliding mode control with optional GP drift learning.
 
-from .controller import (
-    BoundReport,
-    ControllerParams,
-    bound_report,
-    lemma1_bound,
-    lemma2_bound,
-    lemma3_bound,
-    theorem1_z_bound,
-    theorem2_s_bound,
-)
-from .errors import (
-    ConfigError,
-    GainTooSmallError,
-    IllConditionedDataError,
-    NumericError,
-    ParameterError,
-    PerturbationBoundError,
-    SimulationDivergedError,
-    SingularGainError,
-    UnfitGPError,
-)
-from .gp import (
-    ErrorBoundConfig,
-    GPDataset,
-    GPModel,
-    KernelConfig,
-    generate_training_data,
-    gp_error_bound,
-    gp_fit,
-    gp_fit_shared,
-    gp_mean,
-    kernel_eval,
-)
-from .numerics import EXP_CLAMP, StepConfig, safe_exp, signed_power
-from .sim import (
-    MonteCarloResult,
-    RunSummary,
-    Scenario,
-    Trajectory,
-    measure_settling,
-    run_monte_carlo,
-    simulate,
-    summarize_run,
-    write_trajectory_csv,
-)
-from .sliding import SlidingParams, integrand
-from .system import (
-    ConstantGain,
-    ReferenceSignal,
-    SystemModel,
-    constant_reference,
-    make_lemma2_plant,
-    make_pmsm,
-    sinusoid_reference,
-    zero_reference,
-)
+The supported interface is the ``fxtsmc`` command line (``fxtsmc.cli``). The
+submodules are internal and may change; importing the package loads none of
+them.
+"""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BoundReport",
-    "ConfigError",
-    "ConstantGain",
-    "ControllerParams",
-    "ErrorBoundConfig",
-    "EXP_CLAMP",
-    "GainTooSmallError",
-    "GPDataset",
-    "GPModel",
-    "IllConditionedDataError",
-    "KernelConfig",
-    "MonteCarloResult",
-    "NumericError",
-    "ParameterError",
-    "PerturbationBoundError",
-    "ReferenceSignal",
-    "RunSummary",
-    "Scenario",
-    "SimulationDivergedError",
-    "SingularGainError",
-    "SlidingParams",
-    "StepConfig",
-    "SystemModel",
-    "Trajectory",
-    "UnfitGPError",
-    "bound_report",
-    "constant_reference",
-    "generate_training_data",
-    "gp_error_bound",
-    "gp_fit",
-    "gp_fit_shared",
-    "gp_mean",
-    "integrand",
-    "kernel_eval",
-    "lemma1_bound",
-    "lemma2_bound",
-    "lemma3_bound",
-    "make_lemma2_plant",
-    "make_pmsm",
-    "measure_settling",
-    "run_monte_carlo",
-    "safe_exp",
-    "signed_power",
-    "simulate",
-    "sinusoid_reference",
-    "summarize_run",
-    "theorem1_z_bound",
-    "theorem2_s_bound",
-    "write_trajectory_csv",
-    "zero_reference",
-]

@@ -80,15 +80,6 @@ def _as_channel_list(params, n: int) -> list[ControllerParams]:
 # --- settling-time bounds ----------------------------------------------------
 
 
-def lemma1_bound(c1: float, c2: float, h1: float, h2: float) -> float:
-    """1/(c1(1-h1)) + 1/(c2(h2-1)) for c1,c2 > 0, 0 < h1 < 1 < h2."""
-    if not (c1 > 0.0 and c2 > 0.0):
-        raise ParameterError(f"need c1, c2 > 0, got c1={c1}, c2={c2}")
-    if not (0.0 < h1 < 1.0 < h2):
-        raise ParameterError(f"need 0 < h1 < 1 < h2, got h1={h1}, h2={h2}")
-    return 1.0 / (c1 * (1.0 - h1)) + 1.0 / (c2 * (h2 - 1.0))
-
-
 def lemma2_bound(alpha: float, d_bar: float) -> float:
     """1/(alpha - (2/sqrt(pi)) d_bar): settling bound of the reaching dynamics."""
     if not d_bar >= 0.0:

@@ -78,13 +78,6 @@ def _kernel_of_dist(cfg: KernelConfig, r: np.ndarray) -> np.ndarray:
     return np.exp(r, out=r)
 
 
-def kernel_eval(cfg: KernelConfig, x, x2) -> float:
-    """Kernel value for a single pair of states (Euclidean distance based)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    x2 = np.atleast_1d(np.asarray(x2, dtype=float))
-    return float(_kernel_of_dist(cfg, np.array([np.linalg.norm(x - x2)]))[0])
-
-
 @dataclass(frozen=True)
 class GPDataset:
     """Training inputs (N x dim), one channel's targets (N,), and provenance.
@@ -126,6 +119,8 @@ class ErrorBoundConfig:
     def __post_init__(self):
         if not self.chi > 0.0:
             raise ParameterError(f"chi must be positive, got {self.chi}")
+        if self.chi == np.inf:
+            raise ParameterError("chi must be finite, got inf")
 
 
 @dataclass(frozen=True)
@@ -269,11 +264,6 @@ def variance_many(model: GPModel, states: np.ndarray) -> np.ndarray:
     if model.dataset.noise_std == 0.0:
         out[_coincides(model, states)] = 0.0
     return out
-
-
-def gp_error_bound(model: GPModel, x, cfg: ErrorBoundConfig) -> float:
-    """chi * posterior standard deviation at one query state."""
-    return cfg.chi * np.sqrt(variance_many(model, x)[0])
 
 
 class DriftEstimator:

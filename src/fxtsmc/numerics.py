@@ -1,6 +1,6 @@
-"""Scalar numeric primitives: signed powers, a clamped exponential, the
-fixed-step grid settings, the check of a box that states are drawn from, and
-the one CSV number writer of the trajectory and dataset exports.
+"""Scalar numeric primitives: a clamped exponential, the fixed-step grid
+settings, the check of a box that states are drawn from, and the one CSV
+number writer of the trajectory and dataset exports.
 
 The primitives accept either floats or numpy arrays and operate elementwise,
 so the same code serves both scalar unit tests and the vectorized simulation
@@ -24,17 +24,6 @@ _GRID_RTOL = 1e-9
 # Rows per block of a CSV export: one format call and one write each, so an
 # export holds the data plus one block.
 CSV_BLOCK_ROWS = 256
-
-
-def signed_power(x, alpha):
-    """Signed power |x|**alpha * sign(x), with sign(0) taken as 0.
-
-    For alpha = 0 this is the sign function itself (0 at the origin), which
-    keeps the controller quiescent at exact equilibrium.
-    """
-    if np.any(np.asarray(alpha) < 0.0):
-        raise ParameterError(f"signed_power exponent must be >= 0, got {alpha}")
-    return np.abs(x) ** alpha * np.sign(x)
 
 
 def safe_exp(x):

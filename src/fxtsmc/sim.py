@@ -167,6 +167,8 @@ class Scenario:
             raise ParameterError(
                 f"settle_threshold must be positive, got {self.settle_threshold}"
             )
+        if self.settle_threshold == np.inf:
+            raise ParameterError("settle_threshold must be finite, got inf")
         if self.params is None and self.mode != "open-loop":
             raise ParameterError(f"mode {self.mode!r} requires controller params")
         if self.mode == "gp-based":

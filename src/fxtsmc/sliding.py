@@ -49,10 +49,10 @@ class SlidingParams:
 
 
 def integrand(z, exponent):
-    """exp(z^2) * |z|^exponent * sign(z), elementwise over z.
+    """exp(z^2) * |z|^exponent * sign(z), elementwise over z, with sign(0) = 0.
 
-    ``exponent`` comes from SlidingParams, which already holds it in [0, 1).
-    The engine calls this at every evaluation, so it computes
-    ``signed_power``'s expression without repeating that function's check.
+    ``exponent`` comes from SlidingParams, which already holds it in [0, 1),
+    so it is not checked here. The result is odd in z and increasing, which
+    the backward-Euler root solve relies on.
     """
     return safe_exp(z * z) * (np.abs(z) ** exponent * np.sign(z))

@@ -19,15 +19,13 @@ other gain callable is called and checked at every evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import pi, sqrt
 from typing import Callable, Optional
 
 import numpy as np
 
+from .controller import SQRT_PI_HALF
 from .errors import ParameterError, RunErrors, SingularGainError
 from .numerics import safe_exp
-
-SQRT_PI_HALF = sqrt(pi) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,17 +102,24 @@ def zero_reference(n: int) -> ReferenceSignal:
     return ReferenceSignal(value=lambda t: zeros, derivative=lambda t: zeros)
 
 
+def _finite(value, name: str) -> np.ndarray:
+    a = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ParameterError(f"{name} must be finite, got {a}")
+    return a
+
+
 def constant_reference(value) -> ReferenceSignal:
-    v = np.asarray(value, dtype=float)
+    v = _finite(value, "reference value")
     zeros = np.zeros_like(v)
     return ReferenceSignal(value=lambda t: v, derivative=lambda t: zeros)
 
 
 def sinusoid_reference(amplitude, frequency, phase=None) -> ReferenceSignal:
     """Per-channel x_d_i(t) = A_i sin(w_i t + phi_i)."""
-    a = np.asarray(amplitude, dtype=float)
-    w = np.asarray(frequency, dtype=float)
-    ph = np.zeros_like(a) if phase is None else np.asarray(phase, dtype=float)
+    a = _finite(amplitude, "sinusoid amplitude")
+    w = _finite(frequency, "sinusoid frequency")
+    ph = np.zeros_like(a) if phase is None else _finite(phase, "sinusoid phase")
     if not (a.shape == w.shape == ph.shape):
         raise ParameterError("amplitude, frequency, and phase must share one shape")
     return ReferenceSignal(
@@ -205,8 +210,8 @@ def make_lemma2_plant(alpha: float) -> SystemModel:
     (substitute y = erf(x), which turns the dynamics into y' = -alpha*sign(y)),
     which makes it the analytic oracle used by the validation suite.
     """
-    if not alpha > 0.0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < alpha < np.inf:
+        raise ParameterError(f"alpha must be positive and finite, got {alpha}")
     coef = alpha * SQRT_PI_HALF
 
     def drift(x):

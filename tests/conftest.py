@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from fxtsmc import ControllerParams, SlidingParams, SystemModel, make_pmsm
+from fxtsmc.controller import ControllerParams
+from fxtsmc.sliding import SlidingParams
+from fxtsmc.system import SystemModel, make_pmsm
 
 
 def standard_channels(n=3, alpha2=4.0, d_bar=1.0, **kwargs):

@@ -194,6 +194,37 @@ def test_nan_in_a_bounded_number_field_is_a_parameter_error(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "config, assignment, message",
+    [
+        (GP, 'reference={"kind":"constant","value":[NaN,0,0]}',
+         "reference value must be finite, got [nan  0.  0.]"),
+        (GP, 'reference={"kind":"sinusoid","amplitude":[1,NaN,1],"frequency":[1,1,1]}',
+         "sinusoid amplitude must be finite, got [ 1. nan  1.]"),
+        (GP, 'reference={"kind":"sinusoid","amplitude":[1,1,1],"frequency":[NaN,1,1]}',
+         "sinusoid frequency must be finite, got [nan  1.  1.]"),
+        (GP, 'reference={"kind":"sinusoid","amplitude":[1,1,1],"frequency":[1,1,1],'
+             '"phase":[0,0,Infinity]}',
+         "sinusoid phase must be finite, got [ 0.  0. inf]"),
+        (LEMMA2, "system.alpha=Infinity", "alpha must be positive and finite, got inf"),
+        (GP, "sim.settle_threshold=Infinity", "settle_threshold must be finite, got inf"),
+        (GP, "gp.chi=Infinity", "chi must be finite, got inf"),
+    ],
+    ids=["constant", "amplitude", "frequency", "phase", "lemma2-alpha",
+         "settle_threshold", "chi"],
+)
+def test_non_finite_input_is_a_parameter_error(
+    capsys, tmp_path, monkeypatch, config, assignment, message
+):
+    # a non-finite reference or plant gain once ended in exit 4 at t = 0, and
+    # an infinite threshold or chi ran to exit 0
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, "run", str(config), *FAST, "--set", assignment)
+    assert code == 2
+    assert err == f"parameter error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["run", "bounds"])
 def test_exponent_numerator_beyond_the_float_range_is_a_parameter_error(
     capsys, tmp_path, monkeypatch, command

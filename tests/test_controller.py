@@ -5,7 +5,6 @@ from fxtsmc.controller import (
     BoundReport,
     ControllerParams,
     bound_report,
-    lemma1_bound,
     lemma2_bound,
     lemma3_bound,
     theorem1_z_bound,
@@ -120,20 +119,6 @@ def test_params_enforce_reaching_gain_condition():
 
 
 # --- bound calculators ---------------------------------------------------------
-
-
-def test_lemma1_bound_values():
-    assert lemma1_bound(1.0, 1.0, 0.5, 1.5) == pytest.approx(4.0, rel=1e-12)
-    assert lemma1_bound(2.0, 2.0, 0.5, 1.5) == pytest.approx(2.0, rel=1e-12)
-    assert lemma1_bound(1.0, 1.0, 0.9, 1.1) == pytest.approx(20.0, rel=1e-9)
-
-
-@pytest.mark.parametrize(
-    "args", [(0.0, 1.0, 0.5, 1.5), (1.0, -1.0, 0.5, 1.5), (1.0, 1.0, 1.0, 1.5), (1.0, 1.0, 0.5, 1.0)]
-)
-def test_lemma1_bound_domain(args):
-    with pytest.raises(ParameterError):
-        lemma1_bound(*args)
 
 
 def test_lemma2_bound_values():

@@ -18,11 +18,9 @@ from fxtsmc.gp import (
     GPDataset,
     KernelConfig,
     generate_training_data,
-    gp_error_bound,
     gp_fit,
     gp_fit_shared,
     gp_mean,
-    kernel_eval,
     load_datasets,
     save_datasets,
     variance_many,
@@ -33,6 +31,12 @@ from fxtsmc.numerics import CSV_BLOCK_ROWS
 from fxtsmc.system import make_lemma2_plant, make_pmsm
 
 EXP_KERNEL = KernelConfig(family="exponential", length_scale=1.0)
+
+
+def kernel_eval(cfg, x, x2):
+    """The kernel of one pair of states, through the engine's kernel of distances."""
+    r = np.linalg.norm(np.atleast_1d(np.subtract(x, x2, dtype=float)))
+    return float(_kernel_of_dist(cfg, np.array([r]))[0])
 
 
 def variance_at(model, x):
@@ -371,20 +375,17 @@ def test_permutation_invariance():
 
 def test_error_bound():
     model = pmsm_models(10)[0]
-    cfg = ErrorBoundConfig(chi=2.0)
-    assert gp_error_bound(model, model.dataset.inputs[0], cfg) == 0.0
+    chi = 2.0
+    assert variance_at(model, model.dataset.inputs[0]) == 0.0
     far = np.array([40.0, 40.0, -40.0])
-    assert gp_error_bound(model, far, cfg) == pytest.approx(2.0, abs=2e-10)
-    doubled = ErrorBoundConfig(chi=4.0)
-    x = np.array([0.3, 0.3, 0.3])
-    assert gp_error_bound(model, x, doubled) == pytest.approx(
-        2.0 * gp_error_bound(model, x, cfg), rel=1e-12
-    )
+    assert chi * np.sqrt(variance_at(model, far)) == pytest.approx(2.0, abs=2e-10)
 
 
 def test_error_bound_config_validation():
     with pytest.raises(ParameterError):
         ErrorBoundConfig(chi=0.0)
+    with pytest.raises(ParameterError):
+        ErrorBoundConfig(chi=np.inf)
 
 
 # --- drift estimation -------------------------------------------------------------

@@ -1,9 +1,10 @@
-"""scipy's linear algebra and distance modules load with the GP layer only.
+"""What each entry point loads, seen from a fresh interpreter.
 
-Each case runs one CLI command in a fresh interpreter and reports whether
-``scipy.linalg`` or ``scipy.spatial`` is in ``sys.modules`` afterwards: the
-known-model and open-loop commands must leave them out, the gp-based run and
-``gp-train`` must load them.
+``import fxtsmc`` loads no submodule and no numpy. scipy's linear algebra and
+distance modules load with the GP layer only: each CLI case reports whether
+``scipy.linalg`` or ``scipy.spatial`` is in ``sys.modules`` afterwards, and
+the known-model and open-loop commands must leave them out, the gp-based run
+and ``gp-train`` must load them.
 """
 
 import json
@@ -69,3 +70,17 @@ def test_known_model_commands_do_not_load_scipy_linalg_or_spatial(argv, tmp_path
 )
 def test_gp_commands_load_scipy_linalg_and_spatial(argv, tmp_path):
     assert loaded_after(argv, tmp_path) == ["scipy.linalg", "scipy.spatial"]
+
+
+def test_importing_the_package_loads_no_submodule_and_no_numpy(tmp_path):
+    # the package holds only its version; the command line is the interface
+    script = (
+        "import sys, fxtsmc\n"
+        "print([m for m in sys.modules if m.startswith('fxtsmc.') or m == 'numpy'])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
+        env=env, check=True,
+    )
+    assert proc.stdout.strip() == "[]"

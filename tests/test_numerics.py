@@ -3,48 +3,9 @@ import pytest
 from scipy.special import erf, erfinv
 
 from fxtsmc.errors import ParameterError, SimulationDivergedError
-from fxtsmc.numerics import EXP_CLAMP, StepConfig, safe_exp, signed_power
+from fxtsmc.numerics import EXP_CLAMP, StepConfig, safe_exp
 from fxtsmc.sim import Scenario, simulate
 from fxtsmc.system import SystemModel, make_lemma2_plant, zero_reference
-
-
-@pytest.mark.parametrize(
-    "x, alpha, expected",
-    [
-        (-2.0, 2.0, -4.0),
-        (0.0, 0.0, 0.0),
-        (4.0, 0.5, 2.0),
-        (3.0, 1.0, 3.0),
-        (-8.0, 1.0 / 3.0, -2.0),
-        (0.0, 2.0, 0.0),
-        (-5.0, 0.0, -1.0),
-        (5.0, 0.0, 1.0),
-    ],
-)
-def test_signed_power_values(x, alpha, expected):
-    assert signed_power(x, alpha) == pytest.approx(expected, abs=1e-12)
-
-
-def test_signed_power_rejects_negative_exponent():
-    with pytest.raises(ParameterError):
-        signed_power(1.0, -0.5)
-
-
-def test_signed_power_odd_symmetry():
-    rng = np.random.default_rng(0)
-    x = rng.uniform(-10.0, 10.0, size=200)
-    for alpha in (0.0, 0.3, 0.8, 1.0, 2.5):
-        np.testing.assert_allclose(
-            signed_power(-x, alpha), -signed_power(x, alpha), atol=1e-14
-        )
-
-
-def test_signed_power_monotone_in_x():
-    rng = np.random.default_rng(1)
-    x = np.sort(rng.uniform(-5.0, 5.0, size=500))
-    for alpha in (0.3, 0.8, 1.0, 2.0):
-        y = signed_power(x, alpha)
-        assert np.all(np.diff(y) >= 0.0)
 
 
 def test_safe_exp_values():

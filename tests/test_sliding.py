@@ -45,6 +45,21 @@ def test_integrand_odd():
         assert integrand(-z, expo) == -integrand(z, expo)
 
 
+def test_integrand_odd_over_exponents():
+    z = np.random.default_rng(0).uniform(-10.0, 10.0, size=200)
+    for p, q in ((0, 1), (3, 10), (8, 10), (99, 100)):
+        expo = SlidingParams(alpha1=1.0, p=p, q=q).exponent
+        np.testing.assert_array_equal(integrand(-z, expo), -integrand(z, expo))
+
+
+def test_integrand_increasing_in_z():
+    # the backward-Euler z-solve needs an increasing integrand
+    z = np.sort(np.random.default_rng(1).uniform(-5.0, 5.0, size=500))
+    for p, q in ((0, 1), (3, 10), (8, 10), (99, 100)):
+        y = integrand(z, SlidingParams(alpha1=1.0, p=p, q=q).exponent)
+        assert np.all(np.diff(y) >= 0.0)
+
+
 def hold_run(z0, sliding, step_size, t_end):
     """Open-loop run of the integrator plant with gains attached: x' = 0, so
     z stays at z0 while the engine accumulates the surface integral."""
