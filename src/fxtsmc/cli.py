@@ -12,8 +12,7 @@ Exit codes
    a time grid or batch too large to allocate)
 3  I/O error (missing or unreadable/unwritable files)
 4  numeric failure: any ``errors.NumericError`` (SimulationDivergedError,
-   SingularGainError, PerturbationBoundError, IllConditionedDataError,
-   UnfitGPError)
+   IllConditionedDataError, UnfitGPError)
 5  acceptance-threshold violation (montecarlo aggregate checks)
 
 Every artifact embeds the fully resolved configuration (after ``--x0`` /
@@ -439,12 +438,22 @@ def _gp_delta_f_bars(models, traj, chi: float) -> np.ndarray:
 
 def _settling_bounds(scenario, cfg: dict, pilot):
     """(bound report, note): the known-model bound, or the gp-based one sized
-    over the states of ``pilot()`` (a trajectory made in gp-based mode only),
-    or a note when the gains cannot meet it; neither in open loop."""
+    over the states of ``pilot()`` (a trajectory made in gp-based mode only);
+    neither in open loop. The bound is withheld, with a note, when a
+    channel's d_bar is below the plant's perturbation bound, which both
+    theorems assume it covers, or when the gains cannot meet the gp-based
+    condition."""
+    if scenario.mode == "open-loop":
+        return None, None
+    d_bounds = scenario.system.perturbation_bounds
+    for i, c in enumerate(scenario.channels):
+        if d_bounds is not None and c.d_bar < d_bounds[i]:
+            return None, (
+                f"settling bound unavailable: channel {i + 1}: d_bar = {c.d_bar:g} is "
+                f"below the plant's perturbation bound {d_bounds[i]:g}"
+            )
     if scenario.mode == "known-model":
         return bound_report(scenario.channels), None
-    if scenario.mode != "gp-based":
-        return None, None
     chi = float(cfg.get("gp", {}).get("chi", 2.0))
     delta = _gp_delta_f_bars(scenario.gp_models, pilot(), chi)
     try:

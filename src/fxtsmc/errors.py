@@ -38,10 +38,6 @@ class NumericError(RuntimeError):
         self.channel = channel
 
 
-class SingularGainError(NumericError):
-    """An input gain g_i(x) evaluated to zero."""
-
-
 class SimulationDivergedError(NumericError):
     """State or accumulator became non-finite, or stepping collapsed."""
 
@@ -81,10 +77,6 @@ class IllConditionedDataError(NumericError):
 
 class UnfitGPError(NumericError):
     """A gp-based run was requested without fitted models for every channel."""
-
-
-class PerturbationBoundError(NumericError):
-    """A declared perturbation bound was exceeded on the simulation grid."""
 
 
 class ConfigError(ValueError):

@@ -102,6 +102,9 @@ class GPDataset:
             raise ParameterError("dataset entries must be finite")
         if not self.noise_std >= 0.0:
             raise ParameterError(f"noise_std must be >= 0, got {self.noise_std}")
+        noise = float(self.noise_std)
+        if not np.isfinite(noise * noise):
+            raise ParameterError(f"noise_std must have a finite square, got {self.noise_std}")
         object.__setattr__(self, "inputs", inputs)
         object.__setattr__(self, "targets", targets)
 

@@ -53,14 +53,9 @@ The law's per-channel constants take the shape of the block they act on.
 The loop evaluates per step only what depends on the state. The reference,
 its derivative and the perturbation depend on time alone: they are evaluated
 once over the whole grid, each in one call with the grid as an array of
-times, and the declared perturbation bound is audited there; every guard
-substep calls them again, at its runs' local times (none of the 36 block
-substeps of a 30-run mc-far batch leaves them all unmoved); a Scenario
-checks at construction that each accepts an array of times. A gain declared
-as a ``ConstantGain`` was checked when built and is used as its value. Any
-other gain is called and checked at every evaluation; before the loop, one
-call on a block of two states checks that it accepts a block, and a batch
-also checks that it acts on each state of the block as on that state alone.
+times; every guard substep calls them again, at its runs' local times (none
+of the 36 block substeps of a 30-run mc-far batch leaves them all unmoved).
+The gain is a ``ConstantGain``, checked when built and used as its value.
 
 The loop also skips every operation whose result it knows bit for bit. A
 unit ``ConstantGain`` and a reference that is constant (shape (n,) on the
@@ -82,17 +77,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import gp
-from .controller import BoundReport, _as_channel_list, bound_report
-from .errors import (
-    ParameterError,
-    PerturbationBoundError,
-    RunErrors,
-    SimulationDivergedError,
-    UnfitGPError,
-)
+from .controller import BoundReport, _as_channel_list
+from .errors import ParameterError, RunErrors, SimulationDivergedError, UnfitGPError
 from .numerics import EXP_CLAMP, StepConfig, check_ic_box, safe_exp, write_csv_rows
 from .sliding import integrand
-from .system import ConstantGain, ReferenceSignal, SystemModel, check_gain
+from .system import ReferenceSignal, SystemModel
 
 CONTROLLER_MODES = ("known-model", "gp-based", "open-loop")
 
@@ -149,20 +138,6 @@ class Scenario:
             shape = np.shape(getattr(self.reference, name)(0.0))
             if shape != (n,):
                 raise ParameterError(f"reference {name} must have shape ({n},), got {shape}")
-        # the step loop evaluates the time signals over the whole grid at once
-        times = np.array([0.0, self.step.step_size])
-        for name, fn in (
-            ("reference value", self.reference.value),
-            ("reference derivative", self.reference.derivative),
-            ("perturbation", self.system.perturbation),
-        ):
-            try:
-                values = fn(times)
-            except Exception as err:
-                raise ParameterError(
-                    f"{name} must accept an array of times, failed on {times}: {err}"
-                ) from err
-            _time_signal(values, times, n, name)
         if not self.settle_threshold > 0.0:
             raise ParameterError(
                 f"settle_threshold must be positive, got {self.settle_threshold}"
@@ -237,8 +212,8 @@ def simulate(scenario: Scenario) -> Trajectory:
     SimulationDivergedError
         Non-finite state/accumulator, or the substep guard could not make
         progress within its budget.
-    SingularGainError, PerturbationBoundError, UnfitGPError
-        As detected on the macro grid.
+    UnfitGPError
+        A gp-based scenario without fitted models.
     """
     log = _Log(scenario)
     t, x_d, d = _step_loop(scenario, scenario.x0.copy(), log)
@@ -279,9 +254,9 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
     their numbers bit for bit, since no run's numbers depend on another's.
 
     The signals that depend on time alone (reference, its derivative,
-    perturbation) are evaluated once over the whole grid before the loop, and
-    the declared perturbation bound is audited there; only the local times of
-    guard substeps call them again. Returns the grid and its (x_d, d) columns.
+    perturbation) are evaluated once over the whole grid before the loop;
+    only the local times of guard substeps call them again. Returns the grid
+    and its (x_d, d) columns.
     """
     model = scenario.system
     n = model.n
@@ -293,7 +268,6 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
     ref_value = scenario.reference.value
     ref_deriv = scenario.reference.derivative
     drift = model.drift
-    gain = model.gain
     pert = model.perturbation
 
     channels = scenario.channels
@@ -304,14 +278,10 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
     # that would apply it is skipped: a reference signal that is constant and
     # all +0.0 (x - 0.0 is exact, also for -0.0 and NaN), and a unit
     # ConstantGain (x / 1.0 and 1.0 * x are exact).
-    xd_grid, xd_rows = _on_grid(ref_value, t_grid, n, "reference value")
-    d_grid = _on_grid(pert, t_grid, n, "perturbation")[0]
-    xdot_rows = None if open_loop else _on_grid(ref_deriv, t_grid, n, "reference derivative")[1]
-    bad_k, bad_ch, bound_message = _bound_violation(model, t_grid, d_grid)
-    gain_fn = None if isinstance(gain, ConstantGain) else gain
-    fixed_gain = None if gain_fn is not None or (gain.value == 1.0).all() else gain.value
-    if gain_fn is not None and not open_loop:
-        _check_block_gain(gain, x, n)
+    xd_grid, xd_rows = _on_grid(ref_value, t_grid, n)
+    d_grid = _on_grid(pert, t_grid, n)[0]
+    xdot_rows = None if open_loop else _on_grid(ref_deriv, t_grid, n)[1]
+    fixed_gain = None if (model.gain.value == 1.0).all() else model.gain.value
 
     integral = np.zeros_like(x)
     zeros = np.zeros(n)
@@ -367,14 +337,13 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
         if open_loop:
             dx = f + d
             return z, s, zeros, f, dx, integ, dx + alpha1_integ
-        g = g_fixed if gain_fn is None else check_gain(gain_fn(x_cur), x_cur, n)
         reach = reach_of(s)
         f_used = f if estimator is None else estimator(x_cur)
         v = f_used + alpha1_integ
         u = -(v + reach if xd_dot is None else v - xd_dot + reach)
-        if g is not None:
-            u = u / g
-        dx = f + (u if g is None else g * u) + d
+        if g_fixed is not None:
+            u = u / g_fixed
+        dx = f + (u if g_fixed is None else g_fixed * u) + d
         return z, s, u, f_used, dx, integ, dx + alpha1_integ
 
     # The law's reaching term and its backward-Euler substep act on the block
@@ -433,12 +402,6 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
                 None if xdot_rows is None else xdot_rows[k],
             )
             z, s, u, f_used, dx, integ, ds = eval_loop(x, signals, integral)
-            if k == bad_k:
-                # d depends on t alone, so every run fails here at once
-                raise RunErrors({
-                    r: PerturbationBoundError(bound_message, t=t, channel=bad_ch)
-                    for r in range(x.size // n)
-                })
             sink.row(k, x, z, s, u, f_used)
             if k == n_steps:
                 return t_grid, xd_grid, d_grid
@@ -464,75 +427,18 @@ def _grid_rows(step: StepConfig, n: int) -> int:
     return rows
 
 
-def _check_block_gain(gain, x, n):
-    """A gain callable must answer a block of two states that differ in every
-    channel with a shape that broadcasts to (2, n); for a batch ``x`` (R, n),
-    that answer must equal each state's own answer (NaN equal to NaN). A gain
-    written for one state that reduces over the whole array (a norm, a max)
-    fails that: it would give all runs of a batch one shared value."""
-    x_a = x.reshape(-1, n)[0]
-    pair = np.stack([x_a, x_a + 1.0 + np.abs(x_a)])
-    try:
-        g_pair = np.broadcast_to(gain(pair), (2, n))
-    except Exception as err:
-        raise ParameterError(
-            f"gain must accept a block of states (2, {n}), failed: {err}"
-        ) from err
-    if x.ndim == 2 and not np.array_equal(
-        g_pair,
-        [np.broadcast_to(gain(row), (n,)) for row in pair],
-        equal_nan=True,
-    ):
-        raise ParameterError(
-            f"gain must act on each state of a block (R, {n}) as on that state alone; "
-            "a gain written for one state cannot step a batch"
-        )
-
-
-def _on_grid(fn, t_grid, n, name):
+def _on_grid(fn, t_grid, n):
     """``fn`` evaluated once over the whole time grid, as a (rows, n) array,
     twice: for the log, and for the loop to read per row, or None there when
     it is all +0.0 and does not depend on t. A result of shape (n,) does not
     depend on t: it becomes a read-only view repeating it on every row, which
     takes no memory per row."""
-    values = _time_signal(fn(t_grid), t_grid, n, name)
+    values = np.asarray(fn(t_grid), dtype=float)
     zero = False
     if values.shape == (n,):
         zero = not (values.any() or np.signbit(values).any())
         values = np.broadcast_to(values, (t_grid.size, n))
     return values, None if zero else values
-
-
-def _time_signal(values, times, n, name):
-    """``values``, the time signal ``name`` at ``times``, as a float array of
-    shape (n,), which does not depend on t, or (len(times), n); otherwise a
-    ParameterError."""
-    values = np.asarray(values, dtype=float)
-    if values.shape not in ((n,), (times.size, n)):
-        raise ParameterError(
-            f"{name} must map times of shape ({times.size},) to ({n},) or "
-            f"({times.size}, {n}), got {values.shape}"
-        )
-    return values
-
-
-def _bound_violation(model, t_grid, d_grid):
-    """(k, channel, message) of the first grid row where the perturbation
-    exceeds its declared bound, or (-1, None, None)."""
-    if model.perturbation_bounds is None:
-        return -1, None, None
-    bound_tol = model.perturbation_bounds * (1.0 + 1e-12)
-    abs_d = np.abs(d_grid)
-    bad = ~(abs_d <= bound_tol).all(axis=1)
-    if not bad.any():
-        return -1, None, None
-    k = int(np.argmax(bad))
-    ch = int(np.argmax(abs_d[k] > bound_tol))
-    message = (
-        f"|d_{ch + 1}({float(t_grid[k]):g})| = {abs(d_grid[k, ch]):g} exceeds declared "
-        f"bound {model.perturbation_bounds[ch]:g}"
-    )
-    return k, ch, message
 
 
 def _diverged(what: str, values, t: float, bad=None) -> RunErrors:
@@ -791,14 +697,13 @@ def summarize_run(
     scenario: Scenario,
     bounds: Optional[BoundReport] = None,
 ) -> RunSummary:
-    """Measure both settling families and audit them against the bound report.
+    """Measure both settling families and audit them against ``bounds``.
 
     The trajectory goes through the batch reduction, as one chunk of a
     one-run block, so a batch's summaries and this one agree by construction.
-    ``bounds`` defaults to the known-model report of a known-model scenario's
-    controller parameters. Other modes carry no bound unless one is passed:
-    a gp-based bound depends on the GP error budget, which only the caller
-    knows, so an unavailable one stays unavailable.
+    The summary carries exactly the bound report passed, or none: whether a
+    bound holds for a run (the gains, the GP error budget, the plant's
+    perturbation bound) is the caller's decision.
     """
     stats = _BatchStats(scenario, 1, bounds)
     stats.reduce(0, traj.z[:, None], np.abs(traj.s)[:, None], traj.u[:, None])
@@ -835,8 +740,9 @@ def run_monte_carlo(
     builder, so every summary equals it on that run's ``simulate``.
     A run's error becomes a failure record with the type and message its own
     ``simulate`` raises; that run is dropped and the batch carries on. The
-    aggregate reports the worst settling time, the bound-satisfaction
-    fraction, and chatter/input maxima over the successful runs.
+    aggregate reports the worst settling time, the fraction of runs within
+    ``bounds`` (None when no bound is passed), and chatter/input maxima over
+    the successful runs.
     """
     if runs < 1:
         raise ParameterError(f"need runs >= 1, got {runs}")
@@ -907,8 +813,6 @@ class _BatchStats:
     def __init__(self, template: Scenario, runs: int, bounds: Optional[BoundReport]):
         n = template.system.n
         self.threshold = template.settle_threshold
-        if bounds is None and template.mode == "known-model":
-            bounds = bound_report(template.channels)
         self.bounds = bounds
         self.chunk = min(CHUNK_ROWS, max(1, CHUNK_BYTES // (24 * runs * n)))
         self.runs = np.arange(runs)

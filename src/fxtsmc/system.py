@@ -1,20 +1,16 @@
 """Perturbed controlled systems: x_i' = f_i(x) + g_i(x) u_i + d_i(t).
 
-The gain is diagonal (each u_i enters only its own channel), so drift, gain,
-and perturbation are all plain vector-valued callables. Benchmark instances
-are code-defined through the same interface user systems use.
+The gain is diagonal (each u_i enters only its own channel) and does not
+depend on the state: it is a ``ConstantGain``, checked once when built, and
+the engine uses its value. Drift and perturbation are plain vector-valued
+callables. Benchmark instances are code-defined through this interface.
 
 Every callable also accepts a block of inputs, so the engine can step many
-runs at once: drift and gain map states of shape (..., n) to (..., n), and
+runs at once: the drift maps states of shape (..., n) to (..., n), and
 perturbations and references map a time, a float or an array of shape (A,),
 to (n,) or (A, n). A result that does not depend on its input (a zero
-perturbation) may stay (n,); it broadcasts against the block. The array form
-of t is required on every path: each run evaluates the perturbation and the
-reference once over its whole time grid.
-
-A gain that does not depend on the state is declared as a ``ConstantGain``,
-checked once when built; the engine uses its value and never calls it. Any
-other gain callable is called and checked at every evaluation.
+perturbation) may stay (n,); it broadcasts against the block. Each run
+evaluates the perturbation and the reference once over its whole time grid.
 """
 from __future__ import annotations
 
@@ -24,15 +20,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .controller import SQRT_PI_HALF
-from .errors import ParameterError, RunErrors, SingularGainError
+from .errors import ParameterError
 from .numerics import safe_exp
 
 
 @dataclass(frozen=True, eq=False)
 class ConstantGain:
-    """A state-independent input gain, declared by its finite, nonzero value
-    of shape (n,). Calling it returns ``value`` for any state; the engine
-    reads ``value`` instead."""
+    """The input gain, declared by its finite, nonzero value of shape (n,).
+    Calling it returns ``value`` for any state; the engine reads ``value``."""
 
     value: np.ndarray
 
@@ -51,18 +46,19 @@ class ConstantGain:
 
 @dataclass(frozen=True)
 class SystemModel:
-    """A perturbed system with drift f(x), diagonal gain g(x), perturbation d(t).
+    """A perturbed system with drift f(x), constant diagonal gain g,
+    perturbation d(t).
 
-    ``drift`` and ``gain`` map a state of shape (..., n) to (..., n); a
-    constant gain is a ``ConstantGain`` of length n. ``perturbation`` maps
-    t, a float or an array of shape (A,), to (n,) or (A, n).
-    ``perturbation_bounds`` is optional; when declared, simulation runs
-    assert |d_i(t)| <= bound_i on every grid point they sample.
+    ``drift`` maps a state of shape (..., n) to (..., n); ``gain`` is a
+    ``ConstantGain`` of length n. ``perturbation`` maps t, a float or an
+    array of shape (A,), to (n,) or (A, n). ``perturbation_bounds`` is
+    optional: the declared bound on |d_i(t)|, which a settling bound needs
+    the controller's ``d_bar`` to cover.
     """
 
     n: int
     drift: Callable[[np.ndarray], np.ndarray]
-    gain: Callable[[np.ndarray], np.ndarray]
+    gain: ConstantGain
     perturbation: Callable[[float], np.ndarray]
     perturbation_bounds: Optional[np.ndarray] = None
     name: str = "custom"
@@ -70,9 +66,9 @@ class SystemModel:
     def __post_init__(self):
         if self.n < 1:
             raise ParameterError(f"system dimension must be >= 1, got {self.n}")
-        if isinstance(self.gain, ConstantGain) and self.gain.value.shape != (self.n,):
+        if not isinstance(self.gain, ConstantGain) or self.gain.value.shape != (self.n,):
             raise ParameterError(
-                f"constant gain must have shape ({self.n},), got {self.gain.value.shape}"
+                f"gain must be a ConstantGain of shape ({self.n},), got {self.gain!r}"
             )
         if self.perturbation_bounds is not None:
             b = np.asarray(self.perturbation_bounds, dtype=float)
@@ -126,32 +122,6 @@ def sinusoid_reference(amplitude, frequency, phase=None) -> ReferenceSignal:
         value=lambda t: a * np.sin(w * np.asarray(t)[..., None] + ph),
         derivative=lambda t: a * w * np.cos(w * np.asarray(t)[..., None] + ph),
     )
-
-
-def check_gain(g, x, n):
-    """Raise SingularGainError if any channel gain is zero (or non-finite).
-
-    ``x`` is one state (n,) or a block of states (A, n). A block raises
-    RunErrors holding one SingularGainError per row with a bad gain.
-    """
-    g = np.asarray(g, dtype=float)
-    ok = np.isfinite(g) & (g != 0.0)
-    if not ok.all():
-        x = np.asarray(x)
-        rows_g = np.broadcast_to(g, x.shape).reshape(-1, n)
-        rows_ok = np.broadcast_to(ok, x.shape).reshape(-1, n)
-
-        def error(r):
-            ch = int(np.argmin(rows_ok[r]))
-            return SingularGainError(
-                f"gain g_{ch + 1}(x) = {rows_g[r, ch]} at x = {x.reshape(-1, n)[r]}",
-                channel=ch,
-            )
-
-        if x.ndim == 1:
-            raise error(0)
-        raise RunErrors.where(~rows_ok.all(axis=1), error)
-    return g
 
 
 # --- benchmark: permanent magnet synchronous motor (3-state chaotic system) ---

@@ -5,7 +5,7 @@ import pytest
 
 from fxtsmc.controller import ControllerParams
 from fxtsmc.sliding import SlidingParams
-from fxtsmc.system import SystemModel, make_pmsm
+from fxtsmc.system import ConstantGain, SystemModel, make_pmsm
 
 
 def standard_channels(n=3, alpha2=4.0, d_bar=1.0, **kwargs):
@@ -22,11 +22,10 @@ def standard_channels(n=3, alpha2=4.0, d_bar=1.0, **kwargs):
 def make_integrator_plant(n=1):
     """f = 0, g = 1, d = 0: the plant is just x' = u."""
     zeros = np.zeros(n)
-    ones = np.ones(n)
     return SystemModel(
         n=n,
         drift=lambda x: zeros,
-        gain=lambda x: ones,
+        gain=ConstantGain(np.ones(n)),
         perturbation=lambda t: zeros,
         perturbation_bounds=np.zeros(n),
         name="integrator",

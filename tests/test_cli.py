@@ -14,9 +14,7 @@ from fxtsmc.cli import CONFIG_SCHEMA, _gp_delta_f_bars, apply_override, build_gp
 from fxtsmc.errors import (
     IllConditionedDataError,
     NumericError,
-    PerturbationBoundError,
     SimulationDivergedError,
-    SingularGainError,
     UnfitGPError,
 )
 from fxtsmc.gp import KernelConfig, generate_training_data, gp_fit, variance_many
@@ -567,6 +565,32 @@ def test_montecarlo_require_settled_passes_when_settled(capsys, tmp_path, monkey
     assert code == 0
 
 
+def test_bound_is_withheld_when_d_bar_is_below_the_perturbation_bound(
+    capsys, tmp_path, monkeypatch
+):
+    # pmsm's perturbation reaches 1 in every channel, and both theorems assume
+    # d_bar covers it: below that no settling bound is printed or audited
+    monkeypatch.chdir(tmp_path)
+    low = ["--set", "controller.d_bar=0.5", "--set", "sim.step_size=1e-3"]
+    note = ("settling bound unavailable: channel 1: d_bar = 0.5 is below the plant's "
+            "perturbation bound 1")
+    for config in (KNOWN, GP):
+        code, out, _ = run_cli(capsys, "run", str(config), *low, "--set", "sim.t_end=0.3")
+        assert code == 0
+        assert note in out and "T_max" not in out
+        doc = json.loads((tmp_path / f"{config.stem}-summary.json").read_text())
+        assert doc["bound_satisfied"] is None and "bounds" not in doc
+    # the same batch passes the gate with d_bar = 1
+    code, _, err = run_cli(
+        capsys, "montecarlo", str(KNOWN), "--runs", "2", "--ic-box", "-0.5,0.5",
+        "--require-bound", *low, "--set", "sim.t_end=1.4",
+    )
+    assert code == 5
+    assert note in err and "settling bound not satisfied" in err
+    doc = json.loads((tmp_path / "pmsm-known-mc.json").read_text())
+    assert doc["aggregate"]["fraction_bound_satisfied"] is None and "bounds" not in doc
+
+
 # --- argument plumbing --------------------------------------------------------------
 
 
@@ -672,6 +696,25 @@ def test_gp_dataset_with_unreadable_sidecar_is_a_config_error(capsys, tmp_path, 
     code, _, err = run_cli(capsys, "run", str(GP), "--set", f"gp={{\"dataset\": \"{data}\"}}")
     assert code == 2
     assert f"{sidecar}: not valid JSON" in err
+
+
+@pytest.mark.parametrize("source", ["config", "sidecar"])
+def test_noise_std_whose_square_overflows_is_a_parameter_error(
+    capsys, tmp_path, monkeypatch, source
+):
+    # the GP fit adds sigma_f**2 to the Gram diagonal; past about 1.34e154
+    # that square is not a float
+    monkeypatch.chdir(tmp_path)
+    if source == "config":
+        argv = ["gp-train", str(GP), "--set", "gp.generate.sigma_f=1.4e154"]
+    else:
+        data = write_dataset(tmp_path / "d.csv", DATASET_HEADER, DATASET_ROWS)
+        (tmp_path / "d.csv.meta.json").write_text('{"sigma_f": 1e200}')
+        argv = ["run", str(GP), "--set", f"gp={{\"dataset\": \"{data}\"}}", *FAST]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "noise_std must have a finite square" in err
+    assert "Traceback" not in err
 
 
 def test_gp_dataset_with_columns_out_of_order_is_a_config_error(capsys, tmp_path, monkeypatch):
@@ -854,8 +897,7 @@ def test_step_count_that_overflows_is_a_parameter_error(capsys, tmp_path, monkey
 
 @pytest.mark.parametrize(
     "error",
-    [SimulationDivergedError, SingularGainError, PerturbationBoundError, UnfitGPError,
-     IllConditionedDataError],
+    [SimulationDivergedError, UnfitGPError, IllConditionedDataError],
 )
 def test_numeric_failures_share_one_base(error):
     assert issubclass(error, NumericError)

@@ -15,7 +15,7 @@ from fxtsmc.gp import GPDataset, KernelConfig, gp_fit
 from fxtsmc.numerics import StepConfig
 from fxtsmc.sim import Scenario, simulate
 from fxtsmc.sliding import SlidingParams
-from fxtsmc.system import SystemModel, make_pmsm, zero_reference
+from fxtsmc.system import ConstantGain, SystemModel, make_pmsm, zero_reference
 
 from conftest import make_integrator_plant, standard_channels
 
@@ -60,11 +60,10 @@ def test_control_known_scalar_hand_value():
 
 
 def test_control_known_gain_inverse_scaling():
-    twos = np.full(1, 2.0)
     model = SystemModel(
         n=1,
         drift=lambda x: np.zeros(1),
-        gain=lambda x: twos,
+        gain=ConstantGain(np.full(1, 2.0)),
         perturbation=lambda t: np.zeros(1),
         name="gain2",
     )
@@ -249,11 +248,10 @@ def test_lyapunov_decrease_above_chatter_floor():
 
 def test_gain_scaling_leaves_state_bitwise_unchanged():
     def build(c):
-        gains = np.full(1, c)
         return SystemModel(
             n=1,
             drift=lambda x: np.sin(x),
-            gain=lambda x: gains,
+            gain=ConstantGain(np.full(1, c)),
             perturbation=lambda t: np.zeros(1),
             name=f"gain{c}",
         )

@@ -5,7 +5,7 @@ from scipy.special import erf, erfinv
 from fxtsmc.errors import ParameterError, SimulationDivergedError
 from fxtsmc.numerics import EXP_CLAMP, StepConfig, safe_exp
 from fxtsmc.sim import Scenario, simulate
-from fxtsmc.system import SystemModel, make_lemma2_plant, zero_reference
+from fxtsmc.system import ConstantGain, SystemModel, make_lemma2_plant, zero_reference
 
 
 def test_safe_exp_values():
@@ -55,7 +55,7 @@ def open_loop(drift, x0, step_size, t_end, perturbation=None):
     model = SystemModel(
         n=n,
         drift=drift,
-        gain=lambda x: np.ones(n),
+        gain=ConstantGain(np.ones(n)),
         perturbation=perturbation or (lambda t: zeros),
         name="open-loop",
     )

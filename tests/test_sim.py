@@ -13,15 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_integrator_plant, standard_channels
-from fxtsmc.errors import (
-    ParameterError,
-    PerturbationBoundError,
-    SimulationDivergedError,
-    SingularGainError,
-    UnfitGPError,
-)
+from fxtsmc.errors import ParameterError, SimulationDivergedError, UnfitGPError
 from fxtsmc import sim
-from fxtsmc.controller import BoundReport
+from fxtsmc.controller import BoundReport, bound_report
 from fxtsmc.gp import KernelConfig, generate_training_data, gp_fit
 from fxtsmc.numerics import CSV_BLOCK_ROWS, StepConfig
 from fxtsmc.sim import (
@@ -166,7 +160,7 @@ def test_divergence_reports_time_and_channel():
     unstable = SystemModel(
         n=1,
         drift=lambda x: 10.0 * x * np.abs(x),
-        gain=lambda x: np.ones(1),
+        gain=ConstantGain(np.ones(1)),
         perturbation=lambda t: np.zeros(1),
         perturbation_bounds=None,
         name="blowup",
@@ -184,84 +178,11 @@ def test_divergence_reports_time_and_channel():
     assert "t = " in str(excinfo.value)
 
 
-def test_perturbation_exceeding_declared_bound_is_an_error():
-    lying = SystemModel(
-        n=1,
-        drift=lambda x: np.zeros(1),
-        gain=lambda x: np.ones(1),
-        perturbation=lambda t: np.ones(1),
-        perturbation_bounds=np.array([0.5]),
-        name="lying-bound",
-    )
-    scenario = Scenario(
-        system=lying,
-        reference=zero_reference(1),
-        params=standard_channels(1),
-        x0=np.array([0.3]),
-        step=StepConfig(step_size=1e-3, t_end=0.01),
-    )
-    with pytest.raises(PerturbationBoundError) as excinfo:
-        simulate(scenario)
-    assert excinfo.value.channel == 0
-    assert excinfo.value.t == 0.0
-
-
-def bound_breaking_plant():
-    """Integrator plant whose perturbation first breaks its declared bound
-    (channel 2) at the grid time 0.005 of a 1e-3 step."""
-    def perturbation(t):
-        late = np.asarray(t)[..., None] >= 0.0045
-        return np.where(late, [0.5, 2.0], [0.5, 0.25])
-
-    return dataclasses.replace(
-        make_integrator_plant(2), perturbation=perturbation, perturbation_bounds=np.ones(2)
-    )
-
-
-def test_perturbation_breaking_bound_mid_run_raises_at_that_step():
-    scenario = Scenario(
-        system=bound_breaking_plant(),
-        reference=zero_reference(2),
-        params=standard_channels(2),
-        x0=np.array([0.3, -0.2]),
-        step=StepConfig(step_size=1e-3, t_end=0.01),
-    )
-    with pytest.raises(PerturbationBoundError) as excinfo:
-        simulate(scenario)
-    assert excinfo.value.channel == 1
-    assert excinfo.value.t == 5e-3
-    assert str(excinfo.value) == "|d_2(0.005)| = 2 exceeds declared bound 1"
-
-    result = assert_batch_equals_single_runs(scenario, [(-1.0, 1.0)] * 2, 3, 0)
-    assert result.aggregate["n_failed"] == 3
-    assert len({(r["error_type"], r["message"]) for r in result.failures}) == 1
-
-
-def test_state_dependent_gain_vanishing_mid_run_raises_at_that_step():
-    # g(x) = 1 while x > 0.5 and 0 below: the gain is evaluated at every step,
-    # so the run fails at the first grid row the controller brings below 0.5.
-    plant = make_integrator_plant(1)
-    vanishing = dataclasses.replace(plant, gain=lambda x: np.where(x > 0.5, 1.0, 0.0))
-    scenario = Scenario(
-        system=vanishing,
-        reference=zero_reference(1),
-        params=standard_channels(1),
-        x0=np.array([1.0]),
-        step=StepConfig(step_size=1e-3, t_end=1.0),
-    )
-    unit_gain = simulate(dataclasses.replace(scenario, system=plant))
-    k = int(np.argmax(unit_gain.x[:, 0] <= 0.5))
-    assert k > 0
-    with pytest.raises(SingularGainError) as excinfo:
-        simulate(scenario)
-    assert str(excinfo.value) == f"gain g_1(x) = 0.0 at x = {unit_gain.x[k]}"
-
-
 def test_open_loop_never_evaluates_the_gain():
-    zero_gain = dataclasses.replace(make_integrator_plant(2), gain=lambda x: np.zeros(2))
+    scaled = dataclasses.replace(make_integrator_plant(2), gain=ConstantGain([2.0, -3.0]))
     for params in (None, standard_channels(2)):
         traj = simulate(Scenario(
-            system=zero_gain,
+            system=scaled,
             reference=zero_reference(2),
             params=params,
             x0=np.array([0.5, -0.5]),
@@ -272,170 +193,10 @@ def test_open_loop_never_evaluates_the_gain():
         assert np.all(traj.x == [0.5, -0.5])
 
 
-@pytest.mark.parametrize(
-    "n, one_state, per_row",
-    [
-        # written for one state: the norm/max/sum runs over the whole array
-        (2, lambda x: (1.0 + np.sqrt(np.sum(x * x))) * np.ones(2),
-         lambda x: (1.0 + np.sqrt(np.sum(x * x, axis=-1, keepdims=True))) * np.ones(2)),
-        (2, lambda x: (1.0 + np.max(np.abs(x))) * np.ones(2),
-         lambda x: (1.0 + np.max(np.abs(x), axis=-1, keepdims=True)) * np.ones(2)),
-        (1, lambda x: np.atleast_1d(1.0 + np.sum(x * x)),
-         lambda x: 1.0 + np.sum(x * x, axis=-1, keepdims=True)),
-    ],
-    ids=["norm", "max-abs", "sum-n1"],
-)
-def test_gain_written_for_one_state_is_not_frozen(n, one_state, per_row):
-    # Such a gain answers a block with shape (n,) although it depends on the
-    # state; it must be evaluated at every step like a per-row gain.
-    scenario = Scenario(
-        system=dataclasses.replace(make_integrator_plant(n), gain=one_state),
-        reference=zero_reference(n),
-        params=standard_channels(n),
-        x0=np.array([0.8, -0.6][:n]),
-        step=StepConfig(step_size=1e-3, t_end=0.3),
-    )
-    expected = simulate(dataclasses.replace(
-        scenario, system=dataclasses.replace(scenario.system, gain=per_row)
-    ))
-    assert not np.all(expected.u == expected.u[0])
-    traj = simulate(scenario)
-    for name in ("x", "z", "s", "u"):
-        assert np.array_equal(getattr(traj, name), getattr(expected, name)), name
-
-
-def test_gain_that_fails_on_a_block_is_a_parameter_error():
-    plant = dataclasses.replace(
-        make_integrator_plant(2), gain=lambda x: np.ones(2) if x[0] > -10.0 else np.zeros(2)
-    )
-    scenario = Scenario(
-        system=plant,
-        reference=zero_reference(2),
-        params=standard_channels(2),
-        x0=np.array([0.5, -0.5]),
-        step=StepConfig(step_size=1e-3, t_end=0.01),
-    )
-    with pytest.raises(ParameterError, match=r"^gain must accept a block of states \(2, 2\)"):
-        simulate(scenario)
-
-
 def test_gain_of_wrong_shape_is_a_parameter_error():
-    plant = dataclasses.replace(make_integrator_plant(2), gain=lambda x: np.ones(3))
-    scenario = Scenario(
-        system=plant,
-        reference=zero_reference(2),
-        params=standard_channels(2),
-        x0=np.array([0.5, -0.5]),
-        step=StepConfig(step_size=1e-3, t_end=0.01),
-    )
-    match = r"^gain must accept a block of states \(2, 2\), failed: .*broadcast"
-    with pytest.raises(ParameterError, match=match):
-        simulate(scenario)
-    with pytest.raises(ParameterError, match=match):
-        run_monte_carlo(scenario, [(-1.0, 1.0)] * 2, runs=2, seed=0)
-
-@pytest.mark.parametrize(
-    "n, one_state",
-    [
-        (2, lambda x: (1.0 + np.sqrt(np.sum(x * x))) * np.ones(2)),
-        (2, lambda x: (1.0 + np.max(np.abs(x))) * np.ones(2)),
-        (1, lambda x: np.atleast_1d(1.0 + np.sum(x * x))),
-    ],
-    ids=["norm", "max-abs", "sum-n1"],
-)
-def test_batch_rejects_gain_written_for_one_state(n, one_state):
-    # On a block such a gain gives all runs one shared value, so a batch
-    # would step each run with another run's gain.
-    template = Scenario(
-        system=dataclasses.replace(make_integrator_plant(n), gain=one_state),
-        reference=zero_reference(n),
-        params=standard_channels(n),
-        x0=np.zeros(n),
-        step=StepConfig(step_size=1e-3, t_end=0.3),
-    )
-    with pytest.raises(ParameterError, match=r"^gain must act on each state of a block"):
-        run_monte_carlo(template, [(-1.0, 1.0)] * n, runs=4, seed=0)
-
-
-@pytest.mark.parametrize(
-    "gain",
-    [
-        lambda x: (1.0 + np.sqrt(np.sum(x * x, axis=-1, keepdims=True))) * np.ones(2),
-        # NaN below -0.5: the first run (seed 3) starts there in both channels
-        lambda x: np.where(x > -0.5, 1.0 + x * x, np.nan),
-    ],
-    ids=["per-row-norm", "nan-rows"],
-)
-def test_batch_with_per_row_gain_equals_single_runs(gain):
-    template = Scenario(
-        system=dataclasses.replace(make_integrator_plant(2), gain=gain),
-        reference=zero_reference(2),
-        params=standard_channels(2),
-        x0=np.zeros(2),
-        step=StepConfig(step_size=1e-3, t_end=0.3),
-    )
-    assert_batch_equals_single_runs(template, [(-1.0, 1.0)] * 2, 4, 3)
-
-
-def test_declared_constant_gain_equals_gain_called_every_evaluation():
-    # make_pmsm declares its unit gain, so the loop skips / g and g *; the
-    # same gain as a plain callable is called, checked and applied at every
-    # evaluation, with the same numbers.
-    declared = identity_template()
-    called = dataclasses.replace(
-        declared, system=dataclasses.replace(declared.system, gain=lambda x: np.ones(3))
-    )
-    assert_same_bits(declared, called, IDENTITY_STARTS)
-    box = [(-3.0, 3.0)] * 3
-    batch = run_monte_carlo(declared, box, runs=4, seed=1)
-    expected_batch = run_monte_carlo(called, box, runs=4, seed=1)
-    assert mc_result_to_dict(batch) == mc_result_to_dict(expected_batch)
-
-
-def _scalar_only(value):
-    return lambda t: value if t >= 0.0 else -value
-
-
-@pytest.mark.parametrize(
-    "field, name",
-    [
-        ("perturbation", "perturbation"),
-        ("value", "reference value"),
-        ("derivative", "reference derivative"),
-    ],
-)
-def test_scenario_rejects_time_signal_without_array_times(field, name):
-    plant = make_integrator_plant(2)
-    reference = zero_reference(2)
-    if field == "perturbation":
-        plant = dataclasses.replace(plant, perturbation=_scalar_only(np.zeros(2)))
-    else:
-        reference = dataclasses.replace(reference, **{field: _scalar_only(np.zeros(2))})
-    with pytest.raises(ParameterError, match=f"^{name} must accept an array of times"):
-        Scenario(
-            system=plant,
-            reference=reference,
-            params=standard_channels(2),
-            x0=np.array([0.5, -0.5]),
-            step=StepConfig(step_size=1e-3, t_end=0.01),
-        )
-
-
-def test_scenario_rejects_time_signal_of_wrong_shape_for_array_times():
-    # right shape at a float time, one row for all times of an array
-    plant = dataclasses.replace(
-        make_integrator_plant(2), perturbation=lambda t: np.zeros(np.shape(t) + (2,))[..., :1]
-        if np.ndim(t) else np.zeros(2)
-    )
-    with pytest.raises(ParameterError, match=r"^perturbation must map .* got \(2, 1\)"):
-        Scenario(
-            system=plant,
-            reference=zero_reference(2),
-            params=standard_channels(2),
-            x0=np.array([0.5, -0.5]),
-            step=StepConfig(step_size=1e-3, t_end=0.01),
-        )
-
+    # a plant refuses a gain of the wrong length before any run is built
+    with pytest.raises(ParameterError, match=r"^gain must be a ConstantGain of shape \(2,\)"):
+        dataclasses.replace(make_integrator_plant(2), gain=ConstantGain(np.ones(3)))
 
 # --- scenario validation -----------------------------------------------------------
 
@@ -569,7 +330,7 @@ def test_settling_rejects_bad_arguments(which, threshold):
 def test_summarize_run_fields():
     scenario = pmsm_scenario(t_end=1.0, settle_threshold=0.02)
     traj = simulate(scenario)
-    summary = summarize_run(traj, scenario)
+    summary = summarize_run(traj, scenario, bounds=bound_report(scenario.channels))
     assert summary.settled
     assert summary.settling_time == pytest.approx(np.max(summary.settling_error))
     assert summary.bounds is not None
@@ -582,7 +343,7 @@ def test_summarize_run_fields():
 
 def test_summary_round_trips_through_json(tmp_path):
     scenario = pmsm_scenario(step_size=1e-3, t_end=0.02)
-    summary = summarize_run(simulate(scenario), scenario)
+    summary = summarize_run(simulate(scenario), scenario, bounds=bound_report(scenario.channels))
     path = tmp_path / "summary.json"
     write_summary_json(summary, path, config={"b": 1, "a": 2})
     doc = json.loads(path.read_text())
@@ -698,17 +459,17 @@ def test_monte_carlo_draws_stay_inside_box():
 
 
 def test_monte_carlo_records_failures_without_aborting():
-    # A gain that vanishes at the origin fails every run started there.
-    singular = SystemModel(
+    # A drift that is NaN at the origin fails every run started there.
+    nan_at_zero = SystemModel(
         n=1,
-        drift=lambda x: np.zeros(1),
-        gain=lambda x: x.copy(),
+        drift=lambda x: np.where(x == 0.0, np.nan, 0.0),
+        gain=ConstantGain(np.ones(1)),
         perturbation=lambda t: np.zeros(1),
         perturbation_bounds=None,
-        name="singular-at-zero",
+        name="nan-at-zero",
     )
     template = Scenario(
-        system=singular,
+        system=nan_at_zero,
         reference=zero_reference(1),
         params=standard_channels(1),
         x0=np.array([1.0]),
@@ -717,7 +478,7 @@ def test_monte_carlo_records_failures_without_aborting():
     result = run_monte_carlo(template, [(0.0, 0.0)], runs=2, seed=0)
     assert result.summaries == (None, None)
     assert len(result.failures) == 2
-    assert result.failures[0]["error_type"] == "SingularGainError"
+    assert result.failures[0]["error_type"] == "SimulationDivergedError"
     assert result.failures[1]["run"] == 1
     assert result.aggregate["n_failed"] == 2
     assert result.aggregate["max_settling_error"] is None
@@ -733,7 +494,7 @@ def assert_batch_equals_single_runs(template, box, runs, seed):
         scenario = dataclasses.replace(template, x0=x0)
         try:
             expected = summary_to_dict(summarize_run(simulate(scenario), scenario))
-        except (SimulationDivergedError, SingularGainError, PerturbationBoundError) as err:
+        except SimulationDivergedError as err:
             assert result.summaries[i] is None
             assert records[i]["error_type"] == type(err).__name__
             assert records[i]["message"] == str(err)
@@ -775,7 +536,7 @@ def constant_rate_plant(rate):
     return SystemModel(
         n=1,
         drift=lambda x: np.full(np.shape(x), rate),
-        gain=lambda x: np.ones(1),
+        gain=ConstantGain(np.ones(1)),
         perturbation=lambda t: np.zeros(1),
     )
 
@@ -843,7 +604,7 @@ def test_batch_records_a_non_finite_rate_of_a_block_blind_model_like_single_runs
 
     template = Scenario(
         system=SystemModel(
-            n=3, drift=lambda x: np.zeros(3), gain=lambda x: np.ones(3),
+            n=3, drift=lambda x: np.zeros(3), gain=ConstantGain(np.ones(3)),
             perturbation=perturbation,
         ),
         reference=zero_reference(3),
@@ -909,7 +670,7 @@ def blowup_template(t_end=0.5):
     unstable = SystemModel(
         n=1,
         drift=lambda x: 10.0 * x * np.abs(x),
-        gain=lambda x: np.ones(1),
+        gain=ConstantGain(np.ones(1)),
         perturbation=lambda t: np.zeros(1),
         perturbation_bounds=None,
         name="blowup",
@@ -987,14 +748,14 @@ def test_batch_chatter_after_error_leaves_band_again_equals_single_runs():
         assert np.abs(traj.s[:last_out][in_band[:last_out]]).max() > summary.chatter_amplitude
 
 
-def gain_gap_template():
-    """Integrator plant, closed loop at h = 1e-2, whose gain is 0 for x in
+def drift_gap_template():
+    """Integrator plant, closed loop at h = 1e-2, whose drift is NaN for x in
     (0.2, 0.5]: a run fails at one of the first grid rows, as it enters the
     gap, while the others settle."""
     plant = make_integrator_plant(1)
     return Scenario(
         system=dataclasses.replace(
-            plant, gain=lambda x: np.where((x > 0.2) & (x <= 0.5), 0.0, 1.0)
+            plant, drift=lambda x: np.where((x > 0.2) & (x <= 0.5), np.nan, 0.0)
         ),
         reference=zero_reference(1),
         params=standard_channels(1),
@@ -1013,7 +774,7 @@ CHUNK_CASES = {
     "diverging": (lambda: blowup_template(t_end=0.502), [(-1.0, 1.0)], 10, 1),
     # runs fail in the first rows, some after rows of their chunk that hold
     # the survivors' largest |u|
-    "gain-gap": (gain_gap_template, [(-1.0, 1.0)], 10, 2),
+    "drift-gap": (drift_gap_template, [(-1.0, 1.0)], 10, 2),
     "chatter-pulse": (chatter_pulse_template, [(-1.0, 1.0)] * 3, 4, 6),
 }
 
@@ -1028,8 +789,8 @@ def test_batch_equals_single_runs_at_any_chunk_size(monkeypatch, case, chunk_row
     with np.errstate(over="ignore", invalid="ignore"):
         result = assert_batch_equals_single_runs(make_template(), box, runs, seed)
     n_failed = result.aggregate["n_failed"]
-    assert 0 < n_failed < runs if case in ("diverging", "gain-gap") else n_failed == 0
-    if case in ("gain-gap", "chatter-pulse"):
+    assert 0 < n_failed < runs if case in ("diverging", "drift-gap") else n_failed == 0
+    if case in ("drift-gap", "chatter-pulse"):
         # settling times and chatter amplitudes compared too
         assert result.aggregate["n_settled"] == runs - n_failed
 
@@ -1417,7 +1178,7 @@ def test_trajectory_csv_bytes_equal_a_savetxt_reference(tmp_path, config, f_hat,
 
 def test_summary_dict_drops_numpy_types():
     scenario = pmsm_scenario(step_size=1e-3, t_end=0.3, settle_threshold=0.05)
-    summary = summarize_run(simulate(scenario), scenario)
+    summary = summarize_run(simulate(scenario), scenario, bounds=bound_report(scenario.channels))
     doc = summary_to_dict(summary)
     json.dumps(doc)
     assert set(doc) >= {

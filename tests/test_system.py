@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from fxtsmc.controller import SQRT_PI_HALF
-from fxtsmc.errors import ParameterError, SimulationDivergedError, SingularGainError
+from fxtsmc.errors import ParameterError, SimulationDivergedError
 from fxtsmc.numerics import StepConfig
 from fxtsmc.sim import Scenario, simulate
 from fxtsmc.system import (
     ConstantGain,
     SystemModel,
-    check_gain,
     constant_reference,
     make_lemma2_plant,
     make_pmsm,
@@ -54,10 +53,11 @@ def test_eval_dynamics_pmsm_hand_value(pmsm):
 def test_eval_dynamics_linear_in_u():
     # the engine advances by f(x) + g(x)*u + d with the logged control u
     rng = np.random.default_rng(3)
+    g = np.array([2.0, -0.5])
     model = SystemModel(
         n=2,
         drift=lambda x: np.sin(x),
-        gain=lambda x: 1.0 + x * x,
+        gain=ConstantGain(g),
         perturbation=lambda t: np.zeros(2),
         name="affine",
     )
@@ -65,41 +65,20 @@ def test_eval_dynamics_linear_in_u():
         x = rng.uniform(-2.0, 2.0, size=2)
         traj, rate = first_step(model, x, u_mode="known-model", h=1e-4)
         u = traj.u[0]
-        np.testing.assert_allclose(rate, np.sin(x) + (1.0 + x * x) * u, rtol=1e-12, atol=1e-12)
-
-
-def test_eval_dynamics_singular_gain():
-    model = SystemModel(
-        n=2,
-        drift=lambda x: np.zeros(2),
-        gain=lambda x: np.array([1.0, 0.0]),
-        perturbation=lambda t: np.zeros(2),
-        name="singular",
-    )
-    with pytest.raises(SingularGainError) as exc:
-        first_step(model, np.zeros(2), u_mode="known-model")
-    assert exc.value.channel == 1
+        np.testing.assert_allclose(rate, np.sin(x) + g * u, rtol=1e-12, atol=1e-12)
 
 
 def test_eval_dynamics_non_finite_drift():
     model = SystemModel(
         n=1,
         drift=lambda x: np.array([np.nan]),
-        gain=lambda x: np.ones(1),
+        gain=ConstantGain(np.ones(1)),
         perturbation=lambda t: np.zeros(1),
         name="bad",
     )
     with pytest.raises(SimulationDivergedError) as exc:
         first_step(model, np.zeros(1))
     assert exc.value.channel == 0
-
-
-def test_check_gain_passes_and_raises():
-    check_gain(np.array([1.0, -2.0]), np.zeros(2), 2)
-    with pytest.raises(SingularGainError):
-        check_gain(np.array([1.0, 0.0]), np.zeros(2), 2)
-    with pytest.raises(SingularGainError):
-        check_gain(np.array([np.inf, 1.0]), np.zeros(2), 2)
 
 
 @pytest.mark.parametrize(
@@ -113,12 +92,22 @@ def test_constant_gain_rejects_bad_values(value):
 
 
 def test_constant_gain_length_must_match_the_system():
-    with pytest.raises(ParameterError, match=r"^constant gain must have shape \(3,\), got \(2,\)"):
+    with pytest.raises(ParameterError, match=r"^gain must be a ConstantGain of shape \(3,\)"):
         SystemModel(
             n=3,
             drift=lambda x: np.zeros(3),
             gain=ConstantGain(np.ones(2)),
             perturbation=lambda t: np.zeros(3),
+        )
+
+
+def test_system_refuses_a_callable_gain():
+    with pytest.raises(ParameterError, match=r"^gain must be a ConstantGain of shape \(2,\)"):
+        SystemModel(
+            n=2,
+            drift=lambda x: np.zeros(2),
+            gain=lambda x: np.ones(2),
+            perturbation=lambda t: np.zeros(2),
         )
 
 
@@ -151,10 +140,14 @@ def test_pmsm_drift_components(pmsm):
     assert f[2] == pytest.approx(-2.0 + 0.5 * -1.2)
 
 
-def test_pmsm_perturbation_bounded(pmsm):
+def test_pmsm_perturbation_bounded():
+    # every shipped plant's perturbation, called once on an array of times,
+    # meets the bound it declares
     t = np.linspace(0.0, 10.0, 5001)
-    d = np.stack([pmsm.perturbation(ti) for ti in t])
-    assert np.all(np.abs(d) <= 1.0)
+    for model in (make_pmsm(), make_pmsm(perturbed=False), make_lemma2_plant(1.0)):
+        d = np.broadcast_to(model.perturbation(t), (t.size, model.n))
+        assert np.all(np.abs(d) <= model.perturbation_bounds), model.name
+    np.testing.assert_array_equal(make_pmsm().perturbation_bounds, np.ones(3))
 
 
 def test_pmsm_unperturbed_variant():
