@@ -59,8 +59,13 @@ CASES = {
     # the gp-based pilot run, then a batch through the GP drift estimate
     "mc-gp-near": ["montecarlo", GP, "--runs", "4", "--ic-box=-1,1", "--seed", "3",
                    "--set", "sim.t_end=1.0"],
-    # dataset generation, the shared GP fit and the held-out check
+    # dataset generation, the GP fit and the held-out check
     "gp-train": ["gp-train", GP, "-n", "50"],
+    # noise-free data: the jitter ladder and the per-channel jitter print
+    "gp-train-noise-free": ["gp-train", GP, "-n", "50", "--set", "gp.generate.sigma_f=0.0"],
+    # a batch through the GP drift estimate on backward-Euler substep blocks
+    "mc-gp-far": ["montecarlo", GP, "--runs", "4", "--seed", "3", "--ic-box=-1e3,1e3",
+                  "--set", "sim.t_end=1.0"],
     # d_bar below pmsm's perturbation bound of 1: the settling bound is
     # withheld, with a note, and the summary audits none
     "run-known-dbar-short": ["run", KNOWN, "--set", "controller.d_bar=0.5", *COARSE],

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 Commands: ``run`` (single closed-loop simulation), ``bounds`` (settling-time
-bound table), ``gp-train`` (dataset generation + per-channel GP fit report),
+bound table), ``gp-train`` (dataset generation + GP fit report),
 ``montecarlo`` (seeded batch over an initial-condition box), ``validate``
 (config schema check only).
 
@@ -38,10 +38,10 @@ from .errors import ConfigError, GainTooSmallError, NumericError, ParameterError
 from .gp import (
     DriftEstimator,
     ErrorBoundConfig,
+    GPModel,
     KernelConfig,
     generate_training_data,
     gp_fit,
-    gp_fit_shared,
     load_datasets,
     save_datasets,
     variance_many,
@@ -361,7 +361,7 @@ def build_step(cfg: dict) -> StepConfig:
     return StepConfig(step_size=float(sim_cfg["step_size"]), t_end=float(sim_cfg["t_end"]))
 
 
-def build_gp_models(cfg: dict, system) -> list:
+def build_gp_model(cfg: dict, system) -> GPModel:
     gp_cfg = cfg.get("gp")
     if not gp_cfg:
         raise ConfigError("a 'gp' section is required for gp-based mode / gp-train")
@@ -371,10 +371,10 @@ def build_gp_models(cfg: dict, system) -> list:
         length_scale=float(kcfg.get("length_scale", 1.0)),
     )
     if "dataset" in gp_cfg:
-        datasets, _meta = load_datasets(gp_cfg["dataset"])
+        dataset, _meta = load_datasets(gp_cfg["dataset"])
     elif "generate" in gp_cfg:
         gen = gp_cfg["generate"]
-        datasets = generate_training_data(
+        dataset = generate_training_data(
             system,
             int(gen["n_samples"]),
             gen["region"],
@@ -383,25 +383,23 @@ def build_gp_models(cfg: dict, system) -> list:
         )
     else:
         raise ConfigError("gp section needs either 'dataset' (path) or 'generate' (parameters)")
-    dim = datasets[0].inputs.shape[1]
-    if len(datasets) != system.n or dim != system.n:
+    dim, n_channels = dataset.inputs.shape[1], dataset.targets.shape[1]
+    if n_channels != system.n or dim != system.n:
         raise ConfigError(
-            f"gp dataset has {dim} input columns and {len(datasets)} channels, "
+            f"gp dataset has {dim} input columns and {n_channels} channels, "
             f"system has {system.n} states"
         )
-    # The channels share inputs, kernel and sigma_F: one factorization serves all.
-    base = gp_fit(datasets[0], kernel)
-    return [base] + [gp_fit_shared(base, ds, kernel) for ds in datasets[1:]]
+    return gp_fit(dataset, kernel)
 
 
 def build_scenario(cfg: dict) -> Scenario:
-    """Config dict -> Scenario; gp-based mode fits its models here."""
+    """Config dict -> Scenario; gp-based mode fits its model here."""
     system = build_system(cfg)
     n = system.n
     reference = build_reference(cfg, n)
     mode = cfg.get("controller", {}).get("mode", "known-model")
     params = build_controller_params(cfg, n)
-    models = build_gp_models(cfg, system) if mode == "gp-based" else None
+    model = build_gp_model(cfg, system) if mode == "gp-based" else None
     sim_cfg = cfg["sim"]
     x0 = sim_cfg.get("x0", [0.0] * n)
     return Scenario(
@@ -411,7 +409,7 @@ def build_scenario(cfg: dict) -> Scenario:
         x0=np.asarray(x0, dtype=float),
         step=build_step(cfg),
         mode=mode,
-        gp_models=models,
+        gp_model=model,
         settle_threshold=float(sim_cfg.get("settle_threshold", DEFAULT_SETTLE_THRESHOLD)),
     )
 
@@ -423,17 +421,16 @@ def _output_path(cfg: dict, key: str, default: str) -> Path:
 # --- bound helpers --------------------------------------------------------------
 
 
-def _gp_delta_f_bars(models, traj, chi: float) -> np.ndarray:
+def _gp_delta_f_bars(model, traj, chi: float) -> np.ndarray:
     """Per-channel max over the visited states of the GP error bound chi*sigma.
 
     Subsamples the trajectory to at most ~1000 states; sigma varies slowly so
-    this loses nothing at the printed precision. The channels of
-    ``build_gp_models`` share inputs, kernel and factorization, hence one
+    this loses nothing at the printed precision. The channels share one
     posterior variance, so one audit serves every channel.
     """
     stride = max(1, traj.x.shape[0] // 1000)
-    sigma = np.sqrt(variance_many(models[0], traj.x[::stride]))
-    return np.full(len(models), ErrorBoundConfig(chi=chi).chi * float(np.max(sigma)))
+    sigma = np.sqrt(variance_many(model, traj.x[::stride]))
+    return np.full(model.weights.shape[1], ErrorBoundConfig(chi=chi).chi * float(np.max(sigma)))
 
 
 def _settling_bounds(scenario, cfg: dict, pilot):
@@ -455,7 +452,7 @@ def _settling_bounds(scenario, cfg: dict, pilot):
     if scenario.mode == "known-model":
         return bound_report(scenario.channels), None
     chi = float(cfg.get("gp", {}).get("chi", 2.0))
-    delta = _gp_delta_f_bars(scenario.gp_models, pilot(), chi)
+    delta = _gp_delta_f_bars(scenario.gp_model, pilot(), chi)
     try:
         return bound_report(scenario.channels, delta_f_bars=delta), None
     except GainTooSmallError as err:
@@ -559,28 +556,26 @@ def cmd_gp_train(args) -> int:
     ]
     cfg = resolve_config(args)
     system = build_system(cfg)
-    models = build_gp_models(cfg, system)
-    datasets = [m.dataset for m in models]
+    model = build_gp_model(cfg, system)
+    dataset = model.dataset
     # the held-out states are drawn from the training region, or the data's span
-    inputs = datasets[0].inputs
+    inputs = dataset.inputs
     span = np.stack([inputs.min(axis=0), inputs.max(axis=0)], axis=1)
     region = cfg["gp"].get("generate", {}).get("region", span)
     region = check_ic_box(region, system.n, "held-out region")
 
     stem = Path(args.config).stem
     csv_path = _output_path(cfg, "dataset_csv", f"{stem}-dataset.csv")
-    save_datasets(datasets, csv_path, metadata={"config": cfg, "kernel": {
-        "family": models[0].kernel.family, "length_scale": models[0].kernel.length_scale}})
-    print(f"wrote {csv_path} ({datasets[0].n_samples} samples, {len(datasets)} channels)")
+    save_datasets(dataset, csv_path, metadata={"config": cfg, "kernel": {
+        "family": model.kernel.family, "length_scale": model.kernel.length_scale}})
+    print(f"wrote {csv_path} ({dataset.n_samples} samples, {system.n} channels)")
 
-    estimate = DriftEstimator(models)
-    fitted = estimate(datasets[0].inputs)
-    for i, m in enumerate(models):
-        resid = float(np.max(np.abs(fitted[:, i] - m.dataset.targets)))
-        print(f"channel {i + 1}: interpolation residual max = {resid:.3e} "
-              f"(jitter {m.jitter:g})")
+    estimate = DriftEstimator(model)
+    resid = np.max(np.abs(estimate(inputs) - dataset.targets), axis=0)
+    for i, r in enumerate(resid):
+        print(f"channel {i + 1}: interpolation residual max = {r:.3e} (jitter {model.jitter:g})")
 
-    rng = np.random.default_rng((datasets[0].seed or 0) + 1)
+    rng = np.random.default_rng((dataset.seed or 0) + 1)
     held = rng.uniform(region[:, 0], region[:, 1], size=(256, system.n))
     rms = float(np.sqrt(np.mean((system.drift(held) - estimate(held)) ** 2)))
     print(f"held-out drift RMS over {held.shape[0]} fresh states: {rms:.6g}")
@@ -711,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_bounds)
     p_bounds.set_defaults(func=cmd_bounds)
 
-    p_gp = sub.add_parser("gp-train", help="generate data, fit the per-channel GPs")
+    p_gp = sub.add_parser("gp-train", help="generate data, fit the GP of every channel")
     add_common(p_gp)
     p_gp.add_argument("-n", "--n-samples", type=_positive_int, default=None,
                       help="training points per channel (overrides gp.generate)")

@@ -76,7 +76,7 @@ class IllConditionedDataError(NumericError):
 
 
 class UnfitGPError(NumericError):
-    """A gp-based run was requested without fitted models for every channel."""
+    """A gp-based run was requested without a GP fitted for its channels."""
 
 
 class ConfigError(ValueError):

@@ -1,11 +1,11 @@
-"""Exact Gaussian-process regression, one scalar GP per state channel.
+"""Exact Gaussian-process regression: one GP, with a target column per channel.
 
-All channels share one input set, kernel and sigma_F, hence one Cholesky
-factorization (``gp_fit`` once, then ``gp_fit_shared``) and one posterior
-variance; each carries its own targets and weight vector. Inference is the
+The channels share one input set, kernel and sigma_F, so they share one
+Cholesky factorization and one posterior variance; the factor solves every
+target column at once into an (N, n) weight matrix. Inference is the
 standard zero-mean exact form
 
-    mean(x) = kbar(x)^T (K + sigma_F^2 I)^{-1} y
+    mean(x) = kbar(x)^T (K + sigma_F^2 I)^{-1} Y
     var(x)  = k(x, x) - kbar(x)^T (K + sigma_F^2 I)^{-1} kbar(x)
 
 computed through a Cholesky factorization of the (jittered) Gram matrix.
@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -80,7 +80,8 @@ def _kernel_of_dist(cfg: KernelConfig, r: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GPDataset:
-    """Training inputs (N x dim), one channel's targets (N,), and provenance.
+    """Training inputs (N x dim), targets (N x n), one column per channel, and
+    provenance. A 1-D target is one column.
 
     When sigma_F = 0 the inputs must be pairwise distinct, otherwise the Gram
     matrix is singular by construction.
@@ -93,10 +94,13 @@ class GPDataset:
 
     def __post_init__(self):
         inputs = np.atleast_2d(np.asarray(self.inputs, dtype=float))
-        targets = np.asarray(self.targets, dtype=float).ravel()
-        if inputs.shape[0] != targets.shape[0] or inputs.shape[0] < 1:
+        targets = np.asarray(self.targets, dtype=float)
+        if targets.ndim < 2:
+            targets = targets.reshape(-1, 1)
+        if targets.ndim != 2 or inputs.shape[0] != targets.shape[0] or targets.size == 0:
             raise ParameterError(
-                f"need N >= 1 matching rows, got inputs {inputs.shape} targets {targets.shape}"
+                f"need N >= 1 matching rows and a target column, got inputs {inputs.shape} "
+                f"targets {targets.shape}"
             )
         if not (np.all(np.isfinite(inputs)) and np.all(np.isfinite(targets))):
             raise ParameterError("dataset entries must be finite")
@@ -128,7 +132,8 @@ class ErrorBoundConfig:
 
 @dataclass(frozen=True)
 class GPModel:
-    """A fitted channel: Cholesky factor of (K + sigma_F^2 I + jitter I), weights."""
+    """A fitted GP: Cholesky factor of (K + sigma_F^2 I + jitter I) and the
+    (N, n) weights, one column per channel."""
 
     dataset: GPDataset
     kernel: KernelConfig
@@ -154,14 +159,14 @@ def gp_fit(dataset: GPDataset, cfg: KernelConfig) -> GPModel:
     Parameters
     ----------
     dataset : GPDataset
-        Shared inputs and one channel's targets.
+        Inputs and a target column per channel.
     cfg : KernelConfig
         Kernel family and length scale.
 
     Returns
     -------
     GPModel
-        Immutable fitted model.
+        Immutable fitted model; one solve of the factor gives every column.
 
     Raises
     ------
@@ -212,24 +217,6 @@ def gp_fit(dataset: GPDataset, cfg: KernelConfig) -> GPModel:
     )
 
 
-def gp_fit_shared(base: GPModel, dataset: GPDataset, cfg: KernelConfig) -> GPModel:
-    """Fit another channel on ``base``'s factorization: only its targets are solved.
-
-    Bitwise equal to ``gp_fit(dataset, cfg)`` when the inputs, the kernel and
-    sigma_F are those of ``base`` (the Gram matrix and its jitter are then the
-    same); a ParameterError otherwise.
-    """
-    from scipy.linalg import cho_solve
-
-    inputs = base.dataset.inputs
-    if dataset.inputs is not inputs and not np.array_equal(dataset.inputs, inputs):
-        raise ParameterError("gp_fit_shared requires the inputs of the base model")
-    if cfg != base.kernel or dataset.noise_std != base.dataset.noise_std:
-        raise ParameterError("gp_fit_shared requires the kernel and sigma_F of the base model")
-    weights = cho_solve((base.chol_lower, True), dataset.targets, check_finite=False)
-    return replace(base, dataset=dataset, weights=weights)
-
-
 def _cross_kernel(model: GPModel, x) -> np.ndarray:
     """kbar(x): kernel between the query and every training input, shape (N,)."""
     from scipy.spatial.distance import cdist
@@ -239,9 +226,9 @@ def _cross_kernel(model: GPModel, x) -> np.ndarray:
     return _kernel_of_dist(model.kernel, r)
 
 
-def gp_mean(model: GPModel, x) -> float:
-    """Posterior mean kbar(x)^T weights at one query state."""
-    return float(_cross_kernel(model, x) @ model.weights)
+def gp_mean(model: GPModel, x) -> np.ndarray:
+    """Posterior mean kbar(x)^T weights of every channel at one query state."""
+    return _cross_kernel(model, x) @ model.weights
 
 
 def _coincides(model: GPModel, states: np.ndarray) -> np.ndarray:
@@ -270,28 +257,19 @@ def variance_many(model: GPModel, states: np.ndarray) -> np.ndarray:
 
 
 class DriftEstimator:
-    """Per-step drift estimate inside a simulation: the per-channel posterior
-    means stacked into one vector.
+    """Per-step drift estimate inside a simulation: the posterior mean of every
+    channel as one vector.
 
-    Stacks every channel's weights against the common training inputs so one
-    kernel evaluation per step serves all channels; ``gp_mean`` is the
-    one-channel reference it agrees with. The inputs are held as a contiguous
-    (dim, N) column array, so the squared distances to all N points take one
+    One kernel evaluation per step serves all channels; ``gp_mean`` is the
+    reference it agrees with. The inputs are held as a contiguous (dim, N)
+    column array, so the squared distances to all N points take one
     whole-row operation per input dimension.
     """
 
-    def __init__(self, models: Sequence[GPModel]):
-        if len(models) < 1:
-            raise ParameterError("need at least one channel model")
-        base = models[0].dataset.inputs
-        for m in models[1:]:
-            if m.dataset.inputs is not base and not np.array_equal(m.dataset.inputs, base):
-                raise ParameterError("DriftEstimator requires channels sharing one input set")
-            if m.kernel != models[0].kernel:
-                raise ParameterError("DriftEstimator requires a common kernel config")
-        self.columns = np.ascontiguousarray(base.T)  # (dim, N)
-        self.kernel = models[0].kernel
-        self.weight_matrix = np.stack([m.weights for m in models])  # (n, N)
+    def __init__(self, model: GPModel):
+        self.columns = np.ascontiguousarray(model.dataset.inputs.T)  # (dim, N)
+        self.kernel = model.kernel
+        self.weight_matrix = np.ascontiguousarray(model.weights.T)  # (n, N)
 
     def __call__(self, x) -> np.ndarray:
         """Estimate at one state (n,) or at each row of a block (..., n).
@@ -331,7 +309,7 @@ def generate_training_data(
     region,
     sigma_f: float = 0.0,
     seed: int = 0,
-) -> list[GPDataset]:
+) -> GPDataset:
     """Sample seeded-uniform inputs in a box and record noisy drift targets.
 
     ``region`` is a per-dimension sequence of (low, high) pairs. Targets are
@@ -352,40 +330,34 @@ def generate_training_data(
     noise = rng.normal(0.0, sigma_f, size=(n_samples, model.n)) if sigma_f > 0.0 else None
     drifts = model.drift(inputs)
     targets = drifts if noise is None else drifts + noise
-    return [
-        GPDataset(inputs=inputs, targets=targets[:, i], noise_std=sigma_f, seed=seed)
-        for i in range(model.n)
-    ]
+    return GPDataset(inputs=inputs, targets=targets, noise_std=sigma_f, seed=seed)
 
 
 # --- persistence --------------------------------------------------------------
 
 
-def save_datasets(datasets: Sequence[GPDataset], csv_path, metadata: Optional[dict] = None):
-    """Write shared-input channel datasets as one CSV plus a JSON sidecar.
+def save_datasets(dataset: GPDataset, csv_path, metadata: Optional[dict] = None):
+    """Write a dataset as one CSV plus a JSON sidecar.
 
     The CSV has header x1..xn,y1..yn with one row per sample, 17 significant
     digits. The sidecar (same path with a .meta.json suffix appended) records
     seed, sigma_F, and whatever extra metadata the caller supplies.
     """
     csv_path = Path(csv_path)
-    inputs = datasets[0].inputs
+    inputs = dataset.inputs
     dim = inputs.shape[1]
-    n_channels = len(datasets)
-    for ds in datasets[1:]:
-        if not np.array_equal(ds.inputs, inputs):
-            raise ParameterError("save_datasets requires channels sharing one input set")
+    n_channels = dataset.targets.shape[1]
     # rows end in CRLF, the line terminator of the csv module that reads them back
     with csv_path.open("w", newline="\r\n") as fh:
         names = [f"x{i + 1}" for i in range(dim)] + [f"y{i + 1}" for i in range(n_channels)]
         fh.write(",".join(names) + "\n")
-        write_csv_rows(fh, [inputs] + [ds.targets for ds in datasets])
+        write_csv_rows(fh, [inputs, dataset.targets])
     meta = {
         "n_samples": int(inputs.shape[0]),
         "dim": int(dim),
         "n_channels": int(n_channels),
-        "sigma_f": float(datasets[0].noise_std),
-        "seed": datasets[0].seed,
+        "sigma_f": float(dataset.noise_std),
+        "seed": dataset.seed,
     }
     if metadata:
         meta.update(metadata)
@@ -393,8 +365,8 @@ def save_datasets(datasets: Sequence[GPDataset], csv_path, metadata: Optional[di
     sidecar.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
-def load_datasets(csv_path) -> tuple[list[GPDataset], dict]:
-    """Read back datasets written by save_datasets, with their metadata.
+def load_datasets(csv_path) -> tuple[GPDataset, dict]:
+    """Read back a dataset written by save_datasets, with its metadata.
 
     A header other than x1..xd, y1..yc, a malformed row or a malformed
     sidecar is a ConfigError naming the file (and the line, for a row).
@@ -442,10 +414,5 @@ def load_datasets(csv_path) -> tuple[list[GPDataset], dict]:
         isinstance(seed, int) and not isinstance(seed, bool) and seed >= 0
     ):
         raise ConfigError(f"{sidecar}: seed must be a non-negative integer, got {seed!r}")
-    datasets = [
-        GPDataset(
-            inputs=data[:, :dim], targets=data[:, dim + i], noise_std=sigma_f, seed=seed
-        )
-        for i in range(n_channels)
-    ]
-    return datasets, meta
+    dataset = GPDataset(inputs=data[:, :dim], targets=data[:, dim:], noise_std=sigma_f, seed=seed)
+    return dataset, meta

@@ -72,7 +72,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -118,7 +118,7 @@ class Scenario:
     x0: np.ndarray
     step: StepConfig
     mode: str = "known-model"
-    gp_models: Optional[Sequence] = None
+    gp_model: Optional[gp.GPModel] = None
     settle_threshold: float = DEFAULT_SETTLE_THRESHOLD
 
     def __post_init__(self):
@@ -146,13 +146,10 @@ class Scenario:
             raise ParameterError("settle_threshold must be finite, got inf")
         if self.params is None and self.mode != "open-loop":
             raise ParameterError(f"mode {self.mode!r} requires controller params")
-        if self.mode == "gp-based":
-            if not self.gp_models:
-                raise UnfitGPError("gp-based mode requires one fitted model per channel")
-            if len(self.gp_models) != self.system.n:
-                raise UnfitGPError(
-                    f"need {self.system.n} channel models, got {len(self.gp_models)}"
-                )
+        if self.mode == "gp-based" and (
+            self.gp_model is None or self.gp_model.weights.shape[1] != self.system.n
+        ):
+            raise UnfitGPError(f"gp-based mode requires a GP fitted for {self.system.n} channels")
         object.__setattr__(self, "x0", x0)
 
     @property
@@ -213,7 +210,7 @@ def simulate(scenario: Scenario) -> Trajectory:
         Non-finite state/accumulator, or the substep guard could not make
         progress within its budget.
     UnfitGPError
-        A gp-based scenario without fitted models.
+        A gp-based scenario without a fitted model.
     """
     log = _Log(scenario)
     t, x_d, d = _step_loop(scenario, scenario.x0.copy(), log)
@@ -243,6 +240,7 @@ class _Log:
         raise next(iter(errors.values())) from None
 
 
+@np.errstate(all="ignore")
 def _step_loop(scenario: Scenario, x: np.ndarray, sink):
     """The one step loop: one state ``x`` of shape (n,), or a block (R, n) of
     runs stepped together from their initial states.
@@ -257,6 +255,10 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
     perturbation) are evaluated once over the whole grid before the loop;
     only the local times of guard substeps call them again. Returns the grid
     and its (x_d, d) columns.
+
+    numpy's floating-point warnings are off in the loop: every rate and state
+    it makes is checked (the rates bound, the row rates, ``_finite``), and a
+    non-finite one ends the run with its error.
     """
     model = scenario.system
     n = model.n
@@ -272,7 +274,7 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
 
     channels = scenario.channels
     open_loop = scenario.mode == "open-loop"
-    estimator = gp.DriftEstimator(scenario.gp_models) if scenario.mode == "gp-based" else None
+    estimator = gp.DriftEstimator(scenario.gp_model) if scenario.mode == "gp-based" else None
 
     # An operand that is an exact identity is held as None, and the operation
     # that would apply it is skipped: a reference signal that is constant and
@@ -376,20 +378,17 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
         s + g would need c - reach(s + g) > g / H, and s' < s - g would need
         reach(s - g) - c > g / H.
         """
-        with np.errstate(all="ignore"):
-            c = ds + reach_of(s)
-            g = GUARD_REL * (np.abs(s) + GUARD_ABS)
-            rate = (np.maximum(c - reach_of(s + g), reach_of(s - g) - c) / g).max(axis=-1)
-            h_sub = np.minimum(
-                np.divide(1.0, rate, out=remaining.copy(), where=rate > 0.0), remaining
-            )
-            hs = h_sub[:, None]
-            s_next = _solve_increasing(s + hs * c, hs, reach_and_slope, s)
-            y = _solve_increasing(
-                z + hs * (c - reach_of(s_next)), hs * alpha1,
-                lambda v: _integrand_and_slope(v, exponent), z,
-            )
-            return h_sub, x + (y - z), integral + hs * integrand(y, exponent)
+        c = ds + reach_of(s)
+        g = GUARD_REL * (np.abs(s) + GUARD_ABS)
+        rate = (np.maximum(c - reach_of(s + g), reach_of(s - g) - c) / g).max(axis=-1)
+        h_sub = np.minimum(np.divide(1.0, rate, out=remaining.copy(), where=rate > 0.0), remaining)
+        hs = h_sub[:, None]
+        s_next = _solve_increasing(s + hs * c, hs, reach_and_slope, s)
+        y = _solve_increasing(
+            z + hs * (c - reach_of(s_next)), hs * alpha1,
+            lambda v: _integrand_and_slope(v, exponent), z,
+        )
+        return h_sub, x + (y - z), integral + hs * integrand(y, exponent)
 
     implicit = None if open_loop else implicit_substep
     k = 0
@@ -599,7 +598,7 @@ def _solve_increasing(b, scale, phi, start):
     root) takes them all. On the benchmark's far box (4 runs from +-1e5,
     seeds 7 and 11) a block's z-solve takes 9 to 12 phi evaluations on
     average, and from there and from +-1e15 every root is within 3 ulps of
-    a float-bisection root. Call inside np.errstate(all="ignore").
+    a float-bisection root.
     """
     eps = np.finfo(float).eps
     lo, hi = np.minimum(b, 0.0), np.maximum(b, 0.0)

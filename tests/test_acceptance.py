@@ -232,23 +232,21 @@ def test_criterion_5_gp_regression(request):
     models = {}
     residuals = {}
     for n in (5, 50):
-        datasets = generate_training_data(pmsm, n, region, sigma_f=0.0, seed=7)
-        models[n] = [gp_fit(ds, kernel) for ds in datasets]
+        models[n] = gp_fit(generate_training_data(pmsm, n, region, sigma_f=0.0, seed=7), kernel)
         residuals[n] = max(
-            abs(gp_mean(m, x) - y)
-            for m in models[n]
-            for x, y in zip(m.dataset.inputs, m.dataset.targets)
+            float(np.max(np.abs(gp_mean(models[n], x) - y)))
+            for x, y in zip(models[n].dataset.inputs, models[n].dataset.targets)
         )
 
     # (b) variance on a 20^3 grid, before and after one extra observation.
     axis = np.linspace(-2.0, 2.0, 20)
     grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
-    base = models[50][0]
+    base = models[50]
     var_before = variance_many(base, grid)
     x_new = np.array([0.5, 0.5, 0.5])
     appended = GPDataset(
         inputs=np.vstack([base.dataset.inputs, x_new]),
-        targets=np.append(base.dataset.targets, pmsm.drift(x_new)[0]),
+        targets=np.vstack([base.dataset.targets, pmsm.drift(x_new)]),
         noise_std=0.0,
         seed=base.dataset.seed,
     )
@@ -261,8 +259,8 @@ def test_criterion_5_gp_regression(request):
         )
     )
     rms = {}
-    for n, ms in models.items():
-        estimator = DriftEstimator(ms)
+    for n, model in models.items():
+        estimator = DriftEstimator(model)
         err = np.stack([estimator(x) - pmsm.drift(x) for x in traj.x])
         rms[n] = float(np.sqrt(np.mean(err**2)))
     elapsed = time.perf_counter() - start
@@ -295,8 +293,8 @@ def test_criterion_6_gp_closed_loop(request):
     start = time.perf_counter()
     pmsm = make_pmsm()
     kernel = KernelConfig(family="exponential", length_scale=1.0)
-    datasets = generate_training_data(pmsm, 50, [(-3.0, 3.0)] * 3, sigma_f=0.01, seed=11)
-    models = [gp_fit(ds, kernel) for ds in datasets]
+    dataset = generate_training_data(pmsm, 50, [(-3.0, 3.0)] * 3, sigma_f=0.01, seed=11)
+    model = gp_fit(dataset, kernel)
     chi = ErrorBoundConfig(chi=2.0).chi
     step = StepConfig(step_size=1e-4, t_end=1.5)
     d_bar = 1.0
@@ -309,15 +307,14 @@ def test_criterion_6_gp_closed_loop(request):
             x0=x0,
             step=step,
             mode="gp-based",
-            gp_models=models,
+            gp_model=model,
             settle_threshold=0.05,
         )
 
     def max_chi_sigma(traj):
         states = traj.x[:: max(1, traj.x.shape[0] // 1000)]
-        return np.array(
-            [chi * float(np.sqrt(variance_many(m, states)).max()) for m in models]
-        )
+        # one posterior variance serves every channel
+        return np.full(3, chi * float(np.sqrt(variance_many(model, states)).max()))
 
     # Pilot run from the box corner sizes the model-error budget, then the
     # reaching gain is raised clear of d_bar + max chi*sigma with margin.

@@ -10,14 +10,14 @@ import numpy as np
 import pytest
 
 from fxtsmc import cli
-from fxtsmc.cli import CONFIG_SCHEMA, _gp_delta_f_bars, apply_override, build_gp_models, main
+from fxtsmc.cli import CONFIG_SCHEMA, _gp_delta_f_bars, apply_override, build_gp_model, main
 from fxtsmc.errors import (
     IllConditionedDataError,
     NumericError,
     SimulationDivergedError,
     UnfitGPError,
 )
-from fxtsmc.gp import KernelConfig, generate_training_data, gp_fit, variance_many
+from fxtsmc.gp import GPDataset, KernelConfig, generate_training_data, gp_fit, variance_many
 from fxtsmc.system import make_pmsm
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -377,29 +377,32 @@ def gp_section(sigma_f):
 
 @pytest.mark.parametrize("sigma_f", [0.01, 0.0])
 def test_gp_channels_share_one_factorization_equal_to_own_fits(sigma_f):
-    models = build_gp_models(gp_section(sigma_f), make_pmsm())
-    datasets = generate_training_data(make_pmsm(), 60, [(-3.0, 3.0)] * 3, sigma_f=sigma_f, seed=11)
-    assert len(models) == 3
-    for model, ds in zip(models, datasets):
-        own = gp_fit(ds, KernelConfig())
-        assert model.chol_lower is models[0].chol_lower
+    # One solve of all target columns equals one fit per column, bit for bit.
+    model = build_gp_model(gp_section(sigma_f), make_pmsm())
+    dataset = generate_training_data(make_pmsm(), 60, [(-3.0, 3.0)] * 3, sigma_f=sigma_f, seed=11)
+    np.testing.assert_array_equal(model.dataset.targets, dataset.targets)
+    assert model.weights.shape == (60, 3)
+    for i in range(3):
+        own = gp_fit(GPDataset(dataset.inputs, dataset.targets[:, i], sigma_f), KernelConfig())
         assert model.jitter == own.jitter == (1e-10 if sigma_f == 0.0 else 0.0)
         np.testing.assert_array_equal(model.chol_lower, own.chol_lower)
-        np.testing.assert_array_equal(model.weights, own.weights)
+        np.testing.assert_array_equal(model.weights[:, i], own.weights[:, 0])
 
 
 def test_gp_delta_f_bars_equals_per_channel_audit():
     # The audit before the shared factorization: one fit and one solve per channel.
-    datasets = generate_training_data(make_pmsm(), 60, [(-3.0, 3.0)] * 3, sigma_f=0.01, seed=11)
-    own_fits = [gp_fit(ds, KernelConfig()) for ds in datasets]
+    dataset = generate_training_data(make_pmsm(), 60, [(-3.0, 3.0)] * 3, sigma_f=0.01, seed=11)
+    own_fits = [
+        gp_fit(GPDataset(dataset.inputs, y, 0.01), KernelConfig()) for y in dataset.targets.T
+    ]
     states = np.random.default_rng(3).uniform(-4.0, 4.0, size=(2500, 3))
     states[2498] = 6.0  # the largest sigma, on the stride-2 subsample only
     traj = type("Trajectory", (), {"x": states})
     expected = [
         2.5 * float(np.max(np.sqrt(variance_many(m, states[::2])))) for m in own_fits
     ]
-    models = build_gp_models(gp_section(0.01), make_pmsm())
-    np.testing.assert_array_equal(_gp_delta_f_bars(models, traj, 2.5), expected)
+    model = build_gp_model(gp_section(0.01), make_pmsm())
+    np.testing.assert_array_equal(_gp_delta_f_bars(model, traj, 2.5), expected)
 
 
 # --- gp-train ----------------------------------------------------------------------
@@ -454,6 +457,30 @@ def test_gp_train_dataset_roundtrip_matches_config(capsys, tmp_path, monkeypatch
     assert "20 samples, 3 channels" in out
     sidecar = json.loads((tmp_path / "no-count-dataset.csv.meta.json").read_text())
     assert sidecar["config"]["gp"]["generate"]["n_samples"] == 20
+
+
+def test_run_from_a_saved_dataset_equals_the_run_that_generated_it(capsys, tmp_path,
+                                                                     monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    short = ["--set", "sim.t_end=0.3"]
+    assert run_cli(capsys, "gp-train", str(GP))[0] == 0
+    code, generated, _ = run_cli(capsys, "run", str(GP), *short)
+    assert code == 0
+    rows = (tmp_path / "pmsm-gp-trajectory.csv").read_text().splitlines()
+    kernel = json.loads(GP.read_text())["gp"]["kernel"]
+    saved = {"dataset": "pmsm-gp-dataset.csv", "chi": 2.0, "kernel": kernel}
+    code, loaded, _ = run_cli(capsys, "run", str(GP), *short, f"--set=gp={json.dumps(saved)}")
+    assert code == 0
+    rows_loaded = (tmp_path / "pmsm-gp-trajectory.csv").read_text().splitlines()
+    assert rows[0].startswith("# config: ") and rows_loaded[0].startswith("# config: ")
+    assert rows_loaded[0] != rows[0]
+    assert rows_loaded[1:] == rows[1:]
+
+    def printed(out):
+        return [line for line in out.splitlines() if not line.startswith("wrote ")]
+
+    assert printed(loaded) == printed(generated)
+    assert "T_max = 2.06432" in generated
 
 
 # --- montecarlo --------------------------------------------------------------------
@@ -918,6 +945,21 @@ def test_any_numeric_error_exits_4(capsys, tmp_path, monkeypatch):
     assert code == 4
     assert err == "numeric error: FreshNumericError: made up at t = 0.5\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("config", [KNOWN, GP], ids=lambda p: p.stem)
+def test_overflowing_first_evaluation_exits_4_without_warnings(capsys, tmp_path, monkeypatch,
+                                                                config):
+    # The first law evaluation from 1e308 overflows in the drift, the
+    # integrand and the GP estimate; the step loop's own checks report it,
+    # and numpy prints nothing (the suite turns any warning into an error).
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, "run", str(config), "--set", "sim.x0=[1e308,0,0]")
+    assert code == 4
+    assert err == (
+        "numeric error: SimulationDivergedError: non-finite dynamics rate in channel 1 "
+        "during substepping at t = 0\n"
+    )
 
 
 def test_other_runtime_errors_are_not_numeric_failures(tmp_path, monkeypatch):

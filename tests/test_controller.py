@@ -31,7 +31,7 @@ def scalar_params(alpha2=4.0, d_bar=0.0, **kwargs):
     )
 
 
-def one_step_run(x0, params, model=None, mode="known-model", gp_models=None, t_end=1e-3):
+def one_step_run(x0, params, model=None, mode="known-model", gp_model=None, t_end=1e-3):
     """Closed-loop run of a scalar plant (the integrator x' = u by default);
     row 0 of the result holds the law evaluated at x0, t = 0 on the empty
     integral."""
@@ -42,7 +42,7 @@ def one_step_run(x0, params, model=None, mode="known-model", gp_models=None, t_e
         x0=np.array([x0]),
         step=StepConfig(step_size=1e-3, t_end=t_end),
         mode=mode,
-        gp_models=gp_models,
+        gp_model=gp_model,
     )
     return simulate(scenario)
 
@@ -71,12 +71,11 @@ def test_control_known_gain_inverse_scaling():
     assert u[0] == pytest.approx(-np.e * (6.0 + 2.0 * np.sqrt(np.pi)) / 2.0, abs=1e-12)
 
 
-def zero_trained_gp(n=1):
+def zero_trained_gp():
     # GP fitted to f == 0 data: the posterior mean is identically zero
     inputs = np.linspace(-2.0, 2.0, 7)[:, None]
     ds = GPDataset(inputs=inputs, targets=np.zeros(7), noise_std=0.0, seed=None)
-    model = gp_fit(ds, KernelConfig(family="exponential", length_scale=1.0))
-    return [model] * n
+    return gp_fit(ds, KernelConfig(family="exponential", length_scale=1.0))
 
 
 def test_control_gp_matches_known_when_drift_is_zero():
@@ -86,7 +85,7 @@ def test_control_gp_matches_known_when_drift_is_zero():
     for xv in (-1.3, 0.0, 0.7):
         known = one_step_run(xv, params, t_end=0.05)
         learned = one_step_run(
-            xv, params, mode="gp-based", gp_models=zero_trained_gp(), t_end=0.05
+            xv, params, mode="gp-based", gp_model=zero_trained_gp(), t_end=0.05
         )
         for field in ("x", "z", "s", "u"):
             np.testing.assert_array_equal(getattr(known, field), getattr(learned, field))
@@ -95,7 +94,7 @@ def test_control_gp_matches_known_when_drift_is_zero():
 def test_control_gp_scalar_hand_value_printed_form():
     # Eq-as-printed (no sqrt(pi)/2 factor): u = -(6e + 4e) = -10e
     params = scalar_params(include_sqrt_pi_factor=False)
-    u = one_step_run(1.0, params, mode="gp-based", gp_models=zero_trained_gp()).u[0]
+    u = one_step_run(1.0, params, mode="gp-based", gp_model=zero_trained_gp()).u[0]
     assert u[0] == pytest.approx(-10.0 * np.e, abs=1e-12)
 
 
@@ -104,8 +103,8 @@ def test_control_gp_pure_model_cancellation():
     c = 1.7
     inputs = np.array([[0.0]])
     ds = GPDataset(inputs=inputs, targets=np.array([c]), noise_std=0.0, seed=None)
-    gp = [gp_fit(ds, KernelConfig(family="exponential", length_scale=1.0))]
-    u = one_step_run(0.0, scalar_params(), mode="gp-based", gp_models=gp).u[0]
+    gp = gp_fit(ds, KernelConfig(family="exponential", length_scale=1.0))
+    u = one_step_run(0.0, scalar_params(), mode="gp-based", gp_model=gp).u[0]
     assert u[0] == pytest.approx(-c, abs=1e-8)
 
 

@@ -19,7 +19,6 @@ from fxtsmc.gp import (
     KernelConfig,
     generate_training_data,
     gp_fit,
-    gp_fit_shared,
     gp_mean,
     load_datasets,
     save_datasets,
@@ -44,11 +43,11 @@ def variance_at(model, x):
     return variance_many(model, x)[0]
 
 
-def pmsm_models(n_samples, sigma_f=0.0, seed=7, kernel=EXP_KERNEL):
-    datasets = generate_training_data(
+def pmsm_model(n_samples, sigma_f=0.0, seed=7, kernel=EXP_KERNEL):
+    dataset = generate_training_data(
         make_pmsm(), n_samples, [(-3.0, 3.0)] * 3, sigma_f=sigma_f, seed=seed
     )
-    return [gp_fit(ds, kernel) for ds in datasets]
+    return gp_fit(dataset, kernel)
 
 
 # --- kernels -------------------------------------------------------------------
@@ -104,7 +103,7 @@ def test_squared_exponential_length_scale_needs_a_positive_finite_divisor(length
 def test_fit_single_point_noise_free():
     ds = GPDataset(inputs=np.array([[0.0]]), targets=np.array([2.0]))
     model = gp_fit(ds, EXP_KERNEL)
-    assert gp_mean(model, np.array([0.0])) == pytest.approx(2.0, abs=1e-8)
+    assert gp_mean(model, np.array([0.0]))[0] == pytest.approx(2.0, abs=1e-8)
     assert variance_at(model, np.array([0.0])) == 0.0
 
 
@@ -112,7 +111,7 @@ def test_fit_single_point_noisy_closed_form():
     # K = 1, sigma^2 = 1: mean at the input is y/2, variance 1 - 1/2
     ds = GPDataset(inputs=np.array([[0.0]]), targets=np.array([2.0]), noise_std=1.0)
     model = gp_fit(ds, EXP_KERNEL)
-    assert gp_mean(model, np.array([0.0])) == pytest.approx(1.0, rel=1e-12)
+    assert gp_mean(model, np.array([0.0]))[0] == pytest.approx(1.0, rel=1e-12)
     assert variance_at(model, np.array([0.0])) == pytest.approx(0.5, rel=1e-12)
 
 
@@ -142,7 +141,7 @@ def test_fit_gram_from_condensed_distances_equals_full_gram(family, sigma_f):
     # Reference: the kernel of the full squareform distance matrix plus
     # (sigma_F^2 + jitter) I, factorized as the fit does.
     cfg = KernelConfig(family=family, length_scale=0.8)
-    ds = generate_training_data(make_pmsm(), 60, [(-3.0, 3.0)] * 3, sigma_f=sigma_f, seed=4)[0]
+    ds = generate_training_data(make_pmsm(), 60, [(-3.0, 3.0)] * 3, sigma_f=sigma_f, seed=4)
     model = gp_fit(ds, cfg)
     gram = _kernel_of_dist(cfg, squareform(pdist(ds.inputs)))
     full = gram + (sigma_f**2 + model.jitter) * np.eye(60)
@@ -190,7 +189,7 @@ def test_fit_retries_factor_a_fresh_gram_after_each_failure(monkeypatch):
         return real(a, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "cholesky", fail_twice)
-    ds = generate_training_data(make_pmsm(), 40, [(-3.0, 3.0)] * 3, seed=4)[0]
+    ds = generate_training_data(make_pmsm(), 40, [(-3.0, 3.0)] * 3, seed=4)
     model = gp_fit(ds, EXP_KERNEL)
     assert model.jitter == 100.0 * JITTER_START
     assert [d[0] for d in attempts] == [1.0 + j for j in (1e-10, 1e-9, 1e-8)]
@@ -258,7 +257,7 @@ def copy_variance(model, states):
 @pytest.mark.parametrize("sigma_f", [0.0, 0.05])
 def test_variance_many_equals_the_copy_based_audit(family, sigma_f):
     cfg = KernelConfig(family=family, length_scale=0.8)
-    ds = generate_training_data(make_pmsm(), 200, [(-3.0, 3.0)] * 3, sigma_f=sigma_f, seed=9)[0]
+    ds = generate_training_data(make_pmsm(), 200, [(-3.0, 3.0)] * 3, sigma_f=sigma_f, seed=9)
     model = gp_fit(ds, cfg)
     rng = np.random.default_rng(21)
     for m in (1, 2, 3, 257, 1001):
@@ -284,6 +283,11 @@ def test_kernel_eval_equals_the_copy_based_kernel():
 def test_dataset_validation():
     with pytest.raises(ParameterError):
         GPDataset(inputs=np.zeros((2, 1)), targets=np.zeros(3))
+    with pytest.raises(ParameterError, match="matching rows"):
+        GPDataset(inputs=np.zeros((2, 1)), targets=np.zeros((3, 2)))
+    with pytest.raises(ParameterError, match="matching rows"):
+        GPDataset(inputs=np.zeros((2, 1)), targets=np.zeros((2, 1, 1)))
+    assert GPDataset(inputs=np.zeros((2, 1)), targets=np.zeros(2)).targets.shape == (2, 1)
     with pytest.raises(ParameterError):
         GPDataset(inputs=np.array([[np.nan]]), targets=np.zeros(1))
     with pytest.raises(ParameterError):
@@ -292,44 +296,30 @@ def test_dataset_validation():
 
 @pytest.mark.parametrize("n_samples", [5, 50])
 def test_noise_free_interpolation(n_samples):
-    for model in pmsm_models(n_samples):
-        for x, y in zip(model.dataset.inputs, model.dataset.targets):
-            assert abs(gp_mean(model, x) - y) < 1e-8
+    model = pmsm_model(n_samples)
+    for x, y in zip(model.dataset.inputs, model.dataset.targets):
+        assert np.all(np.abs(gp_mean(model, x) - y) < 1e-8)
 
 
 def test_noise_free_jitter_is_minimal():
-    for model in pmsm_models(20):
-        assert model.jitter == 1e-10
+    assert pmsm_model(20).jitter == 1e-10
 
 
 def test_prior_recovered_far_from_data():
-    model = pmsm_models(20)[0]
+    model = pmsm_model(20)
     far = np.array([40.0, -40.0, 40.0])
-    assert abs(gp_mean(model, far)) <= 1e-10
+    assert np.all(np.abs(gp_mean(model, far)) <= 1e-10)
     assert variance_at(model, far) == pytest.approx(1.0, abs=1e-10)
 
 
-def test_fit_shared_rejects_other_inputs_kernel_or_noise():
-    ds = generate_training_data(make_pmsm(), 10, [(-3.0, 3.0)] * 3, sigma_f=0.1, seed=6)[0]
-    base = gp_fit(ds, EXP_KERNEL)
-    moved = GPDataset(inputs=ds.inputs + 1e-9, targets=ds.targets, noise_std=0.1)
-    quieter = GPDataset(inputs=ds.inputs, targets=ds.targets, noise_std=0.05)
-    with pytest.raises(ParameterError, match="inputs"):
-        gp_fit_shared(base, moved, EXP_KERNEL)
-    with pytest.raises(ParameterError, match="kernel"):
-        gp_fit_shared(base, ds, KernelConfig(family="exponential", length_scale=2.0))
-    with pytest.raises(ParameterError, match="sigma_F"):
-        gp_fit_shared(base, quieter, EXP_KERNEL)
-
-
 def test_variance_zero_at_training_inputs_noise_free():
-    for model in pmsm_models(10):
-        for x in model.dataset.inputs:
-            assert variance_at(model, x) == 0.0
+    model = pmsm_model(10)
+    for x in model.dataset.inputs:
+        assert variance_at(model, x) == 0.0
 
 
 def test_variance_nonnegative_and_decreases_with_data():
-    model5, model50 = pmsm_models(5)[0], pmsm_models(50)[0]
+    model5, model50 = pmsm_model(5), pmsm_model(50)
     rng = np.random.default_rng(8)
     queries = rng.uniform(-3.0, 3.0, size=(100, 3))
     v5 = variance_many(model5, queries)
@@ -344,12 +334,11 @@ def test_variance_nonnegative_and_decreases_with_data():
 
 
 def test_variance_non_increasing_after_one_observation():
-    base = pmsm_models(30)[0]
+    base = pmsm_model(30)
     xnew = np.array([0.4, -0.2, 1.1])
-    ynew = float(make_pmsm().drift(xnew)[0])
     grown = GPDataset(
         inputs=np.vstack([base.dataset.inputs, xnew]),
-        targets=np.append(base.dataset.targets, ynew),
+        targets=np.vstack([base.dataset.targets, make_pmsm().drift(xnew)]),
     )
     model1 = gp_fit(grown, EXP_KERNEL)
     rng = np.random.default_rng(9)
@@ -360,7 +349,7 @@ def test_variance_non_increasing_after_one_observation():
 
 
 def test_permutation_invariance():
-    base = pmsm_models(40, seed=9)[0]
+    base = pmsm_model(40, seed=9)
     rng = np.random.default_rng(10)
     perm = rng.permutation(40)
     shuffled = gp_fit(
@@ -369,12 +358,12 @@ def test_permutation_invariance():
     )
     queries = rng.uniform(-3.0, 3.0, size=(30, 3))
     for x in queries:
-        assert abs(gp_mean(base, x) - gp_mean(shuffled, x)) < 1e-10
+        assert np.all(np.abs(gp_mean(base, x) - gp_mean(shuffled, x)) < 1e-10)
         assert abs(variance_at(base, x) - variance_at(shuffled, x)) < 1e-10
 
 
 def test_error_bound():
-    model = pmsm_models(10)[0]
+    model = pmsm_model(10)
     chi = 2.0
     assert variance_at(model, model.dataset.inputs[0]) == 0.0
     far = np.array([40.0, 40.0, -40.0])
@@ -393,48 +382,40 @@ def test_error_bound_config_validation():
 
 def test_estimate_drift_zero_targets():
     inputs = np.random.default_rng(11).uniform(-2.0, 2.0, size=(8, 3))
-    models = [
-        gp_fit(GPDataset(inputs=inputs, targets=np.zeros(8)), EXP_KERNEL) for _ in range(3)
-    ]
-    out = DriftEstimator(models)(np.array([0.5, 0.5, 0.5]))
+    model = gp_fit(GPDataset(inputs=inputs, targets=np.zeros((8, 3))), EXP_KERNEL)
+    out = DriftEstimator(model)(np.array([0.5, 0.5, 0.5]))
     np.testing.assert_allclose(out, np.zeros(3), atol=1e-8)
 
 
 def test_estimate_drift_interpolates_pmsm():
-    models = pmsm_models(50)
-    x = models[0].dataset.inputs[17]
-    np.testing.assert_allclose(DriftEstimator(models)(x), make_pmsm().drift(x), atol=1e-6)
-
-
-def test_estimate_drift_requires_models():
-    with pytest.raises(ParameterError):
-        DriftEstimator([])
+    model = pmsm_model(50)
+    x = model.dataset.inputs[17]
+    np.testing.assert_allclose(DriftEstimator(model)(x), make_pmsm().drift(x), atol=1e-6)
 
 
 def test_drift_estimator_matches_estimate_drift():
-    # gp_mean (cdist-based, one channel at a time) is the reference
-    models = pmsm_models(30)
-    estimator = DriftEstimator(models)
+    # gp_mean (cdist-based) is the reference
+    model = pmsm_model(30)
+    estimator = DriftEstimator(model)
     rng = np.random.default_rng(12)
     for _ in range(10):
         x = rng.uniform(-3.0, 3.0, size=3)
-        reference = np.array([gp_mean(m, x) for m in models])
-        np.testing.assert_allclose(estimator(x), reference, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(estimator(x), gp_mean(model, x), rtol=1e-12, atol=1e-12)
 
 
-def einsum_estimate(models, x):
+def einsum_estimate(model, x):
     """Reference estimate at one state: the squared distances summed by
     einsum over (N, dim) rows. Also returns the kernel values and their
     exponent arguments, which size the tolerance where the order differs."""
-    cfg = models[0].kernel
-    diff = models[0].dataset.inputs - x
+    cfg = model.kernel
+    diff = model.dataset.inputs - x
     r = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     k = _kernel_of_dist(cfg, r.copy())
     if cfg.family == "exponential":
         arg = cfg.length_scale * r
     else:
         arg = r * r / (2.0 * cfg.length_scale**2)
-    return np.stack([m.weights for m in models]) @ k, k, arg
+    return model.weights.T @ k, k, arg
 
 
 def estimator_case(dim, family):
@@ -442,14 +423,13 @@ def estimator_case(dim, family):
     inputs = rng.uniform(-3.0, 3.0, size=(40, dim))
     cfg = KernelConfig(family=family, length_scale=0.7 if family == "exponential" else 1.5)
     targets = np.sin(inputs @ rng.normal(size=(dim, dim)))  # one channel per dimension
-    base = gp_fit(GPDataset(inputs, targets[:, 0]), cfg)
-    models = [base] + [gp_fit_shared(base, GPDataset(inputs, y), cfg) for y in targets.T[1:]]
+    model = gp_fit(GPDataset(inputs, targets), cfg)
     # inside the data, and outside it, where kernel values fall below 1e-40
     states = np.vstack([
         rng.uniform(-3.0, 3.0, size=(20, dim)),
         rng.uniform(-3.0, 3.0, size=(20, dim)) + rng.choice([-1.0, 1.0], size=(20, dim)) * 4.0,
     ])
-    return models, states
+    return model, states
 
 
 @pytest.mark.parametrize("family", KERNEL_FAMILIES)
@@ -457,9 +437,9 @@ def estimator_case(dim, family):
 def test_drift_estimator_equals_einsum_reference_bitwise(dim, family):
     # the column layout sums each squared distance in einsum's order for
     # 1 to 7 dimensions, so one-state and block calls both match it exactly
-    models, states = estimator_case(dim, family)
-    estimator = DriftEstimator(models)
-    reference = np.stack([einsum_estimate(models, x)[0] for x in states])
+    model, states = estimator_case(dim, family)
+    estimator = DriftEstimator(model)
+    reference = np.stack([einsum_estimate(model, x)[0] for x in states])
     np.testing.assert_array_equal(np.stack([estimator(x) for x in states]), reference)
     np.testing.assert_array_equal(estimator(states), reference)
     np.testing.assert_array_equal(
@@ -474,11 +454,11 @@ def test_drift_estimator_near_einsum_reference_past_seven_dims(dim, family):
     # most dim * eps relative; the kernel's exp multiplies that by its
     # argument, and the final rounding adds about one more eps per term.
     eps = np.finfo(float).eps
-    models, states = estimator_case(dim, family)
-    estimator = DriftEstimator(models)
-    weights = np.abs(np.stack([m.weights for m in models]))
+    model, states = estimator_case(dim, family)
+    estimator = DriftEstimator(model)
+    weights = np.abs(model.weights.T)
     for x in states:
-        reference, k, arg = einsum_estimate(models, x)
+        reference, k, arg = einsum_estimate(model, x)
         tol = dim * eps * (weights @ (k * (1.0 + arg)))
         assert np.all(np.abs(estimator(x) - reference) <= tol)
 
@@ -489,44 +469,37 @@ def test_drift_estimator_near_einsum_reference_past_seven_dims(dim, family):
 def test_generate_training_data_deterministic():
     a = generate_training_data(make_pmsm(), 12, [(-2.0, 2.0)] * 3, sigma_f=0.3, seed=21)
     b = generate_training_data(make_pmsm(), 12, [(-2.0, 2.0)] * 3, sigma_f=0.3, seed=21)
-    for da, db in zip(a, b):
-        np.testing.assert_array_equal(da.inputs, db.inputs)
-        np.testing.assert_array_equal(da.targets, db.targets)
+    np.testing.assert_array_equal(a.inputs, b.inputs)
+    np.testing.assert_array_equal(a.targets, b.targets)
     c = generate_training_data(make_pmsm(), 12, [(-2.0, 2.0)] * 3, sigma_f=0.3, seed=22)
-    assert not np.array_equal(a[0].targets, c[0].targets)
+    assert not np.array_equal(a.targets, c.targets)
 
 
 def test_generate_training_data_shapes_and_metadata():
-    datasets = generate_training_data(make_pmsm(), 50, [(-2.0, 2.0)] * 3, sigma_f=0.01, seed=1)
-    assert len(datasets) == 3
-    for ds in datasets:
-        assert ds.inputs.shape == (50, 3)
-        assert ds.targets.shape == (50,)
-        assert ds.noise_std == 0.01
-        assert ds.seed == 1
-        assert np.all(ds.inputs >= -2.0) and np.all(ds.inputs <= 2.0)
-    # channels share the input set
-    np.testing.assert_array_equal(datasets[0].inputs, datasets[2].inputs)
+    ds = generate_training_data(make_pmsm(), 50, [(-2.0, 2.0)] * 3, sigma_f=0.01, seed=1)
+    assert ds.inputs.shape == (50, 3)
+    assert ds.targets.shape == (50, 3)
+    assert ds.noise_std == 0.01
+    assert ds.seed == 1
+    assert np.all(ds.inputs >= -2.0) and np.all(ds.inputs <= 2.0)
 
 
 def test_generate_noise_free_targets_are_exact_drift():
-    datasets = generate_training_data(make_pmsm(), 10, [(-2.0, 2.0)] * 3, sigma_f=0.0, seed=2)
-    drift = np.stack([make_pmsm().drift(x) for x in datasets[0].inputs])
-    for i, ds in enumerate(datasets):
-        np.testing.assert_array_equal(ds.targets, drift[:, i])
+    ds = generate_training_data(make_pmsm(), 10, [(-2.0, 2.0)] * 3, sigma_f=0.0, seed=2)
+    drift = np.stack([make_pmsm().drift(x) for x in ds.inputs])
+    np.testing.assert_array_equal(ds.targets, drift)
 
 
 @pytest.mark.parametrize("plant", [make_pmsm(), make_lemma2_plant(1.0)], ids=["pmsm", "lemma2"])
 def test_generate_noisy_targets_equal_per_row_drift_plus_noise(plant):
     region = [(-2.0, 2.0)] * plant.n
-    datasets = generate_training_data(plant, 25, region, sigma_f=0.2, seed=8)
+    ds = generate_training_data(plant, 25, region, sigma_f=0.2, seed=8)
     rng = np.random.default_rng(8)
     inputs = rng.uniform(-2.0, 2.0, size=(25, plant.n))
     noise = rng.normal(0.0, 0.2, size=(25, plant.n))
     rows = np.stack([plant.drift(x) for x in inputs])
-    for i, ds in enumerate(datasets):
-        np.testing.assert_array_equal(ds.inputs, inputs)
-        np.testing.assert_array_equal(ds.targets, rows[:, i] + noise[:, i])
+    np.testing.assert_array_equal(ds.inputs, inputs)
+    np.testing.assert_array_equal(ds.targets, rows + noise)
 
 
 def test_save_datasets_bytes_equal_a_csv_writer_reference(tmp_path):
@@ -538,9 +511,8 @@ def test_save_datasets_bytes_equal_a_csv_writer_reference(tmp_path):
     inputs[:3] = np.reshape(awkward, (3, 3))
     targets = rng.normal(size=(rows, 2)) * 10.0 ** rng.integers(-300, 300, size=(rows, 2))
     targets[0] = [-0.0, 5e-324]
-    datasets = [GPDataset(inputs=inputs, targets=targets[:, i], seed=1) for i in range(2)]
     path = tmp_path / "train.csv"
-    save_datasets(datasets, path)
+    save_datasets(GPDataset(inputs=inputs, targets=targets, seed=1), path)
     ref = io.StringIO(newline="")
     writer = csv.writer(ref)
     writer.writerow(["x1", "x2", "x3", "y1", "y2"])
@@ -551,14 +523,12 @@ def test_save_datasets_bytes_equal_a_csv_writer_reference(tmp_path):
 
 
 def test_save_load_roundtrip(tmp_path):
-    datasets = generate_training_data(make_pmsm(), 9, [(-2.0, 2.0)] * 3, sigma_f=0.05, seed=3)
+    orig = generate_training_data(make_pmsm(), 9, [(-2.0, 2.0)] * 3, sigma_f=0.05, seed=3)
     path = tmp_path / "train.csv"
-    save_datasets(datasets, path, metadata={"note": "roundtrip"})
-    loaded, meta = load_datasets(path)
+    save_datasets(orig, path, metadata={"note": "roundtrip"})
+    back, meta = load_datasets(path)
     assert meta["note"] == "roundtrip"
-    assert len(loaded) == 3
-    for orig, back in zip(datasets, loaded):
-        np.testing.assert_array_equal(orig.inputs, back.inputs)
-        np.testing.assert_array_equal(orig.targets, back.targets)
-        assert back.noise_std == orig.noise_std
-        assert back.seed == orig.seed
+    np.testing.assert_array_equal(orig.inputs, back.inputs)
+    np.testing.assert_array_equal(orig.targets, back.targets)
+    assert back.noise_std == orig.noise_std
+    assert back.seed == orig.seed

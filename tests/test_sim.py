@@ -16,7 +16,7 @@ from conftest import make_integrator_plant, standard_channels
 from fxtsmc.errors import ParameterError, SimulationDivergedError, UnfitGPError
 from fxtsmc import sim
 from fxtsmc.controller import BoundReport, bound_report
-from fxtsmc.gp import KernelConfig, generate_training_data, gp_fit
+from fxtsmc.gp import GPDataset, KernelConfig, generate_training_data, gp_fit
 from fxtsmc.numerics import CSV_BLOCK_ROWS, StepConfig
 from fxtsmc.sim import (
     Scenario,
@@ -173,7 +173,7 @@ def test_divergence_reports_time_and_channel():
         step=StepConfig(step_size=0.5, t_end=50.0),
         mode="open-loop",
     )
-    with np.errstate(over="ignore"), pytest.raises(SimulationDivergedError) as excinfo:
+    with pytest.raises(SimulationDivergedError) as excinfo:
         simulate(scenario)
     assert "t = " in str(excinfo.value)
 
@@ -226,10 +226,10 @@ def test_gp_mode_requires_models():
 
 def test_gp_mode_requires_one_model_per_channel():
     kernel = KernelConfig(family="exponential", length_scale=1.0)
-    datasets = generate_training_data(
+    dataset = generate_training_data(
         make_pmsm(), n_samples=5, region=[(-1, 1)] * 3, sigma_f=0.0, seed=3
     )
-    models = [gp_fit(datasets[0], kernel)]
+    one_channel = gp_fit(GPDataset(dataset.inputs, dataset.targets[:, 0]), kernel)
     with pytest.raises(UnfitGPError, match="3"):
         Scenario(
             system=make_pmsm(),
@@ -238,7 +238,7 @@ def test_gp_mode_requires_one_model_per_channel():
             x0=np.zeros(3),
             step=StepConfig(step_size=1e-3, t_end=0.01),
             mode="gp-based",
-            gp_models=models,
+            gp_model=one_channel,
         )
 
 
@@ -565,7 +565,7 @@ def test_step_with_rate_over_half_inverse_step_but_ratio_in_band_is_plain():
 def test_step_admitted_by_ratio_alone_that_overflows_still_raises():
     # From 1.7e308 at x' = 1e308 the ratio admits a plain step of h = 0.5,
     # which overflows; the check after the step must still catch it.
-    with np.errstate(over="ignore"), pytest.raises(SimulationDivergedError) as excinfo:
+    with pytest.raises(SimulationDivergedError) as excinfo:
         simulate(open_loop(constant_rate_plant(1e308), 1.7e308, 0.5, 0.5))
     assert str(excinfo.value) == "state channel 1 non-finite after step at t = 0"
 
@@ -573,8 +573,7 @@ def test_step_admitted_by_ratio_alone_that_overflows_still_raises():
 def test_batch_records_a_plain_step_overflow_for_that_run_alone():
     template = open_loop(constant_rate_plant(1e308), 1.0, 0.5, 0.5)
     box = [(1e308, 1.7e308)]  # runs past 1.3e308 overflow in their first step
-    with np.errstate(over="ignore"):
-        result = assert_batch_equals_single_runs(template, box, runs=6, seed=3)
+    result = assert_batch_equals_single_runs(template, box, runs=6, seed=3)
     assert 0 < result.aggregate["n_failed"] < 6
     for record in result.failures:
         assert record["message"] == "state channel 1 non-finite after step at t = 0"
@@ -647,13 +646,13 @@ def test_batch_far_box_with_sinusoid_reference_equals_single_runs():
 def gp_template(t_end):
     """gp-based mode on a 20-point GP of the PMSM drift over [-3, 3]^3."""
     kernel = KernelConfig(family="exponential", length_scale=1.0)
-    datasets = generate_training_data(
+    dataset = generate_training_data(
         make_pmsm(), n_samples=20, region=[(-3, 3)] * 3, sigma_f=0.01, seed=5
     )
     return dataclasses.replace(
         pmsm_scenario(
             step_size=1e-3, t_end=t_end, settle_threshold=0.05,
-            mode="gp-based", gp_models=[gp_fit(ds, kernel) for ds in datasets],
+            mode="gp-based", gp_model=gp_fit(dataset, kernel),
         ),
         params=standard_channels(alpha2=6.0),
     )
@@ -689,8 +688,7 @@ def test_batch_with_diverging_runs_records_each_and_carries_on():
     # The runs that start far enough out diverge inside the horizon, the
     # others survive it.
     template = blowup_template()
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = assert_batch_equals_single_runs(template, [(-1.0, 1.0)], 10, 1)
+    result = assert_batch_equals_single_runs(template, [(-1.0, 1.0)], 10, 1)
     assert 0 < result.aggregate["n_failed"] < 10
     assert [r["run"] for r in result.failures] == sorted(r["run"] for r in result.failures)
 
@@ -786,8 +784,7 @@ def test_batch_equals_single_runs_at_any_chunk_size(monkeypatch, case, chunk_row
     # partial last chunk and runs failing mid-chunk must not change a summary.
     monkeypatch.setattr(sim, "CHUNK_ROWS", chunk_rows)
     make_template, box, runs, seed = CHUNK_CASES[case]
-    with np.errstate(over="ignore", invalid="ignore"):
-        result = assert_batch_equals_single_runs(make_template(), box, runs, seed)
+    result = assert_batch_equals_single_runs(make_template(), box, runs, seed)
     n_failed = result.aggregate["n_failed"]
     assert 0 < n_failed < runs if case in ("diverging", "drift-gap") else n_failed == 0
     if case in ("drift-gap", "chatter-pulse"):
