@@ -9,10 +9,15 @@ standard zero-mean exact form
     var(x)  = k(x, x) - kbar(x)^T (K + sigma_F^2 I)^{-1} kbar(x)
 
 computed through a Cholesky factorization of the (jittered) Gram matrix.
-The factor is computed in the Gram matrix's own buffer, and the variance
-audit of M states solves in one N x M block of kernel values. Only the
-functions that call scipy import it, so a known-model run never loads it.
-Models are immutable once fit; data changes mean a refit from scratch.
+The Gram matrix comes from one ``cdist`` of the inputs, mapped by the kernel
+in that array's own buffer, and the factor is computed in the same buffer,
+so a fit holds one N x N array at a time. The variance audit of M states
+solves in one N x M block of kernel values; it is not split into chunks,
+since a triangular solve over fewer columns does not round like the whole
+block (at N = 2,000, chunks of 500 down to 1 of 1,001 states changed the
+last bits of 1 to 889 of their variances). Only the functions that call
+scipy import it, so a known-model run never loads it. Models are immutable
+once fit; data changes mean a refit from scratch.
 """
 from __future__ import annotations
 
@@ -176,36 +181,36 @@ def gp_fit(dataset: GPDataset, cfg: KernelConfig) -> GPModel:
         reported in both cases.
     """
     from scipy.linalg import cho_solve, cholesky
-    from scipy.spatial.distance import pdist, squareform
+    from scipy.spatial.distance import cdist, pdist
 
     n = dataset.n_samples
-    # pdist evaluates each unordered pair once, so K is symmetric by
-    # construction; the kernel maps it once, and k(x, x) = 1 exactly.
-    dist = pdist(dataset.inputs)
+    inputs = dataset.inputs
     if dataset.noise_std == 0.0 and n > 1:
-        pair, dmin = _closest_pair(dist, n)
+        pair, dmin = _closest_pair(pdist(inputs), n)
         if dmin == 0.0:
             raise IllConditionedDataError(
                 f"inputs {pair[0]} and {pair[1]} are identical with sigma_F = 0; "
                 "the Gram matrix is singular",
                 pair=pair,
             )
-    kern = _kernel_of_dist(cfg, dist)  # dist now holds the kernel values
     diag = dataset.noise_std**2
     jitter = JITTER_START if dataset.noise_std == 0.0 else 0.0
     while True:
-        # K is exactly symmetric: LAPACK factors its Fortran-ordered transpose in
-        # place. A failed attempt leaves it half overwritten; each builds K anew.
-        gram = squareform(kern)
+        # cdist(X, X) is exactly symmetric, each distance summing the same
+        # squares in the same order both ways, and the kernel maps it in its
+        # own buffer, so K is too: LAPACK factors its Fortran-ordered
+        # transpose in place. A failed attempt leaves it half overwritten;
+        # each builds K anew.
+        gram = _kernel_of_dist(cfg, cdist(inputs, inputs))
         np.fill_diagonal(gram, 1.0 + (diag + jitter))
         try:
             chol_lower = cholesky(gram.T, lower=True, overwrite_a=True, check_finite=False)
             break
         except np.linalg.LinAlgError:
-            pass
+            del gram  # freed before the next attempt builds its own
         jitter = JITTER_START if jitter == 0.0 else jitter * 10.0
         if jitter > JITTER_MAX:
-            pair, dmin = _closest_pair(pdist(dataset.inputs), n) if n > 1 else ((0, 0), 0.0)
+            pair, dmin = _closest_pair(pdist(inputs), n) if n > 1 else ((0, 0), 0.0)
             raise IllConditionedDataError(
                 f"Gram matrix not positive definite after jitter up to {JITTER_MAX:g}; "
                 f"closest input pair {pair[0]}, {pair[1]} at distance {dmin:.3g}",
@@ -263,13 +268,15 @@ class DriftEstimator:
     One kernel evaluation per step serves all channels; ``gp_mean`` is the
     reference it agrees with. The inputs are held as a contiguous (dim, N)
     column array, so the squared distances to all N points take one
-    whole-row operation per input dimension.
+    whole-row operation per input dimension, into a (dim, N) scratch array
+    the estimator owns.
     """
 
     def __init__(self, model: GPModel):
         self.columns = np.ascontiguousarray(model.dataset.inputs.T)  # (dim, N)
         self.kernel = model.kernel
         self.weight_matrix = np.ascontiguousarray(model.weights.T)  # (n, N)
+        self.scratch = np.empty_like(self.columns)
 
     def __call__(self, x) -> np.ndarray:
         """Estimate at one state (n,) or at each row of a block (..., n).
@@ -289,8 +296,12 @@ class DriftEstimator:
         odd-indexed ones in order, then the two partial sums. That is the
         order numpy's ``einsum("ij,ij->i")`` over (N, dim) rows takes for 1 to
         7 dimensions (numpy 2.4.6; from 8 on it differs), so those agree with
-        it bit for bit, while einsum's inner loop runs once per training point."""
-        sq = self.columns - x[:, None]
+        it bit for bit, while einsum's inner loop runs once per training point.
+        Each dimension's difference is taken on its own row, which costs less
+        than broadcasting the state over all of them."""
+        sq = self.scratch
+        for column, xi, row in zip(self.columns, x, sq):
+            np.subtract(column, xi, out=row)
         sq *= sq
         r2 = sq[0]
         for row in sq[2::2]:

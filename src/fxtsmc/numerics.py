@@ -18,6 +18,11 @@ from .errors import ParameterError
 # stay finite even when |z| transiently exceeds ~7.
 EXP_CLAMP = 50.0
 
+# Bound once for the step loop: the clamp as a 0-d array, since numpy
+# converts a float operand on every call, and the ufuncs safe_exp calls.
+_EXP_CLAMP = np.array(EXP_CLAMP)
+_minimum, _exp = np.minimum, np.exp
+
 # Relative slack when checking that t_end sits on the step grid.
 _GRID_RTOL = 1e-9
 
@@ -27,8 +32,10 @@ CSV_BLOCK_ROWS = 256
 
 
 def safe_exp(x):
-    """exp(x) with the argument clamped at EXP_CLAMP so the result is finite."""
-    return np.exp(np.minimum(x, EXP_CLAMP))
+    """exp(x) with the argument clamped at EXP_CLAMP so the result is finite.
+    An array result is one new array, which the exponential fills in place."""
+    y = _minimum(x, _EXP_CLAMP)
+    return _exp(y, out=y) if y.ndim else _exp(y)
 
 
 @dataclass(frozen=True)

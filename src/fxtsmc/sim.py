@@ -66,6 +66,14 @@ plain step runs in open loop only, since in closed loop a NaN s makes dx NaN
 and fails the rates bound; and a plain step admitted by that bound, which
 moves no state by more than GUARD_REL, is not checked for a finite result.
 Steps admitted by the guard ratios and substeps are.
+
+A grid row acts on arrays of 3 to 12 elements, so what it costs is mostly
+numpy's per-call overhead, not arithmetic. The loop therefore tests the rates
+bound and takes the plain step itself, in place on its own copy of the
+state, and calls ``_advance`` only where that bound fails. Each chain of the
+law fills one new array in place, in the order of the expression it stands
+for, and the constant operands and ufuncs of the law are bound once: numpy
+converts a float operand on every call. None of this changes a bit.
 """
 from __future__ import annotations
 
@@ -147,9 +155,10 @@ class Scenario:
         if self.params is None and self.mode != "open-loop":
             raise ParameterError(f"mode {self.mode!r} requires controller params")
         if self.mode == "gp-based" and (
-            self.gp_model is None or self.gp_model.weights.shape[1] != self.system.n
+            self.gp_model is None or self.gp_model.weights.shape[1] != n
+            or self.gp_model.dataset.inputs.shape[1] != n
         ):
-            raise UnfitGPError(f"gp-based mode requires a GP fitted for {self.system.n} channels")
+            raise UnfitGPError(f"gp-based mode requires a GP of {n} inputs fitted for {n} channels")
         object.__setattr__(self, "x0", x0)
 
     @property
@@ -213,7 +222,7 @@ def simulate(scenario: Scenario) -> Trajectory:
         A gp-based scenario without a fitted model.
     """
     log = _Log(scenario)
-    t, x_d, d = _step_loop(scenario, scenario.x0.copy(), log)
+    t, x_d, d = _step_loop(scenario, scenario.x0, log)
     return Trajectory(t=t, x=log.x, x_d=x_d, z=log.z, s=log.s, u=log.u, d=d, f_hat=log.f_hat)
 
 
@@ -258,8 +267,11 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
 
     numpy's floating-point warnings are off in the loop: every rate and state
     it makes is checked (the rates bound, the row rates, ``_finite``), and a
-    non-finite one ends the run with its error.
+    non-finite one ends the run with its error. The loop steps its own copy
+    of ``x``, in place where it takes the plain step, so a sink copies what
+    it keeps of a row.
     """
+    x = np.array(x, dtype=float)
     model = scenario.system
     n = model.n
     cfg = scenario.step
@@ -312,6 +324,12 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
     ]
     law_shape = None  # the state shape the constants below are taken for
     alpha1 = exponent = reach_gain = g_fixed = None
+    # Bound once: the ufuncs the loop calls, the reduction that ndarray.max
+    # reaches through numpy's Python layer, and the plain step's h as a 0-d
+    # array, since numpy converts a float operand on every call.
+    absolute, add, maximum, negative, sign = np.abs, np.add, np.maximum, np.negative, np.sign
+    max_of = np.maximum.reduce
+    h_step = np.array(h)
 
     def eval_loop(x_cur, signals, integral_cur):
         """One full controller + dynamics evaluation at (x, t, I): the only
@@ -333,27 +351,44 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
             alpha1, exponent, reach_gain, g_fixed = law if x_cur.ndim == 1 else (
                 None if c is None else c[: len(x_cur)] for c in law_rows
             )
+        # Each chain fills one new array in place, in the order and with the
+        # operand order of the expression it stands for (which NaN a sum of
+        # two NaNs keeps depends on it); ds holds alpha1 * integ until dx is
+        # added.
         integ = integrand(z, exponent)
-        s = z + alpha1 * integral_cur
-        alpha1_integ = alpha1 * integ
+        s = alpha1 * integral_cur
+        add(z, s, out=s)
+        ds = alpha1 * integ
         if open_loop:
             dx = f + d
-            return z, s, zeros, f, dx, integ, dx + alpha1_integ
+            add(dx, ds, out=ds)
+            return z, s, zeros, f, dx, integ, ds
         reach = reach_of(s)
         f_used = f if estimator is None else estimator(x_cur)
-        v = f_used + alpha1_integ
-        u = -(v + reach if xd_dot is None else v - xd_dot + reach)
-        if g_fixed is not None:
-            u = u / g_fixed
-        dx = f + (u if g_fixed is None else g_fixed * u) + d
-        return z, s, u, f_used, dx, integ, dx + alpha1_integ
+        u = f_used + ds
+        if xd_dot is not None:
+            u -= xd_dot
+        u += reach
+        negative(u, out=u)
+        if g_fixed is None:
+            dx = f + u
+        else:
+            u /= g_fixed
+            dx = g_fixed * u
+            add(f, dx, out=dx)
+        dx += d
+        add(dx, ds, out=ds)
+        return z, s, u, f_used, dx, integ, ds
 
     # The law's reaching term and its backward-Euler substep act on the block
     # eval_loop evaluated last, whose shape the constants above were taken for.
     def reach_of(s):
         """kappa * alpha2 * exp(s^2) * sign(s), with the true sign the
         settling theorems assume."""
-        return reach_gain * safe_exp(s * s) * np.sign(s)
+        reach = safe_exp(s * s)
+        reach *= reach_gain
+        reach *= sign(s)
+        return reach
 
     def reach_and_slope(s):
         """``reach_of(s)`` and its derivative in s."""
@@ -393,7 +428,6 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
     implicit = None if open_loop else implicit_substep
     k = 0
     while True:
-        t = float(t_grid[k])
         try:
             signals = (
                 None if xd_rows is None else xd_rows[k],
@@ -404,16 +438,39 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
             sink.row(k, x, z, s, u, f_used)
             if k == n_steps:
                 return t_grid, xd_grid, d_grid
-            x_next, integral_next = _advance(
-                x, integral, t, h, z, s, dx, integ, ds, eval_loop, signals_at, implicit
-            )
+            # The rates bound: each guard ratio |dz|/(|z| + GUARD_ABS) is at
+            # most |dz| in floating point, its denominator being at least 1,
+            # so rates that pass it pass the row-rate test of _advance. dz/dt
+            # differs from dx/dt only by the (bounded) reference rate, which
+            # is negligible whenever the guard can trigger, so dx stands in
+            # for the z rate. A NaN rate fails the bound. In closed loop a NaN
+            # s makes the reaching term, u and so dx NaN; in open loop u is
+            # zero, and a NaN z (from a NaN reference) or integral makes s
+            # NaN, and with it a ratio, yet can leave the rates finite, so s
+            # is tested apart there.
+            rates = absolute(dx) if ds is None else maximum(absolute(dx), absolute(ds))
+            if h * (float(max_of(rates, None)) / GUARD_REL) <= 1.0 and not (
+                open_loop and np.isnan(s).any()
+            ):
+                # Operating band: the plain step, identical to an unguarded
+                # loop. |h * dx| <= GUARD_REL after the bound, so it leaves a
+                # finite state finite.
+                dx *= h_step
+                x += dx
+                if integ is not None:
+                    integ *= h_step
+                    integral += integ
+            else:
+                x, integral = _advance(
+                    x, integral, float(t_grid[k]), h, z, s, dx, integ, ds, eval_loop,
+                    signals_at, implicit,
+                )
         except RunErrors as err:
             keep = sink.fail(err.errors)
             x, integral = x[keep], integral[keep]
             if not keep.any():
                 return t_grid, xd_grid, d_grid
             continue
-        x, integral = x_next, integral_next
         k += 1
 
 
@@ -469,41 +526,25 @@ def _advance(x, integral, t, h, z, s, dx, integ, ds, eval_loop, signals_at, impl
     """One macro step of every run, each split into guard-sized substeps where
     its own rates call for it. A step or explicit substep adds h_sub * dx.
 
-    ``integ`` and ``ds`` are None when no surface is tracked. When
-    one max of the rates, or failing that one max of the rows' guard rates,
-    over the whole block shows every run inside the guard, all take the
-    plain step, identical to an unguarded loop. Otherwise every run
-    substeps, each with its own remaining time, substep size and local time,
-    until each has covered h; a run inside the guard covers it in one
-    substep. ``implicit`` is the backward-Euler substep of closed loop, and
-    None in open loop. In closed loop, a run whose explicit step cannot cover
-    its remaining time inside the guard takes that substep, and a run whose
-    explicit step can takes it as its last substep. Every substep evaluates
-    the time signals at its runs' local times. A state that is not finite
-    after the step raises, except after a plain step admitted by the rates
-    bound, which cannot leave a finite state.
+    The loop takes the plain step itself where the rates bound admits it, and
+    calls this only where that bound fails. ``integ`` and ``ds`` are None
+    when no surface is tracked. When one max of the rows' guard rates over
+    the whole block shows every run inside the guard, all take the plain
+    step, identical to an unguarded loop. Otherwise every run substeps, each
+    with its own remaining time, substep size and local time, until each has
+    covered h; a run inside the guard covers it in one substep. ``implicit``
+    is the backward-Euler substep of closed loop, and None in open loop. In
+    closed loop, a run whose explicit step cannot cover its remaining time
+    inside the guard takes that substep, and a run whose explicit step can
+    takes it as its last substep. Every substep evaluates the time signals
+    at its runs' local times. A state that is not finite after the step
+    raises.
     """
-    # dz/dt differs from dx/dt only by the (bounded) reference rate, which
-    # is negligible whenever the guard can trigger, so dx stands in for
-    # the z rate.
-    # Each guard ratio |dz|/(|z| + GUARD_ABS) is at most |dz| in floating
-    # point, its denominator being at least 1, so rates that pass this bound
-    # pass the row-rate test below. A NaN rate fails the bound. In closed
-    # loop a NaN s makes the reaching term, u and so dx NaN; in open loop u
-    # is zero, and a NaN z (from a NaN reference) or integral makes s NaN,
-    # and with it a ratio, yet can leave the rates finite, so s is tested
-    # apart there.
-    rates = np.abs(dx) if ds is None else np.maximum(np.abs(dx), np.abs(ds))
-    by_rates = h * (float(rates.max()) / GUARD_REL) <= 1.0 and not (
-        implicit is None and np.isnan(s).any()
-    )
-    rate = None if by_rates else _row_rates(z, s, dx, ds)
-    if by_rates or h * float(rate.max()) <= 1.0:
-        # Operating band: single plain step, identical to an unguarded loop.
-        # |h * dx| <= GUARD_REL after the rates bound, so a step it admitted
-        # leaves a finite state finite
-        x_next = x + h * dx if by_rates else _finite(x + h * dx, t)
-        return x_next, integral if integ is None else integral + h * integ
+    rate = _row_rates(z, s, dx, ds)
+    if h * float(rate.max()) <= 1.0:
+        # every run inside the guard: the plain step, checked for a finite
+        # result
+        return _finite(x + h * dx, t), integral if integ is None else integral + h * integ
 
     shape, n = x.shape, x.shape[-1]
     x, integral, dx = x.reshape(-1, n), integral.reshape(-1, n), dx.reshape(-1, n)
@@ -751,7 +792,7 @@ def run_monte_carlo(
     x0s = rng.uniform(box[:, 0], box[:, 1], size=(runs, n))
 
     stats = _BatchStats(template, runs, bounds)
-    t, _, _ = _step_loop(template, x0s.copy(), stats)
+    t, _, _ = _step_loop(template, x0s, stats)
     stats.flush()
     summaries: list[Optional[RunSummary]] = [None] * runs
     for j, i in enumerate(stats.runs):

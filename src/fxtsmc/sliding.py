@@ -17,6 +17,9 @@ import numpy as np
 from .errors import ParameterError
 from .numerics import safe_exp
 
+# bound once for the step loop
+_abs, _sign = np.abs, np.sign
+
 
 @dataclass(frozen=True)
 class SlidingParams:
@@ -55,4 +58,9 @@ def integrand(z, exponent):
     so it is not checked here. The result is odd in z and increasing, which
     the backward-Euler root solve relies on.
     """
-    return safe_exp(z * z) * (np.abs(z) ** exponent * np.sign(z))
+    a = _abs(z)
+    a **= exponent
+    a *= _sign(z)
+    y = safe_exp(z * z)
+    y *= a
+    return y

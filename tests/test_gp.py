@@ -242,6 +242,33 @@ def test_closest_pair_allocates_no_index_table():
     assert peak < 1e6
 
 
+@pytest.mark.parametrize("sigma_f, failures", [(0.01, 0), (0.0, 0), (0.0, 2)])
+def test_fit_holds_one_gram_sized_array(sigma_f, failures, monkeypatch):
+    # The Gram matrix comes from one cdist, the kernel maps it in its own
+    # buffer and LAPACK factors it there; a condensed distance vector kept
+    # beside a squareform copy made the peak 1.5 Gram matrices. A failed
+    # attempt's matrix is freed before the next one is built.
+    real, attempts = scipy.linalg.cholesky, []
+
+    def fail_first(a, **kwargs):
+        attempts.append(None)
+        if len(attempts) <= failures:
+            raise np.linalg.LinAlgError("forced failure")
+        return real(a, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cholesky", fail_first)
+    n = 1000
+    ds = generate_training_data(make_pmsm(), n, [(-3.0, 3.0)] * 3, sigma_f=sigma_f, seed=5)
+    tracemalloc.start()
+    try:
+        model = gp_fit(ds, EXP_KERNEL)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.jitter == (0.0 if sigma_f else JITTER_START * 10.0**failures)
+    assert peak < 1.1 * 8 * n * n
+
+
 def copy_variance(model, states):
     """The variance audit as it was computed on copies of its blocks."""
     kbar = copy_kernel(model.kernel, cdist(model.dataset.inputs, states))

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from conftest import make_integrator_plant, standard_channels
 from fxtsmc.errors import ParameterError, SimulationDivergedError, UnfitGPError
 from fxtsmc import sim
-from fxtsmc.controller import BoundReport, bound_report
+from fxtsmc.controller import BoundReport, ControllerParams, bound_report
 from fxtsmc.gp import GPDataset, KernelConfig, generate_training_data, gp_fit
-from fxtsmc.numerics import CSV_BLOCK_ROWS, StepConfig
+from fxtsmc.numerics import CSV_BLOCK_ROWS, EXP_CLAMP, StepConfig
 from fxtsmc.sim import (
     Scenario,
     Trajectory,
@@ -30,6 +30,7 @@ from fxtsmc.sim import (
     write_summary_json,
     write_trajectory_csv,
 )
+from fxtsmc.sliding import SlidingParams
 from fxtsmc.system import (
     ConstantGain,
     ReferenceSignal,
@@ -240,6 +241,17 @@ def test_gp_mode_requires_one_model_per_channel():
             mode="gp-based",
             gp_model=one_channel,
         )
+
+
+def test_gp_mode_requires_one_model_input_per_state():
+    # three channels over two inputs: the estimator would read two of the
+    # three state entries
+    dataset = generate_training_data(
+        make_pmsm(), n_samples=5, region=[(-1, 1)] * 3, sigma_f=0.0, seed=3
+    )
+    two_inputs = gp_fit(GPDataset(dataset.inputs[:, :2], dataset.targets), KernelConfig())
+    with pytest.raises(UnfitGPError, match="GP of 3 inputs"):
+        pmsm_scenario(mode="gp-based", gp_model=two_inputs)
 
 
 @pytest.mark.parametrize(
@@ -793,14 +805,17 @@ def test_batch_equals_single_runs_at_any_chunk_size(monkeypatch, case, chunk_row
 
 
 class _RowRecorder:
-    """A ``_step_loop`` sink that keeps every row of x, z, s and u."""
+    """A ``_step_loop`` sink that keeps every row of x, z, s, u and f_used."""
 
     def __init__(self):
         self.rows = []
 
     def row(self, k, x, z, s, u, f_used):
-        # an open loop logs u as one row of zeros for the whole block
-        self.rows.append(np.array([x, z, s, np.broadcast_to(u, x.shape)]))
+        # an open loop logs u as one row of zeros for the whole block, and a
+        # drift that ignores the block gives one f row for all of it
+        self.rows.append(
+            np.array([x, z, s, np.broadcast_to(u, x.shape), np.broadcast_to(f_used, x.shape)])
+        )
 
     @staticmethod
     def fail(errors):
@@ -849,6 +864,108 @@ def assert_block_rows_equal_single_runs(template, x0s):
         traj = simulate(dataclasses.replace(template, x0=np.asarray(x0, dtype=float)))
         for i, column in enumerate((traj.x, traj.z, traj.s, traj.u)):
             assert block[:, i, r].tobytes() == column.tobytes()
+
+
+# --- the law in place against its expression form ---------------------------------
+
+
+def broadcast_estimate(model, x):
+    """The GP estimate at one state written as expressions: the state
+    broadcast over the (dim, N) input columns, a new array per operation."""
+    assert model.kernel.family == "exponential"
+    sq = np.ascontiguousarray(model.dataset.inputs.T) - x[:, None]
+    sq = sq * sq
+    even, odd = sq[0], sq[1]
+    for row in sq[2::2]:
+        even = even + row
+    for row in sq[3::2]:
+        odd = odd + row
+    k = np.exp(-model.kernel.length_scale * np.sqrt(even + odd))
+    return np.ascontiguousarray(model.weights.T) @ k
+
+
+def expression_form_rows(scenario, x0):
+    """Every grid row (x, z, s, u, f_used) of ``scenario`` from ``x0``, one
+    state or a block of them, with the closed-loop law written as one
+    expression per term, a new array per operation, the identity operations
+    applied, and the plain Euler step, which the rates bound must admit at
+    every row."""
+    model, h, n = scenario.system, scenario.step.step_size, scenario.system.n
+    channels = scenario.channels
+    alpha1 = np.array([c.sliding.alpha1 for c in channels])
+    exponent = np.array([c.sliding.exponent for c in channels])
+    reach_gain = np.array([c.reach_gain for c in channels])
+    g = model.gain.value
+    t_grid = np.arange(scenario.step.n_steps + 1) * h
+    grid = [
+        np.broadcast_to(np.asarray(fn(t_grid), dtype=float), (t_grid.size, n))
+        for fn in (scenario.reference.value, model.perturbation, scenario.reference.derivative)
+    ]
+    x = np.array(x0, dtype=float)
+    integral = np.zeros_like(x)
+    rows = []
+    for xd, d, xd_dot in zip(*grid):
+        z = x - xd
+        f = model.drift(x)
+        f_used = f if scenario.mode != "gp-based" else np.reshape(
+            [broadcast_estimate(scenario.gp_model, r) for r in x.reshape(-1, n)], x.shape
+        )
+        integ = np.exp(np.minimum(z * z, EXP_CLAMP)) * (np.abs(z) ** exponent * np.sign(z))
+        s = z + alpha1 * integral
+        reach = reach_gain * np.exp(np.minimum(s * s, EXP_CLAMP)) * np.sign(s)
+        u = -(f_used + alpha1 * integ - xd_dot + reach) / g
+        dx = f + g * u + d
+        ds = dx + alpha1 * integ
+        rows.append([x, z, s, u, f_used])
+        assert h * (np.maximum(np.abs(dx), np.abs(ds)).max() / sim.GUARD_REL) <= 1.0
+        x = x + h * dx
+        integral = integral + h * integ
+    return np.array(rows)
+
+
+def per_channel_gain_template():
+    """pmsm with the input gain (2, 0.5, -1.5), a sinusoid reference and
+    other gains on each channel, the sign integrand (p = 0) among them."""
+    params = [
+        ControllerParams(sliding=SlidingParams(alpha1=6.0, p=8, q=10), alpha2=4.0, d_bar=1.0),
+        ControllerParams(sliding=SlidingParams(alpha1=3.0, p=1, q=3), alpha2=5.0, d_bar=1.0),
+        ControllerParams(sliding=SlidingParams(alpha1=8.0, p=0, q=1), alpha2=3.0, d_bar=1.0),
+    ]
+    return Scenario(
+        system=dataclasses.replace(make_pmsm(), gain=ConstantGain(np.array([2.0, 0.5, -1.5]))),
+        reference=sinusoid_reference([0.5, 0.3, 0.2], [2.0, 3.0, 1.0], [0.0, 0.5, 1.0]),
+        params=params,
+        x0=np.zeros(3),
+        step=StepConfig(step_size=1e-4, t_end=0.1),
+    )
+
+
+LAW_CASES = {
+    "zero-reference-unit-gain": lambda: pmsm_scenario(step_size=1e-4, t_end=0.1),
+    "sinusoid-per-channel-gains": per_channel_gain_template,
+    "gp-based": lambda: gp_template(t_end=0.2),
+}
+PLAIN_STARTS = [[0.6, -0.4, 0.9], [-0.9, 0.3, -0.2], [0.1, 0.8, -0.7]]
+
+
+@pytest.mark.parametrize("case", LAW_CASES)
+def test_plain_steps_equal_the_law_in_expression_form(case):
+    # The loop fills each chain of the law in place and takes the plain step
+    # itself; every logged column equals the expression form bit for bit, for
+    # single runs and for one block, whose gp-based runs call one estimator
+    # at three states in a row.
+    template = LAW_CASES[case]()
+    for x0 in PLAIN_STARTS:
+        traj = simulate(dataclasses.replace(template, x0=np.array(x0)))
+        expected = expression_form_rows(template, x0)
+        columns = [traj.x, traj.z, traj.s, traj.u]
+        if traj.f_hat is not None:
+            columns.append(traj.f_hat)
+        for i, column in enumerate(columns):
+            assert column.tobytes() == expected[:, i].tobytes()
+    recorder = _RowRecorder()
+    sim._step_loop(template, np.array(PLAIN_STARTS), recorder)
+    assert np.array(recorder.rows).tobytes() == expression_form_rows(template, PLAIN_STARTS).tobytes()
 
 
 # --- backward-Euler substeps in the far field -------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from fxtsmc.controller import ControllerParams, theorem1_z_bound
 from fxtsmc.errors import ParameterError
-from fxtsmc.numerics import StepConfig, safe_exp
+from fxtsmc.numerics import EXP_CLAMP, StepConfig, safe_exp
 from fxtsmc.sim import Scenario, simulate
 from fxtsmc.sliding import SlidingParams, integrand
 from fxtsmc.system import make_pmsm, zero_reference
@@ -58,6 +58,27 @@ def test_integrand_increasing_in_z():
     for p, q in ((0, 1), (3, 10), (8, 10), (99, 100)):
         y = integrand(z, SlidingParams(alpha1=1.0, p=p, q=q).exponent)
         assert np.all(np.diff(y) >= 0.0)
+
+
+@pytest.mark.parametrize("exponent", [0.0, 0.8])
+def test_integrand_equals_its_expression_form_and_keeps_its_input(exponent):
+    # The integrand fills its arrays in place; the expression form takes a
+    # new array per operation. Bit for bit at signed zeros, subnormals, past
+    # sqrt(EXP_CLAMP), at infinities and at NaNs of either sign, for a scalar
+    # exponent and for one per element as the step loop passes it.
+    tiny = np.finfo(float).smallest_subnormal
+    edge = np.sqrt(EXP_CLAMP)
+    z = np.array([
+        0.0, -0.0, tiny, -tiny, 3e-310, -2.2e-308, 0.5, -1.0, edge, -np.nextafter(edge, 10.0),
+        7.5, -30.0, 1e154, -1e200, np.inf, -np.inf, np.nan, -np.nan,
+    ])
+    before = z.tobytes()
+    for e in (exponent, np.full(z.shape, exponent)):
+        with np.errstate(over="ignore"):
+            expected = np.exp(np.minimum(z * z, EXP_CLAMP)) * (np.abs(z) ** e * np.sign(z))
+            got = integrand(z, e)
+        assert got.tobytes() == expected.tobytes()
+        assert z.tobytes() == before
 
 
 def hold_run(z0, sliding, step_size, t_end):
