@@ -69,6 +69,20 @@ CASES = {
     # d_bar below pmsm's perturbation bound of 1: the settling bound is
     # withheld, with a note, and the summary audits none
     "run-known-dbar-short": ["run", KNOWN, "--set", "controller.d_bar=0.5", *COARSE],
+    # the bound table, with the note on the quoted values
+    "bounds-known": ["bounds", KNOWN],
+    # the bound table of the gains the GP law ships with, without the factor
+    "bounds-gp": ["bounds", GP],
+    # every bound formula over gains that differ on each channel, p = 0 and
+    # d_bar = 0 among them
+    "bounds-per-channel": ["bounds", KNOWN,
+                           "--set", "controller.alpha1=[5, 6, 7]",
+                           "--set", "controller.alpha2=[3.5, 4, 4.5]",
+                           "--set", "controller.p=[6, 8, 0]",
+                           "--set", "controller.d_bar=[1, 0.5, 0]"],
+    # alpha2 = 2 cannot cover d_bar plus the GP error budget: theorem 2's
+    # bound is withheld, with a note
+    "run-gp-alpha2-short": ["run", GP, "--set", "controller.alpha2=2.0", *COARSE],
 }
 
 

@@ -59,7 +59,6 @@ from .sim import (
     write_summary_json,
     write_trajectory_csv,
 )
-from .sliding import SlidingParams
 from .system import (
     PMSM_QUOTED_BOUNDS,
     PMSM_STANDARD_GAINS,
@@ -294,14 +293,6 @@ def resolve_config(args) -> dict:
 # --- scenario construction -----------------------------------------------------
 
 
-def _per_channel(value, n: int, name: str) -> list:
-    if isinstance(value, list):
-        if len(value) != n:
-            raise ConfigError(f"controller.{name} needs 1 or {n} entries, got {len(value)}")
-        return value
-    return [value] * n
-
-
 def build_system(cfg: dict):
     sys_cfg = cfg["system"]
     if sys_cfg["builtin"] == "pmsm":
@@ -326,7 +317,7 @@ def build_reference(cfg: dict, n: int):
     )
 
 
-def build_controller_params(cfg: dict, n: int) -> Optional[list[ControllerParams]]:
+def build_controller_params(cfg: dict, n: int) -> Optional[ControllerParams]:
     ctl = cfg.get("controller", {})
     mode = ctl.get("mode", "known-model")
     if mode == "open-loop" and "alpha1" not in ctl:
@@ -334,26 +325,15 @@ def build_controller_params(cfg: dict, n: int) -> Optional[list[ControllerParams
     for key in ("alpha1", "alpha2", "p", "q"):
         if key not in ctl:
             raise ConfigError(f"controller.{key} is required for mode {mode!r}")
-    alpha1 = _per_channel(ctl["alpha1"], n, "alpha1")
-    alpha2 = _per_channel(ctl["alpha2"], n, "alpha2")
-    p = _per_channel(ctl["p"], n, "p")
-    q = _per_channel(ctl["q"], n, "q")
-    d_bar = _per_channel(ctl.get("d_bar", 0.0), n, "d_bar")
-    include = _per_channel(
-        ctl.get("include_sqrt_pi_factor", mode != "gp-based"), n, "include_sqrt_pi_factor"
+    return ControllerParams(
+        n,
+        alpha1=ctl["alpha1"],
+        alpha2=ctl["alpha2"],
+        p=ctl["p"],
+        q=ctl["q"],
+        d_bar=ctl.get("d_bar", 0.0),
+        include_sqrt_pi_factor=ctl.get("include_sqrt_pi_factor", mode != "gp-based"),
     )
-    out = []
-    for i in range(n):
-        sliding = SlidingParams(alpha1=float(alpha1[i]), p=int(p[i]), q=int(q[i]))
-        out.append(
-            ControllerParams(
-                sliding=sliding,
-                alpha2=float(alpha2[i]),
-                d_bar=float(d_bar[i]),
-                include_sqrt_pi_factor=bool(include[i]),
-            )
-        )
-    return out
 
 
 def build_step(cfg: dict) -> StepConfig:
@@ -442,32 +422,28 @@ def _settling_bounds(scenario, cfg: dict, pilot):
     condition."""
     if scenario.mode == "open-loop":
         return None, None
+    params = scenario.params
     d_bounds = scenario.system.perturbation_bounds
-    for i, c in enumerate(scenario.channels):
-        if d_bounds is not None and c.d_bar < d_bounds[i]:
-            return None, (
-                f"settling bound unavailable: channel {i + 1}: d_bar = {c.d_bar:g} is "
-                f"below the plant's perturbation bound {d_bounds[i]:g}"
-            )
+    short = [] if d_bounds is None else np.flatnonzero(params.d_bar < d_bounds)
+    if len(short):
+        i = short[0]
+        return None, (
+            f"settling bound unavailable: channel {i + 1}: d_bar = {params.d_bar[i]:g} is "
+            f"below the plant's perturbation bound {d_bounds[i]:g}"
+        )
     if scenario.mode == "known-model":
-        return bound_report(scenario.channels), None
+        return bound_report(params), None
     chi = float(cfg.get("gp", {}).get("chi", 2.0))
     delta = _gp_delta_f_bars(scenario.gp_model, pilot(), chi)
     try:
-        return bound_report(scenario.channels, delta_f_bars=delta), None
+        return bound_report(params, delta_f_bars=delta), None
     except GainTooSmallError as err:
         return None, f"settling bound unavailable: {err}"
 
 
-def _is_standard_pmsm_gains(channels) -> bool:
-    g = PMSM_STANDARD_GAINS
+def _is_standard_pmsm_gains(params) -> bool:
     return all(
-        c.sliding.alpha1 == g["alpha1"]
-        and c.alpha2 == g["alpha2"]
-        and c.sliding.p == g["p"]
-        and c.sliding.q == g["q"]
-        and c.d_bar == g["d_bar"]
-        for c in channels
+        (getattr(params, key) == value).all() for key, value in PMSM_STANDARD_GAINS.items()
     )
 
 
@@ -517,18 +493,18 @@ def _print_settling(label: str, values) -> None:
 def cmd_bounds(args) -> int:
     cfg = resolve_config(args)
     system = build_system(cfg)
-    channels = build_controller_params(cfg, system.n)
-    if channels is None:
+    params = build_controller_params(cfg, system.n)
+    if params is None:
         raise ConfigError("bounds requires a controller section with gains")
 
-    known = bound_report(channels)
-    zero_delta = np.zeros(len(channels))
-    gp_l3 = bound_report(channels, delta_f_bars=zero_delta, s_bound_mode="lemma3")
-    gp_t8 = bound_report(channels, delta_f_bars=zero_delta, s_bound_mode="printed-t8")
+    known = bound_report(params)
+    zero_delta = np.zeros(system.n)
+    gp_l3 = bound_report(params, delta_f_bars=zero_delta, s_bound_mode="lemma3")
+    gp_t8 = bound_report(params, delta_f_bars=zero_delta, s_bound_mode="printed-t8")
 
     print("settling-time bounds per channel (s-phase shown in every mode):")
     print("channel      T_z   T_s[known]  T_s[gp-lemma3]  T_s[gp-printed-t8]")
-    for i in range(len(channels)):
+    for i in range(system.n):
         print(
             f"  {i + 1}     {known.t_z_channels[i]:8.5f}  {known.t_s_channels[i]:9.5f}"
             f"  {gp_l3.t_s_channels[i]:13.5f}  {gp_t8.t_s_channels[i]:17.5f}"
@@ -536,7 +512,7 @@ def cmd_bounds(args) -> int:
     for label, rep in (("known-model", known), ("gp-lemma3", gp_l3), ("gp-printed-t8", gp_t8)):
         print(f"aggregate {label + ':':<16}T_z = {rep.t_z:.5f}  T_s = {rep.t_s:.5f}  "
               f"T_max = {rep.t_max:.5f}")
-    if _is_standard_pmsm_gains(channels):
+    if _is_standard_pmsm_gains(params):
         q = PMSM_QUOTED_BOUNDS
         print(
             "note: commonly quoted values for this benchmark gain set — "
@@ -709,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gp = sub.add_parser("gp-train", help="generate data, fit the GP of every channel")
     add_common(p_gp)
     p_gp.add_argument("-n", "--n-samples", type=_positive_int, default=None,
-                      help="training points per channel (overrides gp.generate)")
+                      help="training points, shared by every channel (overrides gp.generate)")
     p_gp.add_argument("--seed", type=_non_negative_int, default=None, help="dataset RNG seed")
     p_gp.set_defaults(func=cmd_gp_train)
 

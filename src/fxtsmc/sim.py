@@ -85,7 +85,7 @@ from typing import Optional
 import numpy as np
 
 from . import gp
-from .controller import BoundReport, _as_channel_list
+from .controller import BoundReport, ControllerParams
 from .errors import ParameterError, RunErrors, SimulationDivergedError, UnfitGPError
 from .numerics import EXP_CLAMP, StepConfig, check_ic_box, safe_exp, write_csv_rows
 from .sliding import integrand
@@ -115,14 +115,14 @@ CHUNK_ROWS = 256
 class Scenario:
     """Everything one closed-loop run needs.
 
-    ``params`` is a single ControllerParams shared across channels or a
-    per-channel sequence; it may be None only in open-loop mode, in which case
-    the s columns simply repeat z (no surface is defined without gains).
+    ``params`` holds the gains of the system's n channels; it may be None
+    only in open-loop mode, in which case the s columns simply repeat z (no
+    surface is defined without gains).
     """
 
     system: SystemModel
     reference: ReferenceSignal
-    params: object
+    params: Optional[ControllerParams]
     x0: np.ndarray
     step: StepConfig
     mode: str = "known-model"
@@ -154,18 +154,16 @@ class Scenario:
             raise ParameterError("settle_threshold must be finite, got inf")
         if self.params is None and self.mode != "open-loop":
             raise ParameterError(f"mode {self.mode!r} requires controller params")
+        if self.params is not None and self.params.alpha1.shape != (n,):
+            raise ParameterError(
+                f"expected the gains of {n} channels, got {self.params.alpha1.shape[0]}"
+            )
         if self.mode == "gp-based" and (
             self.gp_model is None or self.gp_model.weights.shape[1] != n
             or self.gp_model.dataset.inputs.shape[1] != n
         ):
             raise UnfitGPError(f"gp-based mode requires a GP of {n} inputs fitted for {n} channels")
         object.__setattr__(self, "x0", x0)
-
-    @property
-    def channels(self):
-        if self.params is None:
-            return None
-        return _as_channel_list(self.params, self.system.n)
 
 
 @dataclass(frozen=True)
@@ -187,11 +185,6 @@ class Trajectory:
     @property
     def n(self) -> int:
         return self.x.shape[1]
-
-    @property
-    def v_s(self) -> np.ndarray:
-        """Per-channel surface Lyapunov samples V_s = s^2 / 2."""
-        return 0.5 * self.s * self.s
 
     def column_names(self) -> list[str]:
         n = self.n
@@ -284,7 +277,7 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
     drift = model.drift
     pert = model.perturbation
 
-    channels = scenario.channels
+    params = scenario.params
     open_loop = scenario.mode == "open-loop"
     estimator = gp.DriftEstimator(scenario.gp_model) if scenario.mode == "gp-based" else None
 
@@ -313,11 +306,8 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
     # one state; for a block, leading rows of (R, n) copies, which serve every
     # smaller block too. An op between two arrays of one block shape costs
     # about half of one that broadcasts an (n,) operand over the block.
-    law = None if channels is None else (
-        np.array([c.sliding.alpha1 for c in channels]),
-        np.array([c.sliding.exponent for c in channels]),
-        np.array([c.reach_gain for c in channels]),
-        fixed_gain,
+    law = None if params is None else (
+        params.alpha1, params.exponent, params.reach_gain, fixed_gain
     )
     law_rows = None if law is None else [
         None if c is None else np.tile(c, (x.size // n, 1)) for c in law

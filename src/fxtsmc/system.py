@@ -26,8 +26,7 @@ from .numerics import safe_exp
 
 @dataclass(frozen=True, eq=False)
 class ConstantGain:
-    """The input gain, declared by its finite, nonzero value of shape (n,).
-    Calling it returns ``value`` for any state; the engine reads ``value``."""
+    """The input gain, declared by its finite, nonzero value of shape (n,)."""
 
     value: np.ndarray
 
@@ -39,9 +38,6 @@ class ConstantGain:
             )
         g.flags.writeable = False
         object.__setattr__(self, "value", g)
-
-    def __call__(self, x):
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -126,11 +122,12 @@ def sinusoid_reference(amplitude, frequency, phase=None) -> ReferenceSignal:
 
 # --- benchmark: permanent magnet synchronous motor (3-state chaotic system) ---
 
-# Gain set used throughout the benchmark literature for this plant.
-PMSM_STANDARD_GAINS = {"alpha1": 6.0, "alpha2": 4.0, "p": 8, "q": 10, "d_bar": 1.0}
+# Gain set used throughout the benchmark literature for this plant, by the
+# ``ControllerParams`` field each value is compared with (p/q = 8/10).
+PMSM_STANDARD_GAINS = {"alpha1": 6.0, "alpha2": 4.0, "exponent": 8 / 10, "d_bar": 1.0}
 
 # Reference settling-time values quoted alongside this gain set. The z-entry
-# is reproduced exactly by theorem1_z_bound; the s-entries are NOT produced by
+# is reproduced exactly by theorem 1's T_z; the s-entries are NOT produced by
 # any of the bound formulas implemented here (a known discrepancy that
 # cmd_bounds reports explicitly) and are kept only for comparison.
 PMSM_QUOTED_BOUNDS = {

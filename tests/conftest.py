@@ -4,19 +4,12 @@ import numpy as np
 import pytest
 
 from fxtsmc.controller import ControllerParams
-from fxtsmc.sliding import SlidingParams
 from fxtsmc.system import ConstantGain, SystemModel, make_pmsm
 
 
-def standard_channels(n=3, alpha2=4.0, d_bar=1.0, **kwargs):
-    """The benchmark gain set (alpha1=6, alpha2=4, p/q=8/10, d_bar=1), n channels."""
-    params = ControllerParams(
-        sliding=SlidingParams(alpha1=6.0, p=8, q=10),
-        alpha2=alpha2,
-        d_bar=d_bar,
-        **kwargs,
-    )
-    return [params] * n
+def standard_gains(n=3, alpha2=4.0, d_bar=1.0, **kwargs):
+    """The benchmark gain set (alpha1=6, alpha2=4, p/q=8/10, d_bar=1) on n channels."""
+    return ControllerParams(n, alpha1=6.0, alpha2=alpha2, p=8, q=10, d_bar=d_bar, **kwargs)
 
 
 def make_integrator_plant(n=1):

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import standard_channels
+from conftest import standard_gains
 from fxtsmc.cli import main
 from fxtsmc.controller import bound_report
 from fxtsmc.gp import (
@@ -54,7 +54,7 @@ def batch_template() -> Scenario:
     return Scenario(
         system=make_pmsm(),
         reference=zero_reference(3),
-        params=standard_channels(),
+        params=standard_gains(),
         x0=np.ones(3),
         step=StepConfig(step_size=1e-4, t_end=1.0),
         settle_threshold=SETTLE_THRESHOLD,
@@ -96,11 +96,9 @@ def replayed_batches(mc_batches):
                 equal_nan=True,
             ):
                 settling_matches = False
-            g_max = max(
-                float(np.max(np.abs(template.system.gain(x)))) for x in traj.x[::100]
-            )
+            g_max = float(np.max(np.abs(template.system.gain.value)))
             floor = 10.0 * h * float(np.max(np.abs(traj.u))) * g_max
-            v = traj.v_s
+            v = 0.5 * traj.s * traj.s
             dv = np.diff(v, axis=0)
             active = np.abs(traj.s[:-1]) > floor
             per_run.append(
@@ -303,7 +301,7 @@ def test_criterion_6_gp_closed_loop(request):
         return Scenario(
             system=pmsm,
             reference=zero_reference(3),
-            params=standard_channels(alpha2=alpha2, d_bar=d_bar),
+            params=standard_gains(alpha2=alpha2, d_bar=d_bar),
             x0=x0,
             step=step,
             mode="gp-based",
@@ -331,12 +329,12 @@ def test_criterion_6_gp_closed_loop(request):
         settling[i] = measure_settling(traj, "error", 0.05).max()
         budgets = np.maximum(budgets, max_chi_sigma(traj))
 
-    channels = standard_channels(alpha2=alpha2, d_bar=d_bar)
-    bounds = bound_report(channels, delta_f_bars=budgets)
+    params = standard_gains(alpha2=alpha2, d_bar=d_bar)
+    bounds = bound_report(params, delta_f_bars=budgets)
     elapsed = time.perf_counter() - start
 
     # theorem 2's gain condition on the reaching gain the law applies
-    reach_gain = min(c.reach_gain for c in channels)
+    reach_gain = params.reach_gain.min()
     gain_ok = reach_gain > d_bar + budgets.max()
     settle_ok = np.all(np.isfinite(settling)) and settling.max() <= bounds.t_max
     ok = gain_ok and settle_ok and elapsed < 120.0
@@ -361,7 +359,7 @@ def test_criterion_7_exact_cancellation(request):
     scenario = Scenario(
         system=make_pmsm(perturbed=False),
         reference=zero_reference(3),
-        params=standard_channels(alpha2=alpha2, d_bar=0.0),
+        params=standard_gains(alpha2=alpha2, d_bar=0.0),
         x0=np.ones(3),
         step=StepConfig(step_size=h, t_end=0.5),
     )

@@ -39,5 +39,5 @@ def test_a_changed_missing_or_extra_file_is_named(artifacts):
 def test_every_case_is_a_cli_command_on_a_shipped_config(artifacts):
     root = ARTIFACTS.parent.parent
     for name, argv in artifacts.CASES.items():
-        assert argv[0] in ("run", "montecarlo", "gp-train"), name
+        assert argv[0] in ("run", "montecarlo", "gp-train", "bounds"), name
         assert (root / argv[1]).is_file(), name

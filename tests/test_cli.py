@@ -282,6 +282,49 @@ def test_bounds_rejects_equal_exponents(capsys):
     assert "p" in err
 
 
+@pytest.mark.parametrize("command", ["run", "bounds"])
+@pytest.mark.parametrize(
+    "assignment, message",
+    [
+        ("controller.alpha1=[6, -1, 6]", "alpha1 must be positive, got -1.0"),
+        ("controller.alpha2=[4, 1, 4]",
+         "need alpha2 > (2/sqrt(pi))*d_bar = 1.12838, got alpha2 = 1.0"),
+        ("controller.d_bar=[1, -1, 1]", "d_bar must be >= 0, got -1.0"),
+        ("controller.p=[8, 10, 8]", "exponent p/q must satisfy 0 <= p/q < 1, got 10/10"),
+    ],
+    ids=["alpha1", "alpha2", "d_bar", "p"],
+)
+def test_a_bad_gain_names_its_channel(capsys, tmp_path, monkeypatch, command, assignment, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, command, str(KNOWN), *FAST, "--set", assignment)
+    assert code == 2
+    assert (out, err) == ("", f"parameter error: channel 2: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_gain_list_of_the_wrong_length_is_a_config_error(capsys):
+    code, _, err = run_cli(capsys, "bounds", str(KNOWN), "--set", "controller.alpha1=[6, 6]")
+    assert code == 2
+    assert err == "config error: controller.alpha1 needs 1 or 3 entries, got 2\n"
+
+
+def test_a_bound_beyond_the_float_range_is_a_parameter_error(capsys):
+    # 2 / alpha1 overflows: the bound is refused with no warning printed
+    code, out, err = run_cli(capsys, "bounds", str(KNOWN), "--set", "controller.alpha1=1e-320")
+    assert code == 2
+    assert (out, err) == ("", "parameter error: T_z entries must be positive and finite: "
+                              "(inf, inf, inf)\n")
+
+
+def test_bounds_note_follows_the_exponent_not_its_terms(capsys):
+    # p/q = 4/5 is the benchmark's 8/10
+    code, out, _ = run_cli(capsys, "bounds", str(KNOWN), "--set", "controller.p=4",
+                           "--set", "controller.q=5")
+    assert code == 0
+    assert "T_max = 1.27416" in out
+    assert any(line.startswith("note: commonly quoted values") for line in out.splitlines())
+
+
 # --- run ---------------------------------------------------------------------------
 
 

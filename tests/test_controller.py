@@ -1,23 +1,14 @@
 import numpy as np
 import pytest
 
-from fxtsmc.controller import (
-    BoundReport,
-    ControllerParams,
-    bound_report,
-    lemma2_bound,
-    lemma3_bound,
-    theorem1_z_bound,
-    theorem2_s_bound,
-)
+from fxtsmc.controller import BoundReport, ControllerParams, bound_report
 from fxtsmc.errors import GainTooSmallError, ParameterError
 from fxtsmc.gp import GPDataset, KernelConfig, gp_fit
 from fxtsmc.numerics import StepConfig
 from fxtsmc.sim import Scenario, simulate
-from fxtsmc.sliding import SlidingParams
 from fxtsmc.system import ConstantGain, SystemModel, make_pmsm, zero_reference
 
-from conftest import make_integrator_plant, standard_channels
+from conftest import make_integrator_plant, standard_gains
 
 SQRT_PI_HALF = np.sqrt(np.pi) / 2.0
 
@@ -25,10 +16,9 @@ SQRT_PI_HALF = np.sqrt(np.pi) / 2.0
 # --- control law (evaluated by the simulation engine) --------------------------
 
 
-def scalar_params(alpha2=4.0, d_bar=0.0, **kwargs):
-    return ControllerParams(
-        sliding=SlidingParams(alpha1=6.0, p=8, q=10), alpha2=alpha2, d_bar=d_bar, **kwargs
-    )
+def scalar_params(alpha1=6.0, alpha2=4.0, p=8, q=10, d_bar=0.0, **kwargs):
+    """One channel's gains, the benchmark set by default without d_bar."""
+    return ControllerParams(1, alpha1=alpha1, alpha2=alpha2, p=p, q=q, d_bar=d_bar, **kwargs)
 
 
 def one_step_run(x0, params, model=None, mode="known-model", gp_model=None, t_end=1e-3):
@@ -110,62 +100,90 @@ def test_control_gp_pure_model_cancellation():
 
 def test_params_enforce_reaching_gain_condition():
     with pytest.raises(GainTooSmallError) as exc:
-        ControllerParams(sliding=SlidingParams(alpha1=6.0, p=8, q=10), alpha2=1.0, d_bar=1.0)
+        scalar_params(alpha2=1.0, d_bar=1.0)
     assert "2/sqrt(pi)" in str(exc.value)
     # alpha2 = 1.2 > 2/sqrt(pi) ~ 1.1284 is accepted
-    ControllerParams(sliding=SlidingParams(alpha1=6.0, p=8, q=10), alpha2=1.2, d_bar=1.0)
+    scalar_params(alpha2=1.2, d_bar=1.0)
 
 
-# --- bound calculators ---------------------------------------------------------
+def test_params_hold_read_only_arrays_of_every_channel():
+    params = ControllerParams(
+        3, alpha1=[5.0, 6.0, 7.0], alpha2=4.0, p=[6, 8, 0], q=10, d_bar=[1.0, 0.5, 0.0],
+        include_sqrt_pi_factor=[True, False, True],
+    )
+    np.testing.assert_array_equal(params.alpha1, [5.0, 6.0, 7.0])
+    np.testing.assert_array_equal(params.exponent, [6 / 10, 8 / 10, 0.0])
+    np.testing.assert_array_equal(params.d_bar, [1.0, 0.5, 0.0])
+    np.testing.assert_array_equal(params.reach_gain, [SQRT_PI_HALF * 4.0, 4.0, SQRT_PI_HALF * 4.0])
+    for name in ("alpha1", "exponent", "alpha2", "d_bar", "reach_gain"):
+        assert getattr(params, name).shape == (3,)
+        assert not getattr(params, name).flags.writeable
+
+
+# --- bound calculators, one channel at a time ----------------------------------
+
+
+def one_channel_t_s(alpha2, d_bar=0.0, delta_f_bar=None, mode="lemma3"):
+    """T_s of one channel: lemma 2 without ``delta_f_bar``, theorem 2 with it,
+    on the plain reaching gain alpha2 (no sqrt(pi)/2 factor)."""
+    params = scalar_params(alpha2=alpha2, d_bar=d_bar, include_sqrt_pi_factor=False)
+    delta = None if delta_f_bar is None else np.array([delta_f_bar])
+    return bound_report(params, delta_f_bars=delta, s_bound_mode=mode).t_s
 
 
 def test_lemma2_bound_values():
-    assert lemma2_bound(1.0, 0.0) == 1.0
-    assert lemma2_bound(4.0, 1.0) == pytest.approx(0.3482353897636808, abs=1e-15)
+    assert one_channel_t_s(1.0) == 1.0
+    assert one_channel_t_s(4.0, 1.0) == pytest.approx(0.3482353897636808, abs=1e-15)
     with pytest.raises(GainTooSmallError):
-        lemma2_bound(1.0, 1.0)  # 1 < 2/sqrt(pi)
+        one_channel_t_s(1.0, 1.0)  # 1 < 2/sqrt(pi)
 
 
 def test_theorem1_z_bound_values():
-    assert theorem1_z_bound(6.0, 8, 10) == pytest.approx(0.92593, abs=1e-4)
-    assert theorem1_z_bound(6.0, 8, 10) == pytest.approx(0.9259259259259262, abs=1e-15)
-    assert theorem1_z_bound(2.0, 0, 1) == 1.0
-    assert theorem1_z_bound(4.0, 1, 2) == pytest.approx(2.0 / 3.0, rel=1e-15)
+    t_z = bound_report(scalar_params()).t_z
+    assert t_z == pytest.approx(0.92593, abs=1e-4)
+    assert t_z == pytest.approx(0.9259259259259262, abs=1e-15)
+    assert bound_report(scalar_params(alpha1=2.0, p=0, q=1)).t_z == 1.0
+    assert bound_report(scalar_params(alpha1=4.0, p=1, q=2)).t_z == pytest.approx(
+        2.0 / 3.0, rel=1e-15
+    )
     with pytest.raises(ParameterError):
-        theorem1_z_bound(6.0, 10, 10)
+        scalar_params(p=10, q=10)
 
 
 def test_lemma3_bound_values():
-    assert lemma3_bound(-1.0) == pytest.approx(1.9142135623730951, abs=1e-15)
-    assert lemma3_bound(-0.5) == pytest.approx(3.8284271247461903, abs=1e-15)
+    # theorem 2's bound is lemma 3's at A = -(alpha2 - d_bar - delta_f_bar)
+    assert one_channel_t_s(1.0, delta_f_bar=0.0) == pytest.approx(1.9142135623730951, abs=1e-15)
+    assert one_channel_t_s(1.0, delta_f_bar=0.5) == pytest.approx(3.8284271247461903, abs=1e-15)
     with pytest.raises(ParameterError):
-        lemma3_bound(0.0)
+        one_channel_t_s(1.0, delta_f_bar=1.0)  # A = 0
 
 
 def test_theorem2_s_bound_values():
-    assert theorem2_s_bound(4.0, 1.0, 0.0) == pytest.approx(0.6380711874576984, abs=1e-15)
-    assert theorem2_s_bound(4.0, 1.0, 0.0, mode="printed-t8") == pytest.approx(
+    assert one_channel_t_s(4.0, 1.0, 0.0) == pytest.approx(0.6380711874576984, abs=1e-15)
+    assert one_channel_t_s(4.0, 1.0, 0.0, mode="printed-t8") == pytest.approx(
         0.47140452079103173, abs=1e-15
     )
     with pytest.raises(GainTooSmallError):
-        theorem2_s_bound(1.0, 1.0, 0.5)
-    with pytest.raises(ParameterError):
-        theorem2_s_bound(4.0, 1.0, 0.0, mode="theorem-9")
+        one_channel_t_s(2.0, 1.0, 1.5)
 
 
 def test_bounds_monotone_in_gains_and_disturbance():
-    alphas = (2.0, 3.0, 5.0, 9.0)
-    assert all(
-        lemma2_bound(a, 1.0) > lemma2_bound(b, 1.0) for a, b in zip(alphas, alphas[1:])
-    )
-    assert lemma2_bound(4.0, 1.0) > lemma2_bound(4.0, 0.5) > lemma2_bound(4.0, 0.0)
-    assert theorem1_z_bound(2.0, 8, 10) > theorem1_z_bound(4.0, 8, 10)
-    assert theorem2_s_bound(4.0, 1.0, 1.5) > theorem2_s_bound(4.0, 1.0, 0.5)
-    assert theorem2_s_bound(3.0, 1.0, 0.5) > theorem2_s_bound(4.0, 1.0, 0.5)
+    # one channel per gain or budget, in increasing order of it
+    def t_s(alpha2, d_bar, delta=None):
+        params = ControllerParams(len(alpha2), alpha1=6.0, alpha2=alpha2, p=8, q=10,
+                                  d_bar=d_bar, include_sqrt_pi_factor=False)
+        return np.array(bound_report(params, delta_f_bars=delta).t_s_channels)
+
+    assert np.all(np.diff(t_s([2.0, 3.0, 5.0, 9.0], 1.0)) < 0.0)
+    assert np.all(np.diff(t_s([4.0, 4.0, 4.0], [0.0, 0.5, 1.0])) > 0.0)
+    t_z = bound_report(ControllerParams(2, alpha1=[2.0, 4.0], alpha2=4.0, p=8, q=10)).t_z_channels
+    assert t_z[0] > t_z[1]
+    assert np.all(np.diff(t_s([4.0, 4.0], 1.0, np.array([0.5, 1.5]))) > 0.0)
+    assert np.all(np.diff(t_s([3.0, 4.0], 1.0, np.array([0.5, 0.5]))) < 0.0)
 
 
 def test_bound_report_known_model():
-    report = bound_report(standard_channels())
+    report = bound_report(standard_gains())
     assert isinstance(report, BoundReport)
     assert report.mode == "known-model"
     assert report.t_z == pytest.approx(0.92593, abs=1e-4)
@@ -176,23 +194,22 @@ def test_bound_report_known_model():
 
 
 def test_bound_report_trivial_composition():
-    params = ControllerParams(sliding=SlidingParams(alpha1=2.0, p=0, q=1), alpha2=1.0, d_bar=0.0)
-    report = bound_report([params])
+    report = bound_report(scalar_params(alpha1=2.0, alpha2=1.0, p=0, q=1))
     assert report.t_max == pytest.approx(2.0, rel=1e-15)
 
 
 def test_bound_report_gp_mode():
     # theorem 2 takes the reaching gain the law applies, (sqrt(pi)/2) * 4
     # on these channels, which keep the factor
-    report = bound_report(standard_channels(), delta_f_bars=np.zeros(3))
+    report = bound_report(standard_gains(), delta_f_bars=np.zeros(3))
     assert report.mode == "gp-based"
     assert report.t_s == pytest.approx(0.75217406156258, abs=1e-12)
     printed = bound_report(
-        standard_channels(), delta_f_bars=np.zeros(3), s_bound_mode="printed-t8"
+        standard_gains(), delta_f_bars=np.zeros(3), s_bound_mode="printed-t8"
     )
     assert printed.t_s == pytest.approx(0.5557032820352183, abs=1e-12)
     plain = bound_report(
-        standard_channels(include_sqrt_pi_factor=False), delta_f_bars=np.zeros(3)
+        standard_gains(include_sqrt_pi_factor=False), delta_f_bars=np.zeros(3)
     )
     assert plain.t_s == pytest.approx(0.6380711874576984, abs=1e-12)
 
@@ -201,7 +218,7 @@ def test_bound_report_reports_offending_channel():
     # alpha2 = 4 beats the perturbation bound, but a model-error budget of 10
     # on the middle channel makes its sliding-phase bound infeasible.
     with pytest.raises(GainTooSmallError) as exc:
-        bound_report(standard_channels(), delta_f_bars=np.array([0.0, 10.0, 0.0]))
+        bound_report(standard_gains(), delta_f_bars=np.array([0.0, 10.0, 0.0]))
     assert "channel 2" in str(exc.value)
 
 
@@ -215,7 +232,7 @@ def test_exact_cancellation_in_discrete_loop():
     scenario = Scenario(
         system=make_pmsm(perturbed=False),
         reference=zero_reference(3),
-        params=standard_channels(d_bar=0.0)[0],
+        params=standard_gains(d_bar=0.0),
         x0=np.ones(3),
         step=StepConfig(step_size=h, t_end=0.2),
         settle_threshold=0.02,
@@ -233,14 +250,14 @@ def test_lyapunov_decrease_above_chatter_floor():
     scenario = Scenario(
         system=make_pmsm(),
         reference=zero_reference(3),
-        params=standard_channels()[0],
+        params=standard_gains(),
         x0=np.ones(3),
         step=StepConfig(step_size=h, t_end=0.3),
         settle_threshold=0.02,
     )
     traj = simulate(scenario)
     floor = 10.0 * h * np.abs(traj.u).max()  # max |g| = 1 on this benchmark
-    v = traj.v_s
+    v = 0.5 * traj.s * traj.s
     active = np.abs(traj.s[:-1]) > floor
     assert np.all((v[1:] - v[:-1])[active] <= 0.0)
 

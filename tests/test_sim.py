@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_integrator_plant, standard_channels
+from conftest import make_integrator_plant, standard_gains
 from fxtsmc.errors import ParameterError, SimulationDivergedError, UnfitGPError
 from fxtsmc import sim
 from fxtsmc.controller import BoundReport, ControllerParams, bound_report
@@ -30,7 +30,6 @@ from fxtsmc.sim import (
     write_summary_json,
     write_trajectory_csv,
 )
-from fxtsmc.sliding import SlidingParams
 from fxtsmc.system import (
     ConstantGain,
     ReferenceSignal,
@@ -49,7 +48,7 @@ def pmsm_scenario(x0=(1.0, 1.0, 1.0), step_size=1e-4, t_end=1.0, **kwargs):
     return Scenario(
         system=make_pmsm(),
         reference=zero_reference(3),
-        params=standard_channels(),
+        params=standard_gains(),
         x0=np.asarray(x0, dtype=float),
         step=StepConfig(step_size=step_size, t_end=t_end),
         **kwargs,
@@ -66,7 +65,7 @@ def test_exact_fixed_point_at_reference():
     scenario = Scenario(
         system=make_integrator_plant(1),
         reference=constant_reference([0.7]),
-        params=standard_channels(1),
+        params=standard_gains(1),
         x0=np.array([0.7]),
         step=StepConfig(step_size=1e-3, t_end=0.1),
     )
@@ -129,14 +128,13 @@ def test_initial_sample_invariants():
     assert all(np.isfinite(col).all() for col in traj.columns())
 
 
-def test_trajectory_shapes_and_vs():
+def test_trajectory_shapes():
     scenario = pmsm_scenario(step_size=1e-3, t_end=0.05)
     traj = simulate(scenario)
     rows = scenario.step.n_steps + 1
     assert traj.t.shape == (rows,)
     assert traj.x.shape == (rows, 3)
     assert traj.f_hat is None
-    assert np.array_equal(traj.v_s, 0.5 * traj.s * traj.s)
 
 
 def test_simulate_is_deterministic():
@@ -181,7 +179,7 @@ def test_divergence_reports_time_and_channel():
 
 def test_open_loop_never_evaluates_the_gain():
     scaled = dataclasses.replace(make_integrator_plant(2), gain=ConstantGain([2.0, -3.0]))
-    for params in (None, standard_channels(2)):
+    for params in (None, standard_gains(2)):
         traj = simulate(Scenario(
             system=scaled,
             reference=zero_reference(2),
@@ -213,12 +211,23 @@ def test_closed_loop_requires_params():
         )
 
 
+def test_params_must_hold_the_gains_of_every_channel():
+    with pytest.raises(ParameterError, match="expected the gains of 3 channels, got 2"):
+        Scenario(
+            system=make_pmsm(),
+            reference=zero_reference(3),
+            params=standard_gains(2),
+            x0=np.zeros(3),
+            step=StepConfig(step_size=1e-3, t_end=0.01),
+        )
+
+
 def test_gp_mode_requires_models():
     with pytest.raises(UnfitGPError):
         Scenario(
             system=make_pmsm(),
             reference=zero_reference(3),
-            params=standard_channels(),
+            params=standard_gains(),
             x0=np.zeros(3),
             step=StepConfig(step_size=1e-3, t_end=0.01),
             mode="gp-based",
@@ -235,7 +244,7 @@ def test_gp_mode_requires_one_model_per_channel():
         Scenario(
             system=make_pmsm(),
             reference=zero_reference(3),
-            params=standard_channels(),
+            params=standard_gains(),
             x0=np.zeros(3),
             step=StepConfig(step_size=1e-3, t_end=0.01),
             mode="gp-based",
@@ -269,7 +278,7 @@ def test_scenario_rejects_bad_fields(kwargs):
     base = dict(
         system=make_pmsm(),
         reference=zero_reference(3),
-        params=standard_channels(),
+        params=standard_gains(),
         x0=np.zeros(3),
         step=StepConfig(step_size=1e-3, t_end=0.01),
     )
@@ -342,7 +351,7 @@ def test_settling_rejects_bad_arguments(which, threshold):
 def test_summarize_run_fields():
     scenario = pmsm_scenario(t_end=1.0, settle_threshold=0.02)
     traj = simulate(scenario)
-    summary = summarize_run(traj, scenario, bounds=bound_report(scenario.channels))
+    summary = summarize_run(traj, scenario, bounds=bound_report(scenario.params))
     assert summary.settled
     assert summary.settling_time == pytest.approx(np.max(summary.settling_error))
     assert summary.bounds is not None
@@ -355,7 +364,7 @@ def test_summarize_run_fields():
 
 def test_summary_round_trips_through_json(tmp_path):
     scenario = pmsm_scenario(step_size=1e-3, t_end=0.02)
-    summary = summarize_run(simulate(scenario), scenario, bounds=bound_report(scenario.channels))
+    summary = summarize_run(simulate(scenario), scenario, bounds=bound_report(scenario.params))
     path = tmp_path / "summary.json"
     write_summary_json(summary, path, config={"b": 1, "a": 2})
     doc = json.loads(path.read_text())
@@ -403,7 +412,7 @@ def test_summary_matches_a_direct_oracle_on_random_trajectories():
         scenario = Scenario(
             system=make_integrator_plant(n),
             reference=zero_reference(n),
-            params=standard_channels(n),
+            params=standard_gains(n),
             x0=np.zeros(n),
             step=StepConfig(step_size=0.1, t_end=1.0),
             settle_threshold=threshold,
@@ -483,7 +492,7 @@ def test_monte_carlo_records_failures_without_aborting():
     template = Scenario(
         system=nan_at_zero,
         reference=zero_reference(1),
-        params=standard_channels(1),
+        params=standard_gains(1),
         x0=np.array([1.0]),
         step=StepConfig(step_size=1e-3, t_end=0.01),
     )
@@ -534,7 +543,7 @@ def test_guard_substeps_on_the_surface_rate_alone():
     traj = simulate(Scenario(
         system=system,
         reference=zero_reference(1),
-        params=standard_channels(1),
+        params=standard_gains(1),
         x0=np.array([3.0]),
         step=StepConfig(step_size=1e-3, t_end=1e-3),
         mode="open-loop",
@@ -636,7 +645,7 @@ def far_sinusoid_template(system=None, t_end=0.2):
     return Scenario(
         system=system or make_pmsm(),
         reference=sinusoid_reference([1.0, 0.5, 0.2], [3.0, 2.0, 1.0], [0.0, 0.3, 0.6]),
-        params=standard_channels(),
+        params=standard_gains(),
         x0=np.ones(3),
         step=StepConfig(step_size=1e-3, t_end=t_end),
         settle_threshold=0.05,
@@ -666,7 +675,7 @@ def gp_template(t_end):
             step_size=1e-3, t_end=t_end, settle_threshold=0.05,
             mode="gp-based", gp_model=gp_fit(dataset, kernel),
         ),
-        params=standard_channels(alpha2=6.0),
+        params=standard_gains(alpha2=6.0),
     )
 
 
@@ -716,7 +725,7 @@ def test_batch_records_exhausted_substep_budget_like_single_runs(monkeypatch):
     template = Scenario(
         system=make_pmsm(),
         reference=zero_reference(3),
-        params=standard_channels(),
+        params=standard_gains(),
         x0=np.ones(3),
         step=StepConfig(step_size=1e-3, t_end=0.1),
         settle_threshold=0.05,
@@ -735,7 +744,7 @@ def chatter_pulse_template():
     return Scenario(
         system=dataclasses.replace(make_pmsm(), perturbation=pulse, perturbation_bounds=None),
         reference=zero_reference(3),
-        params=standard_channels(),
+        params=standard_gains(),
         x0=np.ones(3),
         step=StepConfig(step_size=1e-3, t_end=1.5),
         settle_threshold=0.05,
@@ -768,7 +777,7 @@ def drift_gap_template():
             plant, drift=lambda x: np.where((x > 0.2) & (x <= 0.5), np.nan, 0.0)
         ),
         reference=zero_reference(1),
-        params=standard_channels(1),
+        params=standard_gains(1),
         x0=np.array([-1.0]),
         step=StepConfig(step_size=1e-2, t_end=1.0),
         settle_threshold=0.1,
@@ -891,10 +900,8 @@ def expression_form_rows(scenario, x0):
     applied, and the plain Euler step, which the rates bound must admit at
     every row."""
     model, h, n = scenario.system, scenario.step.step_size, scenario.system.n
-    channels = scenario.channels
-    alpha1 = np.array([c.sliding.alpha1 for c in channels])
-    exponent = np.array([c.sliding.exponent for c in channels])
-    reach_gain = np.array([c.reach_gain for c in channels])
+    alpha1, exponent = scenario.params.alpha1, scenario.params.exponent
+    reach_gain = scenario.params.reach_gain
     g = model.gain.value
     t_grid = np.arange(scenario.step.n_steps + 1) * h
     grid = [
@@ -926,11 +933,9 @@ def expression_form_rows(scenario, x0):
 def per_channel_gain_template():
     """pmsm with the input gain (2, 0.5, -1.5), a sinusoid reference and
     other gains on each channel, the sign integrand (p = 0) among them."""
-    params = [
-        ControllerParams(sliding=SlidingParams(alpha1=6.0, p=8, q=10), alpha2=4.0, d_bar=1.0),
-        ControllerParams(sliding=SlidingParams(alpha1=3.0, p=1, q=3), alpha2=5.0, d_bar=1.0),
-        ControllerParams(sliding=SlidingParams(alpha1=8.0, p=0, q=1), alpha2=3.0, d_bar=1.0),
-    ]
+    params = ControllerParams(
+        3, alpha1=[6.0, 3.0, 8.0], alpha2=[4.0, 5.0, 3.0], p=[8, 1, 0], q=[10, 3, 1], d_bar=1.0
+    )
     return Scenario(
         system=dataclasses.replace(make_pmsm(), gain=ConstantGain(np.array([2.0, 0.5, -1.5]))),
         reference=sinusoid_reference([0.5, 0.3, 0.2], [2.0, 3.0, 1.0], [0.0, 0.5, 1.0]),
@@ -1137,7 +1142,7 @@ def identity_template(system=None, reference=None):
     return Scenario(
         system=system or make_pmsm(),
         reference=reference or zero_reference(3),
-        params=standard_channels(),
+        params=standard_gains(),
         x0=np.array([3.0, -3.0, 3.0]),
         step=StepConfig(step_size=1e-3, t_end=1.0),
     )
@@ -1292,7 +1297,7 @@ def test_trajectory_csv_bytes_equal_a_savetxt_reference(tmp_path, config, f_hat,
 
 def test_summary_dict_drops_numpy_types():
     scenario = pmsm_scenario(step_size=1e-3, t_end=0.3, settle_threshold=0.05)
-    summary = summarize_run(simulate(scenario), scenario, bounds=bound_report(scenario.channels))
+    summary = summarize_run(simulate(scenario), scenario, bounds=bound_report(scenario.params))
     doc = summary_to_dict(summary)
     json.dumps(doc)
     assert set(doc) >= {

@@ -1,19 +1,24 @@
 import numpy as np
 import pytest
 
-from fxtsmc.controller import ControllerParams, theorem1_z_bound
+from fxtsmc.controller import ControllerParams, bound_report
 from fxtsmc.errors import ParameterError
 from fxtsmc.numerics import EXP_CLAMP, StepConfig, safe_exp
 from fxtsmc.sim import Scenario, simulate
-from fxtsmc.sliding import SlidingParams, integrand
+from fxtsmc.sliding import integrand
 from fxtsmc.system import make_pmsm, zero_reference
 
 from conftest import make_integrator_plant
 
 
+def surface_params(alpha1=6.0, p=8, q=10):
+    """One channel's gains, with the surface's alpha1 and p/q as given."""
+    return ControllerParams(1, alpha1=alpha1, alpha2=4.0, p=p, q=q)
+
+
 def test_params_exponent():
-    assert SlidingParams(alpha1=6.0, p=8, q=10).exponent == pytest.approx(0.8)
-    assert SlidingParams(alpha1=2.0, p=0, q=1).exponent == 0.0
+    assert surface_params(alpha1=6.0, p=8, q=10).exponent[0] == pytest.approx(0.8)
+    assert surface_params(alpha1=2.0, p=0, q=1).exponent[0] == 0.0
 
 
 @pytest.mark.parametrize(
@@ -29,18 +34,18 @@ def test_params_exponent():
 )
 def test_params_rejects_bad_domains(kwargs):
     with pytest.raises(ParameterError):
-        SlidingParams(**kwargs)
+        surface_params(**kwargs)
 
 
 def test_integrand_values():
-    expo = SlidingParams(alpha1=6.0, p=8, q=10).exponent
+    expo = 8 / 10
     assert integrand(0.0, expo) == 0.0
     assert integrand(1.0, expo) == pytest.approx(np.e, rel=1e-15)
     assert integrand(-1.0, expo) == pytest.approx(-np.e, rel=1e-15)
 
 
 def test_integrand_odd():
-    expo = SlidingParams(alpha1=1.0, p=3, q=7).exponent
+    expo = 3 / 7
     for z in (0.1, 0.9, 2.3, 5.0):
         assert integrand(-z, expo) == -integrand(z, expo)
 
@@ -48,7 +53,7 @@ def test_integrand_odd():
 def test_integrand_odd_over_exponents():
     z = np.random.default_rng(0).uniform(-10.0, 10.0, size=200)
     for p, q in ((0, 1), (3, 10), (8, 10), (99, 100)):
-        expo = SlidingParams(alpha1=1.0, p=p, q=q).exponent
+        expo = p / q
         np.testing.assert_array_equal(integrand(-z, expo), -integrand(z, expo))
 
 
@@ -56,7 +61,7 @@ def test_integrand_increasing_in_z():
     # the backward-Euler z-solve needs an increasing integrand
     z = np.sort(np.random.default_rng(1).uniform(-5.0, 5.0, size=500))
     for p, q in ((0, 1), (3, 10), (8, 10), (99, 100)):
-        y = integrand(z, SlidingParams(alpha1=1.0, p=p, q=q).exponent)
+        y = integrand(z, p / q)
         assert np.all(np.diff(y) >= 0.0)
 
 
@@ -81,13 +86,13 @@ def test_integrand_equals_its_expression_form_and_keeps_its_input(exponent):
         assert z.tobytes() == before
 
 
-def hold_run(z0, sliding, step_size, t_end):
+def hold_run(z0, params, step_size, t_end):
     """Open-loop run of the integrator plant with gains attached: x' = 0, so
     z stays at z0 while the engine accumulates the surface integral."""
     scenario = Scenario(
         system=make_integrator_plant(),
         reference=zero_reference(1),
-        params=ControllerParams(sliding=sliding, alpha2=4.0),
+        params=params,
         x0=np.array([z0]),
         step=StepConfig(step_size=step_size, t_end=t_end),
         mode="open-loop",
@@ -96,9 +101,9 @@ def hold_run(z0, sliding, step_size, t_end):
 
 
 def test_advance_accumulates_one_euler_step():
-    params = SlidingParams(alpha1=6.0, p=8, q=10)
+    params = surface_params()
     traj = hold_run(1.0, params, 0.1, 0.1)
-    integral = (traj.s[1, 0] - traj.z[1, 0]) / params.alpha1
+    integral = (traj.s[1, 0] - traj.z[1, 0]) / params.alpha1[0]
     assert integral == pytest.approx(0.1 * np.e, rel=1e-15)
 
     traj = hold_run(0.0, params, 0.1, 0.1)
@@ -108,16 +113,16 @@ def test_advance_accumulates_one_euler_step():
 def test_sliding_value_examples():
     # s = z + alpha1 * integral, with the integral one Euler increment of the
     # integrand at z
-    params = SlidingParams(alpha1=6.0, p=8, q=10)
+    params = surface_params()
     assert hold_run(0.0, params, 0.1, 0.1).s[0, 0] == 0.0
     traj = hold_run(2.0, params, 1e-3, 1e-3)
-    assert traj.s[1, 0] == 2.0 + 6.0 * (1e-3 * integrand(2.0, params.exponent))
+    assert traj.s[1, 0] == 2.0 + 6.0 * (1e-3 * integrand(2.0, params.exponent[0]))
 
 
 def test_sliding_equals_error_at_time_zero():
     # the integral starts empty, so s(0) = z for any z and gains
     for alpha1, p, q in ((6.0, 8, 10), (2.0, 0, 1), (0.5, 1, 3)):
-        params = SlidingParams(alpha1=alpha1, p=p, q=q)
+        params = surface_params(alpha1=alpha1, p=p, q=q)
         for z in (-4.0, -0.3, 0.0, 1.7):
             assert hold_run(z, params, 1e-3, 1e-3).s[0, 0] == z
 
@@ -125,7 +130,7 @@ def test_sliding_equals_error_at_time_zero():
 def test_constant_z_closed_form():
     # z(tau) = 1 on [0, 1]: the integrand is constant e, so Euler accumulation
     # is exact and s = 1 + alpha1 * e * t.
-    params = SlidingParams(alpha1=6.0, p=8, q=10)
+    params = surface_params()
     traj = hold_run(1.0, params, 1e-4, 1.0)
     assert np.all(traj.z == 1.0)
     assert (traj.s[-1, 0] - 1.0) / 6.0 == pytest.approx(np.e, rel=1e-12)
@@ -140,16 +145,13 @@ def test_accumulator_matches_trapezoid_quadrature():
     scenario = Scenario(
         system=make_pmsm(),
         reference=zero_reference(3),
-        params=ControllerParams(
-            sliding=SlidingParams(alpha1=6.0, p=8, q=10), alpha2=4.0, d_bar=1.0
-        ),
+        params=ControllerParams(3, alpha1=6.0, alpha2=4.0, p=8, q=10, d_bar=1.0),
         x0=np.ones(3),
         step=StepConfig(step_size=h, t_end=t_end),
         settle_threshold=0.02,
     )
     traj = simulate(scenario)
-    params = SlidingParams(alpha1=6.0, p=8, q=10)
-    values = np.stack([integrand(traj.z[:, i], params.exponent) for i in range(3)], axis=1)
+    values = integrand(traj.z, scenario.params.exponent)
     quad = np.trapezoid(values, traj.t, axis=0)
     incremental = (traj.s[-1] - traj.z[-1]) / 6.0
     tol = 10.0 * h * t_end * np.max(np.abs(values))
@@ -161,7 +163,7 @@ def test_on_manifold_error_dynamics_settle_within_bound():
     # rate-guarded Euler loop must drive |z| below 1e-3 within the z-phase
     # settling bound, including from far-field starts.
     alpha1, expo = 6.0, 0.8
-    bound = theorem1_z_bound(alpha1, 8, 10)
+    bound = bound_report(surface_params(alpha1=alpha1)).t_z
     h = 1e-4
     for z0 in (0.1, 1.0, 10.0):
         z, t = z0, 0.0

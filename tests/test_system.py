@@ -18,7 +18,7 @@ from fxtsmc.system import (
     zero_reference,
 )
 
-from conftest import make_integrator_plant, standard_channels
+from conftest import make_integrator_plant, standard_gains
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -29,7 +29,7 @@ def first_step(model, x0, u_mode="open-loop", h=2.0**-10):
     scenario = Scenario(
         system=model,
         reference=zero_reference(model.n),
-        params=standard_channels(model.n, d_bar=0.0) if u_mode != "open-loop" else None,
+        params=standard_gains(model.n, d_bar=0.0) if u_mode != "open-loop" else None,
         x0=np.asarray(x0, dtype=float),
         step=StepConfig(step_size=h, t_end=h),
         mode=u_mode,
@@ -115,7 +115,7 @@ def test_constant_gain_holds_a_read_only_copy():
     source = np.array([2.0, -1.0])
     gain = ConstantGain(source)
     source[0] = 0.0
-    np.testing.assert_array_equal(gain(np.zeros((4, 2))), [2.0, -1.0])
+    np.testing.assert_array_equal(gain.value, [2.0, -1.0])
     assert not gain.value.flags.writeable
 
 
