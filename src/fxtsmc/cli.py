@@ -453,8 +453,11 @@ def _is_standard_pmsm_gains(params) -> bool:
 def cmd_run(args) -> int:
     cfg = resolve_config(args)
     scenario = build_scenario(cfg)
-    traj = simulate(scenario)
-    bounds, bound_note = _settling_bounds(scenario, cfg, lambda: traj)
+    # the bound is decided before the run is stepped; a gp-based bound sizes
+    # it over the run itself, which is then kept, not stepped again
+    run = functools.cache(lambda: simulate(scenario))
+    bounds, bound_note = _settling_bounds(scenario, cfg, run)
+    traj = run()
     summary = summarize_run(traj, scenario, bounds=bounds)
 
     stem = Path(args.config).stem

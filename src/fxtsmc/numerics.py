@@ -1,6 +1,8 @@
 """Scalar numeric primitives: a clamped exponential, the fixed-step grid
 settings, the check of a box that states are drawn from, and the one CSV
-number writer of the trajectory and dataset exports.
+number writer of the trajectory and dataset exports. Where two or more CPUs
+are usable, that writer has one forked helper process format every other
+block of rows; the bytes written are the same either way.
 
 The primitives accept either floats or numpy arrays and operate elementwise,
 so the same code serves both scalar unit tests and the vectorized simulation
@@ -8,6 +10,9 @@ loop. Stepping itself lives in the simulation engine (``fxtsmc.sim``).
 """
 from __future__ import annotations
 
+import gc
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,8 +96,93 @@ def check_ic_box(box, n: int, name: str = "ic_box") -> np.ndarray:
 def write_csv_rows(fh, columns) -> None:
     """Write ``columns`` (arrays of one length; a 2-D one is several columns)
     to ``fh``, a line of comma-separated ``%.17g`` values per row, in blocks of
-    CSV_BLOCK_ROWS rows. 17 significant digits round-trip every float64."""
-    for start in range(0, len(columns[0]), CSV_BLOCK_ROWS):
-        block = np.column_stack([c[start:start + CSV_BLOCK_ROWS] for c in columns])
-        row = ",".join(["%.17g"] * block.shape[1]) + "\n"
-        fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+    CSV_BLOCK_ROWS rows. 17 significant digits round-trip every float64.
+
+    Where two or more CPUs are usable and there are two or more blocks, one
+    forked helper process formats blocks 1, 3, 5, ... while this process
+    formats blocks 0, 2, 4, ...; this process writes every block to ``fh`` in
+    order, so the bytes, newline translation included, are the same as with
+    no helper. An OSError naming the file is raised if the helper fails."""
+    starts = range(0, len(columns[0]), CSV_BLOCK_ROWS)
+    name = getattr(fh, "name", "CSV export")
+    with _helper_blocks(columns, starts[1::2], name) as odd_blocks:
+        for i, start in enumerate(starts):
+            fh.write(next(odd_blocks) if odd_blocks and i % 2 else _format_block(columns, start))
+
+
+def _format_block(columns, start: int) -> str:
+    """The CSV text of the block of rows that begins at row ``start``."""
+    block = np.column_stack([c[start:start + CSV_BLOCK_ROWS] for c in columns])
+    row = ",".join(["%.17g"] * block.shape[1]) + "\n"
+    return (row * len(block)) % tuple(block.ravel().tolist())
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where it cannot fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+@contextmanager
+def _helper_blocks(columns, starts, name: str):
+    """Yield an iterator over the text of the blocks at ``starts``, formatted
+    by one forked helper process, or None where there are no such blocks, one
+    CPU is usable or no process can be forked. The helper reads ``columns``
+    from the memory fork shares and sends each block over a pipe as 8 bytes
+    of length and the ASCII text; the pipe's capacity keeps it about one
+    block ahead of its reader. The helper is reaped on every path out."""
+    pid = None
+    if starts and _usable_cpus() > 1:
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # such as EAGAIN under a process limit
+            os.close(read_fd)
+            os.close(write_fd)
+    if pid is None:
+        yield None
+        return
+    if pid == 0:
+        # The helper touches nothing it inherited but the columns and the
+        # pipe, and leaves by os._exit, so no inherited buffer is flushed. It
+        # collects no garbage: a collection would write to every tracked
+        # object's header, copying the parent's heap, and could finalize an
+        # inherited object, such as an unclosed file, that the parent owns.
+        status = 1
+        try:
+            gc.disable()
+            os.close(read_fd)
+            for start in starts:
+                data = _format_block(columns, start).encode("ascii")
+                _write_all(write_fd, len(data).to_bytes(8, "little") + data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            yield _read_blocks(pipe, name)
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status:
+        raise OSError(f"{name}: the CSV format helper failed "
+                      f"(exit status {os.waitstatus_to_exitcode(status)})")
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read_blocks(pipe, name: str):
+    """The text of each length-prefixed block read from ``pipe``; an OSError
+    naming ``name`` if the pipe ends within or before a block."""
+    while True:
+        head = pipe.read(8)
+        size = int.from_bytes(head, "little")
+        data = pipe.read(size) if len(head) == 8 else b""
+        if len(head) < 8 or len(data) < size:
+            raise OSError(f"{name}: the CSV format helper stopped before its last block")
+        yield data.decode("ascii")

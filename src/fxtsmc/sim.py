@@ -938,7 +938,9 @@ def _settled_after(last, t) -> np.ndarray:
 
 def write_trajectory_csv(traj: Trajectory, path, config: Optional[dict] = None) -> None:
     """CSV with one row per sample, 17 significant digits, reproducible bytes,
-    written in blocks of rows (``numerics.write_csv_rows``).
+    written in blocks of rows (``numerics.write_csv_rows``). Where two or
+    more CPUs are usable, one forked helper process formats every other
+    block; the bytes are the same.
 
     When ``config`` is given the full resolved configuration is embedded as a
     leading ``# config: {...}`` comment line (keys sorted), so the file alone

@@ -1,8 +1,10 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+from fxtsmc import numerics
 from fxtsmc.controller import ControllerParams
 from fxtsmc.system import ConstantGain, SystemModel, make_pmsm
 
@@ -23,6 +25,36 @@ def make_integrator_plant(n=1):
         perturbation_bounds=np.zeros(n),
         name="integrator",
     )
+
+
+_FORK = os.fork
+
+
+def set_csv_cpus(monkeypatch, cpus):
+    """Make the CSV writer see ``cpus`` usable CPUs. The returned list gets an
+    entry for each helper process the writer forks."""
+    forks = []
+    monkeypatch.setattr(numerics, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(cpus) or _FORK())
+    return forks
+
+
+def fail_odd_csv_blocks(monkeypatch):
+    """Make the CSV writer's block formatter raise on blocks 1, 3, 5, ...,
+    which the helper process formats."""
+    format_block = numerics._format_block
+
+    def format_even_blocks(columns, start):
+        if start // numerics.CSV_BLOCK_ROWS % 2:
+            raise RuntimeError("made up")
+        return format_block(columns, start)
+
+    monkeypatch.setattr(numerics, "_format_block", format_even_blocks)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from conftest import assert_no_child_left, fail_odd_csv_blocks, set_csv_cpus
 from fxtsmc import cli
 from fxtsmc.cli import CONFIG_SCHEMA, _gp_delta_f_bars, apply_override, build_gp_model, main
 from fxtsmc.errors import (
@@ -251,6 +252,18 @@ def test_missing_config_is_an_io_error(capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []  # nothing partially written
 
 
+def test_a_failing_csv_helper_is_an_io_error(capsys, tmp_path, monkeypatch):
+    # 301 rows: the helper process formats the second block, and fails
+    monkeypatch.chdir(tmp_path)
+    set_csv_cpus(monkeypatch, 2)
+    fail_odd_csv_blocks(monkeypatch)
+    code, _, err = run_cli(capsys, "run", str(KNOWN), *FAST)
+    assert code == 3
+    assert err == ("i/o error: pmsm-known-trajectory.csv: the CSV format helper stopped "
+                   "before its last block\n")
+    assert_no_child_left()
+
+
 # --- bounds ------------------------------------------------------------------------
 
 
@@ -326,6 +339,31 @@ def test_bounds_note_follows_the_exponent_not_its_terms(capsys):
 
 
 # --- run ---------------------------------------------------------------------------
+
+
+def test_run_refuses_a_bound_before_it_steps(capsys, tmp_path, monkeypatch):
+    def no_simulate(scenario):
+        raise AssertionError("run stepped before it decided its bound")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "simulate", no_simulate)
+    code, out, err = run_cli(capsys, "run", str(KNOWN), "--set", "controller.alpha1=1e-320")
+    assert code == 2
+    assert (out, err) == ("", "parameter error: T_z entries must be positive and finite: "
+                              "(inf, inf, inf)\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_gp_run_is_stepped_once(capsys, tmp_path, monkeypatch):
+    # the run that sizes the gp-based bound is the run that is written
+    calls = []
+    simulate = cli.simulate
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "simulate", lambda scenario: calls.append(1) or simulate(scenario))
+    code, out, _ = run_cli(capsys, "run", str(GP), *FAST)
+    assert code == 0
+    assert "T_max" in out
+    assert len(calls) == 1
 
 
 def test_run_lemma2_writes_artifacts_and_matches_oracle(capsys, tmp_path, monkeypatch):

@@ -8,6 +8,7 @@ import scipy.linalg
 from scipy.linalg import cholesky, solve_triangular
 from scipy.spatial.distance import cdist, pdist, squareform
 
+from conftest import assert_no_child_left, set_csv_cpus
 from fxtsmc.errors import IllConditionedDataError, ParameterError
 from fxtsmc.gp import (
     JITTER_MAX,
@@ -529,7 +530,7 @@ def test_generate_noisy_targets_equal_per_row_drift_plus_noise(plant):
     np.testing.assert_array_equal(ds.targets, rows + noise)
 
 
-def test_save_datasets_bytes_equal_a_csv_writer_reference(tmp_path):
+def test_save_datasets_bytes_equal_a_csv_writer_reference(tmp_path, monkeypatch):
     # finite values whose %.17g text is easy to get wrong, CRLF line ends
     awkward = [-0.0, 5e-324, 0.1, 1e-5, 1e16, 1e17, 1.0000000000000002, -1e300, 2.5]
     rng = np.random.default_rng(4)
@@ -538,15 +539,20 @@ def test_save_datasets_bytes_equal_a_csv_writer_reference(tmp_path):
     inputs[:3] = np.reshape(awkward, (3, 3))
     targets = rng.normal(size=(rows, 2)) * 10.0 ** rng.integers(-300, 300, size=(rows, 2))
     targets[0] = [-0.0, 5e-324]
-    path = tmp_path / "train.csv"
-    save_datasets(GPDataset(inputs=inputs, targets=targets, seed=1), path)
     ref = io.StringIO(newline="")
     writer = csv.writer(ref)
     writer.writerow(["x1", "x2", "x3", "y1", "y2"])
     for row in range(rows):
         writer.writerow([f"{v:.17g}" for v in list(inputs[row]) + list(targets[row])])
-    assert path.read_bytes() == ref.getvalue().encode()
-    assert path.read_bytes().count(b"\r\n") == rows + 1
+    # the same bytes with and without the helper that formats every other block
+    for cpus in (1, 2):
+        forks = set_csv_cpus(monkeypatch, cpus)
+        path = tmp_path / f"train-{cpus}.csv"
+        save_datasets(GPDataset(inputs=inputs, targets=targets, seed=1), path)
+        assert path.read_bytes() == ref.getvalue().encode()
+        assert path.read_bytes().count(b"\r\n") == rows + 1
+        assert len(forks) == cpus - 1
+    assert_no_child_left()
 
 
 def test_save_load_roundtrip(tmp_path):

@@ -1,9 +1,14 @@
+import errno
+import io
+import os
+
 import numpy as np
 import pytest
 from scipy.special import erf, erfinv
 
+from conftest import assert_no_child_left, fail_odd_csv_blocks, set_csv_cpus
 from fxtsmc.errors import ParameterError, SimulationDivergedError
-from fxtsmc.numerics import EXP_CLAMP, StepConfig, safe_exp
+from fxtsmc.numerics import CSV_BLOCK_ROWS, EXP_CLAMP, StepConfig, safe_exp, write_csv_rows
 from fxtsmc.sim import Scenario, simulate
 from fxtsmc.system import ConstantGain, SystemModel, make_lemma2_plant, zero_reference
 
@@ -102,3 +107,57 @@ def test_integrate_step_reports_non_finite_channel():
         open_loop(lambda x: np.zeros(3), np.zeros(3), 0.25, 1.0, perturbation=perturbation)
     assert exc.value.channel == 1
     assert exc.value.t == 0.25
+
+
+# Eight blocks of about 110 kB of text each, more than a pipe holds, so a
+# helper that outlives its reader is blocked in a write.
+CSV_COLUMNS = [np.random.default_rng(0).normal(size=(8 * CSV_BLOCK_ROWS, 20))]
+
+
+def test_a_failing_csv_helper_is_an_oserror_naming_the_file(tmp_path, monkeypatch):
+    set_csv_cpus(monkeypatch, 2)
+    fail_odd_csv_blocks(monkeypatch)
+    path = tmp_path / "rows.csv"
+    with path.open("w") as fh, pytest.raises(OSError) as err:
+        write_csv_rows(fh, CSV_COLUMNS)
+    assert str(err.value) == f"{path}: the CSV format helper stopped before its last block"
+    assert_no_child_left()
+
+
+class FullFile(io.StringIO):
+    """A text file that takes one write and then reports a full disk."""
+
+    name = "full.csv"
+
+    def write(self, text):
+        if self.tell():
+            raise OSError(28, "No space left on device")
+        return super().write(text)
+
+
+def test_a_failing_csv_write_propagates_and_the_helper_is_reaped(monkeypatch):
+    forks = set_csv_cpus(monkeypatch, 2)
+    with pytest.raises(OSError, match="No space left on device"):
+        write_csv_rows(FullFile(), CSV_COLUMNS)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_a_csv_export_that_cannot_fork_formats_every_block_itself(tmp_path, monkeypatch):
+    def no_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    pipes = []
+    pipe = os.pipe
+    set_csv_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "pipe", lambda: pipes.append(pipe()) or pipes[-1])
+    monkeypatch.setattr(os, "fork", no_fork)
+    with (tmp_path / "rows.csv").open("w") as fh:
+        write_csv_rows(fh, CSV_COLUMNS)
+    for fd in pipes[0]:  # both ends closed
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    set_csv_cpus(monkeypatch, 1)
+    with (tmp_path / "ref.csv").open("w") as fh:
+        write_csv_rows(fh, CSV_COLUMNS)
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_integrator_plant, standard_gains
+from conftest import assert_no_child_left, make_integrator_plant, set_csv_cpus, standard_gains
 from fxtsmc.errors import ParameterError, SimulationDivergedError, UnfitGPError
 from fxtsmc import sim
 from fxtsmc.controller import BoundReport, ControllerParams, bound_report
@@ -1279,20 +1279,27 @@ def awkward_trajectory(rows, n, f_hat):
 @pytest.mark.parametrize("f_hat", [False, True], ids=["known", "f_hat"])
 @pytest.mark.parametrize(
     "rows",
-    [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 1],
-    ids=["1", "B-1", "B", "B+1", "2B+1"],
+    [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 1,
+     3 * CSV_BLOCK_ROWS, 4 * CSV_BLOCK_ROWS + 1],
+    ids=["1", "B-1", "B", "B+1", "2B+1", "3B", "4B+1"],
 )
-def test_trajectory_csv_bytes_equal_a_savetxt_reference(tmp_path, config, f_hat, rows):
-    # B is the writer's block size
+def test_trajectory_csv_bytes_equal_a_savetxt_reference(tmp_path, monkeypatch, config, f_hat,
+                                                        rows):
+    # B is the writer's block size. With two CPUs a helper process formats
+    # every other block, once there are two blocks; the bytes do not change.
     traj = awkward_trajectory(rows, 3, f_hat)
-    path = tmp_path / "traj.csv"
-    write_trajectory_csv(traj, path, config=config)
     ref = io.StringIO()
     if config is not None:
         ref.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
     ref.write(",".join(traj.column_names()) + "\n")
     np.savetxt(ref, np.column_stack(traj.columns()), fmt="%.17g", delimiter=",")
-    assert path.read_bytes() == ref.getvalue().encode()
+    for cpus in (1, 2):
+        forks = set_csv_cpus(monkeypatch, cpus)
+        path = tmp_path / f"traj-{cpus}.csv"
+        write_trajectory_csv(traj, path, config=config)
+        assert path.read_bytes() == ref.getvalue().encode()
+        assert len(forks) == (cpus == 2 and rows > CSV_BLOCK_ROWS)
+    assert_no_child_left()
 
 
 def test_summary_dict_drops_numpy_types():
