@@ -25,6 +25,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -37,7 +38,6 @@ from .controller import ControllerParams, bound_report
 from .errors import ConfigError, GainTooSmallError, NumericError, ParameterError
 from .gp import (
     DriftEstimator,
-    ErrorBoundConfig,
     GPModel,
     KernelConfig,
     generate_training_data,
@@ -192,9 +192,24 @@ CONFIG_SCHEMA = {
     },
 }
 
+_BASE_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)
+
+
+def _is_finite_number(checker, instance) -> bool:
+    """A "number" is a JSON number whose float() is finite: no NaN, no
+    Infinity, no integer beyond the float range."""
+    try:
+        return _BASE_VALIDATOR.TYPE_CHECKER.is_type(instance, "number") and math.isfinite(instance)
+    except OverflowError:
+        return False
+
+
 # Built once: jsonschema.validate would check the constant schema against the
 # metaschema on every call.
-_CONFIG_VALIDATOR = jsonschema.validators.validator_for(CONFIG_SCHEMA)(CONFIG_SCHEMA)
+_CONFIG_VALIDATOR = jsonschema.validators.extend(
+    _BASE_VALIDATOR,
+    type_checker=_BASE_VALIDATOR.TYPE_CHECKER.redefine("number", _is_finite_number),
+)(CONFIG_SCHEMA)
 
 # Removed options, refused with the reason: (section, key, the value refused,
 # or None for any value the key is given, reason).
@@ -232,28 +247,19 @@ def validate_config(cfg: dict) -> None:
     err = jsonschema.exceptions.best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
     if err is not None:
         where = "/".join(str(p) for p in err.absolute_path) or "(top level)"
-        raise ConfigError(f"config invalid at {where}: {err.message}") from err
-    _check_float_range(cfg, CONFIG_SCHEMA)
+        raise ConfigError(f"config invalid at {where}: {_message(err)}") from err
 
 
-def _check_float_range(value, schema, where=()) -> None:
-    """ConfigError for an integer beyond the float range in a "number" field,
-    which is built with float(); "integer" fields such as p and q keep any size."""
-    options = schema.get("oneOf", [schema])
-    if isinstance(value, dict):
-        props = {key: sub for o in options for key, sub in o.get("properties", {}).items()}
-        for key, item in value.items():
-            _check_float_range(item, props.get(key, {}), where + (key,))
-    elif isinstance(value, list):
-        items = next((o["items"] for o in options if "items" in o), {})
-        for i, item in enumerate(value):
-            _check_float_range(item, items, where + (str(i),))
-    elif isinstance(value, int) and any(o.get("type") == "number" for o in options):
+def _message(err) -> str:
+    """The error's message, but not the digits of an integer beyond the float
+    range in a "number" field; "integer" fields such as p and q keep any size."""
+    options = err.schema.get("oneOf", [err.schema])
+    if isinstance(err.instance, int) and any(o.get("type") == "number" for o in options):
         try:
-            float(value)
+            float(err.instance)
         except OverflowError:
-            raise ConfigError(f"config invalid at {'/'.join(where)}: "
-                              "integer beyond the float range") from None
+            return "integer beyond the float range"
+    return err.message
 
 
 def apply_override(cfg: dict, assignment: str) -> None:
@@ -410,7 +416,7 @@ def _gp_delta_f_bars(model, traj, chi: float) -> np.ndarray:
     """
     stride = max(1, traj.x.shape[0] // 1000)
     sigma = np.sqrt(variance_many(model, traj.x[::stride]))
-    return np.full(model.weights.shape[1], ErrorBoundConfig(chi=chi).chi * float(np.max(sigma)))
+    return np.full(model.weights.shape[1], chi * float(np.max(sigma)))
 
 
 def _settling_bounds(scenario, cfg: dict, pilot):

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, IllConditionedDataError, ParameterError
-from .numerics import check_ic_box, write_csv_rows
+from .numerics import check_ic_box, check_rows, write_csv_rows
 from .system import SystemModel
 
 KERNEL_FAMILIES = ("exponential", "squared-exponential")
@@ -60,7 +60,7 @@ class KernelConfig:
             raise ParameterError(
                 f"kernel family must be one of {KERNEL_FAMILIES}, got {self.family!r}"
             )
-        if not (np.isfinite(self.length_scale) and self.length_scale > 0.0):
+        if not self.length_scale > 0.0:
             raise ParameterError(f"length_scale must be positive, got {self.length_scale}")
         # the squared-exponential kernel divides by 2 l^2: no overflow, no 0
         with np.errstate(over="ignore", under="ignore"):
@@ -120,19 +120,6 @@ class GPDataset:
     @property
     def n_samples(self) -> int:
         return self.inputs.shape[0]
-
-
-@dataclass(frozen=True)
-class ErrorBoundConfig:
-    """Scale chi of the pointwise error bound chi * posterior_std."""
-
-    chi: float = 2.0
-
-    def __post_init__(self):
-        if not self.chi > 0.0:
-            raise ParameterError(f"chi must be positive, got {self.chi}")
-        if self.chi == np.inf:
-            raise ParameterError("chi must be finite, got inf")
 
 
 @dataclass(frozen=True)
@@ -222,20 +209,6 @@ def gp_fit(dataset: GPDataset, cfg: KernelConfig) -> GPModel:
     )
 
 
-def _cross_kernel(model: GPModel, x) -> np.ndarray:
-    """kbar(x): kernel between the query and every training input, shape (N,)."""
-    from scipy.spatial.distance import cdist
-
-    x = np.atleast_1d(np.asarray(x, dtype=float))[None, :]
-    r = cdist(model.dataset.inputs, x).ravel()
-    return _kernel_of_dist(model.kernel, r)
-
-
-def gp_mean(model: GPModel, x) -> np.ndarray:
-    """Posterior mean kbar(x)^T weights of every channel at one query state."""
-    return _cross_kernel(model, x) @ model.weights
-
-
 def _coincides(model: GPModel, states: np.ndarray) -> np.ndarray:
     """Boolean mask of query rows that exactly equal a training input."""
     return (states[:, None, :] == model.dataset.inputs[None, :, :]).all(axis=2).any(axis=1)
@@ -265,11 +238,10 @@ class DriftEstimator:
     """Per-step drift estimate inside a simulation: the posterior mean of every
     channel as one vector.
 
-    One kernel evaluation per step serves all channels; ``gp_mean`` is the
-    reference it agrees with. The inputs are held as a contiguous (dim, N)
-    column array, so the squared distances to all N points take one
-    whole-row operation per input dimension, into a (dim, N) scratch array
-    the estimator owns.
+    One kernel evaluation per step serves all channels. The inputs are held
+    as a contiguous (dim, N) column array, so the squared distances to all N
+    points take one whole-row operation per input dimension, into a (dim, N)
+    scratch array the estimator owns.
     """
 
     def __init__(self, model: GPModel):
@@ -336,9 +308,10 @@ def generate_training_data(
         raise ParameterError(f"need n_samples >= 1, got {n_samples}")
     if sigma_f < 0.0:
         raise ParameterError(f"sigma_f must be >= 0, got {sigma_f}")
+    rows = check_rows(n_samples, model.n, "a training set")
     rng = np.random.default_rng(seed)
-    inputs = rng.uniform(region[:, 0], region[:, 1], size=(n_samples, model.n))
-    noise = rng.normal(0.0, sigma_f, size=(n_samples, model.n)) if sigma_f > 0.0 else None
+    inputs = rng.uniform(region[:, 0], region[:, 1], size=(rows, model.n))
+    noise = rng.normal(0.0, sigma_f, size=(rows, model.n)) if sigma_f > 0.0 else None
     drifts = model.drift(inputs)
     targets = drifts if noise is None else drifts + noise
     return GPDataset(inputs=inputs, targets=targets, noise_std=sigma_f, seed=seed)

@@ -1,8 +1,9 @@
 """Scalar numeric primitives: a clamped exponential, the fixed-step grid
-settings, the check of a box that states are drawn from, and the one CSV
-number writer of the trajectory and dataset exports. Where two or more CPUs
-are usable, that writer has one forked helper process format every other
-block of rows; the bytes written are the same either way.
+settings, the check of a box that states are drawn from, the size check of
+an array of rows, and the one CSV number writer of the trajectory and
+dataset exports. Where two or more CPUs are usable, that writer has one
+forked helper process format every other block of rows; the bytes written
+are the same either way.
 
 The primitives accept either floats or numpy arrays and operate elementwise,
 so the same code serves both scalar unit tests and the vectorized simulation
@@ -14,6 +15,7 @@ import gc
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
@@ -91,6 +93,17 @@ def check_ic_box(box, n: int, name: str = "ic_box") -> np.ndarray:
             f"{name} bounds and widths high - low must be finite, got {box.tolist()}"
         )
     return box
+
+
+def check_rows(rows: int, n: int, what: str) -> int:
+    """``rows``, or a MemoryError, not the ValueError numpy raises, when
+    ``rows`` by ``n`` floats exceed numpy's index range. A Decimal prints
+    ``rows`` beyond the float range too."""
+    if rows * n * 8 > np.iinfo(np.intp).max:
+        raise MemoryError(
+            f"{what} of {Decimal(rows):.3g} rows by {n} columns exceeds numpy's array size"
+        )
+    return rows
 
 
 def write_csv_rows(fh, columns) -> None:

@@ -87,7 +87,7 @@ import numpy as np
 from . import gp
 from .controller import BoundReport, ControllerParams
 from .errors import ParameterError, RunErrors, SimulationDivergedError, UnfitGPError
-from .numerics import EXP_CLAMP, StepConfig, check_ic_box, safe_exp, write_csv_rows
+from .numerics import EXP_CLAMP, StepConfig, check_ic_box, check_rows, safe_exp, write_csv_rows
 from .sliding import integrand
 from .system import ReferenceSignal, SystemModel
 
@@ -150,8 +150,6 @@ class Scenario:
             raise ParameterError(
                 f"settle_threshold must be positive, got {self.settle_threshold}"
             )
-        if self.settle_threshold == np.inf:
-            raise ParameterError("settle_threshold must be finite, got inf")
         if self.params is None and self.mode != "open-loop":
             raise ParameterError(f"mode {self.mode!r} requires controller params")
         if self.params is not None and self.params.alpha1.shape != (n,):
@@ -225,7 +223,7 @@ class _Log:
 
     def __init__(self, scenario: Scenario):
         n = scenario.system.n
-        rows = _grid_rows(scenario.step, n)
+        rows = check_rows(scenario.step.n_steps + 1, n, "a grid")
         self.x, self.z, self.s, self.u = (np.empty((rows, n)) for _ in range(4))
         self.f_hat = np.empty((rows, n)) if scenario.mode == "gp-based" else None
 
@@ -270,7 +268,7 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
     cfg = scenario.step
     h = cfg.step_size
     n_steps = cfg.n_steps
-    t_grid = np.arange(_grid_rows(cfg, n)) * h
+    t_grid = np.arange(check_rows(n_steps + 1, n, "a grid")) * h
 
     ref_value = scenario.reference.value
     ref_deriv = scenario.reference.derivative
@@ -462,15 +460,6 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
                 return t_grid, xd_grid, d_grid
             continue
         k += 1
-
-
-def _grid_rows(step: StepConfig, n: int) -> int:
-    """The grid's row count; a MemoryError, not numpy's ValueError, when
-    (rows, n) floats exceed numpy's index range."""
-    rows = step.n_steps + 1
-    if rows * n * 8 > np.iinfo(np.intp).max:
-        raise MemoryError(f"a grid of {rows:.3g} rows by {n} channels exceeds numpy's array size")
-    return rows
 
 
 def _on_grid(fn, t_grid, n):
@@ -668,22 +657,7 @@ def _finite(x, t):
     return x
 
 
-# --- settling measurement ------------------------------------------------------
-
-
-def measure_settling(traj: Trajectory, which: str, threshold: float) -> np.ndarray:
-    """Earliest grid time per channel after which the signal stays < threshold.
-
-    ``which`` selects the tracking error ("error") or the sliding variable
-    ("sliding"). A NaN sample counts as unsettled, and a channel that never
-    stays below gets NaN. The batch reduction's own row helpers compute it.
-    """
-    if which not in ("error", "sliding"):
-        raise ParameterError(f"which must be 'error' or 'sliding', got {which!r}")
-    if not threshold > 0.0:
-        raise ParameterError(f"threshold must be positive, got {threshold}")
-    sig = np.abs(traj.z if which == "error" else traj.s)
-    return _settled_after(_last_true(~(sig < threshold), 0, -1), traj.t)
+# --- run summaries ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -779,7 +753,7 @@ def run_monte_carlo(
     n = template.system.n
     box = check_ic_box(ic_box, n)
     rng = np.random.default_rng(seed)
-    x0s = rng.uniform(box[:, 0], box[:, 1], size=(runs, n))
+    x0s = rng.uniform(box[:, 0], box[:, 1], size=(check_rows(runs, n, "a batch"), n))
 
     stats = _BatchStats(template, runs, bounds)
     t, _, _ = _step_loop(template, x0s, stats)

@@ -94,24 +94,17 @@ def zero_reference(n: int) -> ReferenceSignal:
     return ReferenceSignal(value=lambda t: zeros, derivative=lambda t: zeros)
 
 
-def _finite(value, name: str) -> np.ndarray:
-    a = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise ParameterError(f"{name} must be finite, got {a}")
-    return a
-
-
 def constant_reference(value) -> ReferenceSignal:
-    v = _finite(value, "reference value")
+    v = np.asarray(value, dtype=float)
     zeros = np.zeros_like(v)
     return ReferenceSignal(value=lambda t: v, derivative=lambda t: zeros)
 
 
 def sinusoid_reference(amplitude, frequency, phase=None) -> ReferenceSignal:
     """Per-channel x_d_i(t) = A_i sin(w_i t + phi_i)."""
-    a = _finite(amplitude, "sinusoid amplitude")
-    w = _finite(frequency, "sinusoid frequency")
-    ph = np.zeros_like(a) if phase is None else _finite(phase, "sinusoid phase")
+    a = np.asarray(amplitude, dtype=float)
+    w = np.asarray(frequency, dtype=float)
+    ph = np.zeros_like(a) if phase is None else np.asarray(phase, dtype=float)
     if not (a.shape == w.shape == ph.shape):
         raise ParameterError("amplitude, frequency, and phase must share one shape")
     return ReferenceSignal(
@@ -177,8 +170,8 @@ def make_lemma2_plant(alpha: float) -> SystemModel:
     (substitute y = erf(x), which turns the dynamics into y' = -alpha*sign(y)),
     which makes it the analytic oracle used by the validation suite.
     """
-    if not 0.0 < alpha < np.inf:
-        raise ParameterError(f"alpha must be positive and finite, got {alpha}")
+    if not alpha > 0.0:
+        raise ParameterError(f"alpha must be positive, got {alpha}")
     coef = alpha * SQRT_PI_HALF
 
     def drift(x):

@@ -19,17 +19,15 @@ from conftest import standard_gains
 from fxtsmc.cli import main
 from fxtsmc.controller import bound_report
 from fxtsmc.gp import (
-    ErrorBoundConfig,
     GPDataset,
     KernelConfig,
     DriftEstimator,
     generate_training_data,
     gp_fit,
-    gp_mean,
     variance_many,
 )
 from fxtsmc.numerics import StepConfig
-from fxtsmc.sim import Scenario, measure_settling, run_monte_carlo, simulate
+from fxtsmc.sim import Scenario, run_monte_carlo, simulate, summarize_run
 from fxtsmc.system import make_lemma2_plant, make_pmsm, zero_reference
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -91,7 +89,7 @@ def replayed_batches(mc_batches):
             scenario = dataclasses.replace(template, x0=result.x0s[i])
             traj = simulate(scenario)
             if not np.array_equal(
-                measure_settling(traj, "error", SETTLE_THRESHOLD),
+                summarize_run(traj, scenario).settling_error,
                 np.asarray(summary.settling_error),
                 equal_nan=True,
             ):
@@ -156,8 +154,9 @@ def test_criterion_2_settling_oracle(request):
             x0=np.array([x0]),
             step=StepConfig(step_size=1e-5, t_end=1.2),
             mode="open-loop",
+            settle_threshold=1e-3,
         )
-        measured[x0] = float(measure_settling(simulate(scenario), "error", 1e-3)[0])
+        measured[x0] = summarize_run(simulate(scenario), scenario).settling_error[0]
     elapsed = time.perf_counter() - start
 
     rel_errs = {x0: abs(t / math.erf(x0) - 1.0) for x0, t in measured.items()}
@@ -231,10 +230,9 @@ def test_criterion_5_gp_regression(request):
     residuals = {}
     for n in (5, 50):
         models[n] = gp_fit(generate_training_data(pmsm, n, region, sigma_f=0.0, seed=7), kernel)
-        residuals[n] = max(
-            float(np.max(np.abs(gp_mean(models[n], x) - y)))
-            for x, y in zip(models[n].dataset.inputs, models[n].dataset.targets)
-        )
+        dataset = models[n].dataset
+        estimate = DriftEstimator(models[n])(dataset.inputs)
+        residuals[n] = float(np.max(np.abs(estimate - dataset.targets)))
 
     # (b) variance on a 20^3 grid, before and after one extra observation.
     axis = np.linspace(-2.0, 2.0, 20)
@@ -293,7 +291,7 @@ def test_criterion_6_gp_closed_loop(request):
     kernel = KernelConfig(family="exponential", length_scale=1.0)
     dataset = generate_training_data(pmsm, 50, [(-3.0, 3.0)] * 3, sigma_f=0.01, seed=11)
     model = gp_fit(dataset, kernel)
-    chi = ErrorBoundConfig(chi=2.0).chi
+    chi = 2.0
     step = StepConfig(step_size=1e-4, t_end=1.5)
     d_bar = 1.0
 
@@ -325,8 +323,9 @@ def test_criterion_6_gp_closed_loop(request):
     settling = np.empty(20)
     budgets = np.zeros(3)
     for i, x0 in enumerate(x0s):
-        traj = simulate(gp_scenario(x0, alpha2))
-        settling[i] = measure_settling(traj, "error", 0.05).max()
+        scenario = gp_scenario(x0, alpha2)
+        traj = simulate(scenario)
+        settling[i] = np.max(summarize_run(traj, scenario).settling_error)
         budgets = np.maximum(budgets, max_chi_sigma(traj))
 
     params = standard_gains(alpha2=alpha2, d_bar=d_bar)

@@ -173,23 +173,36 @@ def test_integer_beyond_the_float_range_in_a_number_field_is_a_config_error(
 @pytest.mark.parametrize(
     "assignment, message",
     [
-        ("gp.chi=NaN", "chi must be positive, got nan"),
-        ("sim.settle_threshold=NaN", "settle_threshold must be positive, got nan"),
-        ("sim.step_size=NaN", "step_size must be positive, got nan"),
-        ("gp.kernel.length_scale=NaN", "length_scale must be positive, got nan"),
-        ("gp.generate.sigma_f=NaN", "noise_std must be >= 0, got nan"),
+        ("gp.chi=NaN", "config invalid at gp/chi: nan is not of type 'number'"),
+        ("sim.settle_threshold=NaN",
+         "config invalid at sim/settle_threshold: nan is not of type 'number'"),
+        ("sim.step_size=NaN", "config invalid at sim/step_size: nan is not of type 'number'"),
+        ("gp.kernel.length_scale=NaN",
+         "config invalid at gp/kernel/length_scale: nan is not of type 'number'"),
+        ("gp.generate.sigma_f=NaN",
+         "config invalid at gp/generate/sigma_f: nan is not of type 'number'"),
     ],
     ids=["chi", "settle_threshold", "step_size", "length_scale", "sigma_f"],
 )
 def test_nan_in_a_bounded_number_field_is_a_parameter_error(
     capsys, tmp_path, monkeypatch, assignment, message
 ):
-    # the schema's minimum and exclusiveMinimum admit NaN (NaN <= 0 is false),
-    # so the dataclass that takes the value is what refuses it
+    # minimum and exclusiveMinimum admit NaN (NaN <= 0 is false), but the
+    # schema's "number" is a finite one
     monkeypatch.chdir(tmp_path)
     code, _, err = run_cli(capsys, "run", str(GP), *FAST, "--set", assignment)
     assert code == 2
-    assert err == f"parameter error: {message}\n"
+    assert err == f"config error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("chi", ["0", "-1"])
+def test_chi_that_is_not_positive_is_a_config_error(capsys, tmp_path, monkeypatch, chi):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, "run", str(GP), *FAST, "--set", f"gp.chi={chi}")
+    assert code == 2
+    assert err == ("config error: config invalid at gp/chi: "
+                   f"{chi} is less than or equal to the minimum of 0\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -197,17 +210,19 @@ def test_nan_in_a_bounded_number_field_is_a_parameter_error(
     "config, assignment, message",
     [
         (GP, 'reference={"kind":"constant","value":[NaN,0,0]}',
-         "reference value must be finite, got [nan  0.  0.]"),
+         "config invalid at reference/value/0: nan is not of type 'number'"),
         (GP, 'reference={"kind":"sinusoid","amplitude":[1,NaN,1],"frequency":[1,1,1]}',
-         "sinusoid amplitude must be finite, got [ 1. nan  1.]"),
+         "config invalid at reference/amplitude/1: nan is not of type 'number'"),
         (GP, 'reference={"kind":"sinusoid","amplitude":[1,1,1],"frequency":[NaN,1,1]}',
-         "sinusoid frequency must be finite, got [nan  1.  1.]"),
+         "config invalid at reference/frequency/0: nan is not of type 'number'"),
         (GP, 'reference={"kind":"sinusoid","amplitude":[1,1,1],"frequency":[1,1,1],'
              '"phase":[0,0,Infinity]}',
-         "sinusoid phase must be finite, got [ 0.  0. inf]"),
-        (LEMMA2, "system.alpha=Infinity", "alpha must be positive and finite, got inf"),
-        (GP, "sim.settle_threshold=Infinity", "settle_threshold must be finite, got inf"),
-        (GP, "gp.chi=Infinity", "chi must be finite, got inf"),
+         "config invalid at reference/phase/2: inf is not of type 'number'"),
+        (LEMMA2, "system.alpha=Infinity",
+         "config invalid at system/alpha: inf is not of type 'number'"),
+        (GP, "sim.settle_threshold=Infinity",
+         "config invalid at sim/settle_threshold: inf is not of type 'number'"),
+        (GP, "gp.chi=Infinity", "config invalid at gp/chi: inf is not of type 'number'"),
     ],
     ids=["constant", "amplitude", "frequency", "phase", "lemma2-alpha",
          "settle_threshold", "chi"],
@@ -220,7 +235,17 @@ def test_non_finite_input_is_a_parameter_error(
     monkeypatch.chdir(tmp_path)
     code, _, err = run_cli(capsys, "run", str(config), *FAST, "--set", assignment)
     assert code == 2
-    assert err == f"parameter error: {message}\n"
+    assert err == f"config error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("x0, where, value", [("nan,1,1", 0, "nan"), ("1,inf,1", 1, "inf")])
+def test_non_finite_x0_is_a_config_error(capsys, tmp_path, monkeypatch, x0, where, value):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run_cli(capsys, "run", str(KNOWN), *FAST, f"--x0={x0}")
+    assert code == 2
+    assert err == (f"config error: config invalid at sim/x0/{where}: "
+                   f"{value} is not of type 'number'\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -975,9 +1000,13 @@ def test_gp_bound_takes_the_reaching_gain_the_law_applies(capsys, tmp_path, monk
         ["run", str(KNOWN), "--set", "sim.step_size=1e-18", "--set", "sim.t_end=0.5"],
         ["montecarlo", str(KNOWN), "--set", "sim.step_size=1e-18", "--set", "sim.t_end=5",
          "--runs", "2", "--ic-box", "-1,1"],
+        ["montecarlo", str(KNOWN), "--runs", str(10**20), "--ic-box", "-1,1"],
+        ["gp-train", str(GP), "-n", str(10**20)],
+        ["run", str(GP), "--set", f"gp.generate.n_samples={10**20}"],
     ],
     ids=["run-grid", "montecarlo-grid", "montecarlo-runs", "run-grid-dimension",
-         "run-grid-size", "montecarlo-grid-size"],
+         "run-grid-size", "montecarlo-grid-size", "montecarlo-runs-dimension",
+         "gp-train-samples-dimension", "run-gp-samples-dimension"],
 )
 def test_grid_or_batch_too_large_to_allocate_is_a_parameter_error(
     capsys, tmp_path, monkeypatch, argv

@@ -21,7 +21,6 @@ from fxtsmc.numerics import CSV_BLOCK_ROWS, EXP_CLAMP, StepConfig
 from fxtsmc.sim import (
     Scenario,
     Trajectory,
-    measure_settling,
     mc_result_to_dict,
     run_monte_carlo,
     simulate,
@@ -89,9 +88,9 @@ def test_lemma2_plant_settles_at_erf():
         x0=np.array([1.0]),
         step=StepConfig(step_size=1e-5, t_end=1.2),
         mode="open-loop",
+        settle_threshold=1e-3,
     )
-    traj = simulate(scenario)
-    settled = measure_settling(traj, "error", 1e-3)
+    settled = summarize_run(simulate(scenario), scenario).settling_error
     assert settled[0] == pytest.approx(ERF_1, rel=0.02)
 
 
@@ -104,8 +103,9 @@ def test_lemma2_plant_oracle_other_starts(x0):
         x0=np.array([x0]),
         step=StepConfig(step_size=1e-5, t_end=1.2),
         mode="open-loop",
+        settle_threshold=1e-3,
     )
-    settled = measure_settling(simulate(scenario), "error", 1e-3)
+    settled = summarize_run(simulate(scenario), scenario).settling_error
     assert settled[0] == pytest.approx(math.erf(x0), rel=0.02)
 
 
@@ -146,10 +146,10 @@ def test_simulate_is_deterministic():
 
 
 def test_step_halving_moves_settling_less_than_five_percent():
-    coarse = simulate(pmsm_scenario(step_size=1e-4, t_end=1.0))
-    fine = simulate(pmsm_scenario(step_size=5e-5, t_end=1.0))
-    t_coarse = measure_settling(coarse, "error", 0.02)
-    t_fine = measure_settling(fine, "error", 0.02)
+    coarse, fine = (pmsm_scenario(step_size=h, t_end=1.0, settle_threshold=0.02)
+                    for h in (1e-4, 5e-5))
+    t_coarse = np.array(summarize_run(simulate(coarse), coarse).settling_error)
+    t_fine = np.array(summarize_run(simulate(fine), fine).settling_error)
     assert np.isfinite(t_coarse).all() and np.isfinite(t_fine).all()
     assert np.max(t_coarse) == pytest.approx(np.max(t_fine), rel=0.05)
 
@@ -271,7 +271,7 @@ def test_gp_mode_requires_one_model_input_per_state():
         {"settle_threshold": -1.0},
         {"x0": np.zeros(2)},
         {"x0": np.array([np.nan, 0.0, 0.0])},
-        {"settle_threshold": np.inf},
+        {"settle_threshold": np.nan},
     ],
 )
 def test_scenario_rejects_bad_fields(kwargs):
@@ -287,7 +287,7 @@ def test_scenario_rejects_bad_fields(kwargs):
         Scenario(**base)
 
 
-# --- measure_settling --------------------------------------------------------------
+# --- settling times ----------------------------------------------------------------
 
 
 def hand_trajectory(t, signal):
@@ -298,23 +298,37 @@ def hand_trajectory(t, signal):
     return Trajectory(t=t, x=col, x_d=zeros, z=col, s=col, u=zeros, d=zeros)
 
 
+def hand_summary(traj, threshold, bounds=None):
+    """``summarize_run`` of a trajectory made by hand, with ``threshold``."""
+    n = traj.z.shape[1]
+    scenario = Scenario(
+        system=make_integrator_plant(n),
+        reference=zero_reference(n),
+        params=standard_gains(n),
+        x0=np.zeros(n),
+        step=StepConfig(step_size=0.1, t_end=1.0),
+        settle_threshold=threshold,
+    )
+    return summarize_run(traj, scenario, bounds=bounds)
+
+
 def test_settling_of_zero_signal_is_zero():
     t = np.linspace(0.0, 1.0, 101)
     traj = hand_trajectory(t, np.zeros_like(t))
-    assert measure_settling(traj, "error", 0.1)[0] == 0.0
+    assert hand_summary(traj, 0.1).settling_error[0] == 0.0
 
 
 def test_settling_of_linear_decay():
     t = np.arange(0.0, 2.0 + 1e-12, 0.01)
     traj = hand_trajectory(t, np.maximum(0.0, 1.0 - t))
-    settled = measure_settling(traj, "error", 0.1)
+    settled = hand_summary(traj, 0.1).settling_error
     assert abs(settled[0] - 0.9) <= 0.01 + 1e-12
 
 
 def test_settling_never_reached_is_nan():
     t = np.linspace(0.0, 1.0, 11)
     traj = hand_trajectory(t, np.ones_like(t))
-    assert np.isnan(measure_settling(traj, "error", 0.5)[0])
+    assert np.isnan(hand_summary(traj, 0.5).settling_error[0])
 
 
 def test_settling_ignores_transient_dips():
@@ -324,7 +338,7 @@ def test_settling_ignores_transient_dips():
     signal[3] = 0.0
     signal[8:] = 0.0
     traj = hand_trajectory(t, signal)
-    assert measure_settling(traj, "error", 0.5)[0] == pytest.approx(t[8])
+    assert hand_summary(traj, 0.5).settling_error[0] == pytest.approx(t[8])
 
 
 def test_settling_sliding_selects_s_column():
@@ -333,16 +347,9 @@ def test_settling_sliding_selects_s_column():
     s = np.ones((11, 1))
     s[5:] = 0.0
     traj = Trajectory(t=t, x=col, x_d=col, z=col, s=s, u=col, d=col)
-    assert measure_settling(traj, "error", 0.5)[0] == 0.0
-    assert measure_settling(traj, "sliding", 0.5)[0] == pytest.approx(t[5])
-
-
-@pytest.mark.parametrize("which,threshold", [("both", 0.1), ("error", 0.0), ("error", -1.0)])
-def test_settling_rejects_bad_arguments(which, threshold):
-    t = np.linspace(0.0, 1.0, 11)
-    traj = hand_trajectory(t, np.zeros_like(t))
-    with pytest.raises(ParameterError):
-        measure_settling(traj, which, threshold)
+    summary = hand_summary(traj, 0.5)
+    assert summary.settling_error[0] == 0.0
+    assert summary.settling_sliding[0] == pytest.approx(t[5])
 
 
 # --- summaries ---------------------------------------------------------------------
@@ -409,23 +416,12 @@ def test_summary_matches_a_direct_oracle_on_random_trajectories():
         u[rng.random((rows, n)) < 0.02] = math.nan
         traj = Trajectory(t=t, x=z + 1.0, x_d=np.zeros((rows, n)), z=z, s=s, u=u,
                           d=np.zeros((rows, n)))
-        scenario = Scenario(
-            system=make_integrator_plant(n),
-            reference=zero_reference(n),
-            params=standard_gains(n),
-            x0=np.zeros(n),
-            step=StepConfig(step_size=0.1, t_end=1.0),
-            settle_threshold=threshold,
-        )
         bounds = BoundReport(t_z_channels=(0.5 * t[-1] + 0.01,) * n,
                              t_s_channels=(0.01,) * n, mode="known-model")
 
         settle_z = oracle_settling(t, z, threshold)
         settle_s = oracle_settling(t, s, threshold)
-        np.testing.assert_array_equal(measure_settling(traj, "error", threshold), settle_z)
-        np.testing.assert_array_equal(measure_settling(traj, "sliding", threshold), settle_s)
-
-        summary = summarize_run(traj, scenario, bounds=bounds)
+        summary = hand_summary(traj, threshold, bounds=bounds)
         np.testing.assert_array_equal(summary.x0, z[0] + 1.0)
         assert summary.threshold == threshold
         np.testing.assert_array_equal(summary.settling_error, settle_z)
@@ -451,8 +447,8 @@ def test_monte_carlo_single_run_reduces_to_simulate():
     box = [(0.5, 0.5), (-0.25, -0.25), (1.5, 1.5)]
     result = run_monte_carlo(template, box, runs=1, seed=9)
     assert np.array_equal(result.x0s, [[0.5, -0.25, 1.5]])
-    direct = simulate(dataclasses.replace(template, x0=np.array([0.5, -0.25, 1.5])))
-    expected = measure_settling(direct, "error", 0.02)
+    direct = dataclasses.replace(template, x0=np.array([0.5, -0.25, 1.5]))
+    expected = summarize_run(simulate(direct), direct).settling_error
     assert np.array_equal(result.summaries[0].settling_error, expected)
     assert result.aggregate["runs"] == 1
     assert result.aggregate["n_failed"] == 0
