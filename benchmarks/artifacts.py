@@ -24,6 +24,7 @@ KNOWN, GP, LEMMA2 = "configs/pmsm-known.json", "configs/pmsm-gp.json", "configs/
 SINUSOID = ['--set', 'reference={"kind": "sinusoid", "amplitude": [1.0, 0.5, 0.2], '
             '"frequency": [3.0, 2.0, 1.0], "phase": [0.0, 0.3, 0.6]}']
 COARSE = ["--set", "sim.step_size=1e-3", "--set", "sim.t_end=1.0"]
+SHORT = ["--set", "sim.t_end=0.05", "--set", "sim.step_size=1e-3"]
 
 CASES = {
     # euler plain steps all along, with the full CSV export
@@ -83,6 +84,15 @@ CASES = {
     # alpha2 = 2 cannot cover d_bar plus the GP error budget: theorem 2's
     # bound is withheld, with a note
     "run-gp-alpha2-short": ["run", GP, "--set", "controller.alpha2=2.0", *COARSE],
+    # a run that never settles: None settling times, settling_time and
+    # chatter amplitude in the summary, not-settled in the print
+    "run-known-not-settled": ["run", KNOWN, *SHORT],
+    # runs that do not settle within the bound: exit 5 after both files
+    "mc-known-require-bound": ["montecarlo", KNOWN, "--runs", "3", "--ic-box=-3,3", *SHORT,
+                               "--require-bound"],
+    # every run fails at its first step: None aggregates, exit 4
+    "mc-known-all-failed": ["montecarlo", KNOWN, "--runs", "2", "--ic-box=-1e300,1e300",
+                            "--set", "sim.t_end=0.01", "--set", "sim.step_size=1e-3"],
 }
 
 

@@ -12,7 +12,7 @@ Exit codes
    a time grid or batch too large to allocate)
 3  I/O error (missing or unreadable/unwritable files)
 4  numeric failure: any ``errors.NumericError`` (SimulationDivergedError,
-   IllConditionedDataError, UnfitGPError)
+   IllConditionedDataError)
 5  acceptance-threshold violation (montecarlo aggregate checks)
 
 Every artifact embeds the fully resolved configuration (after ``--x0`` /
@@ -50,12 +50,9 @@ from .numerics import StepConfig, check_ic_box
 from .sim import (
     DEFAULT_SETTLE_THRESHOLD,
     Scenario,
-    bound_report_to_dict,
-    mc_result_to_dict,
     run_monte_carlo,
     simulate,
     summarize_run,
-    summary_to_dict,
     write_summary_json,
     write_trajectory_csv,
 )
@@ -479,23 +476,23 @@ def cmd_run(args) -> int:
               f"T_s = {bounds.t_s:.5f}  T_max = {bounds.t_max:.5f}")
     if bound_note:
         print(bound_note)
-    _print_settling("settling(error)", summary.settling_error)
-    _print_settling("settling(sliding)", summary.settling_sliding)
-    print(f"max |u| = {summary.max_abs_u:.6g}")
-    if np.isfinite(summary.chatter_amplitude):
-        print(f"chatter amplitude = {summary.chatter_amplitude:.6g}")
+    _print_settling("settling(error)", summary["settling_error"])
+    _print_settling("settling(sliding)", summary["settling_sliding"])
+    print(f"max |u| = {summary['max_abs_u']:.6g}")
+    if summary["chatter_amplitude"] is not None:
+        print(f"chatter amplitude = {summary['chatter_amplitude']:.6g}")
     print(f"wrote {csv_path}")
     print(f"wrote {json_path}")
     return EXIT_OK
 
 
 def _print_settling(label: str, values) -> None:
+    """Settling times of a summary record, None where not settled."""
     parts = [
-        f"ch{i + 1}={v:.6g}" if np.isfinite(v) else f"ch{i + 1}=not-settled"
+        f"ch{i + 1}=not-settled" if v is None else f"ch{i + 1}={v:.6g}"
         for i, v in enumerate(values)
     ]
-    arr = np.asarray(values, dtype=float)
-    worst = f"{np.max(arr):.6g}" if np.all(np.isfinite(arr)) else "not-settled"
+    worst = "not-settled" if None in values else f"{max(values):.6g}"
     print(f"{label}: {' '.join(parts)}  worst={worst}")
 
 
@@ -595,29 +592,25 @@ def cmd_montecarlo(args) -> int:
     if bound_note:
         print(bound_note, file=sys.stderr)
 
-    result = run_monte_carlo(scenario, box, args.runs, args.seed, bounds=bounds)
+    x0s, doc = run_monte_carlo(scenario, box, args.runs, args.seed, bounds=bounds)
 
     resolved = dict(cfg)
     resolved["montecarlo"] = {
         "runs": args.runs,
         "seed": args.seed,
-        "ic_box": [[float(a), float(b)] for a, b in box],
+        "ic_box": box.tolist(),
     }
-    doc = mc_result_to_dict(result, config=resolved)
-    if bounds is not None:
-        doc["bounds"] = bound_report_to_dict(bounds)
 
     stem = Path(args.config).stem
     jsonl_path = _output_path(cfg, "runs_jsonl", f"{stem}-runs.jsonl")
     summary_path = _output_path(cfg, "mc_summary_json", f"{stem}-mc.json")
     with jsonl_path.open("w") as fh:
-        for i, s in enumerate(result.summaries):
-            line = {"run": i, "x0": [float(v) for v in result.x0s[i]]}
-            line["summary"] = summary_to_dict(s) if s is not None else None
+        for i, record in enumerate(doc["runs"]):
+            line = {"run": i, "x0": x0s[i].tolist(), "summary": record}
             fh.write(json.dumps(line, sort_keys=True) + "\n")
-    summary_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_summary_json(doc, summary_path, config=resolved)
 
-    agg = result.aggregate
+    agg = doc["aggregate"]
     print(f"montecarlo: {args.runs} runs, seed {args.seed}, "
           f"{agg['n_failed']} failed, {agg['n_settled']} settled")
     if agg["max_settling_error"] is not None:

@@ -20,7 +20,7 @@ available in two variants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, pi, sqrt
+from math import pi, sqrt
 
 import numpy as np
 
@@ -58,7 +58,8 @@ class ControllerParams:
 
     def __init__(self, n, *, alpha1, alpha2, p, q, d_bar=0.0, include_sqrt_pi_factor=True):
         """Each gain is one value, shared by the n channels, or a list of n,
-        as the config's ``controller`` section gives it."""
+        as the config's ``controller`` section gives it; the schema keeps them
+        finite, and their signs and p/q are checked here."""
         given = {"alpha1": alpha1, "alpha2": alpha2, "p": p, "q": q, "d_bar": d_bar,
                  "include_sqrt_pi_factor": include_sqrt_pi_factor}
         for name, value in given.items():
@@ -91,16 +92,16 @@ class ControllerParams:
 
 
 def _check_channel(alpha1: float, p: int, q: int, alpha2: float, d_bar: float) -> None:
-    if not (isfinite(alpha1) and alpha1 > 0.0):
+    if not alpha1 > 0.0:
         raise ParameterError(f"alpha1 must be positive, got {alpha1}")
     if p < 0 or q < 1:
         raise ParameterError(f"need p >= 0 and q >= 1, got p={p}, q={q}")
     # p < q first, in integers: p / q overflows for p beyond the float range
     if not (p < q and p / q < 1.0):
         raise ParameterError(f"exponent p/q must satisfy 0 <= p/q < 1, got {p}/{q}")
-    if not (isfinite(alpha2) and alpha2 > 0.0):
+    if not alpha2 > 0.0:
         raise ParameterError(f"alpha2 must be positive, got {alpha2}")
-    if not (isfinite(d_bar) and d_bar >= 0.0):
+    if not d_bar >= 0.0:
         raise ParameterError(f"d_bar must be >= 0, got {d_bar}")
     if not alpha2 > TWO_OVER_SQRT_PI * d_bar:
         raise GainTooSmallError(

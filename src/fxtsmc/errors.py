@@ -75,9 +75,5 @@ class IllConditionedDataError(NumericError):
         self.pair = pair
 
 
-class UnfitGPError(NumericError):
-    """A gp-based run was requested without a GP fitted for its channels."""
-
-
 class ConfigError(ValueError):
     """A configuration document failed parsing or validation."""

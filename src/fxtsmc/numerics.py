@@ -51,17 +51,14 @@ class StepConfig:
 
     ``t_end`` must land on the step grid: the number of steps is
     round(t_end / step_size), and t_end must equal that multiple of
-    step_size to within a 1e-9 relative tolerance.
+    step_size to within a 1e-9 relative tolerance. Both are positive and
+    finite, as the config schema keeps them.
     """
 
     step_size: float
     t_end: float
 
     def __post_init__(self):
-        if not (self.step_size > 0.0 and np.isfinite(self.step_size)):
-            raise ParameterError(f"step_size must be positive, got {self.step_size}")
-        if not (self.t_end >= 0.0 and np.isfinite(self.t_end)):
-            raise ParameterError(f"t_end must be >= 0, got {self.t_end}")
         steps = self.t_end / self.step_size
         if not np.isfinite(steps):
             raise ParameterError(f"t_end / step_size is not finite: {self.t_end} / {self.step_size}")

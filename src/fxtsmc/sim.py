@@ -47,7 +47,9 @@ A batch buffers a chunk of grid rows and reduces it per run in one pass
 (settling rows, max |u|, and the max |s| since the error last left its band,
 the chatter amplitude), so it keeps no array that grows with rows times runs.
 ``summarize_run`` reduces a trajectory as one chunk of a one-run block, so a
-batch's summaries and the single run's agree by construction.
+batch's summaries and the single run's agree by construction. Both return a
+run's summary as the record one builder makes (``_BatchStats.summary``): the
+JSON-ready dict the summary files hold, with None for "not settled".
 The law's per-channel constants take the shape of the block they act on.
 
 The loop evaluates per step only what depends on the state. The reference,
@@ -86,12 +88,10 @@ import numpy as np
 
 from . import gp
 from .controller import BoundReport, ControllerParams
-from .errors import ParameterError, RunErrors, SimulationDivergedError, UnfitGPError
+from .errors import ParameterError, RunErrors, SimulationDivergedError
 from .numerics import EXP_CLAMP, StepConfig, check_ic_box, check_rows, safe_exp, write_csv_rows
 from .sliding import integrand
 from .system import ReferenceSignal, SystemModel
-
-CONTROLLER_MODES = ("known-model", "gp-based", "open-loop")
 
 # Substep guard: per explicit substep, |delta z_i| and |delta s_i| are each
 # held below GUARD_REL * (|.| + GUARD_ABS), and per backward-Euler substep
@@ -113,7 +113,12 @@ CHUNK_ROWS = 256
 
 @dataclass(frozen=True)
 class Scenario:
-    """Everything one closed-loop run needs.
+    """Everything one closed-loop run needs, as ``cli.build_scenario`` builds
+    it from a checked config: one of the schema's modes, a finite x0, a
+    positive settle threshold, and the gains and GP model the mode needs for
+    n channels. The
+    constructor checks only what a config can still get wrong: the shapes of
+    x0 and of the reference.
 
     ``params`` holds the gains of the system's n channels; it may be None
     only in open-loop mode, in which case the s columns simply repeat z (no
@@ -130,37 +135,14 @@ class Scenario:
     settle_threshold: float = DEFAULT_SETTLE_THRESHOLD
 
     def __post_init__(self):
-        if self.mode not in CONTROLLER_MODES:
-            raise ParameterError(
-                f"mode must be one of {CONTROLLER_MODES}, got {self.mode!r}"
-            )
-        x0 = np.asarray(self.x0, dtype=float).ravel()
-        if x0.shape != (self.system.n,):
-            raise ParameterError(
-                f"x0 must have shape ({self.system.n},), got {x0.shape}"
-            )
-        if not np.all(np.isfinite(x0)):
-            raise ParameterError(f"x0 must be finite, got {x0}")
         n = self.system.n
+        x0 = np.asarray(self.x0, dtype=float).ravel()
+        if x0.shape != (n,):
+            raise ParameterError(f"x0 must have shape ({n},), got {x0.shape}")
         for name in ("value", "derivative"):
             shape = np.shape(getattr(self.reference, name)(0.0))
             if shape != (n,):
                 raise ParameterError(f"reference {name} must have shape ({n},), got {shape}")
-        if not self.settle_threshold > 0.0:
-            raise ParameterError(
-                f"settle_threshold must be positive, got {self.settle_threshold}"
-            )
-        if self.params is None and self.mode != "open-loop":
-            raise ParameterError(f"mode {self.mode!r} requires controller params")
-        if self.params is not None and self.params.alpha1.shape != (n,):
-            raise ParameterError(
-                f"expected the gains of {n} channels, got {self.params.alpha1.shape[0]}"
-            )
-        if self.mode == "gp-based" and (
-            self.gp_model is None or self.gp_model.weights.shape[1] != n
-            or self.gp_model.dataset.inputs.shape[1] != n
-        ):
-            raise UnfitGPError(f"gp-based mode requires a GP of {n} inputs fitted for {n} channels")
         object.__setattr__(self, "x0", x0)
 
 
@@ -209,8 +191,6 @@ def simulate(scenario: Scenario) -> Trajectory:
     SimulationDivergedError
         Non-finite state/accumulator, or the substep guard could not make
         progress within its budget.
-    UnfitGPError
-        A gp-based scenario without a fitted model.
     """
     log = _Log(scenario)
     t, x_d, d = _step_loop(scenario, scenario.x0, log)
@@ -660,54 +640,19 @@ def _finite(x, t):
 # --- run summaries ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunSummary:
-    """Settling measurements and bound checks for one run.
-
-    ``chatter_amplitude`` is max |s| over the samples after every error
-    channel has settled (NaN when the run never settles): once the error is
-    inside its band the surface variable is pure chatter, so this is the
-    realized chatter band half-width.
-    """
-
-    x0: tuple
-    threshold: float
-    settling_error: tuple
-    settling_sliding: tuple
-    bounds: Optional[BoundReport]
-    bound_satisfied: Optional[tuple]
-    max_abs_u: float
-    chatter_amplitude: float
-
-    @property
-    def settled(self) -> bool:
-        return bool(np.all(np.isfinite(self.settling_error)))
-
-    @property
-    def settling_time(self) -> float:
-        """Slowest error channel (NaN when any channel never settles)."""
-        arr = np.asarray(self.settling_error, dtype=float)
-        return float(np.max(arr)) if np.all(np.isfinite(arr)) else float("nan")
-
-    @property
-    def all_bounds_satisfied(self) -> Optional[bool]:
-        if self.bound_satisfied is None:
-            return None
-        return all(self.bound_satisfied)
-
-
 def summarize_run(
     traj: Trajectory,
     scenario: Scenario,
     bounds: Optional[BoundReport] = None,
-) -> RunSummary:
+) -> dict:
     """Measure both settling families and audit them against ``bounds``.
 
-    The trajectory goes through the batch reduction, as one chunk of a
-    one-run block, so a batch's summaries and this one agree by construction.
-    The summary carries exactly the bound report passed, or none: whether a
-    bound holds for a run (the gains, the GP error budget, the plant's
-    perturbation bound) is the caller's decision.
+    Returns the run's summary record, the JSON-ready dict a summary file
+    holds (``_BatchStats.summary``). The trajectory goes through the batch
+    reduction, as one chunk of a one-run block, so a batch's records and this
+    one agree by construction. The record carries exactly the bound report
+    passed, or none: whether a bound holds for a run (the gains, the GP error
+    budget, the plant's perturbation bound) is the caller's decision.
     """
     stats = _BatchStats(scenario, 1, bounds)
     stats.reduce(0, traj.z[:, None], np.abs(traj.s)[:, None], traj.u[:, None])
@@ -717,39 +662,31 @@ def summarize_run(
 # --- Monte-Carlo batches ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MonteCarloResult:
-    """Per-run summaries (None where a run failed), failure records, aggregate."""
-
-    x0s: np.ndarray
-    summaries: tuple
-    failures: tuple
-    seed: int
-    aggregate: dict
-
-
 def run_monte_carlo(
     template: Scenario,
     ic_box,
     runs: int,
     seed: int,
     bounds: Optional[BoundReport] = None,
-) -> MonteCarloResult:
+) -> tuple[np.ndarray, dict]:
     """Simulate ``runs`` seeded-uniform initial states drawn from ``ic_box``.
 
     ``ic_box`` is a per-dimension sequence of (low, high) pairs. All runs are
     stepped together as one (runs, n) block through the loop ``simulate``
     uses, and the grid rows are reduced a chunk at a time, so no trajectory
-    is kept; ``summarize_run`` goes through the same reduction and summary
-    builder, so every summary equals it on that run's ``simulate``.
+    is kept; ``summarize_run`` goes through the same reduction and record
+    builder, so every record equals it on that run's ``simulate``.
     A run's error becomes a failure record with the type and message its own
-    ``simulate`` raises; that run is dropped and the batch carries on. The
-    aggregate reports the worst settling time, the fraction of runs within
-    ``bounds`` (None when no bound is passed), and chatter/input maxima over
-    the successful runs.
+    ``simulate`` raises; that run is dropped and the batch carries on.
+
+    Returns ``(x0s, doc)``: the (runs, n) initial states, and the JSON-ready
+    document a batch summary file holds, ``{seed, aggregate, failures, runs}``
+    plus ``bounds`` when a bound is passed. ``runs`` holds each run's summary
+    record, None where the run failed. The aggregate, built from the records,
+    reports the worst settling time, the fraction of runs within ``bounds``
+    (None when no bound is passed), and chatter/input maxima over the
+    successful runs.
     """
-    if runs < 1:
-        raise ParameterError(f"need runs >= 1, got {runs}")
     n = template.system.n
     box = check_ic_box(ic_box, n)
     rng = np.random.default_rng(seed)
@@ -758,45 +695,48 @@ def run_monte_carlo(
     stats = _BatchStats(template, runs, bounds)
     t, _, _ = _step_loop(template, x0s, stats)
     stats.flush()
-    summaries: list[Optional[RunSummary]] = [None] * runs
+    records = [None] * runs
     for j, i in enumerate(stats.runs):
-        summaries[i] = stats.summary(j, t, x0s[i])
+        records[i] = stats.summary(j, t, x0s[i])
     failures = [
         {
             "run": i,
-            "x0": [float(v) for v in x0s[i]],
+            "x0": x0s[i].tolist(),
             "error_type": type(err).__name__,
             "message": str(err),
         }
         for i, err in sorted(stats.failures.items())
     ]
-    good = [s for s in summaries if s is not None]
-    settled = [s for s in good if s.settled]
-    settle_times = [s.settling_time for s in settled]
-    flagged = [s for s in good if s.bound_satisfied is not None]
+    good = [r for r in records if r is not None]
+    settled = [r for r in good if r["settled"]]
+    flagged = [r["bound_satisfied"] for r in good if r["bound_satisfied"] is not None]
     aggregate = {
         "runs": runs,
         "n_failed": len(failures),
         "n_settled": len(settled),
-        "max_settling_error": max(settle_times) if settled else None,
+        "max_settling_error": _worst(r["settling_time"] for r in settled),
         "fraction_settled": len(settled) / runs,
         "fraction_bound_satisfied": (
-            sum(1 for s in flagged if s.all_bounds_satisfied) / len(flagged)
-            if flagged
-            else None
+            sum(all(b) for b in flagged) / len(flagged) if flagged else None
         ),
-        "max_chatter_amplitude": (
-            max(s.chatter_amplitude for s in settled) if settled else None
-        ),
-        "max_abs_u": max((s.max_abs_u for s in good), default=None),
+        "max_chatter_amplitude": _worst(r["chatter_amplitude"] for r in settled),
+        "max_abs_u": _worst(r["max_abs_u"] for r in good),
     }
-    return MonteCarloResult(
-        x0s=x0s,
-        summaries=tuple(summaries),
-        failures=tuple(failures),
-        seed=seed,
-        aggregate=aggregate,
-    )
+    doc = {"seed": seed, "aggregate": aggregate, "failures": failures, "runs": records}
+    if stats.bounds is not None:
+        doc["bounds"] = stats.bounds
+    return x0s, doc
+
+
+def _worst(values):
+    """The largest of ``values``; None when there are none, or when one is
+    None or the largest is not finite."""
+    values = list(values)
+    return None if not values or None in values else _finite_or_none(max(values))
+
+
+def _finite_or_none(value: float):
+    return value if np.isfinite(value) else None
 
 
 class _BatchStats:
@@ -817,7 +757,10 @@ class _BatchStats:
     def __init__(self, template: Scenario, runs: int, bounds: Optional[BoundReport]):
         n = template.system.n
         self.threshold = template.settle_threshold
-        self.bounds = bounds
+        # the report's fields and its aggregate bounds, as a record holds them
+        self.bounds = None if bounds is None else {
+            **asdict(bounds), "t_z": bounds.t_z, "t_s": bounds.t_s, "t_max": bounds.t_max
+        }
         self.chunk = min(CHUNK_ROWS, max(1, CHUNK_BYTES // (24 * runs * n)))
         self.runs = np.arange(runs)
         self.failures = {}
@@ -858,26 +801,38 @@ class _BatchStats:
         tail = np.where(np.arange(len(z))[:, None] > out_row, abs_s.max(axis=2), -np.inf).max(axis=0)
         self.tail_s = np.where(out_row >= 0, tail, np.maximum(self.tail_s, tail))
 
-    def summary(self, j, t, x0) -> RunSummary:
-        """RunSummary of the run in row ``j`` of the results, on the grid
-        ``t``, from ``x0``."""
+    def summary(self, j, t, x0) -> dict:
+        """The summary record of the run in row ``j`` of the results, on the
+        grid ``t``, from ``x0``: the only place a run's record is built.
+
+        It is the JSON-ready dict a summary file holds. None stands for "not
+        settled": a channel's settling time, and ``settling_time`` (the
+        slowest error channel) and ``chatter_amplitude`` of a run that has
+        not settled in every error channel. The chatter amplitude is max |s|
+        over the samples after every error channel has settled: once the
+        error is inside its band the surface variable is pure chatter, so
+        this is the realized chatter band half-width. ``bound_satisfied``
+        (per channel) and ``bounds`` audit the bound report passed, and are
+        None and absent without one.
+        """
         bounds = self.bounds
         settle_err = _settled_after(self.last_z[j], t)
-        # the max |s| since the error last left its band is the chatter
-        # amplitude once every error channel has settled
-        settled = np.all(np.isfinite(settle_err))
-        return RunSummary(
-            x0=tuple(float(v) for v in x0),
-            threshold=self.threshold,
-            settling_error=tuple(float(v) for v in settle_err),
-            settling_sliding=tuple(float(v) for v in _settled_after(self.last_s[j], t)),
-            bounds=bounds,
-            bound_satisfied=None if bounds is None else tuple(
-                bool(np.isfinite(ti) and ti <= bounds.t_max) for ti in settle_err
-            ),
-            max_abs_u=float(self.max_u[j]),
-            chatter_amplitude=float(self.tail_s[j]) if settled else float("nan"),
-        )
+        settled = bool(np.isfinite(settle_err).all())
+        record = {
+            "x0": x0.tolist(),
+            "threshold": self.threshold,
+            "settling_error": _settling_list(settle_err),
+            "settling_sliding": _settling_list(_settled_after(self.last_s[j], t)),
+            "settled": settled,
+            "settling_time": float(settle_err.max()) if settled else None,
+            "max_abs_u": float(self.max_u[j]),
+            "chatter_amplitude": _finite_or_none(float(self.tail_s[j])) if settled else None,
+            # a NaN time (not settled) is not within the bound
+            "bound_satisfied": None if bounds is None else (settle_err <= bounds["t_max"]).tolist(),
+        }
+        if bounds is not None:
+            record["bounds"] = bounds
+        return record
 
     def fail(self, errors) -> np.ndarray:
         self.flush()
@@ -907,6 +862,11 @@ def _settled_after(last, t) -> np.ndarray:
     return out
 
 
+def _settling_list(times) -> list:
+    """Settling times as a list, None where a channel has not settled."""
+    return [None if np.isnan(v) else v for v in times.tolist()]
+
+
 # --- export ----------------------------------------------------------------------
 
 
@@ -927,50 +887,9 @@ def write_trajectory_csv(traj: Trajectory, path, config: Optional[dict] = None) 
         write_csv_rows(fh, traj.columns())
 
 
-def _nan_to_none(value):
-    return None if isinstance(value, float) and not np.isfinite(value) else value
-
-
-def summary_to_dict(summary: RunSummary) -> dict:
-    out = {
-        "x0": list(summary.x0),
-        "threshold": summary.threshold,
-        "settling_error": [_nan_to_none(v) for v in summary.settling_error],
-        "settling_sliding": [_nan_to_none(v) for v in summary.settling_sliding],
-        "settled": summary.settled,
-        "settling_time": _nan_to_none(summary.settling_time),
-        "max_abs_u": summary.max_abs_u,
-        "chatter_amplitude": _nan_to_none(summary.chatter_amplitude),
-        "bound_satisfied": (
-            list(summary.bound_satisfied) if summary.bound_satisfied is not None else None
-        ),
-    }
-    if summary.bounds is not None:
-        out["bounds"] = bound_report_to_dict(summary.bounds)
-    return out
-
-
-def bound_report_to_dict(report: BoundReport) -> dict:
-    return {**asdict(report), "t_z": report.t_z, "t_s": report.t_s, "t_max": report.t_max}
-
-
-def write_summary_json(summary: RunSummary, path, config: Optional[dict] = None) -> None:
-    """Summary JSON (sorted keys, no timestamps: byte-reproducible)."""
-    doc = summary_to_dict(summary)
+def write_summary_json(doc: dict, path, config: Optional[dict] = None) -> None:
+    """A run's summary record or a batch's document as JSON, with ``config``
+    embedded when given (sorted keys, no timestamps: byte-reproducible)."""
     if config is not None:
-        doc["config"] = config
+        doc = {**doc, "config": config}
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
-def mc_result_to_dict(result: MonteCarloResult, config: Optional[dict] = None) -> dict:
-    doc = {
-        "seed": result.seed,
-        "aggregate": {k: _nan_to_none(v) for k, v in result.aggregate.items()},
-        "failures": list(result.failures),
-        "runs": [
-            summary_to_dict(s) if s is not None else None for s in result.summaries
-        ],
-    }
-    if config is not None:
-        doc["config"] = config
-    return doc

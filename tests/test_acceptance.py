@@ -84,15 +84,11 @@ def replayed_batches(mc_batches):
     h = template.step.step_size
     per_run = []
     settling_matches = True
-    for result in results:
-        for i, summary in enumerate(result.summaries):
-            scenario = dataclasses.replace(template, x0=result.x0s[i])
+    for x0s, doc in results:
+        for i, summary in enumerate(doc["runs"]):
+            scenario = dataclasses.replace(template, x0=x0s[i])
             traj = simulate(scenario)
-            if not np.array_equal(
-                summarize_run(traj, scenario).settling_error,
-                np.asarray(summary.settling_error),
-                equal_nan=True,
-            ):
+            if summarize_run(traj, scenario)["settling_error"] != summary["settling_error"]:
                 settling_matches = False
             g_max = float(np.max(np.abs(template.system.gain.value)))
             floor = 10.0 * h * float(np.max(np.abs(traj.u))) * g_max
@@ -156,7 +152,7 @@ def test_criterion_2_settling_oracle(request):
             mode="open-loop",
             settle_threshold=1e-3,
         )
-        measured[x0] = summarize_run(simulate(scenario), scenario).settling_error[0]
+        measured[x0] = summarize_run(simulate(scenario), scenario)["settling_error"][0]
     elapsed = time.perf_counter() - start
 
     rel_errs = {x0: abs(t / math.erf(x0) - 1.0) for x0, t in measured.items()}
@@ -177,8 +173,8 @@ def test_criterion_2_settling_oracle(request):
 
 def test_criterion_3_fixed_time_settling(request, mc_batches):
     results, elapsed = mc_batches
-    maxima = [r.aggregate["max_settling_error"] for r in results]
-    all_settled = all(r.aggregate["n_settled"] == RUNS_PER_BOX for r in results)
+    maxima = [doc["aggregate"]["max_settling_error"] for _, doc in results]
+    all_settled = all(doc["aggregate"]["n_settled"] == RUNS_PER_BOX for _, doc in results)
 
     # Within [-1,1]^3 the settling time still grows with |z0| (it only
     # saturates once erf(|z0|) ~ 1), so the 10%-flatness comparison is made
@@ -325,7 +321,7 @@ def test_criterion_6_gp_closed_loop(request):
     for i, x0 in enumerate(x0s):
         scenario = gp_scenario(x0, alpha2)
         traj = simulate(scenario)
-        settling[i] = np.max(summarize_run(traj, scenario).settling_error)
+        settling[i] = np.max(np.array(summarize_run(traj, scenario)["settling_error"], dtype=float))
         budgets = np.maximum(budgets, max_chi_sigma(traj))
 
     params = standard_gains(alpha2=alpha2, d_bar=d_bar)

@@ -16,7 +16,6 @@ from fxtsmc.errors import (
     IllConditionedDataError,
     NumericError,
     SimulationDivergedError,
-    UnfitGPError,
 )
 from fxtsmc.gp import GPDataset, KernelConfig, generate_training_data, gp_fit, variance_many
 from fxtsmc.system import make_pmsm
@@ -652,6 +651,33 @@ def test_montecarlo_artifacts(capsys, tmp_path, monkeypatch):
     assert doc["bounds"]["t_max"] == pytest.approx(1.2741613156896068)
 
 
+def test_written_summaries_are_the_records_summarize_run_builds(capsys, tmp_path, monkeypatch):
+    # A run's record is built once and written as it is: each runs.jsonl line
+    # holds the record mc.json lists for that run, and run's summary JSON is
+    # summarize_run's record with the config added.
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run_cli(capsys, "montecarlo", str(KNOWN), "--runs", "3", "--ic-box=-3,3",
+                         "--seed", "5", *FAST)
+    assert code == 0
+    doc = json.loads((tmp_path / "pmsm-known-mc.json").read_text())
+    lines = (tmp_path / "pmsm-known-runs.jsonl").read_text().splitlines()
+    assert [json.loads(line)["summary"] for line in lines] == doc["runs"]
+
+    made = []
+    summarize_run = cli.summarize_run
+
+    def keep_record(*args, **kwargs):
+        made.append(summarize_run(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "summarize_run", keep_record)
+    code, _, _ = run_cli(capsys, "run", str(KNOWN), *FAST)
+    assert code == 0
+    written = json.loads((tmp_path / "pmsm-known-summary.json").read_text())
+    del written["config"]
+    assert written == json.loads(json.dumps(made[0], allow_nan=False))
+
+
 def test_montecarlo_settling_bound_holds_from_1_to_1e15(capsys, tmp_path, monkeypatch):
     # The fixed-time claim across scale: from the boxes +-10^k every run
     # settles within the printed T_max, and once the reaching term saturates
@@ -1034,7 +1060,7 @@ def test_step_count_that_overflows_is_a_parameter_error(capsys, tmp_path, monkey
 
 @pytest.mark.parametrize(
     "error",
-    [SimulationDivergedError, UnfitGPError, IllConditionedDataError],
+    [SimulationDivergedError, IllConditionedDataError],
 )
 def test_numeric_failures_share_one_base(error):
     assert issubclass(error, NumericError)

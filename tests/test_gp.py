@@ -1,6 +1,8 @@
 import csv
 import io
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,11 +11,11 @@ from scipy.linalg import cholesky, solve_triangular
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from conftest import assert_no_child_left, set_csv_cpus
-from fxtsmc.errors import IllConditionedDataError, ParameterError
+from fxtsmc import cli
+from fxtsmc.errors import ConfigError, IllConditionedDataError, ParameterError
 from fxtsmc.gp import (
     JITTER_MAX,
     JITTER_START,
-    KERNEL_FAMILIES,
     DriftEstimator,
     GPDataset,
     KernelConfig,
@@ -29,6 +31,8 @@ from fxtsmc.numerics import CSV_BLOCK_ROWS
 from fxtsmc.system import make_lemma2_plant, make_pmsm
 
 EXP_KERNEL = KernelConfig(family="exponential", length_scale=1.0)
+KERNEL_FAMILIES = ("exponential", "squared-exponential")
+GP_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "pmsm-gp.json"
 
 
 def kernel_eval(cfg, x, x2):
@@ -80,10 +84,13 @@ def test_kernel_eval_symmetric():
 
 
 def test_kernel_config_validation():
-    with pytest.raises(ParameterError):
-        KernelConfig(family="matern", length_scale=1.0)
-    with pytest.raises(ParameterError):
-        KernelConfig(family="exponential", length_scale=0.0)
+    # the schema names the family and keeps the length scale positive
+    for kernel in ({"family": "matern", "length_scale": 1.0},
+                   {"family": "exponential", "length_scale": 0.0}):
+        cfg = json.loads(GP_CONFIG.read_text())
+        cfg["gp"]["kernel"] = kernel
+        with pytest.raises(ConfigError, match="gp/kernel"):
+            cli.validate_config(cfg)
 
 
 @pytest.mark.parametrize("length_scale", [1e300, 1e-200], ids=["overflows", "rounds-to-0"])

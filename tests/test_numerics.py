@@ -7,7 +7,8 @@ import pytest
 from scipy.special import erf, erfinv
 
 from conftest import assert_no_child_left, fail_odd_csv_blocks, set_csv_cpus
-from fxtsmc.errors import ParameterError, SimulationDivergedError
+from fxtsmc import cli
+from fxtsmc.errors import ConfigError, ParameterError, SimulationDivergedError
 from fxtsmc.numerics import CSV_BLOCK_ROWS, EXP_CLAMP, StepConfig, safe_exp, write_csv_rows
 from fxtsmc.sim import Scenario, simulate
 from fxtsmc.system import ConstantGain, SystemModel, make_lemma2_plant, zero_reference
@@ -40,8 +41,12 @@ def test_step_config_basics():
     ],
 )
 def test_step_config_rejects_bad_inputs(kwargs):
-    with pytest.raises(ParameterError):
-        StepConfig(**kwargs)
+    # the schema refuses a step or horizon that is not positive and finite,
+    # StepConfig a horizon off the step grid; both are exit 2
+    cfg = {"system": {"builtin": "pmsm"}, "sim": kwargs}
+    with pytest.raises((ConfigError, ParameterError)):
+        cli.validate_config(cfg)
+        cli.build_step(cfg)
 
 
 def test_step_config_accepts_rounded_grid():

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,19 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_no_child_left, make_integrator_plant, set_csv_cpus, standard_gains
-from fxtsmc.errors import ParameterError, SimulationDivergedError, UnfitGPError
-from fxtsmc import sim
+from fxtsmc.errors import ConfigError, ParameterError, SimulationDivergedError
+from fxtsmc import cli, sim
 from fxtsmc.controller import BoundReport, ControllerParams, bound_report
-from fxtsmc.gp import GPDataset, KernelConfig, generate_training_data, gp_fit
+from fxtsmc.gp import GPDataset, KernelConfig, generate_training_data, gp_fit, save_datasets
 from fxtsmc.numerics import CSV_BLOCK_ROWS, EXP_CLAMP, StepConfig
 from fxtsmc.sim import (
     Scenario,
     Trajectory,
-    mc_result_to_dict,
     run_monte_carlo,
     simulate,
     summarize_run,
-    summary_to_dict,
     write_summary_json,
     write_trajectory_csv,
 )
@@ -41,6 +40,7 @@ from fxtsmc.system import (
 )
 
 ERF_1 = 0.8427007929497149
+KNOWN = Path(__file__).resolve().parent.parent / "configs" / "pmsm-known.json"
 
 
 def pmsm_scenario(x0=(1.0, 1.0, 1.0), step_size=1e-4, t_end=1.0, **kwargs):
@@ -90,7 +90,7 @@ def test_lemma2_plant_settles_at_erf():
         mode="open-loop",
         settle_threshold=1e-3,
     )
-    settled = summarize_run(simulate(scenario), scenario).settling_error
+    settled = summarize_run(simulate(scenario), scenario)["settling_error"]
     assert settled[0] == pytest.approx(ERF_1, rel=0.02)
 
 
@@ -105,7 +105,7 @@ def test_lemma2_plant_oracle_other_starts(x0):
         mode="open-loop",
         settle_threshold=1e-3,
     )
-    settled = summarize_run(simulate(scenario), scenario).settling_error
+    settled = summarize_run(simulate(scenario), scenario)["settling_error"]
     assert settled[0] == pytest.approx(math.erf(x0), rel=0.02)
 
 
@@ -148,8 +148,8 @@ def test_simulate_is_deterministic():
 def test_step_halving_moves_settling_less_than_five_percent():
     coarse, fine = (pmsm_scenario(step_size=h, t_end=1.0, settle_threshold=0.02)
                     for h in (1e-4, 5e-5))
-    t_coarse = np.array(summarize_run(simulate(coarse), coarse).settling_error)
-    t_fine = np.array(summarize_run(simulate(fine), fine).settling_error)
+    t_coarse = np.array(summarize_run(simulate(coarse), coarse)["settling_error"], dtype=float)
+    t_fine = np.array(summarize_run(simulate(fine), fine)["settling_error"], dtype=float)
     assert np.isfinite(t_coarse).all() and np.isfinite(t_fine).all()
     assert np.max(t_coarse) == pytest.approx(np.max(t_fine), rel=0.05)
 
@@ -197,94 +197,56 @@ def test_gain_of_wrong_shape_is_a_parameter_error():
     with pytest.raises(ParameterError, match=r"^gain must be a ConstantGain of shape \(2,\)"):
         dataclasses.replace(make_integrator_plant(2), gain=ConstantGain(np.ones(3)))
 
+
 # --- scenario validation -----------------------------------------------------------
 
 
+def scenario_from_config(overrides):
+    """The CLI's path from the shipped known-model config, with {path: value}
+    overrides, to a Scenario: the schema check, then ``build_scenario``."""
+    cfg = cli.load_config(KNOWN)
+    for path, value in overrides.items():
+        cli.apply_override(cfg, f"{path}={json.dumps(value)}")
+    cli.validate_config(cfg)
+    return cli.build_scenario(cfg)
+
+
 def test_closed_loop_requires_params():
-    with pytest.raises(ParameterError, match="requires controller params"):
-        Scenario(
-            system=make_pmsm(),
-            reference=zero_reference(3),
-            params=None,
-            x0=np.zeros(3),
-            step=StepConfig(step_size=1e-3, t_end=0.01),
-        )
-
-
-def test_params_must_hold_the_gains_of_every_channel():
-    with pytest.raises(ParameterError, match="expected the gains of 3 channels, got 2"):
-        Scenario(
-            system=make_pmsm(),
-            reference=zero_reference(3),
-            params=standard_gains(2),
-            x0=np.zeros(3),
-            step=StepConfig(step_size=1e-3, t_end=0.01),
-        )
+    with pytest.raises(ConfigError, match="controller.alpha1 is required for mode 'known-model'"):
+        scenario_from_config({"controller": {"mode": "known-model"}})
 
 
 def test_gp_mode_requires_models():
-    with pytest.raises(UnfitGPError):
-        Scenario(
-            system=make_pmsm(),
-            reference=zero_reference(3),
-            params=standard_gains(),
-            x0=np.zeros(3),
-            step=StepConfig(step_size=1e-3, t_end=0.01),
-            mode="gp-based",
-        )
+    with pytest.raises(ConfigError, match="a 'gp' section is required"):
+        scenario_from_config({"controller.mode": "gp-based"})
 
 
-def test_gp_mode_requires_one_model_per_channel():
-    kernel = KernelConfig(family="exponential", length_scale=1.0)
+def test_gp_mode_requires_one_model_per_channel(tmp_path):
     dataset = generate_training_data(
         make_pmsm(), n_samples=5, region=[(-1, 1)] * 3, sigma_f=0.0, seed=3
     )
-    one_channel = gp_fit(GPDataset(dataset.inputs, dataset.targets[:, 0]), kernel)
-    with pytest.raises(UnfitGPError, match="3"):
-        Scenario(
-            system=make_pmsm(),
-            reference=zero_reference(3),
-            params=standard_gains(),
-            x0=np.zeros(3),
-            step=StepConfig(step_size=1e-3, t_end=0.01),
-            mode="gp-based",
-            gp_model=one_channel,
-        )
-
-
-def test_gp_mode_requires_one_model_input_per_state():
-    # three channels over two inputs: the estimator would read two of the
-    # three state entries
-    dataset = generate_training_data(
-        make_pmsm(), n_samples=5, region=[(-1, 1)] * 3, sigma_f=0.0, seed=3
-    )
-    two_inputs = gp_fit(GPDataset(dataset.inputs[:, :2], dataset.targets), KernelConfig())
-    with pytest.raises(UnfitGPError, match="GP of 3 inputs"):
-        pmsm_scenario(mode="gp-based", gp_model=two_inputs)
+    path = tmp_path / "one-channel.csv"
+    save_datasets(GPDataset(dataset.inputs, dataset.targets[:, 0]), path)
+    with pytest.raises(ConfigError, match="3 input columns and 1 channels"):
+        scenario_from_config({"controller.mode": "gp-based", "gp": {"dataset": str(path)}})
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"mode": "sliding"},
-        {"settle_threshold": 0.0},
-        {"settle_threshold": -1.0},
-        {"x0": np.zeros(2)},
-        {"x0": np.array([np.nan, 0.0, 0.0])},
-        {"settle_threshold": np.nan},
+        {"controller.mode": "sliding"},
+        {"sim.settle_threshold": 0.0},
+        {"sim.settle_threshold": -1.0},
+        {"sim.x0": [0.0, 0.0]},
+        {"sim.x0": [math.nan, 0.0, 0.0]},
+        {"sim.settle_threshold": math.nan},
     ],
 )
 def test_scenario_rejects_bad_fields(kwargs):
-    base = dict(
-        system=make_pmsm(),
-        reference=zero_reference(3),
-        params=standard_gains(),
-        x0=np.zeros(3),
-        step=StepConfig(step_size=1e-3, t_end=0.01),
-    )
-    base.update(kwargs)
-    with pytest.raises(ParameterError):
-        Scenario(**base)
+    # the schema refuses each but the x0 of two entries, which the Scenario
+    # refuses; both are exit 2
+    with pytest.raises((ConfigError, ParameterError)):
+        scenario_from_config(kwargs)
 
 
 # --- settling times ----------------------------------------------------------------
@@ -315,20 +277,20 @@ def hand_summary(traj, threshold, bounds=None):
 def test_settling_of_zero_signal_is_zero():
     t = np.linspace(0.0, 1.0, 101)
     traj = hand_trajectory(t, np.zeros_like(t))
-    assert hand_summary(traj, 0.1).settling_error[0] == 0.0
+    assert hand_summary(traj, 0.1)["settling_error"][0] == 0.0
 
 
 def test_settling_of_linear_decay():
     t = np.arange(0.0, 2.0 + 1e-12, 0.01)
     traj = hand_trajectory(t, np.maximum(0.0, 1.0 - t))
-    settled = hand_summary(traj, 0.1).settling_error
+    settled = hand_summary(traj, 0.1)["settling_error"]
     assert abs(settled[0] - 0.9) <= 0.01 + 1e-12
 
 
 def test_settling_never_reached_is_nan():
     t = np.linspace(0.0, 1.0, 11)
     traj = hand_trajectory(t, np.ones_like(t))
-    assert np.isnan(hand_summary(traj, 0.5).settling_error[0])
+    assert hand_summary(traj, 0.5)["settling_error"][0] is None
 
 
 def test_settling_ignores_transient_dips():
@@ -338,7 +300,7 @@ def test_settling_ignores_transient_dips():
     signal[3] = 0.0
     signal[8:] = 0.0
     traj = hand_trajectory(t, signal)
-    assert hand_summary(traj, 0.5).settling_error[0] == pytest.approx(t[8])
+    assert hand_summary(traj, 0.5)["settling_error"][0] == pytest.approx(t[8])
 
 
 def test_settling_sliding_selects_s_column():
@@ -348,8 +310,8 @@ def test_settling_sliding_selects_s_column():
     s[5:] = 0.0
     traj = Trajectory(t=t, x=col, x_d=col, z=col, s=s, u=col, d=col)
     summary = hand_summary(traj, 0.5)
-    assert summary.settling_error[0] == 0.0
-    assert summary.settling_sliding[0] == pytest.approx(t[5])
+    assert summary["settling_error"][0] == 0.0
+    assert summary["settling_sliding"][0] == pytest.approx(t[5])
 
 
 # --- summaries ---------------------------------------------------------------------
@@ -359,14 +321,14 @@ def test_summarize_run_fields():
     scenario = pmsm_scenario(t_end=1.0, settle_threshold=0.02)
     traj = simulate(scenario)
     summary = summarize_run(traj, scenario, bounds=bound_report(scenario.params))
-    assert summary.settled
-    assert summary.settling_time == pytest.approx(np.max(summary.settling_error))
-    assert summary.bounds is not None
-    assert summary.bounds.t_max == pytest.approx(1.2741613156896068)
-    assert summary.bound_satisfied == (True, True, True)
-    assert summary.all_bounds_satisfied
-    assert summary.max_abs_u > 0.0
-    assert 0.0 <= summary.chatter_amplitude < 0.05
+    assert summary["settled"]
+    assert summary["settling_time"] == pytest.approx(np.max(summary["settling_error"]))
+    assert summary["bounds"] is not None
+    assert summary["bounds"]["t_max"] == pytest.approx(1.2741613156896068)
+    assert summary["bound_satisfied"] == [True, True, True]
+    assert all(summary["bound_satisfied"])
+    assert summary["max_abs_u"] > 0.0
+    assert 0.0 <= summary["chatter_amplitude"] < 0.05
 
 
 def test_summary_round_trips_through_json(tmp_path):
@@ -377,7 +339,7 @@ def test_summary_round_trips_through_json(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["config"] == {"a": 2, "b": 1}
     assert doc["x0"] == [1.0, 1.0, 1.0]
-    # t_end is far too short to settle: NaNs must serialize as null.
+    # t_end is far too short to settle: "not settled" must serialize as null.
     assert doc["settled"] is False
     assert doc["settling_time"] is None
     assert doc["bounds"]["t_max"] == pytest.approx(1.2741613156896068)
@@ -422,21 +384,22 @@ def test_summary_matches_a_direct_oracle_on_random_trajectories():
         settle_z = oracle_settling(t, z, threshold)
         settle_s = oracle_settling(t, s, threshold)
         summary = hand_summary(traj, threshold, bounds=bounds)
-        np.testing.assert_array_equal(summary.x0, z[0] + 1.0)
-        assert summary.threshold == threshold
-        np.testing.assert_array_equal(summary.settling_error, settle_z)
-        np.testing.assert_array_equal(summary.settling_sliding, settle_s)
-        assert summary.bound_satisfied == tuple(
+        np.testing.assert_array_equal(summary["x0"], z[0] + 1.0)
+        assert summary["threshold"] == threshold
+        # None (not settled) reads as NaN in a float array
+        np.testing.assert_array_equal(np.array(summary["settling_error"], dtype=float), settle_z)
+        np.testing.assert_array_equal(np.array(summary["settling_sliding"], dtype=float), settle_s)
+        assert summary["bound_satisfied"] == [
             bool(ts <= bounds.t_max) for ts in settle_z  # NaN <= t_max is False
-        )
-        np.testing.assert_array_equal(summary.max_abs_u, np.max(np.abs(u)))
+        ]
+        np.testing.assert_array_equal(summary["max_abs_u"], np.max(np.abs(u)))
         if np.isnan(settle_z).any():
-            assert math.isnan(summary.chatter_amplitude)
+            assert summary["chatter_amplitude"] is None
         else:
             k_star = int(np.flatnonzero(t == settle_z.max())[0])
-            np.testing.assert_array_equal(
-                summary.chatter_amplitude, np.max(np.abs(s[k_star:]))
-            )
+            chatter = np.max(np.abs(s[k_star:]))
+            # a NaN |s| after t* makes it NaN, which the record holds as None
+            assert summary["chatter_amplitude"] == (chatter if np.isfinite(chatter) else None)
 
 
 # --- monte carlo -------------------------------------------------------------------
@@ -445,34 +408,34 @@ def test_summary_matches_a_direct_oracle_on_random_trajectories():
 def test_monte_carlo_single_run_reduces_to_simulate():
     template = pmsm_scenario(t_end=1.0, settle_threshold=0.02)
     box = [(0.5, 0.5), (-0.25, -0.25), (1.5, 1.5)]
-    result = run_monte_carlo(template, box, runs=1, seed=9)
-    assert np.array_equal(result.x0s, [[0.5, -0.25, 1.5]])
+    x0s, doc = run_monte_carlo(template, box, runs=1, seed=9)
+    assert np.array_equal(x0s, [[0.5, -0.25, 1.5]])
     direct = dataclasses.replace(template, x0=np.array([0.5, -0.25, 1.5]))
-    expected = summarize_run(simulate(direct), direct).settling_error
-    assert np.array_equal(result.summaries[0].settling_error, expected)
-    assert result.aggregate["runs"] == 1
-    assert result.aggregate["n_failed"] == 0
-    assert result.aggregate["fraction_settled"] == 1.0
+    expected = summarize_run(simulate(direct), direct)["settling_error"]
+    assert doc["runs"][0]["settling_error"] == expected
+    assert doc["aggregate"]["runs"] == 1
+    assert doc["aggregate"]["n_failed"] == 0
+    assert doc["aggregate"]["fraction_settled"] == 1.0
 
 
 def test_monte_carlo_is_deterministic():
     template = pmsm_scenario(step_size=1e-3, t_end=0.3)
     box = [(-1.0, 1.0)] * 3
-    a = run_monte_carlo(template, box, runs=3, seed=123)
-    b = run_monte_carlo(template, box, runs=3, seed=123)
-    assert np.array_equal(a.x0s, b.x0s)
-    assert a.aggregate == b.aggregate
-    c = run_monte_carlo(template, box, runs=3, seed=124)
-    assert not np.array_equal(a.x0s, c.x0s)
+    x0s_a, doc_a = run_monte_carlo(template, box, runs=3, seed=123)
+    x0s_b, doc_b = run_monte_carlo(template, box, runs=3, seed=123)
+    assert np.array_equal(x0s_a, x0s_b)
+    assert doc_a["aggregate"] == doc_b["aggregate"]
+    x0s_c, _ = run_monte_carlo(template, box, runs=3, seed=124)
+    assert not np.array_equal(x0s_a, x0s_c)
 
 
 def test_monte_carlo_draws_stay_inside_box():
     template = pmsm_scenario(step_size=1e-3, t_end=0.1)
     box = [(-2.0, -1.0), (0.0, 0.5), (3.0, 4.0)]
-    result = run_monte_carlo(template, box, runs=8, seed=5)
+    x0s, _ = run_monte_carlo(template, box, runs=8, seed=5)
     lows = np.array([lo for lo, _ in box])
     highs = np.array([hi for _, hi in box])
-    assert np.all(result.x0s >= lows) and np.all(result.x0s <= highs)
+    assert np.all(x0s >= lows) and np.all(x0s <= highs)
 
 
 def test_monte_carlo_records_failures_without_aborting():
@@ -492,33 +455,34 @@ def test_monte_carlo_records_failures_without_aborting():
         x0=np.array([1.0]),
         step=StepConfig(step_size=1e-3, t_end=0.01),
     )
-    result = run_monte_carlo(template, [(0.0, 0.0)], runs=2, seed=0)
-    assert result.summaries == (None, None)
-    assert len(result.failures) == 2
-    assert result.failures[0]["error_type"] == "SimulationDivergedError"
-    assert result.failures[1]["run"] == 1
-    assert result.aggregate["n_failed"] == 2
-    assert result.aggregate["max_settling_error"] is None
+    _, doc = run_monte_carlo(template, [(0.0, 0.0)], runs=2, seed=0)
+    assert doc["runs"] == [None, None]
+    assert len(doc["failures"]) == 2
+    assert doc["failures"][0]["error_type"] == "SimulationDivergedError"
+    assert doc["failures"][1]["run"] == 1
+    assert doc["aggregate"]["n_failed"] == 2
+    assert doc["aggregate"]["max_settling_error"] is None
 
 
 def assert_batch_equals_single_runs(template, box, runs, seed):
     """run_monte_carlo must give, run by run, what simulate + summarize_run
-    give: equal summary dicts, and for a failed run a record with the type and
-    message of the exception its own simulate raises."""
-    result = run_monte_carlo(template, box, runs=runs, seed=seed)
-    records = {record["run"]: record for record in result.failures}
-    for i, x0 in enumerate(result.x0s):
+    give: equal summary records, and for a failed run a failure record with
+    the type and message of the exception its own simulate raises. Returns
+    what run_monte_carlo returns."""
+    x0s, doc = run_monte_carlo(template, box, runs=runs, seed=seed)
+    records = {record["run"]: record for record in doc["failures"]}
+    for i, x0 in enumerate(x0s):
         scenario = dataclasses.replace(template, x0=x0)
         try:
-            expected = summary_to_dict(summarize_run(simulate(scenario), scenario))
+            expected = summarize_run(simulate(scenario), scenario)
         except SimulationDivergedError as err:
-            assert result.summaries[i] is None
+            assert doc["runs"][i] is None
             assert records[i]["error_type"] == type(err).__name__
             assert records[i]["message"] == str(err)
             continue
         assert i not in records
-        assert summary_to_dict(result.summaries[i]) == expected
-    return result
+        assert doc["runs"][i] == expected
+    return x0s, doc
 
 
 def counting_drift(model):
@@ -590,9 +554,9 @@ def test_step_admitted_by_ratio_alone_that_overflows_still_raises():
 def test_batch_records_a_plain_step_overflow_for_that_run_alone():
     template = open_loop(constant_rate_plant(1e308), 1.0, 0.5, 0.5)
     box = [(1e308, 1.7e308)]  # runs past 1.3e308 overflow in their first step
-    result = assert_batch_equals_single_runs(template, box, runs=6, seed=3)
-    assert 0 < result.aggregate["n_failed"] < 6
-    for record in result.failures:
+    _, doc = assert_batch_equals_single_runs(template, box, runs=6, seed=3)
+    assert 0 < doc["aggregate"]["n_failed"] < 6
+    for record in doc["failures"]:
         assert record["message"] == "state channel 1 non-finite after step at t = 0"
 
 
@@ -629,9 +593,9 @@ def test_batch_records_a_non_finite_rate_of_a_block_blind_model_like_single_runs
         step=StepConfig(step_size=0.25, t_end=0.5),
         mode="open-loop",
     )
-    result = assert_batch_equals_single_runs(template, [(-1.0, 1.0)] * 3, runs=4, seed=1)
-    assert result.aggregate["n_failed"] == 4
-    for record in result.failures:
+    _, doc = assert_batch_equals_single_runs(template, [(-1.0, 1.0)] * 3, runs=4, seed=1)
+    assert doc["aggregate"]["n_failed"] == 4
+    for record in doc["failures"]:
         assert record["message"] == (
             "non-finite dynamics rate in channel 3 during substepping at t = 0.25"
         )
@@ -654,9 +618,9 @@ def test_batch_far_box_with_sinusoid_reference_equals_single_runs():
     system, evaluated = counting_drift(make_pmsm())
     template = far_sinusoid_template(system)
     runs = 6
-    result = run_monte_carlo(template, [(-100.0, 100.0)] * 3, runs=runs, seed=11)
+    _, doc = run_monte_carlo(template, [(-100.0, 100.0)] * 3, runs=runs, seed=11)
     assert evaluated[0] > runs * (template.step.n_steps + 1)  # substeps were taken
-    assert result.aggregate["n_failed"] == 0
+    assert doc["aggregate"]["n_failed"] == 0
     assert_batch_equals_single_runs(template, [(-100.0, 100.0)] * 3, runs, 11)
 
 
@@ -677,8 +641,8 @@ def gp_template(t_end):
 
 def test_batch_gp_based_equals_single_runs():
     template = gp_template(t_end=1.0)
-    result = assert_batch_equals_single_runs(template, [(-1.0, 1.0)] * 3, 4, 8)
-    assert result.aggregate["n_settled"] == 4
+    _, doc = assert_batch_equals_single_runs(template, [(-1.0, 1.0)] * 3, 4, 8)
+    assert doc["aggregate"]["n_settled"] == 4
 
 
 def blowup_template(t_end=0.5):
@@ -705,9 +669,9 @@ def test_batch_with_diverging_runs_records_each_and_carries_on():
     # The runs that start far enough out diverge inside the horizon, the
     # others survive it.
     template = blowup_template()
-    result = assert_batch_equals_single_runs(template, [(-1.0, 1.0)], 10, 1)
-    assert 0 < result.aggregate["n_failed"] < 10
-    assert [r["run"] for r in result.failures] == sorted(r["run"] for r in result.failures)
+    _, doc = assert_batch_equals_single_runs(template, [(-1.0, 1.0)], 10, 1)
+    assert 0 < doc["aggregate"]["n_failed"] < 10
+    assert [r["run"] for r in doc["failures"]] == sorted(r["run"] for r in doc["failures"])
 
 
 def test_batch_records_exhausted_substep_budget_like_single_runs(monkeypatch):
@@ -726,9 +690,9 @@ def test_batch_records_exhausted_substep_budget_like_single_runs(monkeypatch):
         step=StepConfig(step_size=1e-3, t_end=0.1),
         settle_threshold=0.05,
     )
-    result = assert_batch_equals_single_runs(template, [(-box, box)] * 3, 6, 3)
-    assert 0 < result.aggregate["n_failed"] < 6
-    assert all(f"exceeded {budget}" in r["message"] for r in result.failures)
+    _, doc = assert_batch_equals_single_runs(template, [(-box, box)] * 3, 6, 3)
+    assert 0 < doc["aggregate"]["n_failed"] < 6
+    assert all(f"exceeded {budget}" in r["message"] for r in doc["failures"])
 
 
 def chatter_pulse_template():
@@ -752,15 +716,15 @@ def test_batch_chatter_after_error_leaves_band_again_equals_single_runs():
     # the second entry into the band, not those of the first.
     template = chatter_pulse_template()
     box = [(-1.0, 1.0)] * 3
-    result = assert_batch_equals_single_runs(template, box, 4, 6)
-    assert result.aggregate["n_settled"] == 4
-    for x0, summary in zip(result.x0s, result.summaries):
+    x0s, doc = assert_batch_equals_single_runs(template, box, 4, 6)
+    assert doc["aggregate"]["n_settled"] == 4
+    for x0, summary in zip(x0s, doc["runs"]):
         traj = simulate(dataclasses.replace(template, x0=x0))
         in_band = (np.abs(traj.z) < template.settle_threshold).all(axis=1)
         last_out = np.flatnonzero(~in_band)[-1]
         assert traj.t[last_out] >= 0.6
         # the rows in band before t* reach a larger |s| than the tail's
-        assert np.abs(traj.s[:last_out][in_band[:last_out]]).max() > summary.chatter_amplitude
+        assert np.abs(traj.s[:last_out][in_band[:last_out]]).max() > summary["chatter_amplitude"]
 
 
 def drift_gap_template():
@@ -801,12 +765,12 @@ def test_batch_equals_single_runs_at_any_chunk_size(monkeypatch, case, chunk_row
     # partial last chunk and runs failing mid-chunk must not change a summary.
     monkeypatch.setattr(sim, "CHUNK_ROWS", chunk_rows)
     make_template, box, runs, seed = CHUNK_CASES[case]
-    result = assert_batch_equals_single_runs(make_template(), box, runs, seed)
-    n_failed = result.aggregate["n_failed"]
+    _, doc = assert_batch_equals_single_runs(make_template(), box, runs, seed)
+    n_failed = doc["aggregate"]["n_failed"]
     assert 0 < n_failed < runs if case in ("diverging", "drift-gap") else n_failed == 0
     if case in ("drift-gap", "chatter-pulse"):
         # settling times and chatter amplitudes compared too
-        assert result.aggregate["n_settled"] == runs - n_failed
+        assert doc["aggregate"]["n_settled"] == runs - n_failed
 
 
 class _RowRecorder:
@@ -1007,10 +971,10 @@ def test_batch_backward_euler_substeps_equal_single_runs(case):
     system, evaluated = counting_drift(template.system)
     template = dataclasses.replace(template, system=system)
     box, runs, seed = [(-1e4, 1e4)] * 3, 4, 5
-    result = assert_batch_equals_single_runs(template, box, runs, seed)
-    assert result.aggregate["n_failed"] == 0
+    x0s, doc = assert_batch_equals_single_runs(template, box, runs, seed)
+    assert doc["aggregate"]["n_failed"] == 0
     evaluated[0] = 0
-    assert_block_rows_equal_single_runs(template, result.x0s)
+    assert_block_rows_equal_single_runs(template, x0s)
     assert evaluated[0] > 2 * runs * (template.step.n_steps + 1)  # substeps were taken
 
 
@@ -1195,22 +1159,22 @@ def test_batch_memory_does_not_scale_with_rows_times_runs():
 
 def test_monte_carlo_validates_arguments():
     template = pmsm_scenario(step_size=1e-3, t_end=0.01)
-    with pytest.raises(ParameterError, match="runs"):
-        run_monte_carlo(template, [(-1, 1)] * 3, runs=0, seed=1)
     with pytest.raises(ParameterError, match="ic_box"):
         run_monte_carlo(template, [(-1, 1)] * 2, runs=1, seed=1)
     with pytest.raises(ParameterError, match="ic_box"):
         run_monte_carlo(template, [(1, -1)] * 3, runs=1, seed=1)
 
 
-def test_mc_result_serializes():
+def test_mc_result_serializes(tmp_path):
     template = pmsm_scenario(step_size=1e-3, t_end=0.3)
-    result = run_monte_carlo(template, [(-1, 1)] * 3, runs=2, seed=7)
-    doc = mc_result_to_dict(result, config={"k": 1})
+    _, doc = run_monte_carlo(template, [(-1, 1)] * 3, runs=2, seed=7)
+    json.dumps(doc, allow_nan=False)  # must be JSON-clean (no numpy scalars, no NaN)
+    path = tmp_path / "mc.json"
+    write_summary_json(doc, path, config={"k": 1})
+    doc = json.loads(path.read_text())
     assert doc["seed"] == 7
     assert len(doc["runs"]) == 2
     assert doc["config"] == {"k": 1}
-    json.dumps(doc)  # must be JSON-clean (no numpy scalars, no NaN)
 
 
 # --- export ------------------------------------------------------------------------
@@ -1300,9 +1264,8 @@ def test_trajectory_csv_bytes_equal_a_savetxt_reference(tmp_path, monkeypatch, c
 
 def test_summary_dict_drops_numpy_types():
     scenario = pmsm_scenario(step_size=1e-3, t_end=0.3, settle_threshold=0.05)
-    summary = summarize_run(simulate(scenario), scenario, bounds=bound_report(scenario.params))
-    doc = summary_to_dict(summary)
-    json.dumps(doc)
+    doc = summarize_run(simulate(scenario), scenario, bounds=bound_report(scenario.params))
+    json.dumps(doc, allow_nan=False)
     assert set(doc) >= {
         "x0",
         "threshold",

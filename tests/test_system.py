@@ -4,8 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fxtsmc import cli
 from fxtsmc.controller import SQRT_PI_HALF
-from fxtsmc.errors import ParameterError, SimulationDivergedError
+from fxtsmc.errors import ConfigError, ParameterError, SimulationDivergedError
 from fxtsmc.numerics import StepConfig
 from fxtsmc.sim import Scenario, simulate
 from fxtsmc.system import (
@@ -172,10 +173,12 @@ def test_lemma2_plant_odd():
 
 
 def test_lemma2_plant_rejects_nonpositive_alpha():
-    with pytest.raises(ParameterError):
-        make_lemma2_plant(0.0)
-    with pytest.raises(ParameterError):
-        make_lemma2_plant(-1.0)
+    # the schema keeps the plant's alpha positive
+    for alpha in (0.0, -1.0):
+        cfg = json.loads((CONFIG_DIR / "lemma2.json").read_text())
+        cfg["system"]["alpha"] = alpha
+        with pytest.raises(ConfigError, match="at system"):
+            cli.validate_config(cfg)
 
 
 def test_zero_reference():
