@@ -46,7 +46,7 @@ from .gp import (
     save_datasets,
     variance_many,
 )
-from .numerics import StepConfig, check_ic_box
+from .numerics import CsvStream, StepConfig, check_ic_box
 from .sim import (
     DEFAULT_SETTLE_THRESHOLD,
     Scenario,
@@ -455,18 +455,21 @@ def _is_standard_pmsm_gains(params) -> bool:
 
 def cmd_run(args) -> int:
     cfg = resolve_config(args)
-    scenario = build_scenario(cfg)
-    # the bound is decided before the run is stepped; a gp-based bound sizes
-    # it over the run itself, which is then kept, not stepped again
-    run = functools.cache(lambda: simulate(scenario))
-    bounds, bound_note = _settling_bounds(scenario, cfg, run)
-    traj = run()
-    summary = summarize_run(traj, scenario, bounds=bounds)
+    # The run formats its CSV while it steps, on a helper process that
+    # leaving the block reaps, whatever ends the run.
+    with CsvStream() as stream:
+        scenario = dataclasses.replace(build_scenario(cfg), csv_stream=stream)
+        # the bound is decided before the run is stepped; a gp-based bound
+        # sizes it over the run itself, which is then kept, not stepped again
+        run = functools.cache(lambda: simulate(scenario))
+        bounds, bound_note = _settling_bounds(scenario, cfg, run)
+        traj = run()
+        summary = summarize_run(traj, scenario, bounds=bounds)
 
-    stem = Path(args.config).stem
-    csv_path = _output_path(cfg, "trajectory_csv", f"{stem}-trajectory.csv")
-    json_path = _output_path(cfg, "summary_json", f"{stem}-summary.json")
-    write_trajectory_csv(traj, csv_path, config=cfg)
+        stem = Path(args.config).stem
+        csv_path = _output_path(cfg, "trajectory_csv", f"{stem}-trajectory.csv")
+        json_path = _output_path(cfg, "summary_json", f"{stem}-summary.json")
+        write_trajectory_csv(traj, csv_path, config=cfg)
     write_summary_json(summary, json_path, config=cfg)
 
     print(f"run: system={scenario.system.name} mode={scenario.mode} "

@@ -1,9 +1,9 @@
 """Scalar numeric primitives: a clamped exponential, the fixed-step grid
 settings, the check of a box that states are drawn from, the size check of
 an array of rows, and the one CSV number writer of the trajectory and
-dataset exports. Where two or more CPUs are usable, that writer has one
-forked helper process format every other block of rows; the bytes written
-are the same either way.
+dataset exports. A ``CsvStream`` lets one forked helper process format the
+blocks of rows on a second CPU while a run fills them, into a spool that the
+writer copies at export; the bytes written are the same either way.
 
 The primitives accept either floats or numpy arrays and operate elementwise,
 so the same code serves both scalar unit tests and the vectorized simulation
@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import gc
 import os
-from contextlib import contextmanager
+import signal
+import tempfile
+import warnings
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -36,6 +38,8 @@ _GRID_RTOL = 1e-9
 # Rows per block of a CSV export: one format call and one write each, so an
 # export holds the data plus one block.
 CSV_BLOCK_ROWS = 256
+# Bytes per read of a CSV spool, about one block of a trajectory's text.
+_SPOOL_CHUNK = 2**17
 
 
 def safe_exp(x):
@@ -103,21 +107,25 @@ def check_rows(rows: int, n: int, what: str) -> int:
     return rows
 
 
-def write_csv_rows(fh, columns) -> None:
+def write_csv_rows(fh, columns, stream: CsvStream | None = None) -> None:
     """Write ``columns`` (arrays of one length; a 2-D one is several columns)
     to ``fh``, a line of comma-separated ``%.17g`` values per row, in blocks of
     CSV_BLOCK_ROWS rows. 17 significant digits round-trip every float64.
 
-    Where two or more CPUs are usable and there are two or more blocks, one
-    forked helper process formats blocks 1, 3, 5, ... while this process
-    formats blocks 0, 2, 4, ...; this process writes every block to ``fh`` in
-    order, so the bytes, newline translation included, are the same as with
-    no helper. An OSError naming the file is raised if the helper fails."""
-    starts = range(0, len(columns[0]), CSV_BLOCK_ROWS)
-    name = getattr(fh, "name", "CSV export")
-    with _helper_blocks(columns, starts[1::2], name) as odd_blocks:
-        for i, start in enumerate(starts):
-            fh.write(next(odd_blocks) if odd_blocks and i % 2 else _format_block(columns, start))
+    Where ``stream`` has a helper formatting these columns, that helper is
+    sent the last rows and reaped, and its spool is copied to ``fh`` in
+    chunks of about one block; otherwise this process formats every block
+    itself. Either way the text goes through ``fh``'s text layer, so the
+    bytes, newline translation included, are the same. An OSError naming the
+    file is raised if the helper failed."""
+    rows = len(columns[0])
+    spool = None if stream is None else stream.finish(rows, getattr(fh, "name", "CSV export"))
+    if spool is None:
+        for start in range(0, rows, CSV_BLOCK_ROWS):
+            fh.write(_format_block(columns, start))
+        return
+    while chunk := spool.read(_SPOOL_CHUNK):
+        fh.write(chunk.decode("ascii"))
 
 
 def _format_block(columns, start: int) -> str:
@@ -134,65 +142,120 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-@contextmanager
-def _helper_blocks(columns, starts, name: str):
-    """Yield an iterator over the text of the blocks at ``starts``, formatted
-    by one forked helper process, or None where there are no such blocks, one
-    CPU is usable or no process can be forked. The helper reads ``columns``
-    from the memory fork shares and sends each block over a pipe as 8 bytes
-    of length and the ASCII text; the pipe's capacity keeps it about one
-    block ahead of its reader. The helper is reaped on every path out."""
-    pid = None
-    if starts and _usable_cpus() > 1:
-        read_fd, write_fd = os.pipe()
+class CsvStream:
+    """The CSV text of columns whose rows are filled while it is formatted.
+
+    ``start`` forks one helper process over the columns, which must lie in
+    memory that fork shares (rows filled after the fork) or be final before
+    it. ``note(rows)`` tells the helper that the first ``rows`` rows are
+    final, by 8 bytes on a note pipe; the helper formats each block of
+    CSV_BLOCK_ROWS rows once it is noted, into an unlinked spool file, so
+    neither process holds the text in memory. ``write_csv_rows`` then sends
+    the last note, reaps the helper and copies the spool. One stream serves
+    one set of columns. Leaving the ``with`` block reaps a helper still
+    running, on every path out, by killing it."""
+
+    def __init__(self):
+        self.pid = None
+        self._notes = self._spool = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def start(self, columns) -> bool:
+        """Fork the helper over ``columns``; whether it runs. It does not with
+        one usable CPU, or where the spool, the pipe or the fork fails (such
+        as ENOSPC or EAGAIN): then ``write_csv_rows`` formats every block."""
+        if _usable_cpus() < 2:
+            return False
         try:
-            pid = os.fork()
+            self._spool = tempfile.TemporaryFile()
+            read_fd, self._notes = os.pipe()
+        except OSError:  # such as ENOSPC
+            self.close()
+            return False
+        try:
+            # From Python 3.12, a fork in a process with threads, such as
+            # OpenBLAS's after a GP fit, warns of deadlocks in the child; the
+            # helper calls no BLAS, only _format_block and os.write.
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
         except OSError:  # such as EAGAIN under a process limit
             os.close(read_fd)
-            os.close(write_fd)
-    if pid is None:
-        yield None
-        return
-    if pid == 0:
-        # The helper touches nothing it inherited but the columns and the
-        # pipe, and leaves by os._exit, so no inherited buffer is flushed. It
-        # collects no garbage: a collection would write to every tracked
-        # object's header, copying the parent's heap, and could finalize an
-        # inherited object, such as an unclosed file, that the parent owns.
-        status = 1
+            self.close()
+            return False
+        if pid == 0:
+            # The helper touches nothing it inherited but the columns, the
+            # pipe and the spool's descriptor, and leaves by os._exit, so no
+            # inherited buffer is flushed. It collects no garbage: a
+            # collection would write to every tracked object's header,
+            # copying the parent's heap, and could finalize an inherited
+            # object, such as an unclosed file, that the parent owns.
+            status = 1
+            try:
+                gc.disable()
+                os.close(self._notes)
+                _format_noted(columns, read_fd, self._spool.fileno())
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(read_fd)
+        self.pid = pid
+        return True
+
+    def note(self, rows: int) -> None:
+        """Tell the helper that the first ``rows`` rows are final."""
         try:
-            gc.disable()
-            os.close(read_fd)
-            for start in starts:
-                data = _format_block(columns, start).encode("ascii")
-                _write_all(write_fd, len(data).to_bytes(8, "little") + data)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    try:
-        with open(read_fd, "rb") as pipe:
-            yield _read_blocks(pipe, name)
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if status:
-        raise OSError(f"{name}: the CSV format helper failed "
-                      f"(exit status {os.waitstatus_to_exitcode(status)})")
+            os.write(self._notes, rows.to_bytes(8, "little"))
+        except BrokenPipeError:  # the helper has stopped; finish reports it
+            pass
+
+    def finish(self, rows: int, name: str):
+        """The spool, read from its start, once the helper has formatted all
+        ``rows`` rows and is reaped; None where no helper runs. An OSError
+        naming ``name`` if the helper failed."""
+        if self.pid is None:
+            return None
+        self.note(rows)
+        os.close(self._notes)
+        self._notes = None
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if status:
+            raise OSError(f"{name}: the CSV format helper stopped before its last block")
+        self._spool.seek(0)
+        return self._spool
+
+    def close(self) -> None:
+        if self._notes is not None:
+            os.close(self._notes)
+            self._notes = None
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        if self._spool is not None:
+            self._spool.close()
+
+
+def _format_noted(columns, notes_fd: int, spool_fd: int) -> None:
+    """The helper's loop: each block of ``columns`` as soon as a note on
+    ``notes_fd`` covers its rows, written to ``spool_fd``, until the notes
+    end."""
+    done = 0
+    with open(notes_fd, "rb") as notes:
+        while head := notes.read(8):
+            rows = int.from_bytes(head, "little")
+            while done < rows:
+                _write_all(spool_fd, _format_block(columns, done).encode("ascii"))
+                done += CSV_BLOCK_ROWS
 
 
 def _write_all(fd: int, data: bytes) -> None:
     view = memoryview(data)
     while view:
         view = view[os.write(fd, view):]
-
-
-def _read_blocks(pipe, name: str):
-    """The text of each length-prefixed block read from ``pipe``; an OSError
-    naming ``name`` if the pipe ends within or before a block."""
-    while True:
-        head = pipe.read(8)
-        size = int.from_bytes(head, "little")
-        data = pipe.read(size) if len(head) == 8 else b""
-        if len(head) < 8 or len(data) < size:
-            raise OSError(f"{name}: the CSV format helper stopped before its last block")
-        yield data.decode("ascii")

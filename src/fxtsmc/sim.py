@@ -52,6 +52,12 @@ run's summary as the record one builder makes (``_BatchStats.summary``): the
 JSON-ready dict the summary files hold, with None for "not settled".
 The law's per-channel constants take the shape of the block they act on.
 
+A single run logs its rows on one anonymous shared mapping. Where the ``run``
+command passes a ``numerics.CsvStream``, the log starts the stream's helper
+process before the first step, and the helper formats each block of the
+trajectory CSV on a second CPU as soon as the loop has filled it; the export
+then copies the text.
+
 The loop evaluates per step only what depends on the state. The reference,
 its derivative and the perturbation depend on time alone: they are evaluated
 once over the whole grid, each in one call with the grid as an array of
@@ -79,7 +85,9 @@ converts a float operand on every call. None of this changes a bit.
 """
 from __future__ import annotations
 
+import errno
 import json
+import mmap
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional
@@ -89,7 +97,10 @@ import numpy as np
 from . import gp
 from .controller import BoundReport, ControllerParams
 from .errors import ParameterError, RunErrors, SimulationDivergedError
-from .numerics import EXP_CLAMP, StepConfig, check_ic_box, check_rows, safe_exp, write_csv_rows
+from .numerics import (
+    CSV_BLOCK_ROWS, EXP_CLAMP, CsvStream, StepConfig, check_ic_box, check_rows, safe_exp,
+    write_csv_rows,
+)
 from .sliding import integrand
 from .system import ReferenceSignal, SystemModel
 
@@ -123,6 +134,10 @@ class Scenario:
     ``params`` holds the gains of the system's n channels; it may be None
     only in open-loop mode, in which case the s columns simply repeat z (no
     surface is defined without gains).
+
+    ``csv_stream``, which only the ``run`` command sets, makes ``simulate``
+    start its helper before the first step and note each block of rows as
+    the run fills it, so the trajectory CSV is formatted while the run steps.
     """
 
     system: SystemModel
@@ -133,6 +148,7 @@ class Scenario:
     mode: str = "known-model"
     gp_model: Optional[gp.GPModel] = None
     settle_threshold: float = DEFAULT_SETTLE_THRESHOLD
+    csv_stream: Optional[CsvStream] = None
 
     def __post_init__(self):
         n = self.system.n
@@ -151,7 +167,8 @@ class Trajectory:
     """Uniformly sampled log of one run. Row k is the state at t = k*h, before
     the k-th step; the first row has s = z by construction. ``x_d`` and ``d``
     are the time signals evaluated over the grid; one that does not depend
-    on t is a read-only view repeating a single row."""
+    on t is a read-only view repeating a single row. ``csv_stream`` is the
+    scenario's, whose helper has formatted the rows for the CSV export."""
 
     t: np.ndarray
     x: np.ndarray
@@ -161,6 +178,7 @@ class Trajectory:
     u: np.ndarray
     d: np.ndarray
     f_hat: Optional[np.ndarray] = None
+    csv_stream: Optional[CsvStream] = None
 
     @property
     def n(self) -> int:
@@ -193,19 +211,42 @@ def simulate(scenario: Scenario) -> Trajectory:
         progress within its budget.
     """
     log = _Log(scenario)
-    t, x_d, d = _step_loop(scenario, scenario.x0, log)
-    return Trajectory(t=t, x=log.x, x_d=x_d, z=log.z, s=log.s, u=log.u, d=d, f_hat=log.f_hat)
+    _step_loop(scenario, scenario.x0, log)
+    return log.traj
 
 
 class _Log:
     """Sink of ``_step_loop`` for one run: every grid row of the state-dependent
-    columns, for a Trajectory (the time signals come from the grid)."""
+    columns, for a Trajectory (the time signals come from the grid).
+
+    The x, z, s, u and f_hat rows lie on one anonymous shared mapping, so the
+    helper of the scenario's ``csv_stream``, forked in ``start`` before row 0,
+    sees every row written later; the time signals exist by then, and it gets
+    them through fork. Once per CSV_BLOCK_ROWS rows the log notes the rows
+    that are final, at the cost of one integer test per row."""
 
     def __init__(self, scenario: Scenario):
         n = scenario.system.n
-        rows = check_rows(scenario.step.n_steps + 1, n, "a grid")
-        self.x, self.z, self.s, self.u = (np.empty((rows, n)) for _ in range(4))
-        self.f_hat = np.empty((rows, n)) if scenario.mode == "gp-based" else None
+        width = (5 if scenario.mode == "gp-based" else 4) * n
+        rows = check_rows(scenario.step.n_steps + 1, width, "a run's log")
+        try:
+            shared = mmap.mmap(-1, rows * width * 8)
+        except OSError as err:  # where numpy's allocation raises MemoryError
+            if err.errno != errno.ENOMEM:
+                raise
+            raise MemoryError(
+                f"a run's log of {rows} rows by {width} columns: {err.strerror}"
+            ) from None
+        self.x, self.z, self.s, self.u, *f_hat = np.frombuffer(shared).reshape(-1, rows, n)
+        self.f_hat = f_hat[0] if f_hat else None
+        self.stream = scenario.csv_stream
+        self.next_note = -1  # the row after which the next note is due
+
+    def start(self, t, x_d, d):
+        self.traj = Trajectory(t=t, x=self.x, x_d=x_d, z=self.z, s=self.s, u=self.u, d=d,
+                               f_hat=self.f_hat, csv_stream=self.stream)
+        if self.stream is not None and self.stream.start(self.traj.columns()):
+            self.next_note = CSV_BLOCK_ROWS - 1
 
     def row(self, k, x, z, s, u, f_used):
         self.x[k] = x
@@ -214,6 +255,9 @@ class _Log:
         self.u[k] = u
         if self.f_hat is not None:
             self.f_hat[k] = f_used
+        if k == self.next_note:
+            self.stream.note(k + 1)
+            self.next_note += CSV_BLOCK_ROWS
 
     @staticmethod
     def fail(errors):
@@ -225,7 +269,8 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
     """The one step loop: one state ``x`` of shape (n,), or a block (R, n) of
     runs stepped together from their initial states.
 
-    Every grid row of the state-dependent signals goes to ``sink.row``. The
+    The grid and its (x_d, d) columns go to ``sink.start`` before the first
+    step, and every grid row of the state-dependent signals to ``sink.row``. The
     errors of failed runs go to ``sink.fail`` as {block row: exception}: a
     single run's sink raises, a batch's sink records them and returns the mask
     of runs to keep. The step is then redone for the kept runs, which repeats
@@ -233,8 +278,7 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
 
     The signals that depend on time alone (reference, its derivative,
     perturbation) are evaluated once over the whole grid before the loop;
-    only the local times of guard substeps call them again. Returns the grid
-    and its (x_d, d) columns.
+    only the local times of guard substeps call them again.
 
     numpy's floating-point warnings are off in the loop: every rate and state
     it makes is checked (the rates bound, the row rates, ``_finite``), and a
@@ -265,6 +309,7 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
     # ConstantGain (x / 1.0 and 1.0 * x are exact).
     xd_grid, xd_rows = _on_grid(ref_value, t_grid, n)
     d_grid = _on_grid(pert, t_grid, n)[0]
+    sink.start(t_grid, xd_grid, d_grid)
     xdot_rows = None if open_loop else _on_grid(ref_deriv, t_grid, n)[1]
     fixed_gain = None if (model.gain.value == 1.0).all() else model.gain.value
 
@@ -405,7 +450,7 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
             z, s, u, f_used, dx, integ, ds = eval_loop(x, signals, integral)
             sink.row(k, x, z, s, u, f_used)
             if k == n_steps:
-                return t_grid, xd_grid, d_grid
+                return
             # The rates bound: each guard ratio |dz|/(|z| + GUARD_ABS) is at
             # most |dz| in floating point, its denominator being at least 1,
             # so rates that pass it pass the row-rate test of _advance. dz/dt
@@ -437,7 +482,7 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
             keep = sink.fail(err.errors)
             x, integral = x[keep], integral[keep]
             if not keep.any():
-                return t_grid, xd_grid, d_grid
+                return
             continue
         k += 1
 
@@ -693,11 +738,11 @@ def run_monte_carlo(
     x0s = rng.uniform(box[:, 0], box[:, 1], size=(check_rows(runs, n, "a batch"), n))
 
     stats = _BatchStats(template, runs, bounds)
-    t, _, _ = _step_loop(template, x0s, stats)
+    _step_loop(template, x0s, stats)
     stats.flush()
     records = [None] * runs
     for j, i in enumerate(stats.runs):
-        records[i] = stats.summary(j, t, x0s[i])
+        records[i] = stats.summary(j, stats.t, x0s[i])
     failures = [
         {
             "run": i,
@@ -773,6 +818,9 @@ class _BatchStats:
     def _buffer(self, runs, n):
         self.z, self.s, self.u = np.empty((3, self.chunk, runs, n))
         self.k0 = self.m = 0
+
+    def start(self, t, x_d, d):
+        self.t = t
 
     def row(self, k, x, z, s, u, f_used):
         m = self.m
@@ -872,9 +920,10 @@ def _settling_list(times) -> list:
 
 def write_trajectory_csv(traj: Trajectory, path, config: Optional[dict] = None) -> None:
     """CSV with one row per sample, 17 significant digits, reproducible bytes,
-    written in blocks of rows (``numerics.write_csv_rows``). Where two or
-    more CPUs are usable, one forked helper process formats every other
-    block; the bytes are the same.
+    written in blocks of rows (``numerics.write_csv_rows``). Where the run
+    had a ``csv_stream`` with a helper, the helper formatted the blocks while
+    the run stepped: this reaps it and copies its spool. Otherwise, as with
+    one usable CPU, every block is formatted here; the bytes are the same.
 
     When ``config`` is given the full resolved configuration is embedded as a
     leading ``# config: {...}`` comment line (keys sorted), so the file alone
@@ -884,7 +933,7 @@ def write_trajectory_csv(traj: Trajectory, path, config: Optional[dict] = None) 
         if config is not None:
             fh.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
         fh.write(",".join(traj.column_names()) + "\n")
-        write_csv_rows(fh, traj.columns())
+        write_csv_rows(fh, traj.columns(), traj.csv_stream)
 
 
 def write_summary_json(doc: dict, path, config: Optional[dict] = None) -> None:

@@ -31,25 +31,26 @@ _FORK = os.fork
 
 
 def set_csv_cpus(monkeypatch, cpus):
-    """Make the CSV writer see ``cpus`` usable CPUs. The returned list gets an
-    entry for each helper process the writer forks."""
+    """Make the CSV stream see ``cpus`` usable CPUs. The returned list gets an
+    entry for each process forked, such as the stream's helper."""
     forks = []
     monkeypatch.setattr(numerics, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(os, "fork", lambda: forks.append(cpus) or _FORK())
     return forks
 
 
-def fail_odd_csv_blocks(monkeypatch):
-    """Make the CSV writer's block formatter raise on blocks 1, 3, 5, ...,
-    which the helper process formats."""
-    format_block = numerics._format_block
+def fail_helper_blocks(monkeypatch):
+    """Make the CSV block formatter raise in any process but this one, that
+    is in the stream's helper, which formats every block of a streamed
+    export."""
+    format_block, parent = numerics._format_block, os.getpid()
 
-    def format_even_blocks(columns, start):
-        if start // numerics.CSV_BLOCK_ROWS % 2:
+    def format_in_parent(columns, start):
+        if os.getpid() != parent:
             raise RuntimeError("made up")
         return format_block(columns, start)
 
-    monkeypatch.setattr(numerics, "_format_block", format_even_blocks)
+    monkeypatch.setattr(numerics, "_format_block", format_in_parent)
 
 
 def assert_no_child_left():

@@ -1,5 +1,6 @@
 """Command-line front end: config validation, overrides, artifacts, exit codes."""
 
+import dataclasses
 import json
 import math
 import re
@@ -9,7 +10,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from conftest import assert_no_child_left, fail_odd_csv_blocks, set_csv_cpus
+from conftest import assert_no_child_left, fail_helper_blocks, set_csv_cpus
 from fxtsmc import cli
 from fxtsmc.cli import CONFIG_SCHEMA, _gp_delta_f_bars, apply_override, build_gp_model, main
 from fxtsmc.errors import (
@@ -277,14 +278,67 @@ def test_missing_config_is_an_io_error(capsys, tmp_path, monkeypatch):
 
 
 def test_a_failing_csv_helper_is_an_io_error(capsys, tmp_path, monkeypatch):
-    # 301 rows: the helper process formats the second block, and fails
+    # 301 rows: the helper process formats both blocks while the run steps,
+    # and fails on the first
     monkeypatch.chdir(tmp_path)
-    set_csv_cpus(monkeypatch, 2)
-    fail_odd_csv_blocks(monkeypatch)
+    forks = set_csv_cpus(monkeypatch, 2)
+    fail_helper_blocks(monkeypatch)
     code, _, err = run_cli(capsys, "run", str(KNOWN), *FAST)
     assert code == 3
     assert err == ("i/o error: pmsm-known-trajectory.csv: the CSV format helper stopped "
                    "before its last block\n")
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def diverge_mid_run(monkeypatch):
+    """Make ``run``'s plant drift NaN from its 281st evaluation on, so a run
+    of FAST's 301 rows fails after the helper has been sent its first block."""
+    build_scenario = cli.build_scenario
+
+    def build_diverging(cfg):
+        scenario = build_scenario(cfg)
+        drift, calls = scenario.system.drift, []
+
+        def late_nan(x):
+            calls.append(1)
+            return drift(x) * (np.nan if len(calls) > 280 else 1.0)
+
+        system = dataclasses.replace(scenario.system, drift=late_nan)
+        return dataclasses.replace(scenario, system=system)
+
+    monkeypatch.setattr(cli, "build_scenario", build_diverging)
+
+
+@pytest.mark.parametrize(
+    "case, config, argv, code, err",
+    [
+        ("diverging", KNOWN, [], 4, "numeric error: SimulationDivergedError: "),
+        ("gp-bound-refused", GP, ["--set", "controller.alpha1=1e-320"], 2,
+         "parameter error: T_z entries must be positive and finite"),
+        ("unwritable-csv", KNOWN, ["--set", "output.trajectory_csv=missing/t.csv"], 3,
+         "i/o error: [Errno 2] No such file or directory"),
+        ("failed-write", KNOWN, ["--set", "output.trajectory_csv=/dev/full"], 3,
+         "i/o error: [Errno 28] No space left on device"),
+    ],
+    ids=["diverging", "gp-bound-refused", "unwritable-csv", "failed-write"],
+)
+def test_the_csv_helper_is_reaped_whatever_ends_the_run(capsys, tmp_path, monkeypatch, case,
+                                                        config, argv, code, err):
+    # The helper is forked before the first step: the run diverges, the gp
+    # bound its run sized is refused, the CSV cannot be opened, or writing it
+    # fails. Each exits with its code, writes no CSV, and leaves no process.
+    if case == "failed-write" and not Path("/dev/full").exists():
+        pytest.skip("no /dev/full")
+    monkeypatch.chdir(tmp_path)
+    forks = set_csv_cpus(monkeypatch, 2)
+    if case == "diverging":
+        diverge_mid_run(monkeypatch)
+    got, _, stderr = run_cli(capsys, "run", str(config), *FAST, *argv)
+    assert (got, stderr.count("\n")) == (code, 1)
+    assert stderr.startswith(err)
+    assert len(forks) == 1
+    assert list(tmp_path.iterdir()) == []
     assert_no_child_left()
 
 

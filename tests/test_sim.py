@@ -7,6 +7,7 @@ import json
 import math
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from fxtsmc.errors import ConfigError, ParameterError, SimulationDivergedError
 from fxtsmc import cli, sim
 from fxtsmc.controller import BoundReport, ControllerParams, bound_report
 from fxtsmc.gp import GPDataset, KernelConfig, generate_training_data, gp_fit, save_datasets
-from fxtsmc.numerics import CSV_BLOCK_ROWS, EXP_CLAMP, StepConfig
+from fxtsmc.numerics import CSV_BLOCK_ROWS, EXP_CLAMP, CsvStream, StepConfig
 from fxtsmc.sim import (
     Scenario,
     Trajectory,
@@ -779,6 +780,9 @@ class _RowRecorder:
     def __init__(self):
         self.rows = []
 
+    def start(self, t, x_d, d):
+        pass
+
     def row(self, k, x, z, s, u, f_used):
         # an open loop logs u as one row of zeros for the whole block, and a
         # drift that ignores the block gives one f row for all of it
@@ -1245,8 +1249,11 @@ def awkward_trajectory(rows, n, f_hat):
 )
 def test_trajectory_csv_bytes_equal_a_savetxt_reference(tmp_path, monkeypatch, config, f_hat,
                                                         rows):
-    # B is the writer's block size. With two CPUs a helper process formats
-    # every other block, once there are two blocks; the bytes do not change.
+    # B is the writer's block size; the row counts give one, two, three and
+    # five blocks. A trajectory written with no stream is formatted here. A
+    # streamed one is logged row by row, as a run logs it: with two CPUs a
+    # helper forked before row 0 formats each block once the log notes it.
+    # The bytes do not change.
     traj = awkward_trajectory(rows, 3, f_hat)
     ref = io.StringIO()
     if config is not None:
@@ -1254,11 +1261,47 @@ def test_trajectory_csv_bytes_equal_a_savetxt_reference(tmp_path, monkeypatch, c
     ref.write(",".join(traj.column_names()) + "\n")
     np.savetxt(ref, np.column_stack(traj.columns()), fmt="%.17g", delimiter=",")
     for cpus in (1, 2):
-        forks = set_csv_cpus(monkeypatch, cpus)
-        path = tmp_path / f"traj-{cpus}.csv"
-        write_trajectory_csv(traj, path, config=config)
-        assert path.read_bytes() == ref.getvalue().encode()
-        assert len(forks) == (cpus == 2 and rows > CSV_BLOCK_ROWS)
+        for streamed in (False, True):
+            forks = set_csv_cpus(monkeypatch, cpus)
+            path = tmp_path / f"traj-{cpus}-{streamed}.csv"
+            with CsvStream() as stream:
+                written = logged(traj, stream) if streamed else traj
+                write_trajectory_csv(written, path, config=config)
+            assert path.read_bytes() == ref.getvalue().encode()
+            assert len(forks) == (cpus == 2 and streamed)
+    assert_no_child_left()
+
+
+def logged(traj, stream):
+    """``traj`` as ``simulate`` with ``stream`` returns it: the log starts
+    the stream once it has the time signals, then takes the rows one by
+    one."""
+    rows, n = traj.x.shape
+    log = sim._Log(SimpleNamespace(
+        system=SimpleNamespace(n=n), step=SimpleNamespace(n_steps=rows - 1),
+        mode="known-model" if traj.f_hat is None else "gp-based", csv_stream=stream,
+    ))
+    log.start(traj.t, traj.x_d, traj.d)
+    for k in range(rows):
+        log.row(k, traj.x[k], traj.z[k], traj.s[k], traj.u[k],
+                None if traj.f_hat is None else traj.f_hat[k])
+    return log.traj
+
+
+def test_only_a_run_with_a_stream_forks(tmp_path, monkeypatch):
+    # simulate without a stream, a batch and a gp-based montecarlo (whose
+    # pilot run sizes the bound) fork nothing; run forks its one helper
+    forks = set_csv_cpus(monkeypatch, 2)
+    monkeypatch.chdir(tmp_path)
+    scenario = pmsm_scenario(step_size=1e-3, t_end=0.6)
+    simulate(scenario)
+    run_monte_carlo(scenario, [(-1.0, 1.0)] * 3, 3, seed=1)
+    fast = ["--set", "sim.step_size=1e-3", "--set", "sim.t_end=0.3"]
+    assert cli.main(["montecarlo", str(KNOWN.with_name("pmsm-gp.json")), "--runs", "2",
+                     "--ic-box=-1,1", *fast]) == 0
+    assert forks == []
+    assert cli.main(["run", str(KNOWN), *fast]) == 0
+    assert len(forks) == 1
     assert_no_child_left()
 
 
