@@ -427,8 +427,8 @@ def _settling_bounds(scenario, cfg: dict, pilot):
         return None, None
     params = scenario.params
     d_bounds = scenario.system.perturbation_bounds
-    short = [] if d_bounds is None else np.flatnonzero(params.d_bar < d_bounds)
-    if len(short):
+    short = np.flatnonzero(params.d_bar < d_bounds)
+    if short.size:
         i = short[0]
         return None, (
             f"settling bound unavailable: channel {i + 1}: d_bar = {params.d_bar[i]:g} is "

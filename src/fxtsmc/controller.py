@@ -4,7 +4,7 @@
 fixed-time law, channel i of which is
 
     u_i = -(f_hat_i + alpha1_i*exp(z_i^2)*|z_i|^(p_i/q_i)*sign(z_i) - xd_dot_i
-            + kappa_i*alpha2_i*exp(s_i^2)*sign(s_i)) / g_i,
+            + kappa_i*alpha2_i*exp(s_i^2)*sign(s_i)),
 
 which the simulation engine (``fxtsmc.sim``) evaluates; ``f_hat`` is the
 model drift f (known-model mode) or the GP posterior mean (gp-based mode).
@@ -75,7 +75,7 @@ class ControllerParams:
             for i in range(n):
                 _check_channel(alpha1[i], p[i], q[i], alpha2[i], d_bar[i])
         except GainTooSmallError as err:
-            raise GainTooSmallError(f"channel {i + 1}: {err}", channel=i) from None
+            raise GainTooSmallError(f"channel {i + 1}: {err}") from None
         except ParameterError as err:
             raise ParameterError(f"channel {i + 1}: {err}") from None
         kappa = [SQRT_PI_HALF if v else 1.0 for v in given["include_sqrt_pi_factor"]]
@@ -165,8 +165,7 @@ def bound_report(
         raise GainTooSmallError(
             f"channel {i + 1}: need reaching gain kappa*alpha2 > d_bar + delta_f_bar = "
             f"{params.d_bar[i] + delta_f_bars[i]:.6g}, "
-            f"got kappa*alpha2 = {params.reach_gain[i]:.6g}",
-            channel=i,
+            f"got kappa*alpha2 = {params.reach_gain[i]:.6g}"
         )
     t_s = S_BOUND_NUMERATORS[s_bound_mode] / (2.0 * margin)
     return BoundReport(tuple(t_z.tolist()), tuple(t_s.tolist()), "gp-based", s_bound_mode)

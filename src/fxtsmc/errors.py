@@ -16,26 +16,14 @@ class ParameterError(ValueError):
 class GainTooSmallError(ParameterError):
     """A gain violates the lower-bound inequality its stability result needs.
 
-    The message states the violated inequality; ``channel`` identifies the
-    offending channel when the check was made per channel (None otherwise).
+    The message states the violated inequality, and the channel where the
+    check was made per channel.
     """
-
-    def __init__(self, message, channel=None):
-        super().__init__(message)
-        self.channel = channel
 
 
 class NumericError(RuntimeError):
-    """A numeric failure of a run or a fit on valid input.
-
-    ``t`` is the time and ``channel`` the channel where it happened, None
-    where unknown.
-    """
-
-    def __init__(self, message, t=None, channel=None):
-        super().__init__(message)
-        self.t = t
-        self.channel = channel
+    """A numeric failure of a run or a fit on valid input. The message names
+    the time and the channel where they are known."""
 
 
 class SimulationDivergedError(NumericError):
@@ -66,13 +54,8 @@ class RunErrors(Exception):
 class IllConditionedDataError(NumericError):
     """A Gram matrix could not be factorized even after jitter escalation.
 
-    ``pair`` holds the indices of the closest (duplicate or near-duplicate)
-    pair of inputs when that diagnosis applies.
-    """
-
-    def __init__(self, message, pair=None):
-        super().__init__(message)
-        self.pair = pair
+    The message names the closest (duplicate or near-duplicate) pair of
+    inputs."""
 
 
 class ConfigError(ValueError):

@@ -172,7 +172,6 @@ def gp_fit(dataset: GPDataset, cfg: KernelConfig) -> GPModel:
             raise IllConditionedDataError(
                 f"inputs {pair[0]} and {pair[1]} are identical with sigma_F = 0; "
                 "the Gram matrix is singular",
-                pair=pair,
             )
     diag = dataset.noise_std**2
     jitter = JITTER_START if dataset.noise_std == 0.0 else 0.0
@@ -195,7 +194,6 @@ def gp_fit(dataset: GPDataset, cfg: KernelConfig) -> GPModel:
             raise IllConditionedDataError(
                 f"Gram matrix not positive definite after jitter up to {JITTER_MAX:g}; "
                 f"closest input pair {pair[0]}, {pair[1]} at distance {dmin:.3g}",
-                pair=pair,
             )
     weights = cho_solve((chol_lower, True), dataset.targets, check_finite=False)
     return GPModel(

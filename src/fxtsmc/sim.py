@@ -18,11 +18,11 @@ with a stiffness of about 1e23 per second, and explicit substeps last about
 of its macro step inside the guard takes a backward-Euler substep of the
 law's terms instead (Hairer & Wanner, Solving Ordinary Differential
 Equations II, on stiff problems): the integrand and the reaching term are
-taken at the end of the substep, while d, x_d', gp-mode's f - f_hat and the
-gain's rounding stay explicit. Its length is chosen, without trial steps, so
-that the implicit move of every channel's s stays inside the guard; while
-the reaching term is clamped, each such substep halves |s|, and a start at
-1e5 drains in about 14 substeps where explicit ones took tens of thousands.
+taken at the end of the substep, while d, x_d' and gp-mode's f - f_hat stay
+explicit. Its length is chosen, without trial steps, so that the implicit
+move of every channel's s stays inside the guard; while the reaching term
+is clamped, each such substep halves |s|, and a start at 1e5 drains in
+about 14 substeps where explicit ones took tens of thousands.
 Implicit discretization of sliding-mode laws is studied by Acary & Brogliato
 (Systems & Control Letters, 2010); their implicit sign is not used here, the
 sign stays explicit. Open-loop runs take explicit substeps only.
@@ -63,17 +63,15 @@ its derivative and the perturbation depend on time alone: they are evaluated
 once over the whole grid, each in one call with the grid as an array of
 times; every guard substep calls them again, at its runs' local times (none
 of the 36 block substeps of a 30-run mc-far batch leaves them all unmoved).
-The gain is a ``ConstantGain``, checked when built and used as its value.
 
 The loop also skips every operation whose result it knows bit for bit. A
-unit ``ConstantGain`` and a reference that is constant (shape (n,) on the
-grid) and all +0.0 are exact identities, so ``/ g``, ``g *``, ``x - x_d``
-and ``- x_d'`` are not applied. The perturbation is always added. Two
-checks that an earlier test implies are dropped: the NaN test of s before a
-plain step runs in open loop only, since in closed loop a NaN s makes dx NaN
-and fails the rates bound; and a plain step admitted by that bound, which
-moves no state by more than GUARD_REL, is not checked for a finite result.
-Steps admitted by the guard ratios and substeps are.
+reference that is constant (shape (n,) on the grid) and all +0.0 is an exact
+identity, so ``x - x_d`` and ``- x_d'`` are not applied. The perturbation is
+always added. Two checks that an earlier test implies are dropped: the NaN
+test of s before a plain step runs in open loop only, since in closed loop a
+NaN s makes dx NaN and fails the rates bound; and a plain step admitted by
+that bound, which moves no state by more than GUARD_REL, is not checked for
+a finite result. Substeps are.
 
 A grid row acts on arrays of 3 to 12 elements, so what it costs is mostly
 numpy's per-call overhead, not arithmetic. The loop therefore tests the rates
@@ -305,13 +303,11 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
 
     # An operand that is an exact identity is held as None, and the operation
     # that would apply it is skipped: a reference signal that is constant and
-    # all +0.0 (x - 0.0 is exact, also for -0.0 and NaN), and a unit
-    # ConstantGain (x / 1.0 and 1.0 * x are exact).
+    # all +0.0 (x - 0.0 is exact, also for -0.0 and NaN).
     xd_grid, xd_rows = _on_grid(ref_value, t_grid, n)
     d_grid = _on_grid(pert, t_grid, n)[0]
     sink.start(t_grid, xd_grid, d_grid)
     xdot_rows = None if open_loop else _on_grid(ref_deriv, t_grid, n)[1]
-    fixed_gain = None if (model.gain.value == 1.0).all() else model.gain.value
 
     integral = np.zeros_like(x)
     zeros = np.zeros(n)
@@ -329,14 +325,10 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
     # one state; for a block, leading rows of (R, n) copies, which serve every
     # smaller block too. An op between two arrays of one block shape costs
     # about half of one that broadcasts an (n,) operand over the block.
-    law = None if params is None else (
-        params.alpha1, params.exponent, params.reach_gain, fixed_gain
-    )
-    law_rows = None if law is None else [
-        None if c is None else np.tile(c, (x.size // n, 1)) for c in law
-    ]
+    law = None if params is None else (params.alpha1, params.exponent, params.reach_gain)
+    law_rows = None if law is None else [np.tile(c, (x.size // n, 1)) for c in law]
     law_shape = None  # the state shape the constants below are taken for
-    alpha1 = exponent = reach_gain = g_fixed = None
+    alpha1 = exponent = reach_gain = None
     # Bound once: the ufuncs the loop calls, the reduction that ndarray.max
     # reaches through numpy's Python layer, and the plain step's h as a 0-d
     # array, since numpy converts a float operand on every call.
@@ -349,11 +341,11 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
         place the control law is evaluated. ``signals`` holds (x_d, d, x_d')
         at t, from ``signals_at`` or read from the grid, None for an identity.
 
-        Returns (z, s, u, f_used, dx, integ, ds) with dx = f + g*u + d and
+        Returns (z, s, u, f_used, dx, integ, ds) with dx = f + u + d and
         ds = dx + alpha1 * integ, the rate of s; integ and ds are None when no
         surface is tracked (open loop without gains).
         """
-        nonlocal law_shape, alpha1, exponent, reach_gain, g_fixed
+        nonlocal law_shape, alpha1, exponent, reach_gain
         xd, d, xd_dot = signals
         z = x_cur if xd is None else x_cur - xd
         f = drift(x_cur)
@@ -361,8 +353,8 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
             return z, z, zeros, f, f + d, None, None
         if x_cur.shape != law_shape:
             law_shape = x_cur.shape
-            alpha1, exponent, reach_gain, g_fixed = law if x_cur.ndim == 1 else (
-                None if c is None else c[: len(x_cur)] for c in law_rows
+            alpha1, exponent, reach_gain = law if x_cur.ndim == 1 else (
+                c[: len(x_cur)] for c in law_rows
             )
         # Each chain fills one new array in place, in the order and with the
         # operand order of the expression it stands for (which NaN a sum of
@@ -383,12 +375,7 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
             u -= xd_dot
         u += reach
         negative(u, out=u)
-        if g_fixed is None:
-            dx = f + u
-        else:
-            u /= g_fixed
-            dx = g_fixed * u
-            add(f, dx, out=dx)
+        dx = f + u
         dx += d
         add(dx, ds, out=ds)
         return z, s, u, f_used, dx, integ, ds
@@ -413,11 +400,11 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
         the implicit move of s; returns (substep sizes, x, integral) after it.
 
         The rate c = ds + reach(s) = dx + alpha1 * integ(z) + reach(s) stays
-        explicit: d, x_d', gp-mode's f - f_hat and the gain's rounding. The
-        substep of length H solves y = z + H * (c - alpha1 * integ(y) -
-        reach(s')) with I' = I + H * integ(y) and s' = y + alpha1 * I', which
-        splits into s' = s + H * (c - reach(s')) in s' alone, then y + alpha1
-        * H * integ(y) = s' - alpha1 * I; both sides increase in the unknown.
+        explicit: d, x_d' and gp-mode's f - f_hat. The substep of length H
+        solves y = z + H * (c - alpha1 * integ(y) - reach(s')) with I' = I +
+        H * integ(y) and s' = y + alpha1 * I', which splits into s' = s + H *
+        (c - reach(s')) in s' alone, then y + alpha1 * H * integ(y) = s' -
+        alpha1 * I; both sides increase in the unknown.
         The right side is formed as z + H * (c - reach(s')), equal in exact
         arithmetic: s' - alpha1 * I cancels two terms of about |s|, and far
         out that leaves nothing of z.
@@ -509,7 +496,7 @@ def _diverged(what: str, values, t: float, bad=None) -> RunErrors:
 
     def error(r):
         ch = int(np.argmin(finite[r]))
-        return SimulationDivergedError(f"{what.format(ch + 1)} at t = {t:g}", t=t, channel=ch)
+        return SimulationDivergedError(f"{what.format(ch + 1)} at t = {t:g}")
 
     return RunErrors.where(~finite.all(axis=1) if bad is None else bad, error)
 
@@ -532,30 +519,22 @@ def _advance(x, integral, t, h, z, s, dx, integ, ds, eval_loop, signals_at, impl
 
     The loop takes the plain step itself where the rates bound admits it, and
     calls this only where that bound fails. ``integ`` and ``ds`` are None
-    when no surface is tracked. When one max of the rows' guard rates over
-    the whole block shows every run inside the guard, all take the plain
-    step, identical to an unguarded loop. Otherwise every run substeps, each
-    with its own remaining time, substep size and local time, until each has
-    covered h; a run inside the guard covers it in one substep. ``implicit``
-    is the backward-Euler substep of closed loop, and None in open loop. In
-    closed loop, a run whose explicit step cannot cover its remaining time
-    inside the guard takes that substep, and a run whose explicit step can
-    takes it as its last substep. Every substep evaluates the time signals
-    at its runs' local times. A state that is not finite after the step
-    raises.
+    when no surface is tracked. Every run substeps, each with its own
+    remaining time, substep size and local time, until each has covered h; a
+    run inside the guard covers it in one substep of exactly h, its plain
+    step, identical to an unguarded loop. ``implicit`` is the backward-Euler
+    substep of closed loop, and None in open loop. In closed loop, a run
+    whose explicit step cannot cover its remaining time inside the guard
+    takes that substep, and a run whose explicit step can takes it as its
+    last substep. Every substep evaluates the time signals at its runs' local
+    times. A state that is not finite after the step raises.
     """
-    rate = _row_rates(z, s, dx, ds)
-    if h * float(rate.max()) <= 1.0:
-        # every run inside the guard: the plain step, checked for a finite
-        # result
-        return _finite(x + h * dx, t), integral if integ is None else integral + h * integ
-
     shape, n = x.shape, x.shape[-1]
     x, integral, dx = x.reshape(-1, n), integral.reshape(-1, n), dx.reshape(-1, n)
     z, s = z.reshape(-1, n), s.reshape(-1, n)
     if integ is not None:
         integ, ds = integ.reshape(-1, n), ds.reshape(-1, n)
-    rate = rate.reshape(-1)
+    rate = _row_rates(z, s, dx, ds)
     # a run inside the guard covers h in its first substep, its plain step,
     # even where 1/rate rounds below h
     rate = np.where(h * rate <= 1.0, 0.0, rate)
@@ -602,7 +581,7 @@ def _advance(x, integral, t, h, z, s, dx, integ, ds, eval_loop, signals_at, impl
                 f"substep guard exceeded {MAX_SUBSTEPS} substeps within the macro "
                 f"step at t = {t:g}"
             )
-            raise RunErrors({int(r): SimulationDivergedError(message, t=t) for r in rows})
+            raise RunErrors({int(r): SimulationDivergedError(message) for r in rows})
         if not np.isfinite(x).all():
             raise _diverged("state channel {} non-finite during substepping", x, t).at(rows)
         try:

@@ -1,9 +1,10 @@
-"""Perturbed controlled systems: x_i' = f_i(x) + g_i(x) u_i + d_i(t).
+"""Perturbed controlled systems: x_i' = f_i(x) + u_i + d_i(t).
 
-The gain is diagonal (each u_i enters only its own channel) and does not
-depend on the state: it is a ``ConstantGain``, checked once when built, and
-the engine uses its value. Drift and perturbation are plain vector-valued
-callables. Benchmark instances are code-defined through this interface.
+Each u_i enters only its own channel, with unit gain: both plants a config
+builds (``make_pmsm``, ``make_lemma2_plant``) have it, and the law's division
+by a constant gain would cancel against the plant's product up to one
+rounding. Drift and perturbation are plain vector-valued callables.
+Benchmark instances are code-defined through this interface.
 
 Every callable also accepts a block of inputs, so the engine can step many
 runs at once: the drift maps states of shape (..., n) to (..., n), and
@@ -15,7 +16,7 @@ evaluates the perturbation and the reference once over its whole time grid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -24,57 +25,23 @@ from .errors import ParameterError
 from .numerics import safe_exp
 
 
-@dataclass(frozen=True, eq=False)
-class ConstantGain:
-    """The input gain, declared by its finite, nonzero value of shape (n,)."""
-
-    value: np.ndarray
-
-    def __post_init__(self):
-        g = np.array(self.value, dtype=float)
-        if g.ndim != 1 or g.size == 0 or not np.all(np.isfinite(g) & (g != 0.0)):
-            raise ParameterError(
-                f"constant gain must be a finite, nonzero (n,) array, got {g!r}"
-            )
-        g.flags.writeable = False
-        object.__setattr__(self, "value", g)
-
-
 @dataclass(frozen=True)
 class SystemModel:
-    """A perturbed system with drift f(x), constant diagonal gain g,
-    perturbation d(t).
+    """A perturbed system x' = f(x) + u + d(t), built in code, never from a
+    config's numbers.
 
-    ``drift`` maps a state of shape (..., n) to (..., n); ``gain`` is a
-    ``ConstantGain`` of length n. ``perturbation`` maps t, a float or an
-    array of shape (A,), to (n,) or (A, n). ``perturbation_bounds`` is
-    optional: the declared bound on |d_i(t)|, which a settling bound needs
-    the controller's ``d_bar`` to cover.
+    ``drift`` maps a state of shape (..., n) to (..., n). ``perturbation``
+    maps t, a float or an array of shape (A,), to (n,) or (A, n).
+    ``perturbation_bounds``, of shape (n,) and non-negative, is the declared
+    bound on |d_i(t)|, which a settling bound needs the controller's
+    ``d_bar`` to cover.
     """
 
     n: int
     drift: Callable[[np.ndarray], np.ndarray]
-    gain: ConstantGain
     perturbation: Callable[[float], np.ndarray]
-    perturbation_bounds: Optional[np.ndarray] = None
+    perturbation_bounds: np.ndarray
     name: str = "custom"
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError(f"system dimension must be >= 1, got {self.n}")
-        if not isinstance(self.gain, ConstantGain) or self.gain.value.shape != (self.n,):
-            raise ParameterError(
-                f"gain must be a ConstantGain of shape ({self.n},), got {self.gain!r}"
-            )
-        if self.perturbation_bounds is not None:
-            b = np.asarray(self.perturbation_bounds, dtype=float)
-            if b.shape != (self.n,):
-                raise ParameterError(
-                    f"perturbation_bounds must have shape ({self.n},), got {b.shape}"
-                )
-            if np.any(b < 0.0):
-                raise ParameterError("perturbation_bounds must be non-negative")
-            object.__setattr__(self, "perturbation_bounds", b)
 
 
 @dataclass(frozen=True)
@@ -143,20 +110,14 @@ def _pmsm_perturbation(t):
     ).T
 
 
-def make_pmsm(perturbed: bool = True) -> SystemModel:
-    """The 3-state motor benchmark with unit gains and bounded perturbations.
-
-    ``perturbed=False`` drops the matched disturbances (bounds become zero),
-    which is the configuration used to isolate the reaching law in tests.
-    """
-    zeros = np.zeros(3)
+def make_pmsm() -> SystemModel:
+    """The 3-state motor benchmark with bounded perturbations."""
     return SystemModel(
         n=3,
         drift=_pmsm_drift,
-        gain=ConstantGain(np.ones(3)),
-        perturbation=_pmsm_perturbation if perturbed else lambda t: zeros,
-        perturbation_bounds=np.full(3, 1.0 if perturbed else 0.0),
-        name="pmsm" if perturbed else "pmsm-unperturbed",
+        perturbation=_pmsm_perturbation,
+        perturbation_bounds=np.ones(3),
+        name="pmsm",
     )
 
 
@@ -180,7 +141,6 @@ def make_lemma2_plant(alpha: float) -> SystemModel:
     return SystemModel(
         n=1,
         drift=drift,
-        gain=ConstantGain(np.ones(1)),
         perturbation=lambda t: zeros,
         perturbation_bounds=np.zeros(1),
         name="lemma2",

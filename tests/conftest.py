@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -6,7 +7,7 @@ import pytest
 
 from fxtsmc import numerics
 from fxtsmc.controller import ControllerParams
-from fxtsmc.system import ConstantGain, SystemModel, make_pmsm
+from fxtsmc.system import SystemModel, make_pmsm
 
 
 def standard_gains(n=3, alpha2=4.0, d_bar=1.0, **kwargs):
@@ -15,15 +16,24 @@ def standard_gains(n=3, alpha2=4.0, d_bar=1.0, **kwargs):
 
 
 def make_integrator_plant(n=1):
-    """f = 0, g = 1, d = 0: the plant is just x' = u."""
+    """f = 0, d = 0: the plant is just x' = u."""
     zeros = np.zeros(n)
     return SystemModel(
         n=n,
         drift=lambda x: zeros,
-        gain=ConstantGain(np.ones(n)),
         perturbation=lambda t: zeros,
         perturbation_bounds=np.zeros(n),
         name="integrator",
+    )
+
+
+def make_unperturbed_pmsm():
+    """pmsm without its matched disturbances: a constant zero perturbation,
+    bounded by zero, which isolates the reaching law."""
+    zeros = np.zeros(3)
+    return dataclasses.replace(
+        make_pmsm(), perturbation=lambda t: zeros, perturbation_bounds=zeros,
+        name="pmsm-unperturbed",
     )
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import standard_gains
+from conftest import make_unperturbed_pmsm, standard_gains
 from fxtsmc.cli import main
 from fxtsmc.controller import bound_report
 from fxtsmc.gp import (
@@ -90,8 +90,7 @@ def replayed_batches(mc_batches):
             traj = simulate(scenario)
             if summarize_run(traj, scenario)["settling_error"] != summary["settling_error"]:
                 settling_matches = False
-            g_max = float(np.max(np.abs(template.system.gain.value)))
-            floor = 10.0 * h * float(np.max(np.abs(traj.u))) * g_max
+            floor = 10.0 * h * float(np.max(np.abs(traj.u)))
             v = 0.5 * traj.s * traj.s
             dv = np.diff(v, axis=0)
             active = np.abs(traj.s[:-1]) > floor
@@ -352,7 +351,7 @@ def test_criterion_7_exact_cancellation(request):
     alpha2 = 4.0
     h = 1e-4
     scenario = Scenario(
-        system=make_pmsm(perturbed=False),
+        system=make_unperturbed_pmsm(),
         reference=zero_reference(3),
         params=standard_gains(alpha2=alpha2, d_bar=0.0),
         x0=np.ones(3),

@@ -1127,7 +1127,7 @@ def test_any_numeric_error_exits_4(capsys, tmp_path, monkeypatch):
         pass
 
     def fail(cfg):
-        raise FreshNumericError("made up at t = 0.5", t=0.5, channel=1)
+        raise FreshNumericError("made up at t = 0.5")
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "build_scenario", fail)

@@ -126,9 +126,8 @@ def test_fit_duplicate_inputs_raises_with_pair():
         inputs=np.array([[1.0, 2.0], [0.5, -1.0], [1.0, 2.0]]),
         targets=np.array([1.0, 2.0, 3.0]),
     )
-    with pytest.raises(IllConditionedDataError) as exc:
+    with pytest.raises(IllConditionedDataError, match="inputs 0 and 2 are identical"):
         gp_fit(ds, EXP_KERNEL)
-    assert exc.value.pair == (0, 2)
 
 
 def test_fit_duplicate_inputs_names_the_first_identical_pair():
@@ -136,9 +135,8 @@ def test_fit_duplicate_inputs_names_the_first_identical_pair():
     inputs[7] = inputs[3]
     inputs[8] = inputs[5]
     ds = GPDataset(inputs=inputs, targets=np.zeros(9))
-    with pytest.raises(IllConditionedDataError, match="inputs 3 and 7 are identical") as exc:
+    with pytest.raises(IllConditionedDataError, match="inputs 3 and 7 are identical"):
         gp_fit(ds, EXP_KERNEL)
-    assert exc.value.pair == (3, 7)
 
 
 @pytest.mark.parametrize("family", ["exponential", "squared-exponential"])
@@ -212,9 +210,8 @@ def test_fit_jitter_exhausted_names_the_closest_pair(monkeypatch):
     inputs[6] = inputs[2] + 1e-3
     ds = GPDataset(inputs=inputs, targets=np.zeros(9))
     match = f"after jitter up to {JITTER_MAX:g}; closest input pair 2, 6 at distance 0.00173"
-    with pytest.raises(IllConditionedDataError, match=match) as exc:
+    with pytest.raises(IllConditionedDataError, match=match):
         gp_fit(ds, EXP_KERNEL)
-    assert exc.value.pair == (2, 6)
 
 
 @pytest.mark.parametrize("n", [2, 3, 7, 2000])

@@ -14,7 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_no_child_left, make_integrator_plant, set_csv_cpus, standard_gains
+from conftest import (
+    assert_no_child_left, make_integrator_plant, make_unperturbed_pmsm, set_csv_cpus,
+    standard_gains,
+)
 from fxtsmc.errors import ConfigError, ParameterError, SimulationDivergedError
 from fxtsmc import cli, sim
 from fxtsmc.controller import BoundReport, ControllerParams, bound_report
@@ -30,7 +33,6 @@ from fxtsmc.sim import (
     write_trajectory_csv,
 )
 from fxtsmc.system import (
-    ConstantGain,
     ReferenceSignal,
     SystemModel,
     constant_reference,
@@ -160,9 +162,8 @@ def test_divergence_reports_time_and_channel():
     unstable = SystemModel(
         n=1,
         drift=lambda x: 10.0 * x * np.abs(x),
-        gain=ConstantGain(np.ones(1)),
         perturbation=lambda t: np.zeros(1),
-        perturbation_bounds=None,
+        perturbation_bounds=np.zeros(1),
         name="blowup",
     )
     scenario = Scenario(
@@ -179,10 +180,9 @@ def test_divergence_reports_time_and_channel():
 
 
 def test_open_loop_never_evaluates_the_gain():
-    scaled = dataclasses.replace(make_integrator_plant(2), gain=ConstantGain([2.0, -3.0]))
     for params in (None, standard_gains(2)):
         traj = simulate(Scenario(
-            system=scaled,
+            system=make_integrator_plant(2),
             reference=zero_reference(2),
             params=params,
             x0=np.array([0.5, -0.5]),
@@ -191,12 +191,6 @@ def test_open_loop_never_evaluates_the_gain():
         ))
         assert np.all(traj.u == 0.0)
         assert np.all(traj.x == [0.5, -0.5])
-
-
-def test_gain_of_wrong_shape_is_a_parameter_error():
-    # a plant refuses a gain of the wrong length before any run is built
-    with pytest.raises(ParameterError, match=r"^gain must be a ConstantGain of shape \(2,\)"):
-        dataclasses.replace(make_integrator_plant(2), gain=ConstantGain(np.ones(3)))
 
 
 # --- scenario validation -----------------------------------------------------------
@@ -444,9 +438,8 @@ def test_monte_carlo_records_failures_without_aborting():
     nan_at_zero = SystemModel(
         n=1,
         drift=lambda x: np.where(x == 0.0, np.nan, 0.0),
-        gain=ConstantGain(np.ones(1)),
         perturbation=lambda t: np.zeros(1),
-        perturbation_bounds=None,
+        perturbation_bounds=np.zeros(1),
         name="nan-at-zero",
     )
     template = Scenario(
@@ -514,12 +507,12 @@ def test_guard_substeps_on_the_surface_rate_alone():
 
 
 def constant_rate_plant(rate):
-    """x' = rate, g = 1, d = 0, for one channel."""
+    """x' = rate, d = 0, for one channel."""
     return SystemModel(
         n=1,
         drift=lambda x: np.full(np.shape(x), rate),
-        gain=ConstantGain(np.ones(1)),
         perturbation=lambda t: np.zeros(1),
+        perturbation_bounds=np.zeros(1),
     )
 
 
@@ -585,8 +578,8 @@ def test_batch_records_a_non_finite_rate_of_a_block_blind_model_like_single_runs
 
     template = Scenario(
         system=SystemModel(
-            n=3, drift=lambda x: np.zeros(3), gain=ConstantGain(np.ones(3)),
-            perturbation=perturbation,
+            n=3, drift=lambda x: np.zeros(3), perturbation=perturbation,
+            perturbation_bounds=np.full(3, np.inf),
         ),
         reference=zero_reference(3),
         params=None,
@@ -651,9 +644,8 @@ def blowup_template(t_end=0.5):
     unstable = SystemModel(
         n=1,
         drift=lambda x: 10.0 * x * np.abs(x),
-        gain=ConstantGain(np.ones(1)),
         perturbation=lambda t: np.zeros(1),
-        perturbation_bounds=None,
+        perturbation_bounds=np.zeros(1),
         name="blowup",
     )
     return Scenario(
@@ -703,7 +695,9 @@ def chatter_pulse_template():
         return np.where((t >= 0.6) & (t < 0.65), [30.0, -30.0, 30.0], 0.0)
 
     return Scenario(
-        system=dataclasses.replace(make_pmsm(), perturbation=pulse, perturbation_bounds=None),
+        system=dataclasses.replace(
+            make_pmsm(), perturbation=pulse, perturbation_bounds=np.full(3, 30.0)
+        ),
         reference=zero_reference(3),
         params=standard_gains(),
         x0=np.ones(3),
@@ -866,7 +860,6 @@ def expression_form_rows(scenario, x0):
     model, h, n = scenario.system, scenario.step.step_size, scenario.system.n
     alpha1, exponent = scenario.params.alpha1, scenario.params.exponent
     reach_gain = scenario.params.reach_gain
-    g = model.gain.value
     t_grid = np.arange(scenario.step.n_steps + 1) * h
     grid = [
         np.broadcast_to(np.asarray(fn(t_grid), dtype=float), (t_grid.size, n))
@@ -884,8 +877,8 @@ def expression_form_rows(scenario, x0):
         integ = np.exp(np.minimum(z * z, EXP_CLAMP)) * (np.abs(z) ** exponent * np.sign(z))
         s = z + alpha1 * integral
         reach = reach_gain * np.exp(np.minimum(s * s, EXP_CLAMP)) * np.sign(s)
-        u = -(f_used + alpha1 * integ - xd_dot + reach) / g
-        dx = f + g * u + d
+        u = -(f_used + alpha1 * integ - xd_dot + reach)
+        dx = f + u + d
         ds = dx + alpha1 * integ
         rows.append([x, z, s, u, f_used])
         assert h * (np.maximum(np.abs(dx), np.abs(ds)).max() / sim.GUARD_REL) <= 1.0
@@ -895,13 +888,13 @@ def expression_form_rows(scenario, x0):
 
 
 def per_channel_gain_template():
-    """pmsm with the input gain (2, 0.5, -1.5), a sinusoid reference and
-    other gains on each channel, the sign integrand (p = 0) among them."""
+    """pmsm with a sinusoid reference and other gains on each channel, the
+    sign integrand (p = 0) among them."""
     params = ControllerParams(
         3, alpha1=[6.0, 3.0, 8.0], alpha2=[4.0, 5.0, 3.0], p=[8, 1, 0], q=[10, 3, 1], d_bar=1.0
     )
     return Scenario(
-        system=dataclasses.replace(make_pmsm(), gain=ConstantGain(np.array([2.0, 0.5, -1.5]))),
+        system=make_pmsm(),
         reference=sinusoid_reference([0.5, 0.3, 0.2], [2.0, 3.0, 1.0], [0.0, 0.5, 1.0]),
         params=params,
         x0=np.zeros(3),
@@ -957,11 +950,6 @@ def test_far_start_drains_in_few_backward_euler_substeps():
 FAR_TEMPLATES = {
     # f - f_hat, large where the GP reverts to its prior, held explicit
     "gp-based": lambda: gp_template(t_end=0.05),
-    # the gain's rounding of g * (u / g), held explicit
-    "constant-gain": lambda: dataclasses.replace(
-        pmsm_scenario(step_size=1e-3, t_end=0.05),
-        system=dataclasses.replace(make_pmsm(), gain=ConstantGain([2.0, 0.5, 1.5])),
-    ),
     # the reference and its derivative at each run's local times
     "sinusoid": lambda: far_sinusoid_template(t_end=0.05),
 }
@@ -1128,7 +1116,7 @@ def test_zero_reference_equals_a_time_dependent_zero_reference():
 def test_unperturbed_pmsm_equals_a_time_dependent_zero_perturbation():
     # The constant zero perturbation is read from the grid per step; one that
     # depends on t is read there as a (rows, n) array.
-    pmsm = make_pmsm(perturbed=False)
+    pmsm = make_unperturbed_pmsm()
     fast = identity_template(pmsm)
     general = dataclasses.replace(fast, system=dataclasses.replace(
         pmsm, perturbation=lambda t: np.zeros(np.shape(t) + (3,))

@@ -10,7 +10,6 @@ from fxtsmc.errors import ConfigError, ParameterError, SimulationDivergedError
 from fxtsmc.numerics import StepConfig
 from fxtsmc.sim import Scenario, simulate
 from fxtsmc.system import (
-    ConstantGain,
     SystemModel,
     constant_reference,
     make_lemma2_plant,
@@ -19,14 +18,14 @@ from fxtsmc.system import (
     zero_reference,
 )
 
-from conftest import make_integrator_plant, standard_gains
+from conftest import make_integrator_plant, make_unperturbed_pmsm, standard_gains
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def first_step(model, x0, u_mode="open-loop", h=2.0**-10):
     """One engine step from x0 at t = 0; returns the trajectory and the
-    realized rate (x1 - x0) / h, i.e. the dynamics f + g*u + d at (x0, 0)."""
+    realized rate (x1 - x0) / h, i.e. the dynamics f + u + d at (x0, 0)."""
     scenario = Scenario(
         system=model,
         reference=zero_reference(model.n),
@@ -52,78 +51,32 @@ def test_eval_dynamics_pmsm_hand_value(pmsm):
 
 
 def test_eval_dynamics_linear_in_u():
-    # the engine advances by f(x) + g(x)*u + d with the logged control u
+    # the engine advances by f(x) + u + d with the logged control u
     rng = np.random.default_rng(3)
-    g = np.array([2.0, -0.5])
     model = SystemModel(
         n=2,
         drift=lambda x: np.sin(x),
-        gain=ConstantGain(g),
         perturbation=lambda t: np.zeros(2),
+        perturbation_bounds=np.zeros(2),
         name="affine",
     )
     for _ in range(20):
         x = rng.uniform(-2.0, 2.0, size=2)
         traj, rate = first_step(model, x, u_mode="known-model", h=1e-4)
         u = traj.u[0]
-        np.testing.assert_allclose(rate, np.sin(x) + g * u, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(rate, np.sin(x) + u, rtol=1e-12, atol=1e-12)
 
 
 def test_eval_dynamics_non_finite_drift():
     model = SystemModel(
         n=1,
         drift=lambda x: np.array([np.nan]),
-        gain=ConstantGain(np.ones(1)),
         perturbation=lambda t: np.zeros(1),
+        perturbation_bounds=np.zeros(1),
         name="bad",
     )
-    with pytest.raises(SimulationDivergedError) as exc:
+    with pytest.raises(SimulationDivergedError, match=" in channel 1 "):
         first_step(model, np.zeros(1))
-    assert exc.value.channel == 0
-
-
-@pytest.mark.parametrize(
-    "value",
-    [[1.0, 0.0], [1.0, np.nan], [np.inf, 1.0], [[1.0, 1.0]], [], 2.0],
-    ids=["zero", "nan", "inf", "2-d", "empty", "scalar"],
-)
-def test_constant_gain_rejects_bad_values(value):
-    with pytest.raises(ParameterError, match="^constant gain must"):
-        ConstantGain(np.asarray(value))
-
-
-def test_constant_gain_length_must_match_the_system():
-    with pytest.raises(ParameterError, match=r"^gain must be a ConstantGain of shape \(3,\)"):
-        SystemModel(
-            n=3,
-            drift=lambda x: np.zeros(3),
-            gain=ConstantGain(np.ones(2)),
-            perturbation=lambda t: np.zeros(3),
-        )
-
-
-def test_system_refuses_a_callable_gain():
-    with pytest.raises(ParameterError, match=r"^gain must be a ConstantGain of shape \(2,\)"):
-        SystemModel(
-            n=2,
-            drift=lambda x: np.zeros(2),
-            gain=lambda x: np.ones(2),
-            perturbation=lambda t: np.zeros(2),
-        )
-
-
-def test_constant_gain_holds_a_read_only_copy():
-    source = np.array([2.0, -1.0])
-    gain = ConstantGain(source)
-    source[0] = 0.0
-    np.testing.assert_array_equal(gain.value, [2.0, -1.0])
-    assert not gain.value.flags.writeable
-
-
-def test_shipped_plants_declare_constant_gains():
-    for model in (make_pmsm(), make_pmsm(perturbed=False), make_lemma2_plant(1.0)):
-        assert isinstance(model.gain, ConstantGain)
-        np.testing.assert_array_equal(model.gain.value, np.ones(model.n))
 
 
 def test_pmsm_definition(pmsm):
@@ -142,20 +95,26 @@ def test_pmsm_drift_components(pmsm):
 
 
 def test_pmsm_perturbation_bounded():
-    # every shipped plant's perturbation, called once on an array of times,
-    # meets the bound it declares
+    # every plant a shipped config builds declares non-negative bounds of
+    # shape (n,), and its perturbation, called once on an array of times,
+    # meets them
     t = np.linspace(0.0, 10.0, 5001)
-    for model in (make_pmsm(), make_pmsm(perturbed=False), make_lemma2_plant(1.0)):
+    configs = sorted(CONFIG_DIR.glob("*.json"))
+    assert [p.stem for p in configs] == ["lemma2", "pmsm-gp", "pmsm-known"]
+    for path in configs:
+        model = cli.build_system(cli.load_config(path))
+        bounds = model.perturbation_bounds
+        assert bounds.shape == (model.n,) and np.all(bounds >= 0.0), path.name
         d = np.broadcast_to(model.perturbation(t), (t.size, model.n))
-        assert np.all(np.abs(d) <= model.perturbation_bounds), model.name
+        assert np.all(np.abs(d) <= bounds), path.name
     np.testing.assert_array_equal(make_pmsm().perturbation_bounds, np.ones(3))
 
 
 def test_pmsm_unperturbed_variant():
-    model = make_pmsm(perturbed=False)
+    model = make_unperturbed_pmsm()
     np.testing.assert_array_equal(model.perturbation(0.37), np.zeros(3))
     np.testing.assert_array_equal(model.perturbation_bounds, np.zeros(3))
-    # drift and gain are the same as the perturbed benchmark
+    # the drift is the same as the perturbed benchmark's
     x = np.array([1.0, 2.0, -0.5])
     np.testing.assert_array_equal(model.drift(x), make_pmsm().drift(x))
 
