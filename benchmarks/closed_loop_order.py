@@ -37,6 +37,9 @@ class _GridRows:
         self.stride = stride
         self.x = []
 
+    def start(self, t, x_d, d):
+        pass
+
     def row(self, k, x, z, s, u, f_used):
         if k % self.stride == 0:
             self.x.append(x.copy())

@@ -417,7 +417,7 @@ def _gp_delta_f_bars(model, traj, chi: float) -> np.ndarray:
 
 
 def _settling_bounds(scenario, cfg: dict, pilot):
-    """(bound report, note): the known-model bound, or the gp-based one sized
+    """(bound record, note): the known-model bound, or the gp-based one sized
     over the states of ``pilot()`` (a trajectory made in gp-based mode only);
     neither in open loop. The bound is withheld, with a note, when a
     channel's d_bar is below the plant's perturbation bound, which both
@@ -475,8 +475,8 @@ def cmd_run(args) -> int:
     print(f"run: system={scenario.system.name} mode={scenario.mode} "
           f"h={scenario.step.step_size:g} t_end={scenario.step.t_end:g}")
     if bounds is not None:
-        print(f"bounds[{bounds.mode}/{bounds.s_bound_mode}]: T_z = {bounds.t_z:.5f}  "
-              f"T_s = {bounds.t_s:.5f}  T_max = {bounds.t_max:.5f}")
+        print(f"bounds[{bounds['mode']}/{bounds['s_bound_mode']}]: T_z = {bounds['t_z']:.5f}  "
+              f"T_s = {bounds['t_s']:.5f}  T_max = {bounds['t_max']:.5f}")
     if bound_note:
         print(bound_note)
     _print_settling("settling(error)", summary["settling_error"])
@@ -515,12 +515,12 @@ def cmd_bounds(args) -> int:
     print("channel      T_z   T_s[known]  T_s[gp-lemma3]  T_s[gp-printed-t8]")
     for i in range(system.n):
         print(
-            f"  {i + 1}     {known.t_z_channels[i]:8.5f}  {known.t_s_channels[i]:9.5f}"
-            f"  {gp_l3.t_s_channels[i]:13.5f}  {gp_t8.t_s_channels[i]:17.5f}"
+            f"  {i + 1}     {known['t_z_channels'][i]:8.5f}  {known['t_s_channels'][i]:9.5f}"
+            f"  {gp_l3['t_s_channels'][i]:13.5f}  {gp_t8['t_s_channels'][i]:17.5f}"
         )
     for label, rep in (("known-model", known), ("gp-lemma3", gp_l3), ("gp-printed-t8", gp_t8)):
-        print(f"aggregate {label + ':':<16}T_z = {rep.t_z:.5f}  T_s = {rep.t_s:.5f}  "
-              f"T_max = {rep.t_max:.5f}")
+        print(f"aggregate {label + ':':<16}T_z = {rep['t_z']:.5f}  T_s = {rep['t_s']:.5f}  "
+              f"T_max = {rep['t_max']:.5f}")
     if _is_standard_pmsm_gains(params):
         q = PMSM_QUOTED_BOUNDS
         print(
@@ -619,7 +619,7 @@ def cmd_montecarlo(args) -> int:
     if agg["max_settling_error"] is not None:
         print(f"max settling time (error): {agg['max_settling_error']:.6g}")
     if bounds is not None:
-        print(f"bound T_max = {bounds.t_max:.5f}; "
+        print(f"bound T_max = {bounds['t_max']:.5f}; "
               f"fraction satisfying: {agg['fraction_bound_satisfied']}")
     if agg["max_chatter_amplitude"] is not None:
         print(f"max chatter amplitude: {agg['max_chatter_amplitude']:.6g}")

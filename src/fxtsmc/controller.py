@@ -15,7 +15,8 @@ that factor by default (selectable per channel via
 Both settling theorems bound each channel on its own and take the slowest,
 so ``bound_report`` evaluates each closed-form estimate as one expression
 over the gain arrays, with the s-phase bound of the learned-model case
-available in two variants.
+available in two variants. It returns the bound as one record, the
+JSON-ready dict that the summaries hold and the ``bounds`` command prints.
 """
 from __future__ import annotations
 
@@ -113,59 +114,46 @@ def _check_channel(alpha1: float, p: int, q: int, alpha2: float, d_bar: float) -
 # --- settling-time bounds ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    """Per-channel and aggregate settling-time bounds: T_max = T_s + T_z."""
-
-    t_z_channels: tuple
-    t_s_channels: tuple
-    mode: str  # "known-model" or "gp-based"
-    s_bound_mode: str = "lemma3"
-
-    def __post_init__(self):
-        for name, vals in (("T_z", self.t_z_channels), ("T_s", self.t_s_channels)):
-            arr = np.asarray(vals, dtype=float)
-            if not (np.all(np.isfinite(arr)) and np.all(arr > 0.0)):
-                raise ParameterError(f"{name} entries must be positive and finite: {vals}")
-
-    @property
-    def t_z(self) -> float:
-        return max(self.t_z_channels)
-
-    @property
-    def t_s(self) -> float:
-        return max(self.t_s_channels)
-
-    @property
-    def t_max(self) -> float:
-        return self.t_s + self.t_z
-
-
-@np.errstate(over="ignore")  # a bound too large for a float is refused by BoundReport
+@np.errstate(over="ignore")  # a bound too large for a float is refused below
 def bound_report(
     params: ControllerParams, delta_f_bars=None, s_bound_mode: str = "lemma3"
-) -> BoundReport:
-    """Settling bounds of every channel: T_z = (2/alpha1) / (1 - (p/q)^2)
-    (theorem 1, on the surface) and the s-phase bound.
+) -> dict:
+    """The bound record: the settling bounds of every channel, T_z =
+    (2/alpha1) / (1 - (p/q)^2) (theorem 1, on the surface) and the s-phase
+    bound, and the slowest channel's of each.
 
     With ``delta_f_bars`` omitted the known-model s-phase bound of lemma 2,
     1/(alpha2 - (2/sqrt(pi)) d_bar), is used. Passing the (n,) drift-error
     bounds |f - f_hat| <= delta_f_bar switches it to theorem 2's bound in
     ``s_bound_mode`` (see ``S_BOUND_NUMERATORS``), which needs
     reach_gain > d_bar + delta_f_bar on every channel.
+
+    The record is the JSON-ready dict a summary file holds under ``bounds``:
+    ``mode`` ("known-model" or "gp-based"), ``s_bound_mode`` (which a
+    known-model record carries too, though it plays no part there), the
+    per-channel lists ``t_z_channels`` and ``t_s_channels``, their maxima
+    ``t_z`` and ``t_s``, and ``t_max = t_s + t_z``. A bound that is not
+    positive and finite on every channel is refused.
     """
     t_z = (2.0 / params.alpha1) / (1.0 - params.exponent * params.exponent)
     if delta_f_bars is None:
+        mode = "known-model"
         t_s = 1.0 / (params.alpha2 - TWO_OVER_SQRT_PI * params.d_bar)
-        return BoundReport(tuple(t_z.tolist()), tuple(t_s.tolist()), "known-model")
-    margin = params.reach_gain - params.d_bar - delta_f_bars
-    short = np.flatnonzero(~(margin > 0.0))
-    if short.size:
-        i = int(short[0])
-        raise GainTooSmallError(
-            f"channel {i + 1}: need reaching gain kappa*alpha2 > d_bar + delta_f_bar = "
-            f"{params.d_bar[i] + delta_f_bars[i]:.6g}, "
-            f"got kappa*alpha2 = {params.reach_gain[i]:.6g}"
-        )
-    t_s = S_BOUND_NUMERATORS[s_bound_mode] / (2.0 * margin)
-    return BoundReport(tuple(t_z.tolist()), tuple(t_s.tolist()), "gp-based", s_bound_mode)
+    else:
+        mode = "gp-based"
+        margin = params.reach_gain - params.d_bar - delta_f_bars
+        short = np.flatnonzero(~(margin > 0.0))
+        if short.size:
+            i = int(short[0])
+            raise GainTooSmallError(
+                f"channel {i + 1}: need reaching gain kappa*alpha2 > d_bar + delta_f_bar = "
+                f"{params.d_bar[i] + delta_f_bars[i]:.6g}, "
+                f"got kappa*alpha2 = {params.reach_gain[i]:.6g}"
+            )
+        t_s = S_BOUND_NUMERATORS[s_bound_mode] / (2.0 * margin)
+    t_z, t_s = t_z.tolist(), t_s.tolist()
+    for name, vals in (("T_z", t_z), ("T_s", t_s)):
+        if not all(0.0 < v < np.inf for v in vals):
+            raise ParameterError(f"{name} entries must be positive and finite: {tuple(vals)}")
+    return {"mode": mode, "s_bound_mode": s_bound_mode, "t_z_channels": t_z,
+            "t_s_channels": t_s, "t_z": max(t_z), "t_s": max(t_s), "t_max": max(t_s) + max(t_z)}

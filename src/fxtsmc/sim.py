@@ -86,14 +86,14 @@ from __future__ import annotations
 import errno
 import json
 import mmap
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import gp
-from .controller import BoundReport, ControllerParams
+from .controller import ControllerParams
 from .errors import ParameterError, RunErrors, SimulationDivergedError
 from .numerics import (
     CSV_BLOCK_ROWS, EXP_CLAMP, CsvStream, StepConfig, check_ic_box, check_rows, safe_exp,
@@ -667,16 +667,17 @@ def _finite(x, t):
 def summarize_run(
     traj: Trajectory,
     scenario: Scenario,
-    bounds: Optional[BoundReport] = None,
+    bounds: Optional[dict] = None,
 ) -> dict:
     """Measure both settling families and audit them against ``bounds``.
 
     Returns the run's summary record, the JSON-ready dict a summary file
     holds (``_BatchStats.summary``). The trajectory goes through the batch
     reduction, as one chunk of a one-run block, so a batch's records and this
-    one agree by construction. The record carries exactly the bound report
-    passed, or none: whether a bound holds for a run (the gains, the GP error
-    budget, the plant's perturbation bound) is the caller's decision.
+    one agree by construction. The record carries exactly the bound record
+    passed (``controller.bound_report``'s), or none: whether a bound holds
+    for a run (the gains, the GP error budget, the plant's perturbation
+    bound) is the caller's decision.
     """
     stats = _BatchStats(scenario, 1, bounds)
     stats.reduce(0, traj.z[:, None], np.abs(traj.s)[:, None], traj.u[:, None])
@@ -691,7 +692,7 @@ def run_monte_carlo(
     ic_box,
     runs: int,
     seed: int,
-    bounds: Optional[BoundReport] = None,
+    bounds: Optional[dict] = None,
 ) -> tuple[np.ndarray, dict]:
     """Simulate ``runs`` seeded-uniform initial states drawn from ``ic_box``.
 
@@ -705,7 +706,8 @@ def run_monte_carlo(
 
     Returns ``(x0s, doc)``: the (runs, n) initial states, and the JSON-ready
     document a batch summary file holds, ``{seed, aggregate, failures, runs}``
-    plus ``bounds`` when a bound is passed. ``runs`` holds each run's summary
+    plus ``bounds``, the bound record (``controller.bound_report``'s) as it
+    is passed, when one is. ``runs`` holds each run's summary
     record, None where the run failed. The aggregate, built from the records,
     reports the worst settling time, the fraction of runs within ``bounds``
     (None when no bound is passed), and chatter/input maxima over the
@@ -776,15 +778,14 @@ class _BatchStats:
     rows before it records and drops failed runs; ``flush`` reduces them at
     the end. The loop sends rows in order, and a row it redoes after a
     failure comes after a flush, so a buffer holds consecutive rows.
+    ``bounds``, the bound record of ``controller.bound_report`` or None, is
+    stored as given, and every summary holds it.
     """
 
-    def __init__(self, template: Scenario, runs: int, bounds: Optional[BoundReport]):
+    def __init__(self, template: Scenario, runs: int, bounds: Optional[dict]):
         n = template.system.n
         self.threshold = template.settle_threshold
-        # the report's fields and its aggregate bounds, as a record holds them
-        self.bounds = None if bounds is None else {
-            **asdict(bounds), "t_z": bounds.t_z, "t_s": bounds.t_s, "t_max": bounds.t_max
-        }
+        self.bounds = bounds
         self.chunk = min(CHUNK_ROWS, max(1, CHUNK_BYTES // (24 * runs * n)))
         self.runs = np.arange(runs)
         self.failures = {}
@@ -839,8 +840,9 @@ class _BatchStats:
         over the samples after every error channel has settled: once the
         error is inside its band the surface variable is pure chatter, so
         this is the realized chatter band half-width. ``bound_satisfied``
-        (per channel) and ``bounds`` audit the bound report passed, and are
-        None and absent without one.
+        (per channel) audits the bound record passed against its ``t_max``,
+        and ``bounds`` is that record as it was passed; they are None and
+        absent without one.
         """
         bounds = self.bounds
         settle_err = _settled_after(self.last_z[j], t)

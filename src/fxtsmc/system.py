@@ -86,14 +86,13 @@ def sinusoid_reference(amplitude, frequency, phase=None) -> ReferenceSignal:
 # ``ControllerParams`` field each value is compared with (p/q = 8/10).
 PMSM_STANDARD_GAINS = {"alpha1": 6.0, "alpha2": 4.0, "exponent": 8 / 10, "d_bar": 1.0}
 
-# Reference settling-time values quoted alongside this gain set. The z-entry
-# is reproduced exactly by theorem 1's T_z; the s-entries are NOT produced by
-# any of the bound formulas implemented here (a known discrepancy that
-# cmd_bounds reports explicitly) and are kept only for comparison.
+# Reference settling-time values quoted alongside this gain set. Their z-entry,
+# 0.92593 per channel and in aggregate, is reproduced exactly by theorem 1's
+# T_z, so only the s-entries and T_max are kept: they are NOT produced by any
+# of the bound formulas implemented here (a known discrepancy that cmd_bounds
+# reports explicitly) and are kept only for comparison.
 PMSM_QUOTED_BOUNDS = {
-    "t_z_channel": 0.92593,
     "t_s_channel": 2.8284,
-    "t_z": 0.92593,
     "t_s": 0.57364,
     "t_max": 3.7544,
 }

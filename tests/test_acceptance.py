@@ -330,12 +330,12 @@ def test_criterion_6_gp_closed_loop(request):
     # theorem 2's gain condition on the reaching gain the law applies
     reach_gain = params.reach_gain.min()
     gain_ok = reach_gain > d_bar + budgets.max()
-    settle_ok = np.all(np.isfinite(settling)) and settling.max() <= bounds.t_max
+    settle_ok = np.all(np.isfinite(settling)) and settling.max() <= bounds["t_max"]
     ok = gain_ok and settle_ok and elapsed < 120.0
     report(
         request, 6, "learned-model loop", ok,
         f"kappa*alpha2 = {reach_gain:.3f} > {d_bar + budgets.max():.3f}; "
-        f"max settling {settling.max():.4f} <= T_max {bounds.t_max:.4f} "
+        f"max settling {settling.max():.4f} <= T_max {bounds['t_max']:.4f} "
         f"over 20 starts; {elapsed:.0f} s",
     )
     assert gain_ok

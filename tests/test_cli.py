@@ -13,6 +13,7 @@ import pytest
 from conftest import assert_no_child_left, fail_helper_blocks, set_csv_cpus
 from fxtsmc import cli
 from fxtsmc.cli import CONFIG_SCHEMA, _gp_delta_f_bars, apply_override, build_gp_model, main
+from fxtsmc.controller import bound_report
 from fxtsmc.errors import (
     IllConditionedDataError,
     NumericError,
@@ -730,6 +731,38 @@ def test_written_summaries_are_the_records_summarize_run_builds(capsys, tmp_path
     written = json.loads((tmp_path / "pmsm-known-summary.json").read_text())
     del written["config"]
     assert written == json.loads(json.dumps(made[0], allow_nan=False))
+
+
+BOUND_KEYS = {"mode", "s_bound_mode", "t_z_channels", "t_s_channels", "t_z", "t_s", "t_max"}
+
+
+def test_written_bounds_are_the_record_bound_report_builds(capsys, tmp_path, monkeypatch):
+    # known-model: every bounds object a command writes is bound_report of
+    # the config's gains, key for key
+    monkeypatch.chdir(tmp_path)
+    cfg = cli.load_config(KNOWN)
+    expected = bound_report(cli.build_controller_params(cfg, 3))
+    assert set(expected) == BOUND_KEYS
+    code, _, _ = run_cli(capsys, "run", str(KNOWN), *FAST)
+    assert code == 0
+    assert json.loads((tmp_path / "pmsm-known-summary.json").read_text())["bounds"] == expected
+    code, _, _ = run_cli(capsys, "montecarlo", str(KNOWN), "--runs", "3", "--ic-box=-1,1",
+                         *FAST)
+    assert code == 0
+    assert json.loads((tmp_path / "pmsm-known-mc.json").read_text())["bounds"] == expected
+    lines = (tmp_path / "pmsm-known-runs.jsonl").read_text().splitlines()
+    assert [json.loads(line)["summary"]["bounds"] for line in lines] == [expected] * 3
+
+
+def test_a_written_gp_bound_is_the_full_record(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run_cli(capsys, "run", str(GP), *FAST)
+    assert code == 0
+    bounds = json.loads((tmp_path / "pmsm-gp-summary.json").read_text())["bounds"]
+    assert set(bounds) == BOUND_KEYS
+    assert (bounds["mode"], bounds["s_bound_mode"]) == ("gp-based", "lemma3")
+    assert len(bounds["t_z_channels"]) == len(bounds["t_s_channels"]) == 3
+    assert bounds["t_max"] == bounds["t_s"] + bounds["t_z"]
 
 
 def test_montecarlo_settling_bound_holds_from_1_to_1e15(capsys, tmp_path, monkeypatch):

@@ -163,7 +163,7 @@ def test_on_manifold_error_dynamics_settle_within_bound():
     # rate-guarded Euler loop must drive |z| below 1e-3 within the z-phase
     # settling bound, including from far-field starts.
     alpha1, expo = 6.0, 0.8
-    bound = bound_report(surface_params(alpha1=alpha1)).t_z
+    bound = bound_report(surface_params(alpha1=alpha1))["t_z"]
     h = 1e-4
     for z0 in (0.1, 1.0, 10.0):
         z, t = z0, 0.0
