@@ -90,6 +90,13 @@ CASES = {
     # runs that do not settle within the bound: exit 5 after both files
     "mc-known-require-bound": ["montecarlo", KNOWN, "--runs", "3", "--ic-box=-3,3", *SHORT,
                                "--require-bound"],
+    # T_z is refused before the run that would size the GP error budget:
+    # exit 2, no file
+    "run-gp-tz-refused": ["run", GP, "--set", "controller.alpha1=1e-320", *COARSE],
+    # theorem 2's bound withheld after the pilot run: the note on stderr, and
+    # no bounds in mc.json
+    "mc-gp-bound-withheld": ["montecarlo", GP, "--runs", "2", "--ic-box=-1,1", "--seed", "3",
+                             "--set", "controller.alpha2=2.0", *COARSE],
     # every run fails at its first step: None aggregates, exit 4
     "mc-known-all-failed": ["montecarlo", KNOWN, "--runs", "2", "--ic-box=-1e300,1e300",
                             "--set", "sim.t_end=0.01", "--set", "sim.step_size=1e-3"],

@@ -34,8 +34,8 @@ from typing import Optional
 import jsonschema
 import numpy as np
 
-from .controller import ControllerParams, bound_report
-from .errors import ConfigError, GainTooSmallError, NumericError, ParameterError
+from .controller import ControllerParams, bound_decision, bound_report
+from .errors import ConfigError, NumericError, ParameterError
 from .gp import (
     DriftEstimator,
     GPModel,
@@ -417,31 +417,13 @@ def _gp_delta_f_bars(model, traj, chi: float) -> np.ndarray:
 
 
 def _settling_bounds(scenario, cfg: dict, pilot):
-    """(bound record, note): the known-model bound, or the gp-based one sized
-    over the states of ``pilot()`` (a trajectory made in gp-based mode only);
-    neither in open loop. The bound is withheld, with a note, when a
-    channel's d_bar is below the plant's perturbation bound, which both
-    theorems assume it covers, or when the gains cannot meet the gp-based
-    condition."""
+    """``controller.bound_decision``'s (bound record, note), neither in open
+    loop; a gp-based decision audits the states of ``pilot()``."""
     if scenario.mode == "open-loop":
         return None, None
-    params = scenario.params
-    d_bounds = scenario.system.perturbation_bounds
-    short = np.flatnonzero(params.d_bar < d_bounds)
-    if short.size:
-        i = short[0]
-        return None, (
-            f"settling bound unavailable: channel {i + 1}: d_bar = {params.d_bar[i]:g} is "
-            f"below the plant's perturbation bound {d_bounds[i]:g}"
-        )
-    if scenario.mode == "known-model":
-        return bound_report(params), None
-    chi = float(cfg.get("gp", {}).get("chi", 2.0))
-    delta = _gp_delta_f_bars(scenario.gp_model, pilot(), chi)
-    try:
-        return bound_report(params, delta_f_bars=delta), None
-    except GainTooSmallError as err:
-        return None, f"settling bound unavailable: {err}"
+    audit = lambda: _gp_delta_f_bars(scenario.gp_model, pilot(), float(cfg["gp"].get("chi", 2.0)))
+    return bound_decision(scenario.params, scenario.system.perturbation_bounds,
+                          audit if scenario.mode == "gp-based" else None)
 
 
 def _is_standard_pmsm_gains(params) -> bool:

@@ -25,7 +25,7 @@ from math import pi, sqrt
 
 import numpy as np
 
-from .errors import ConfigError, GainTooSmallError, ParameterError
+from .errors import ConfigError, ParameterError
 
 TWO_OVER_SQRT_PI = 2.0 / sqrt(pi)
 SQRT_PI_HALF = sqrt(pi) / 2.0
@@ -48,7 +48,7 @@ class ControllerParams:
     exceed (2/sqrt(pi)) * d_bar, the margin that dominates the bounded
     perturbation in the reaching dynamics. The learned-model gain condition
     reach_gain > d_bar + delta_f_bar involves the model error and is checked
-    where that bound is computed, not here.
+    by ``bound_decision``, not here.
     """
 
     alpha1: np.ndarray
@@ -75,8 +75,6 @@ class ControllerParams:
         try:
             for i in range(n):
                 _check_channel(alpha1[i], p[i], q[i], alpha2[i], d_bar[i])
-        except GainTooSmallError as err:
-            raise GainTooSmallError(f"channel {i + 1}: {err}") from None
         except ParameterError as err:
             raise ParameterError(f"channel {i + 1}: {err}") from None
         kappa = [SQRT_PI_HALF if v else 1.0 for v in given["include_sqrt_pi_factor"]]
@@ -105,7 +103,7 @@ def _check_channel(alpha1: float, p: int, q: int, alpha2: float, d_bar: float) -
     if not d_bar >= 0.0:
         raise ParameterError(f"d_bar must be >= 0, got {d_bar}")
     if not alpha2 > TWO_OVER_SQRT_PI * d_bar:
-        raise GainTooSmallError(
+        raise ParameterError(
             f"need alpha2 > (2/sqrt(pi))*d_bar = {TWO_OVER_SQRT_PI * d_bar:.6g}, "
             f"got alpha2 = {alpha2}"
         )
@@ -114,7 +112,20 @@ def _check_channel(alpha1: float, p: int, q: int, alpha2: float, d_bar: float) -
 # --- settling-time bounds ----------------------------------------------------
 
 
-@np.errstate(over="ignore")  # a bound too large for a float is refused below
+def _positive_finite(name: str, values: np.ndarray) -> list:
+    values = values.tolist()
+    if not all(0.0 < v < np.inf for v in values):
+        raise ParameterError(f"{name} entries must be positive and finite: {tuple(values)}")
+    return values
+
+
+def _t_z_channels(params: ControllerParams) -> list:
+    # theorem 1, on the surface; callers ignore overflow, as an inf is refused
+    t_z = (2.0 / params.alpha1) / (1.0 - params.exponent * params.exponent)
+    return _positive_finite("T_z", t_z)
+
+
+@np.errstate(over="ignore", divide="ignore")  # a bound beyond the floats is refused
 def bound_report(
     params: ControllerParams, delta_f_bars=None, s_bound_mode: str = "lemma3"
 ) -> dict:
@@ -133,27 +144,41 @@ def bound_report(
     known-model record carries too, though it plays no part there), the
     per-channel lists ``t_z_channels`` and ``t_s_channels``, their maxima
     ``t_z`` and ``t_s``, and ``t_max = t_s + t_z``. A bound that is not
-    positive and finite on every channel is refused.
+    positive and finite on every channel is refused, T_z first; so is T_s
+    where theorem 2's margin is not positive.
     """
-    t_z = (2.0 / params.alpha1) / (1.0 - params.exponent * params.exponent)
+    t_z = _t_z_channels(params)
     if delta_f_bars is None:
         mode = "known-model"
         t_s = 1.0 / (params.alpha2 - TWO_OVER_SQRT_PI * params.d_bar)
     else:
         mode = "gp-based"
         margin = params.reach_gain - params.d_bar - delta_f_bars
-        short = np.flatnonzero(~(margin > 0.0))
-        if short.size:
-            i = int(short[0])
-            raise GainTooSmallError(
-                f"channel {i + 1}: need reaching gain kappa*alpha2 > d_bar + delta_f_bar = "
-                f"{params.d_bar[i] + delta_f_bars[i]:.6g}, "
-                f"got kappa*alpha2 = {params.reach_gain[i]:.6g}"
-            )
         t_s = S_BOUND_NUMERATORS[s_bound_mode] / (2.0 * margin)
-    t_z, t_s = t_z.tolist(), t_s.tolist()
-    for name, vals in (("T_z", t_z), ("T_s", t_s)):
-        if not all(0.0 < v < np.inf for v in vals):
-            raise ParameterError(f"{name} entries must be positive and finite: {tuple(vals)}")
+    t_s = _positive_finite("T_s", t_s)
     return {"mode": mode, "s_bound_mode": s_bound_mode, "t_z_channels": t_z,
             "t_s_channels": t_s, "t_z": max(t_z), "t_s": max(t_s), "t_max": max(t_s) + max(t_z)}
+
+
+@np.errstate(over="ignore")  # an inf T_z is refused
+def bound_decision(params: ControllerParams, d_bounds, audit=None):
+    """(``bound_report`` record, None), or (None, note) where a hypothesis of
+    the theorems fails: d_bar below the plant's bound ``d_bounds`` on |d|, or
+    in gp-based mode reach_gain <= d_bar + delta_f_bar, the (n,) delta_f_bar
+    from ``audit()``, called after every other check and T_z's refusal."""
+    short = params.d_bar < d_bounds
+    if short.any():
+        i = short.argmax()
+        why = f"d_bar = {params.d_bar[i]:g} is below the plant's perturbation bound {d_bounds[i]:g}"
+    elif audit is None:
+        return bound_report(params), None
+    else:
+        _t_z_channels(params)
+        delta = audit()
+        short = ~(params.reach_gain - params.d_bar - delta > 0.0)
+        if not short.any():
+            return bound_report(params, delta_f_bars=delta), None
+        i = short.argmax()
+        why = (f"need reaching gain kappa*alpha2 > d_bar + delta_f_bar = "
+               f"{params.d_bar[i] + delta[i]:.6g}, got kappa*alpha2 = {params.reach_gain[i]:.6g}")
+    return None, f"settling bound unavailable: channel {i + 1}: {why}"

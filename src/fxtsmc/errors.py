@@ -13,14 +13,6 @@ class ParameterError(ValueError):
     """A parameter lies outside the domain a formula or law requires."""
 
 
-class GainTooSmallError(ParameterError):
-    """A gain violates the lower-bound inequality its stability result needs.
-
-    The message states the violated inequality, and the channel where the
-    check was made per channel.
-    """
-
-
 class NumericError(RuntimeError):
     """A numeric failure of a run or a fit on valid input. The message names
     the time and the channel where they are known."""

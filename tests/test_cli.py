@@ -326,9 +326,10 @@ def diverge_mid_run(monkeypatch):
 )
 def test_the_csv_helper_is_reaped_whatever_ends_the_run(capsys, tmp_path, monkeypatch, case,
                                                         config, argv, code, err):
-    # The helper is forked before the first step: the run diverges, the gp
-    # bound its run sized is refused, the CSV cannot be opened, or writing it
-    # fails. Each exits with its code, writes no CSV, and leaves no process.
+    # The helper is forked before the first step: the run diverges, the CSV
+    # cannot be opened, or writing it fails. A gp run whose T_z is refused
+    # ends before that step, so it forks none. Each exits with its code,
+    # writes no CSV, and leaves no process.
     if case == "failed-write" and not Path("/dev/full").exists():
         pytest.skip("no /dev/full")
     monkeypatch.chdir(tmp_path)
@@ -338,7 +339,7 @@ def test_the_csv_helper_is_reaped_whatever_ends_the_run(capsys, tmp_path, monkey
     got, _, stderr = run_cli(capsys, "run", str(config), *FAST, *argv)
     assert (got, stderr.count("\n")) == (code, 1)
     assert stderr.startswith(err)
-    assert len(forks) == 1
+    assert len(forks) == (0 if case == "gp-bound-refused" else 1)
     assert list(tmp_path.iterdir()) == []
     assert_no_child_left()
 
@@ -420,13 +421,21 @@ def test_bounds_note_follows_the_exponent_not_its_terms(capsys):
 # --- run ---------------------------------------------------------------------------
 
 
-def test_run_refuses_a_bound_before_it_steps(capsys, tmp_path, monkeypatch):
+@pytest.mark.parametrize(
+    "command", [["run"], ["montecarlo", "--runs", "2", "--ic-box=-1,1"]],
+    ids=["run", "montecarlo"],
+)
+@pytest.mark.parametrize("config", [KNOWN, GP], ids=["pmsm-known", "pmsm-gp"])
+def test_run_refuses_a_bound_before_it_steps(capsys, tmp_path, monkeypatch, config, command):
+    # T_z needs no drift-error bound, so a gp-based run or pilot is not
+    # stepped to size one before T_z is refused
     def no_simulate(scenario):
         raise AssertionError("run stepped before it decided its bound")
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(cli, "simulate", no_simulate)
-    code, out, err = run_cli(capsys, "run", str(KNOWN), "--set", "controller.alpha1=1e-320")
+    code, out, err = run_cli(capsys, command[0], str(config), *command[1:],
+                             "--set", "controller.alpha1=1e-320")
     assert code == 2
     assert (out, err) == ("", "parameter error: T_z entries must be positive and finite: "
                               "(inf, inf, inf)\n")

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from fxtsmc.controller import ControllerParams, bound_report
-from fxtsmc.errors import GainTooSmallError, ParameterError
+from fxtsmc.controller import ControllerParams, bound_decision, bound_report
+from fxtsmc.errors import ParameterError
 from fxtsmc.gp import GPDataset, KernelConfig, gp_fit
 from fxtsmc.numerics import StepConfig
 from fxtsmc.sim import Scenario, simulate
@@ -88,7 +88,7 @@ def test_control_gp_pure_model_cancellation():
 
 
 def test_params_enforce_reaching_gain_condition():
-    with pytest.raises(GainTooSmallError) as exc:
+    with pytest.raises(ParameterError) as exc:
         scalar_params(alpha2=1.0, d_bar=1.0)
     assert "2/sqrt(pi)" in str(exc.value)
     # alpha2 = 1.2 > 2/sqrt(pi) ~ 1.1284 is accepted
@@ -123,7 +123,7 @@ def one_channel_t_s(alpha2, d_bar=0.0, delta_f_bar=None, mode="lemma3"):
 def test_lemma2_bound_values():
     assert one_channel_t_s(1.0) == 1.0
     assert one_channel_t_s(4.0, 1.0) == pytest.approx(0.3482353897636808, abs=1e-15)
-    with pytest.raises(GainTooSmallError):
+    with pytest.raises(ParameterError):
         one_channel_t_s(1.0, 1.0)  # 1 < 2/sqrt(pi)
 
 
@@ -152,8 +152,8 @@ def test_theorem2_s_bound_values():
     assert one_channel_t_s(4.0, 1.0, 0.0, mode="printed-t8") == pytest.approx(
         0.47140452079103173, abs=1e-15
     )
-    with pytest.raises(GainTooSmallError):
-        one_channel_t_s(2.0, 1.0, 1.5)
+    with pytest.raises(ParameterError, match="T_s entries must be positive and finite"):
+        one_channel_t_s(2.0, 1.0, 1.5)  # a margin of -0.5
 
 
 def test_bounds_monotone_in_gains_and_disturbance():
@@ -211,10 +211,32 @@ def test_bound_report_gp_mode():
 
 def test_bound_report_reports_offending_channel():
     # alpha2 = 4 beats the perturbation bound, but a model-error budget of 10
-    # on the middle channel makes its sliding-phase bound infeasible.
-    with pytest.raises(GainTooSmallError) as exc:
-        bound_report(standard_gains(), delta_f_bars=np.array([0.0, 10.0, 0.0]))
-    assert "channel 2" in str(exc.value)
+    # on the middle channel makes its sliding-phase bound infeasible: the
+    # decision withholds the bound with a note that names that channel.
+    budgets = np.array([0.0, 10.0, 0.0])
+    assert bound_decision(standard_gains(), np.ones(3), lambda: budgets) == (
+        None, "settling bound unavailable: channel 2: need reaching gain kappa*alpha2 > "
+        "d_bar + delta_f_bar = 11, got kappa*alpha2 = 3.54491",
+    )
+    with pytest.raises(ParameterError, match="T_s entries must be positive and finite"):
+        bound_report(standard_gains(), delta_f_bars=budgets)
+
+
+@pytest.mark.parametrize("gp_based", [False, True], ids=["known-model", "gp-based"])
+def test_d_bar_note_comes_before_a_t_z_refusal(gp_based):
+    # alpha1 = 1e-320 makes T_z infinite, which alone is refused; but d_bar = 0
+    # is below the perturbation bound 1, so the bound is withheld first, and
+    # a gp-based decision never calls its audit
+    def audit():
+        raise AssertionError("audited a bound already withheld")
+
+    params = ControllerParams(3, alpha1=1e-320, alpha2=4.0, p=8, q=10, d_bar=0.0)
+    with pytest.raises(ParameterError, match="T_z entries must be positive and finite"):
+        bound_decision(params, np.zeros(3), audit if gp_based else None)
+    assert bound_decision(params, np.ones(3), audit if gp_based else None) == (
+        None, "settling bound unavailable: channel 1: d_bar = 0 is below the plant's "
+        "perturbation bound 1",
+    )
 
 
 # --- closed-loop law properties -----------------------------------------------
