@@ -100,6 +100,18 @@ CASES = {
     # every run fails at its first step: None aggregates, exit 4
     "mc-known-all-failed": ["montecarlo", KNOWN, "--runs", "2", "--ic-box=-1e300,1e300",
                             "--set", "sim.t_end=0.01", "--set", "sim.step_size=1e-3"],
+    # (sqrt(pi)/2) * alpha2 short of d_bar: theorem 1's margin withholds the
+    # bound with a note, and the run is stepped and written
+    "run-known-margin-short": ["run", KNOWN, "--set", "controller.alpha2=1.1", *COARSE],
+    # alpha2 = 11.25 covers d_bar = 10 plus a 1000-point GP's error budget
+    # (theorem 2, kappa = 1), though it is short of (2/sqrt(pi)) * d_bar
+    "run-gp-theorem2-only": ["run", GP, "--set", "controller.d_bar=10",
+                             "--set", "controller.alpha2=11.25",
+                             "--set", "gp.generate.n_samples=1000", *COARSE],
+    # the gp-based pilot run fails too: its bound is withheld with a note,
+    # and the batch records both failed runs, exit 4
+    "mc-gp-pilot-failed": ["montecarlo", GP, "--runs", "2", "--ic-box=-1e300,1e300",
+                           "--set", "sim.t_end=0.01", "--set", "sim.step_size=1e-3"],
 }
 
 

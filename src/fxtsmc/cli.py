@@ -73,9 +73,11 @@ EXIT_NUMERIC = 4
 EXIT_ACCEPTANCE = 5
 
 
-def _one_or_list(kind: str) -> dict:
-    """One value of JSON type ``kind``, or a non-empty list of them."""
-    return {"oneOf": [{"type": kind}, {"type": "array", "items": {"type": kind}, "minItems": 1}]}
+def _one_or_list(kind: str, **limits) -> dict:
+    """One value of JSON type ``kind`` within ``limits``, or a non-empty list
+    of them."""
+    one = {"type": kind, **limits}
+    return {"oneOf": [one, {"type": "array", "items": one, "minItems": 1}]}
 
 
 CONFIG_SCHEMA = {
@@ -119,12 +121,11 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "properties": {
                 "mode": {"enum": ["known-model", "gp-based", "open-loop"]},
-                "alpha1": _one_or_list("number"),
-                "alpha2": _one_or_list("number"),
-                "p": _one_or_list("integer"),
-                "q": _one_or_list("integer"),
-                "d_bar": _one_or_list("number"),
-                "include_sqrt_pi_factor": _one_or_list("boolean"),
+                "alpha1": _one_or_list("number", exclusiveMinimum=0),
+                "alpha2": _one_or_list("number", exclusiveMinimum=0),
+                "p": _one_or_list("integer", minimum=0),
+                "q": _one_or_list("integer", minimum=1),
+                "d_bar": _one_or_list("number", minimum=0),
             },
         },
         "gp": {
@@ -216,6 +217,8 @@ _RETIRED = (
     ("controller", "sign_boundary_layer", None, "the boundary layer was removed, as the "
      "settling theorems assume the true sign(s) and tanh(s/eps) only holds s in an "
      "eps-sized band, so a printed bound need not be met"),
+    ("controller", "include_sqrt_pi_factor", None, "the factor was removed, as the mode "
+     "sets kappa (sqrt(pi)/2 in known-model mode, 1 in gp-based mode); scale alpha2 instead"),
 )
 
 
@@ -321,22 +324,17 @@ def build_reference(cfg: dict, n: int):
 
 
 def build_controller_params(cfg: dict, n: int) -> Optional[ControllerParams]:
-    ctl = cfg.get("controller", {})
-    mode = ctl.get("mode", "known-model")
-    if mode == "open-loop" and "alpha1" not in ctl:
+    """The gains of the controller section, None in open loop, which takes none."""
+    ctl = dict(cfg.get("controller", {}))
+    mode = ctl.pop("mode", "known-model")
+    if mode == "open-loop":
+        if ctl:
+            raise ConfigError(f"open-loop mode takes no gains, got controller.{next(iter(ctl))}")
         return None
     for key in ("alpha1", "alpha2", "p", "q"):
         if key not in ctl:
             raise ConfigError(f"controller.{key} is required for mode {mode!r}")
-    return ControllerParams(
-        n,
-        alpha1=ctl["alpha1"],
-        alpha2=ctl["alpha2"],
-        p=ctl["p"],
-        q=ctl["q"],
-        d_bar=ctl.get("d_bar", 0.0),
-        include_sqrt_pi_factor=ctl.get("include_sqrt_pi_factor", mode != "gp-based"),
-    )
+    return ControllerParams(n, **ctl, mode=mode)
 
 
 def build_step(cfg: dict) -> StepConfig:
@@ -570,10 +568,15 @@ def cmd_montecarlo(args) -> int:
     scenario = build_scenario(cfg)
     box = _parse_ic_box(args.ic_box, scenario.system.n)
 
-    # gp-based: a pilot run from the box's corner sizes the drift-error bound
-    bounds, bound_note = _settling_bounds(
-        scenario, cfg, lambda: simulate(dataclasses.replace(scenario, x0=box[:, 1]))
-    )
+    # gp-based: a pilot run from the box's corner sizes the drift-error bound;
+    # a pilot that fails withholds the bound, and the batch records its runs
+    try:
+        bounds, bound_note = _settling_bounds(
+            scenario, cfg, lambda: simulate(dataclasses.replace(scenario, x0=box[:, 1]))
+        )
+    except NumericError as err:
+        bounds, bound_note = None, (f"settling bound unavailable: the pilot run from the "
+                                    f"box corner failed: {type(err).__name__}: {err}")
     if bound_note:
         print(bound_note, file=sys.stderr)
 

@@ -8,9 +8,8 @@ fixed-time law, channel i of which is
 
 which the simulation engine (``fxtsmc.sim``) evaluates; ``f_hat`` is the
 model drift f (known-model mode) or the GP posterior mean (gp-based mode).
-For the known-model law kappa = sqrt(pi)/2; the estimated-drift law omits
-that factor by default (selectable per channel via
-``include_sqrt_pi_factor``).
+The mode sets kappa: sqrt(pi)/2 in known-model mode (theorem 1), 1 in
+gp-based mode (theorem 2).
 
 Both settling theorems bound each channel on its own and take the slowest,
 so ``bound_report`` evaluates each closed-form estimate as one expression
@@ -44,11 +43,9 @@ class ControllerParams:
 
     ``exponent`` is p/q in [0, 1); p = 0 (pure sign integrand) is allowed.
     ``reach_gain`` is kappa * alpha2, the reaching gain the law applies, with
-    the true sign(s) that both settling theorems assume. ``alpha2`` must
-    exceed (2/sqrt(pi)) * d_bar, the margin that dominates the bounded
-    perturbation in the reaching dynamics. The learned-model gain condition
-    reach_gain > d_bar + delta_f_bar involves the model error and is checked
-    by ``bound_decision``, not here.
+    the true sign(s) that both settling theorems assume. The theorems' gain
+    condition reach_gain > d_bar + delta_f_bar is a hypothesis of the bound,
+    not of the law, and ``bound_decision`` checks it.
     """
 
     alpha1: np.ndarray
@@ -57,56 +54,31 @@ class ControllerParams:
     d_bar: np.ndarray
     reach_gain: np.ndarray
 
-    def __init__(self, n, *, alpha1, alpha2, p, q, d_bar=0.0, include_sqrt_pi_factor=True):
+    def __init__(self, n, *, alpha1, alpha2, p, q, d_bar=0.0, mode="known-model"):
         """Each gain is one value, shared by the n channels, or a list of n,
-        as the config's ``controller`` section gives it; the schema keeps them
-        finite, and their signs and p/q are checked here."""
-        given = {"alpha1": alpha1, "alpha2": alpha2, "p": p, "q": q, "d_bar": d_bar,
-                 "include_sqrt_pi_factor": include_sqrt_pi_factor}
+        as the config's ``controller`` section gives it; the schema keeps
+        them finite and in range, and p < q is checked here. ``mode`` sets
+        kappa."""
+        given = {"alpha1": alpha1, "alpha2": alpha2, "p": p, "q": q, "d_bar": d_bar}
         for name, value in given.items():
             if not isinstance(value, (list, tuple)):
                 given[name] = [value] * n
             elif len(value) != n:
                 raise ConfigError(f"controller.{name} needs 1 or {n} entries, got {len(value)}")
-        alpha1, alpha2, d_bar = (
-            [float(v) for v in given[k]] for k in ("alpha1", "alpha2", "d_bar")
-        )
         p, q = ([int(v) for v in given[k]] for k in ("p", "q"))
-        try:
-            for i in range(n):
-                _check_channel(alpha1[i], p[i], q[i], alpha2[i], d_bar[i])
-        except ParameterError as err:
-            raise ParameterError(f"channel {i + 1}: {err}") from None
-        kappa = [SQRT_PI_HALF if v else 1.0 for v in given["include_sqrt_pi_factor"]]
-        for name, value in (
-            ("alpha1", alpha1),
-            ("exponent", [pv / qv for pv, qv in zip(p, q)]),
-            ("alpha2", alpha2),
-            ("d_bar", d_bar),
-            ("reach_gain", [k * a for k, a in zip(kappa, alpha2)]),
-        ):
-            arr = np.array(value, dtype=float)
+        for i in range(n):
+            # p < q first, in integers: p / q overflows for p beyond the float range
+            if not (p[i] < q[i] and p[i] / q[i] < 1.0):
+                raise ParameterError(
+                    f"channel {i + 1}: exponent p/q must satisfy 0 <= p/q < 1, got {p[i]}/{q[i]}"
+                )
+        kappa = 1.0 if mode == "gp-based" else SQRT_PI_HALF
+        given["exponent"] = [pv / qv for pv, qv in zip(p, q)]
+        given["reach_gain"] = [kappa * float(a) for a in given["alpha2"]]
+        for name in ("alpha1", "exponent", "alpha2", "d_bar", "reach_gain"):
+            arr = np.array(given[name], dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-
-def _check_channel(alpha1: float, p: int, q: int, alpha2: float, d_bar: float) -> None:
-    if not alpha1 > 0.0:
-        raise ParameterError(f"alpha1 must be positive, got {alpha1}")
-    if p < 0 or q < 1:
-        raise ParameterError(f"need p >= 0 and q >= 1, got p={p}, q={q}")
-    # p < q first, in integers: p / q overflows for p beyond the float range
-    if not (p < q and p / q < 1.0):
-        raise ParameterError(f"exponent p/q must satisfy 0 <= p/q < 1, got {p}/{q}")
-    if not alpha2 > 0.0:
-        raise ParameterError(f"alpha2 must be positive, got {alpha2}")
-    if not d_bar >= 0.0:
-        raise ParameterError(f"d_bar must be >= 0, got {d_bar}")
-    if not alpha2 > TWO_OVER_SQRT_PI * d_bar:
-        raise ParameterError(
-            f"need alpha2 > (2/sqrt(pi))*d_bar = {TWO_OVER_SQRT_PI * d_bar:.6g}, "
-            f"got alpha2 = {alpha2}"
-        )
 
 
 # --- settling-time bounds ----------------------------------------------------
@@ -163,22 +135,29 @@ def bound_report(
 @np.errstate(over="ignore")  # an inf T_z is refused
 def bound_decision(params: ControllerParams, d_bounds, audit=None):
     """(``bound_report`` record, None), or (None, note) where a hypothesis of
-    the theorems fails: d_bar below the plant's bound ``d_bounds`` on |d|, or
-    in gp-based mode reach_gain <= d_bar + delta_f_bar, the (n,) delta_f_bar
-    from ``audit()``, called after every other check and T_z's refusal."""
+    the theorems fails. Both theorems need d_bar at least the plant's bound
+    ``d_bounds`` on |d|, and one margin on every channel, reach_gain > d_bar
+    + delta: theorem 1 (known-model) with delta = 0, which is lemma 2's
+    alpha2 > (2/sqrt(pi)) d_bar, and theorem 2 (gp-based) with the (n,)
+    delta_f_bar from ``audit()``. The audit is called after every other check
+    and T_z's refusal; a T_s that is not positive and finite is refused after
+    the margin, by ``bound_report``."""
     short = params.d_bar < d_bounds
     if short.any():
         i = short.argmax()
         why = f"d_bar = {params.d_bar[i]:g} is below the plant's perturbation bound {d_bounds[i]:g}"
-    elif audit is None:
-        return bound_report(params), None
     else:
         _t_z_channels(params)
-        delta = audit()
+        delta = np.zeros_like(params.d_bar) if audit is None else audit()
         short = ~(params.reach_gain - params.d_bar - delta > 0.0)
         if not short.any():
-            return bound_report(params, delta_f_bars=delta), None
+            return bound_report(params, None if audit is None else delta), None
         i = short.argmax()
-        why = (f"need reaching gain kappa*alpha2 > d_bar + delta_f_bar = "
-               f"{params.d_bar[i] + delta[i]:.6g}, got kappa*alpha2 = {params.reach_gain[i]:.6g}")
+        if audit is None:
+            why = (f"need alpha2 > (2/sqrt(pi))*d_bar = {TWO_OVER_SQRT_PI * params.d_bar[i]:.6g}, "
+                   f"got alpha2 = {params.alpha2[i]}")
+        else:
+            why = (f"need reaching gain kappa*alpha2 > d_bar + delta_f_bar = "
+                   f"{params.d_bar[i] + delta[i]:.6g}, "
+                   f"got kappa*alpha2 = {params.reach_gain[i]:.6g}")
     return None, f"settling bound unavailable: channel {i + 1}: {why}"

@@ -129,9 +129,9 @@ class Scenario:
     constructor checks only what a config can still get wrong: the shapes of
     x0 and of the reference.
 
-    ``params`` holds the gains of the system's n channels; it may be None
-    only in open-loop mode, in which case the s columns simply repeat z (no
-    surface is defined without gains).
+    ``params`` holds the gains of the system's n channels. It is None in open
+    loop, which takes no gains: no control is applied, and the s columns
+    simply repeat z (no surface is defined without gains).
 
     ``csv_stream``, which only the ``run`` command sets, makes ``simulate``
     start its helper before the first step and note each block of rows as
@@ -298,7 +298,7 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
     pert = model.perturbation
 
     params = scenario.params
-    open_loop = scenario.mode == "open-loop"
+    open_loop = params is None
     estimator = gp.DriftEstimator(scenario.gp_model) if scenario.mode == "gp-based" else None
 
     # An operand that is an exact identity is held as None, and the operation
@@ -325,8 +325,8 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
     # one state; for a block, leading rows of (R, n) copies, which serve every
     # smaller block too. An op between two arrays of one block shape costs
     # about half of one that broadcasts an (n,) operand over the block.
-    law = None if params is None else (params.alpha1, params.exponent, params.reach_gain)
-    law_rows = None if law is None else [np.tile(c, (x.size // n, 1)) for c in law]
+    law = None if open_loop else (params.alpha1, params.exponent, params.reach_gain)
+    law_rows = None if open_loop else [np.tile(c, (x.size // n, 1)) for c in law]
     law_shape = None  # the state shape the constants below are taken for
     alpha1 = exponent = reach_gain = None
     # Bound once: the ufuncs the loop calls, the reduction that ndarray.max
@@ -343,13 +343,13 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
 
         Returns (z, s, u, f_used, dx, integ, ds) with dx = f + u + d and
         ds = dx + alpha1 * integ, the rate of s; integ and ds are None when no
-        surface is tracked (open loop without gains).
+        surface is tracked (open loop).
         """
         nonlocal law_shape, alpha1, exponent, reach_gain
         xd, d, xd_dot = signals
         z = x_cur if xd is None else x_cur - xd
         f = drift(x_cur)
-        if law is None:
+        if open_loop:
             return z, z, zeros, f, f + d, None, None
         if x_cur.shape != law_shape:
             law_shape = x_cur.shape
@@ -364,10 +364,6 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
         s = alpha1 * integral_cur
         add(z, s, out=s)
         ds = alpha1 * integ
-        if open_loop:
-            dx = f + d
-            add(dx, ds, out=ds)
-            return z, s, zeros, f, dx, integ, ds
         reach = reach_of(s)
         f_used = f if estimator is None else estimator(x_cur)
         u = f_used + ds
@@ -445,9 +441,9 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
             # is negligible whenever the guard can trigger, so dx stands in
             # for the z rate. A NaN rate fails the bound. In closed loop a NaN
             # s makes the reaching term, u and so dx NaN; in open loop u is
-            # zero, and a NaN z (from a NaN reference) or integral makes s
-            # NaN, and with it a ratio, yet can leave the rates finite, so s
-            # is tested apart there.
+            # zero and s is z, and a NaN z (from a NaN reference) makes a
+            # ratio NaN, yet can leave the rates finite, so s is tested apart
+            # there.
             rates = absolute(dx) if ds is None else maximum(absolute(dx), absolute(ds))
             if h * (float(max_of(rates, None)) / GUARD_REL) <= 1.0 and not (
                 open_loop and np.isnan(s).any()

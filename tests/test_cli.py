@@ -58,6 +58,7 @@ def test_validate_rejects_unknown_keys(capsys, tmp_path):
 
 RK4 = ("sim", "method", "rk4", ["'rk4' was removed", "first order"])
 LAYER_WHY = ["boundary layer was removed", "true sign(s)"]
+KAPPA_WHY = ["the mode sets kappa", "scale alpha2 instead"]
 
 
 @pytest.mark.parametrize(
@@ -65,17 +66,22 @@ LAYER_WHY = ["boundary layer was removed", "true sign(s)"]
     [("validate", RK4), ("run", RK4), ("montecarlo", RK4),
      # any value is refused, 0 too, which kept the true sign
      ("validate", ("controller", "sign_boundary_layer", 0, LAYER_WHY)),
-     ("run", ("controller", "sign_boundary_layer", [0, 0.01, 0], LAYER_WHY))],
+     ("run", ("controller", "sign_boundary_layer", [0, 0.01, 0], LAYER_WHY)),
+     # true too, which was the known-model default
+     ("validate", ("controller", "include_sqrt_pi_factor", True, KAPPA_WHY)),
+     ("run", ("controller", "include_sqrt_pi_factor", [True, False, True], KAPPA_WHY))],
     ids=["validate", "run", "montecarlo", "sign_boundary_layer-validate",
-         "sign_boundary_layer-run"],
+         "sign_boundary_layer-run", "include_sqrt_pi_factor-validate",
+         "include_sqrt_pi_factor-run"],
 )
 def test_removed_rk4_method_is_a_config_error_that_says_why(
     capsys, tmp_path, monkeypatch, command, retired
 ):
     # Under the switching law the closed loop is first order whatever the
     # plant stepper, so rk4 was removed; the settling theorems assume the
-    # true sign(s), so the tanh(s/eps) boundary layer was removed. A config
-    # that asks for either is refused with that reason, by validate too.
+    # true sign(s), so the tanh(s/eps) boundary layer was removed; the mode
+    # sets kappa, so the per-channel sqrt(pi)/2 switch was removed. A config
+    # that asks for any of them is refused with that reason, by validate too.
     section, key, value, reason = retired
     monkeypatch.chdir(tmp_path)
     cfg = json.loads(KNOWN.read_text())
@@ -362,11 +368,13 @@ def test_bounds_table_for_benchmark_gains(capsys):
 
 
 def test_bounds_set_override_can_violate_gain_condition(capsys):
-    code, _, err = run_cli(
+    # alpha2 = 1 < (2/sqrt(pi)) * d_bar: the table's known-model T_s is negative
+    code, out, err = run_cli(
         capsys, "bounds", str(KNOWN), "--set", "controller.alpha2=1.0"
     )
     assert code == 2
-    assert "2/sqrt(pi)" in err
+    assert (out, err) == ("", "parameter error: T_s entries must be positive and finite: "
+                              "(-7.789425828382358, -7.789425828382358, -7.789425828382358)\n")
 
 
 def test_bounds_rejects_equal_exponents(capsys):
@@ -379,11 +387,16 @@ def test_bounds_rejects_equal_exponents(capsys):
 @pytest.mark.parametrize(
     "assignment, message",
     [
-        ("controller.alpha1=[6, -1, 6]", "alpha1 must be positive, got -1.0"),
-        ("controller.alpha2=[4, 1, 4]",
-         "need alpha2 > (2/sqrt(pi))*d_bar = 1.12838, got alpha2 = 1.0"),
-        ("controller.d_bar=[1, -1, 1]", "d_bar must be >= 0, got -1.0"),
-        ("controller.p=[8, 10, 8]", "exponent p/q must satisfy 0 <= p/q < 1, got 10/10"),
+        # a gain out of its range is a schema error at the channel's index
+        ("controller.alpha1=[6, -1, 6]", "config error: config invalid at controller/alpha1/1: "
+         "-1 is less than or equal to the minimum of 0"),
+        ("controller.alpha2=[4, 0, 4]", "config error: config invalid at controller/alpha2/1: "
+         "0 is less than or equal to the minimum of 0"),
+        ("controller.d_bar=[1, -1, 1]", "config error: config invalid at controller/d_bar/1: "
+         "-1 is less than the minimum of 0"),
+        # p < q is the one gain check the schema cannot make
+        ("controller.p=[8, 10, 8]",
+         "parameter error: channel 2: exponent p/q must satisfy 0 <= p/q < 1, got 10/10"),
     ],
     ids=["alpha1", "alpha2", "d_bar", "p"],
 )
@@ -391,8 +404,37 @@ def test_a_bad_gain_names_its_channel(capsys, tmp_path, monkeypatch, command, as
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, command, str(KNOWN), *FAST, "--set", assignment)
     assert code == 2
-    assert (out, err) == ("", f"parameter error: channel 2: {message}\n")
+    assert (out, err) == ("", f"{message}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("gain", ["alpha1", "alpha2", "p", "q", "d_bar"])
+@pytest.mark.parametrize("command", ["run", "bounds"])
+def test_open_loop_takes_no_gains(capsys, tmp_path, monkeypatch, command, gain):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, command, str(LEMMA2), "--set", f"controller.{gain}=1")
+    assert code == 2
+    assert (out, err) == ("", f"config error: open-loop mode takes no gains, got "
+                              f"controller.{gain}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_known_model_margin_short_of_d_bar_withholds_the_bound(capsys, tmp_path,
+                                                                 monkeypatch):
+    # (sqrt(pi)/2) * 1.1 < d_bar = 1: theorem 1's margin fails, so the run is
+    # stepped and written without a bound, and a batch cannot pass the gate
+    monkeypatch.chdir(tmp_path)
+    short = ["--set", "controller.alpha2=1.1", *FAST]
+    note = ("settling bound unavailable: channel 1: need alpha2 > (2/sqrt(pi))*d_bar = "
+            "1.12838, got alpha2 = 1.1")
+    code, out, err = run_cli(capsys, "run", str(KNOWN), *short)
+    assert (code, err) == (0, "")
+    assert note in out.splitlines() and "T_max" not in out
+    assert "bounds" not in json.loads((tmp_path / "pmsm-known-summary.json").read_text())
+    code, _, err = run_cli(capsys, "montecarlo", str(KNOWN), "--runs", "2", "--ic-box=-1,1",
+                           "--require-bound", *short)
+    assert code == 5
+    assert err == f"{note}\nacceptance violation: settling bound not satisfied on every run\n"
 
 
 def test_a_gain_list_of_the_wrong_length_is_a_config_error(capsys):
@@ -846,6 +888,31 @@ def test_bound_is_withheld_when_d_bar_is_below_the_perturbation_bound(
     assert doc["aggregate"]["fraction_bound_satisfied"] is None and "bounds" not in doc
 
 
+@pytest.mark.parametrize("config", [KNOWN, GP], ids=lambda p: p.stem)
+def test_a_batch_whose_every_run_fails_writes_both_files_and_exits_4(capsys, tmp_path,
+                                                                    monkeypatch, config):
+    # From +-1e300 every run fails at its first step, and so does the
+    # gp-based pilot run from the box corner: its bound is withheld with a
+    # note, and the batch records both failures as the known-model one does
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "montecarlo", str(config), "--runs", "2",
+                             "--ic-box=-1e300,1e300", "--set", "sim.t_end=0.01",
+                             "--set", "sim.step_size=1e-3")
+    assert code == 4
+    assert "montecarlo: 2 runs, seed 0, 2 failed, 0 settled" in out
+    if config == GP:
+        assert err == (
+            "settling bound unavailable: the pilot run from the box corner failed: "
+            "SimulationDivergedError: non-finite dynamics rate in channel 2 during "
+            "substepping at t = 0\nevery run failed\n"
+        )
+    else:
+        assert err == "every run failed\n"
+    doc = json.loads((tmp_path / f"{config.stem}-mc.json").read_text())
+    assert doc["aggregate"]["n_failed"] == 2 and len(doc["failures"]) == 2
+    assert len((tmp_path / f"{config.stem}-runs.jsonl").read_text().splitlines()) == 2
+
+
 # --- argument plumbing --------------------------------------------------------------
 
 
@@ -894,6 +961,51 @@ def test_reference_length_mismatch_is_a_config_error(capsys, tmp_path, monkeypat
     assert code == 2
     assert "reference value must have shape (3,)" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", KNOWN, "--x0=a,b,c"],
+         "config error: --x0 must be comma-separated numbers, got 'a,b,c'"),
+        (["montecarlo", KNOWN, "--runs", "2", "--ic-box=a,b"],
+         "config error: --ic-box must be numbers, got 'a,b'"),
+        (["montecarlo", KNOWN, "--runs", "2", "--ic-box=-1,1;-1,1"],
+         "config error: --ic-box needs 1 or 3 pairs, got 2"),
+        (["montecarlo", KNOWN, "--runs", "2", "--ic-box=1,-1"],
+         "parameter error: ic_box must be 3 ordered (low, high) pairs, "
+         "got [[1.0, -1.0], [1.0, -1.0], [1.0, -1.0]]"),
+        (["run", KNOWN, "--set", "sim"],
+         "config error: override must look like section.key=value, got 'sim'"),
+        (["run", KNOWN, "--set", "sim.t_end.x=1"],
+         "config error: override path 'sim.t_end.x' crosses non-object key 't_end'"),
+        (["run", "list.json"], "config error: list.json: top level must be a JSON object"),
+        (["run", KNOWN, "--set", 'reference={"kind":"constant"}'],
+         "config error: reference kind 'constant' requires 'value'"),
+        (["run", KNOWN, "--set", 'reference={"kind":"sinusoid","amplitude":[1,1,1]}'],
+         "config error: reference kind 'sinusoid' requires 'frequency'"),
+        (["run", KNOWN, "--set", 'controller={"mode":"known-model"}'],
+         "config error: controller.alpha1 is required for mode 'known-model'"),
+        (["run", KNOWN, "--set", "controller.mode=gp-based"],
+         "config error: a 'gp' section is required for gp-based mode / gp-train"),
+        (["run", GP, "--set", 'gp={"chi":2}'],
+         "config error: gp section needs either 'dataset' (path) or 'generate' (parameters)"),
+        (["run", KNOWN, "--set", "sim.x0=[1,2]"],
+         "parameter error: x0 must have shape (3,), got (2,)"),
+        (["bounds", LEMMA2], "config error: bounds requires a controller section with gains"),
+    ],
+    ids=["x0-not-numbers", "ic-box-not-numbers", "ic-box-pairs", "ic-box-unordered",
+         "set-without-value", "set-through-a-number", "config-not-an-object",
+         "constant-without-value", "sinusoid-without-frequency", "controller-without-gains",
+         "gp-mode-without-gp", "gp-without-data", "x0-length", "bounds-open-loop"],
+)
+def test_an_input_error_exits_2_with_one_line(capsys, tmp_path, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "list.json").write_text("[1]")
+    code, out, err = run_cli(capsys, *[str(a) for a in argv])
+    assert code == 2
+    assert (out, err) == ("", f"{message}\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["list.json"]
 
 
 def write_dataset(path, header, rows):
@@ -1098,16 +1210,19 @@ def test_infeasible_gp_bound_is_not_replaced(capsys, tmp_path, monkeypatch, comm
 
 
 def test_gp_bound_takes_the_reaching_gain_the_law_applies(capsys, tmp_path, monkeypatch):
-    # With the sqrt(pi)/2 factor the law applies (sqrt(pi)/2) * 3 = 2.659,
-    # short of d_bar plus the GP error budget, 2.82: theorem 2's gain
-    # condition fails for that law, though alpha2 = 3 alone would meet it.
+    # The gp-based law applies alpha2 itself (kappa = 1), and theorem 2 needs
+    # only alpha2 > d_bar + delta_f_bar: 11.25 covers d_bar = 10 and a
+    # 1000-point GP's error budget, though it is short of lemma 2's
+    # (2/sqrt(pi)) * 10 = 11.28, which a known-model law would need.
     monkeypatch.chdir(tmp_path)
-    code, out, _ = run_cli(capsys, "run", str(GP), "--set", "controller.alpha2=3.0",
-                           "--set", "controller.include_sqrt_pi_factor=true", *FAST)
-    assert code == 0
-    note = next(line for line in out.splitlines() if line.startswith("settling bound"))
-    assert note.startswith("settling bound unavailable") and "reaching gain" in note
-    assert "T_max" not in out
+    code, out, err = run_cli(capsys, "run", str(GP), "--set", "controller.d_bar=10",
+                             "--set", "controller.alpha2=11.25",
+                             "--set", "gp.generate.n_samples=1000", *FAST)
+    assert (code, err) == (0, "")
+    assert "settling bound unavailable" not in out
+    bounds = json.loads((tmp_path / "pmsm-gp-summary.json").read_text())["bounds"]
+    assert bounds["mode"] == "gp-based"
+    assert f"T_max = {bounds['t_max']:.5f}" in out
 
 
 @pytest.mark.parametrize(

@@ -59,8 +59,9 @@ def zero_trained_gp():
 
 def test_control_gp_matches_known_when_drift_is_zero():
     # On the integrator plant (f = 0) a zero-trained GP must reproduce the
-    # known-model run bitwise, integral accumulation included.
-    params = scalar_params(include_sqrt_pi_factor=True)
+    # known-model run bitwise, integral accumulation included, given the
+    # same gains (kappa = sqrt(pi)/2 in both runs).
+    params = scalar_params()
     for xv in (-1.3, 0.0, 0.7):
         known = one_step_run(xv, params, t_end=0.05)
         learned = one_step_run(
@@ -71,8 +72,8 @@ def test_control_gp_matches_known_when_drift_is_zero():
 
 
 def test_control_gp_scalar_hand_value_printed_form():
-    # Eq-as-printed (no sqrt(pi)/2 factor): u = -(6e + 4e) = -10e
-    params = scalar_params(include_sqrt_pi_factor=False)
+    # gp-based gains, kappa = 1 as printed: u = -(6e + 4e) = -10e
+    params = scalar_params(mode="gp-based")
     u = one_step_run(1.0, params, mode="gp-based", gp_model=zero_trained_gp()).u[0]
     assert u[0] == pytest.approx(-10.0 * np.e, abs=1e-12)
 
@@ -87,23 +88,39 @@ def test_control_gp_pure_model_cancellation():
     assert u[0] == pytest.approx(-c, abs=1e-8)
 
 
-def test_params_enforce_reaching_gain_condition():
-    with pytest.raises(ParameterError) as exc:
-        scalar_params(alpha2=1.0, d_bar=1.0)
-    assert "2/sqrt(pi)" in str(exc.value)
+def test_decision_enforces_reaching_gain_condition():
+    # known-model: theorem 1's margin (sqrt(pi)/2) * alpha2 > d_bar, which is
+    # lemma 2's alpha2 > (2/sqrt(pi)) * d_bar; the gains themselves are kept
+    params = scalar_params(alpha2=1.0, d_bar=1.0)
+    assert bound_decision(params, np.ones(1)) == (
+        None, "settling bound unavailable: channel 1: need alpha2 > (2/sqrt(pi))*d_bar = "
+        "1.12838, got alpha2 = 1.0",
+    )
     # alpha2 = 1.2 > 2/sqrt(pi) ~ 1.1284 is accepted
-    scalar_params(alpha2=1.2, d_bar=1.0)
+    params = scalar_params(alpha2=1.2, d_bar=1.0)
+    assert bound_decision(params, np.ones(1)) == (bound_report(params), None)
+    # gp-based: alpha2 > d_bar + delta_f_bar, with kappa = 1
+    params = scalar_params(alpha2=1.1, d_bar=1.0, mode="gp-based")
+    assert bound_decision(params, np.ones(1), lambda: np.array([0.05])) == (
+        bound_report(params, delta_f_bars=np.array([0.05])), None,
+    )
+    assert bound_decision(params, np.ones(1), lambda: np.array([0.2]))[0] is None
 
 
 def test_params_hold_read_only_arrays_of_every_channel():
     params = ControllerParams(
-        3, alpha1=[5.0, 6.0, 7.0], alpha2=4.0, p=[6, 8, 0], q=10, d_bar=[1.0, 0.5, 0.0],
-        include_sqrt_pi_factor=[True, False, True],
+        3, alpha1=[5.0, 6.0, 7.0], alpha2=[4.0, 3.0, 4.0], p=[6, 8, 0], q=10,
+        d_bar=[1.0, 0.5, 0.0],
     )
     np.testing.assert_array_equal(params.alpha1, [5.0, 6.0, 7.0])
     np.testing.assert_array_equal(params.exponent, [6 / 10, 8 / 10, 0.0])
     np.testing.assert_array_equal(params.d_bar, [1.0, 0.5, 0.0])
-    np.testing.assert_array_equal(params.reach_gain, [SQRT_PI_HALF * 4.0, 4.0, SQRT_PI_HALF * 4.0])
+    # the mode sets kappa: sqrt(pi)/2 in known-model mode, 1 in gp-based mode
+    np.testing.assert_array_equal(params.reach_gain, [SQRT_PI_HALF * 4.0, SQRT_PI_HALF * 3.0,
+                                                      SQRT_PI_HALF * 4.0])
+    gp_based = ControllerParams(3, alpha1=6.0, alpha2=[4.0, 3.0, 4.0], p=8, q=10,
+                                mode="gp-based")
+    np.testing.assert_array_equal(gp_based.reach_gain, [4.0, 3.0, 4.0])
     for name in ("alpha1", "exponent", "alpha2", "d_bar", "reach_gain"):
         assert getattr(params, name).shape == (3,)
         assert not getattr(params, name).flags.writeable
@@ -114,8 +131,8 @@ def test_params_hold_read_only_arrays_of_every_channel():
 
 def one_channel_t_s(alpha2, d_bar=0.0, delta_f_bar=None, mode="lemma3"):
     """T_s of one channel: lemma 2 without ``delta_f_bar``, theorem 2 with it,
-    on the plain reaching gain alpha2 (no sqrt(pi)/2 factor)."""
-    params = scalar_params(alpha2=alpha2, d_bar=d_bar, include_sqrt_pi_factor=False)
+    on the plain reaching gain alpha2 (gp-based, kappa = 1)."""
+    params = scalar_params(alpha2=alpha2, d_bar=d_bar, mode="gp-based")
     delta = None if delta_f_bar is None else np.array([delta_f_bar])
     return bound_report(params, delta_f_bars=delta, s_bound_mode=mode)["t_s"]
 
@@ -160,7 +177,7 @@ def test_bounds_monotone_in_gains_and_disturbance():
     # one channel per gain or budget, in increasing order of it
     def t_s(alpha2, d_bar, delta=None):
         params = ControllerParams(len(alpha2), alpha1=6.0, alpha2=alpha2, p=8, q=10,
-                                  d_bar=d_bar, include_sqrt_pi_factor=False)
+                                  d_bar=d_bar, mode="gp-based")
         return np.array(bound_report(params, delta_f_bars=delta)["t_s_channels"])
 
     assert np.all(np.diff(t_s([2.0, 3.0, 5.0, 9.0], 1.0)) < 0.0)
@@ -193,8 +210,8 @@ def test_bound_report_trivial_composition():
 
 
 def test_bound_report_gp_mode():
-    # theorem 2 takes the reaching gain the law applies, (sqrt(pi)/2) * 4
-    # on these channels, which keep the factor
+    # theorem 2 takes the reaching gain the law applies: (sqrt(pi)/2) * 4 on
+    # known-model gains, 4 on gp-based ones
     report = bound_report(standard_gains(), delta_f_bars=np.zeros(3))
     assert report["mode"] == "gp-based"
     assert report["t_s"] == pytest.approx(0.75217406156258, abs=1e-12)
@@ -203,9 +220,7 @@ def test_bound_report_gp_mode():
     )
     assert printed["s_bound_mode"] == "printed-t8"
     assert printed["t_s"] == pytest.approx(0.5557032820352183, abs=1e-12)
-    plain = bound_report(
-        standard_gains(include_sqrt_pi_factor=False), delta_f_bars=np.zeros(3)
-    )
+    plain = bound_report(standard_gains(mode="gp-based"), delta_f_bars=np.zeros(3))
     assert plain["t_s"] == pytest.approx(0.6380711874576984, abs=1e-12)
 
 

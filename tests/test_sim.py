@@ -19,7 +19,7 @@ from conftest import (
     standard_gains,
 )
 from fxtsmc.errors import ConfigError, ParameterError, SimulationDivergedError
-from fxtsmc import cli, sim
+from fxtsmc import cli, sim, sliding
 from fxtsmc.controller import ControllerParams, bound_report
 from fxtsmc.gp import GPDataset, KernelConfig, generate_training_data, gp_fit, save_datasets
 from fxtsmc.numerics import CSV_BLOCK_ROWS, EXP_CLAMP, CsvStream, StepConfig
@@ -180,17 +180,18 @@ def test_divergence_reports_time_and_channel():
 
 
 def test_open_loop_never_evaluates_the_gain():
-    for params in (None, standard_gains(2)):
-        traj = simulate(Scenario(
-            system=make_integrator_plant(2),
-            reference=zero_reference(2),
-            params=params,
-            x0=np.array([0.5, -0.5]),
-            step=StepConfig(step_size=1e-3, t_end=0.01),
-            mode="open-loop",
-        ))
-        assert np.all(traj.u == 0.0)
-        assert np.all(traj.x == [0.5, -0.5])
+    # open loop takes no gains: no control is applied, and s repeats z
+    traj = simulate(Scenario(
+        system=make_integrator_plant(2),
+        reference=zero_reference(2),
+        params=None,
+        x0=np.array([0.5, -0.5]),
+        step=StepConfig(step_size=1e-3, t_end=0.01),
+        mode="open-loop",
+    ))
+    assert np.all(traj.u == 0.0)
+    assert np.all(traj.x == [0.5, -0.5])
+    assert np.array_equal(traj.s, traj.z)
 
 
 # --- scenario validation -----------------------------------------------------------
@@ -493,19 +494,28 @@ def counting_drift(model):
 
 
 def test_guard_substeps_on_the_surface_rate_alone():
-    # x' = 0 from x0 = 3, open loop: z stands still while s = z + alpha1 *
-    # integral moves fast, so only the surface ratio calls for substeps.
-    system, evaluated = counting_drift(make_integrator_plant(1))
+    # x' = u in closed loop from z = 3, on a ramp reference whose slope x_d'
+    # is the law's integral and reaching terms at t = 0: u, and with it the
+    # z rate, is zero there up to rounding, so the z ratio admits the plain
+    # step, which would leave x at 3. But s = z + alpha1 * integral moves at
+    # alpha1 * e^9 * 3^0.8, so the surface ratio alone sends the step to a
+    # backward-Euler substep, which moves x.
+    params = standard_gains(1)
+    surface_rate = params.alpha1 * sliding.integrand(np.array([3.0]), params.exponent)
+    slope = surface_rate + params.reach_gain * np.exp(9.0)
+    ramp = ReferenceSignal(value=lambda t: np.asarray(t)[..., None] * slope,
+                           derivative=lambda t: slope)
     traj = simulate(Scenario(
-        system=system,
-        reference=zero_reference(1),
-        params=standard_gains(1),
+        system=make_integrator_plant(1),
+        reference=ramp,
+        params=params,
         x0=np.array([3.0]),
         step=StepConfig(step_size=1e-3, t_end=1e-3),
-        mode="open-loop",
     ))
-    assert np.all(traj.x == 3.0)
-    assert evaluated[0] > 2  # one evaluation per grid row, plus substeps
+    assert traj.z[0, 0] == 3.0
+    assert 1e-3 * abs(traj.u[0, 0]) < 1e-12
+    assert 1e-3 * surface_rate[0] / (3.0 + sim.GUARD_ABS) > sim.GUARD_REL
+    assert abs(traj.x[1, 0] - 3.0) > 0.1
 
 
 def constant_rate_plant(rate):

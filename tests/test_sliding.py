@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from fxtsmc import cli
 from fxtsmc.controller import ControllerParams, bound_report
-from fxtsmc.errors import ParameterError
+from fxtsmc.errors import ConfigError, ParameterError
 from fxtsmc.numerics import EXP_CLAMP, StepConfig, safe_exp
 from fxtsmc.sim import Scenario, simulate
 from fxtsmc.sliding import integrand
@@ -33,8 +34,12 @@ def test_params_exponent():
     ],
 )
 def test_params_rejects_bad_domains(kwargs):
-    with pytest.raises(ParameterError):
-        surface_params(**kwargs)
+    # the config schema holds each gain's range, and ControllerParams p < q
+    cfg = {"system": {"builtin": "lemma2"}, "sim": {"step_size": 1e-3, "t_end": 1.0},
+           "controller": {"alpha2": 4.0, **kwargs}}
+    with pytest.raises((ConfigError, ParameterError), match=r"alpha1|p/q|controller/[pq]"):
+        cli.validate_config(cfg)
+        cli.build_controller_params(cfg, 1)
 
 
 def test_integrand_values():
@@ -86,37 +91,38 @@ def test_integrand_equals_its_expression_form_and_keeps_its_input(exponent):
         assert z.tobytes() == before
 
 
-def hold_run(z0, params, step_size, t_end):
-    """Open-loop run of the integrator plant with gains attached: x' = 0, so
-    z stays at z0 while the engine accumulates the surface integral."""
-    scenario = Scenario(
+def surface_run(z0, params, step_size, t_end, plain=True):
+    """Closed-loop run of the integrator plant x' = u from z0; with ``plain``,
+    every step of it must be the plain step x += h * u."""
+    traj = simulate(Scenario(
         system=make_integrator_plant(),
         reference=zero_reference(1),
         params=params,
         x0=np.array([z0]),
         step=StepConfig(step_size=step_size, t_end=t_end),
-        mode="open-loop",
-    )
-    return simulate(scenario)
+    ))
+    if plain:
+        assert np.array_equal(traj.x[1:], traj.x[:-1] + step_size * traj.u[:-1])
+    return traj
 
 
 def test_advance_accumulates_one_euler_step():
     params = surface_params()
-    traj = hold_run(1.0, params, 0.1, 0.1)
-    integral = (traj.s[1, 0] - traj.z[1, 0]) / params.alpha1[0]
-    assert integral == pytest.approx(0.1 * np.e, rel=1e-15)
+    traj = surface_run(1.0, params, 1e-3, 1e-3)
+    integral = 1e-3 * integrand(traj.z[0], params.exponent)
+    assert traj.s[1, 0] == traj.z[1, 0] + params.alpha1[0] * integral[0]
 
-    traj = hold_run(0.0, params, 0.1, 0.1)
+    traj = surface_run(0.0, params, 0.1, 0.1)
     assert traj.s[1, 0] == 0.0
 
 
 def test_sliding_value_examples():
     # s = z + alpha1 * integral, with the integral one Euler increment of the
-    # integrand at z
+    # integrand at the z of the row before
     params = surface_params()
-    assert hold_run(0.0, params, 0.1, 0.1).s[0, 0] == 0.0
-    traj = hold_run(2.0, params, 1e-3, 1e-3)
-    assert traj.s[1, 0] == 2.0 + 6.0 * (1e-3 * integrand(2.0, params.exponent[0]))
+    assert surface_run(0.0, params, 0.1, 0.1).s[0, 0] == 0.0
+    traj = surface_run(2.0, params, 1e-3, 1e-3)
+    assert traj.s[1, 0] == traj.z[1, 0] + 6.0 * (1e-3 * integrand(np.array([2.0]), 0.8)[0])
 
 
 def test_sliding_equals_error_at_time_zero():
@@ -124,17 +130,19 @@ def test_sliding_equals_error_at_time_zero():
     for alpha1, p, q in ((6.0, 8, 10), (2.0, 0, 1), (0.5, 1, 3)):
         params = surface_params(alpha1=alpha1, p=p, q=q)
         for z in (-4.0, -0.3, 0.0, 1.7):
-            assert hold_run(z, params, 1e-3, 1e-3).s[0, 0] == z
+            assert surface_run(z, params, 1e-3, 1e-3, plain=False).s[0, 0] == z
 
 
-def test_constant_z_closed_form():
-    # z(tau) = 1 on [0, 1]: the integrand is constant e, so Euler accumulation
-    # is exact and s = 1 + alpha1 * e * t.
+def test_surface_is_z_plus_alpha1_times_the_summed_integrand():
+    # on every plain-step row, s = z + alpha1 * I bit for bit, where I sums
+    # h * integrand(z) over the rows before, in order
+    h = 1e-4
     params = surface_params()
-    traj = hold_run(1.0, params, 1e-4, 1.0)
-    assert np.all(traj.z == 1.0)
-    assert (traj.s[-1, 0] - 1.0) / 6.0 == pytest.approx(np.e, rel=1e-12)
-    assert traj.s[-1, 0] == pytest.approx(1.0 + 6.0 * np.e, rel=1e-12)
+    for z0 in (-1.5, 0.7, 2.0):
+        traj = surface_run(z0, params, h, 0.5)
+        increments = h * integrand(traj.z[:-1], params.exponent)
+        summed = np.concatenate([np.zeros((1, 1)), np.cumsum(increments, axis=0)])
+        assert np.array_equal(traj.s, traj.z + params.alpha1 * summed)
 
 
 def test_accumulator_matches_trapezoid_quadrature():
