@@ -37,7 +37,7 @@ class _GridRows:
         self.stride = stride
         self.x = []
 
-    def start(self, t, x_d, d):
+    def start(self, t, x_d, d, z_is_x):
         pass
 
     def row(self, k, x, z, s, u, f_used):

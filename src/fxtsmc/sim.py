@@ -66,12 +66,13 @@ of the 36 block substeps of a 30-run mc-far batch leaves them all unmoved).
 
 The loop also skips every operation whose result it knows bit for bit. A
 reference that is constant (shape (n,) on the grid) and all +0.0 is an exact
-identity, so ``x - x_d`` and ``- x_d'`` are not applied. The perturbation is
-always added. Two checks that an earlier test implies are dropped: the NaN
-test of s before a plain step runs in open loop only, since in closed loop a
-NaN s makes dx NaN and fails the rates bound; and a plain step admitted by
-that bound, which moves no state by more than GUARD_REL, is not checked for
-a finite result. Substeps are.
+identity, so ``x - x_d`` and ``- x_d'`` are not applied, and a single run's
+log keeps no z column apart from x. The perturbation is always added. Two
+checks that an earlier test implies are dropped: the NaN test of s before a
+plain step runs in open loop only, since in closed loop a NaN s makes dx NaN
+and fails the rates bound; and a plain step admitted by that bound, which
+moves no state by more than GUARD_REL, is not checked for a finite result.
+Substeps are.
 
 A grid row acts on arrays of 3 to 12 elements, so what it costs is mostly
 numpy's per-call overhead, not arithmetic. The loop therefore tests the rates
@@ -165,8 +166,10 @@ class Trajectory:
     """Uniformly sampled log of one run. Row k is the state at t = k*h, before
     the k-th step; the first row has s = z by construction. ``x_d`` and ``d``
     are the time signals evaluated over the grid; one that does not depend
-    on t is a read-only view repeating a single row. ``csv_stream`` is the
-    scenario's, whose helper has formatted the rows for the CSV export."""
+    on t is a read-only view repeating a single row. Under a reference the
+    loop takes as the identity (constant, all +0.0), z is x's array.
+    ``csv_stream`` is the scenario's, whose helper has formatted the rows for
+    the CSV export."""
 
     t: np.ndarray
     x: np.ndarray
@@ -220,8 +223,12 @@ class _Log:
     The x, z, s, u and f_hat rows lie on one anonymous shared mapping, so the
     helper of the scenario's ``csv_stream``, forked in ``start`` before row 0,
     sees every row written later; the time signals exist by then, and it gets
-    them through fork. Once per CSV_BLOCK_ROWS rows the log notes the rows
-    that are final, at the cost of one integer test per row."""
+    them through fork. The mapping is made before the loop evaluates its
+    grid, so a log too large for memory fails first. Where the loop takes z
+    as x itself (an identity reference), z is x's column: the log copies no
+    z, and the z rows of the mapping are never touched, so they take no
+    memory. Once per CSV_BLOCK_ROWS rows the log notes the rows that are
+    final, at the cost of one integer test per row."""
 
     def __init__(self, scenario: Scenario):
         n = scenario.system.n
@@ -240,15 +247,18 @@ class _Log:
         self.stream = scenario.csv_stream
         self.next_note = -1  # the row after which the next note is due
 
-    def start(self, t, x_d, d):
-        self.traj = Trajectory(t=t, x=self.x, x_d=x_d, z=self.z, s=self.s, u=self.u, d=d,
-                               f_hat=self.f_hat, csv_stream=self.stream)
+    def start(self, t, x_d, d, z_is_x):
+        if z_is_x:
+            self.z = None
+        self.traj = Trajectory(t=t, x=self.x, x_d=x_d, z=self.x if z_is_x else self.z, s=self.s,
+                               u=self.u, d=d, f_hat=self.f_hat, csv_stream=self.stream)
         if self.stream is not None and self.stream.start(self.traj.columns()):
             self.next_note = CSV_BLOCK_ROWS - 1
 
     def row(self, k, x, z, s, u, f_used):
         self.x[k] = x
-        self.z[k] = z
+        if self.z is not None:
+            self.z[k] = z
         self.s[k] = s
         self.u[k] = u
         if self.f_hat is not None:
@@ -267,12 +277,13 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
     """The one step loop: one state ``x`` of shape (n,), or a block (R, n) of
     runs stepped together from their initial states.
 
-    The grid and its (x_d, d) columns go to ``sink.start`` before the first
-    step, and every grid row of the state-dependent signals to ``sink.row``. The
-    errors of failed runs go to ``sink.fail`` as {block row: exception}: a
-    single run's sink raises, a batch's sink records them and returns the mask
-    of runs to keep. The step is then redone for the kept runs, which repeats
-    their numbers bit for bit, since no run's numbers depend on another's.
+    The grid, its (x_d, d) columns and whether z is x itself (an identity
+    reference) go to ``sink.start`` before the first step, and every grid row
+    of the state-dependent signals to ``sink.row``. The errors of failed runs
+    go to ``sink.fail`` as {block row: exception}: a single run's sink
+    raises, a batch's sink records them and returns the mask of runs to keep.
+    The step is then redone for the kept runs, which repeats their numbers
+    bit for bit, since no run's numbers depend on another's.
 
     The signals that depend on time alone (reference, its derivative,
     perturbation) are evaluated once over the whole grid before the loop;
@@ -306,7 +317,7 @@ def _step_loop(scenario: Scenario, x: np.ndarray, sink):
     # all +0.0 (x - 0.0 is exact, also for -0.0 and NaN).
     xd_grid, xd_rows = _on_grid(ref_value, t_grid, n)
     d_grid = _on_grid(pert, t_grid, n)[0]
-    sink.start(t_grid, xd_grid, d_grid)
+    sink.start(t_grid, xd_grid, d_grid, xd_rows is None)
     xdot_rows = None if open_loop else _on_grid(ref_deriv, t_grid, n)[1]
 
     integral = np.zeros_like(x)
@@ -795,7 +806,7 @@ class _BatchStats:
         self.z, self.s, self.u = np.empty((3, self.chunk, runs, n))
         self.k0 = self.m = 0
 
-    def start(self, t, x_d, d):
+    def start(self, t, x_d, d, z_is_x):
         self.t = t
 
     def row(self, k, x, z, s, u, f_used):

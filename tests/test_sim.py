@@ -786,7 +786,7 @@ class _RowRecorder:
     def __init__(self):
         self.rows = []
 
-    def start(self, t, x_d, d):
+    def start(self, t, x_d, d, z_is_x):
         pass
 
     def row(self, k, x, z, s, u, f_used):
@@ -1136,6 +1136,46 @@ def test_unperturbed_pmsm_equals_a_time_dependent_zero_perturbation():
     assert_same_bits(fast, general, IDENTITY_STARTS)
 
 
+def test_a_zero_reference_logs_x_as_z():
+    # under the identity reference the loop's z is x itself, and the log
+    # keeps x's array as the z column instead of a copy
+    traj = simulate(identity_template())
+    assert traj.z is traj.x
+
+
+@pytest.mark.parametrize(
+    "reference",
+    [constant_reference([-0.0, -0.0, -0.0]),
+     sinusoid_reference([0.5, 0.25, 1.0], [3.0, 2.0, 1.0], [0.0, 0.3, 0.6])],
+    ids=["minus-zero", "sinusoid"],
+)
+def test_a_reference_that_is_not_the_identity_logs_its_own_z(reference):
+    # x - (-0.0) is not x: a -0.0 entry of x becomes +0.0
+    traj = simulate(identity_template(reference=reference))
+    assert not np.shares_memory(traj.z, traj.x)
+    assert traj.z.tobytes() == (traj.x - traj.x_d).tobytes()
+
+
+def test_a_zero_reference_csv_is_the_same_with_and_without_the_helper(tmp_path, monkeypatch):
+    # the helper is forked over the same columns, z being x's array
+    texts = []
+    for cpus in (1, 2):
+        forks = set_csv_cpus(monkeypatch, cpus)
+        path = tmp_path / f"traj-{cpus}.csv"
+        with CsvStream() as stream:
+            traj = simulate(dataclasses.replace(identity_template(), csv_stream=stream))
+            write_trajectory_csv(traj, path)
+        assert len(forks) == (cpus == 2)
+        texts.append(path.read_bytes())
+    assert texts[0] == texts[1]
+    header, *rows = texts[0].decode().splitlines()
+    assert header.split(",")[1:4] == ["x1", "x2", "x3"]
+    assert header.split(",")[7:10] == ["z1", "z2", "z3"]
+    assert len(rows) == 1001
+    assert all(row.split(",")[1:4] == row.split(",")[7:10] for row in rows)
+    assert_no_child_left()
+
+
 def test_nan_reference_in_closed_loop_still_fails_the_guard():
     # In closed loop a NaN z makes s, the reaching term, u and dx NaN, so the
     # rate bound alone sends the step to the substep loop, which reports it.
@@ -1281,7 +1321,7 @@ def logged(traj, stream):
         system=SimpleNamespace(n=n), step=SimpleNamespace(n_steps=rows - 1),
         mode="known-model" if traj.f_hat is None else "gp-based", csv_stream=stream,
     ))
-    log.start(traj.t, traj.x_d, traj.d)
+    log.start(traj.t, traj.x_d, traj.d, traj.z is traj.x)
     for k in range(rows):
         log.row(k, traj.x[k], traj.z[k], traj.s[k], traj.u[k],
                 None if traj.f_hat is None else traj.f_hat[k])

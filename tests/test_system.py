@@ -1,3 +1,4 @@
+import itertools
 import json
 from pathlib import Path
 
@@ -92,6 +93,44 @@ def test_pmsm_drift_components(pmsm):
     assert f[0] == pytest.approx(2.5 * (-1.2 - 0.5))
     assert f[1] == pytest.approx(1.2 - 2.0 * 0.5 + 25 * 0.5)
     assert f[2] == pytest.approx(-2.0 + 0.5 * -1.2)
+
+
+def drift_on_arrays(x):
+    """The PMSM drift as numpy arithmetic on the rows of ``x.T``, stacked and
+    transposed back."""
+    x1, x2, x3 = x.T
+    return np.array([2.5 * (x2 - x1), -x2 - x3 * x1 + 25.0 * x1, -x3 + x1 * x2]).T
+
+
+# Magnitudes from 1e-300 to 1e200, whose products underflow or overflow to
+# inf, and signed zeros, infinities and NaN.
+DRIFT_VALUES = [0.0, -0.0, 1e-300, -3e-300, 0.75, -1.5, 1e200, -7e199, np.inf, -np.inf, np.nan]
+
+
+def assert_same_bits(f, g):
+    """``f`` and ``g`` agree bit for bit but for the sign bit of a NaN, which
+    numpy's array loops and scalar arithmetic do not set alike."""
+    nan = np.isnan(f)
+    assert np.array_equal(nan, np.isnan(g))
+    assert f[~nan].tobytes() == g[~nan].tobytes()
+
+
+def test_pmsm_drift_has_the_same_bits_on_a_state_and_on_any_block(pmsm):
+    states = np.array(list(itertools.product(DRIFT_VALUES, repeat=3)))  # 1331 states
+    with np.errstate(all="ignore"):
+        expected = drift_on_arrays(states)
+        scalars = [drift_on_arrays(x) for x in states]
+        blocks = [pmsm.drift(states.reshape(-1, 1, 3)),
+                  pmsm.drift(np.concatenate([states, states[:1]]).reshape(-1, 4, 3)),
+                  pmsm.drift(states.reshape(11, 121, 3))]
+    for block, shape in zip(blocks, [(1331, 1, 3), (333, 4, 3), (11, 121, 3)]):
+        assert block.shape == shape and block.flags.c_contiguous
+        assert_same_bits(block.reshape(-1, 3)[:len(states)], expected)
+    for x, want, before in zip(states, expected, scalars):
+        f = pmsm.drift(x)
+        assert f.shape == (3,)
+        assert_same_bits(f, want)
+        assert_same_bits(f, before)
 
 
 def test_pmsm_perturbation_bounded():
